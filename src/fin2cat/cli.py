@@ -422,3 +422,7 @@ def main(argv=None):
             fh.write(text)
     sys.stdout.write(text)
     return _EXIT[report["status"]]
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fincat import (
     compose_fun,
+    composition_table,
     hom_cat,
     identity_fun,
     iso_categories,
@@ -402,14 +403,13 @@ def kleisli(Z, t, mu, eta):
                 dom[k], cod[k] = x, y
                 under[k] = m
     identity = {x: mid(eta.at(x), x, x) for x in Z.objects}
-    compose = {}
-    for k2 in morphisms:
-        for k1 in morphisms:
-            if cod[k1] != dom[k2]:
-                continue
-            y, zz = dom[k2], cod[k2]
-            m = Z.compose(mu.at(zz), Z.compose(t.mor(under[k2]), under[k1]))
-            compose[(k2, k1)] = mid(m, dom[k1], zz)
+
+    def composite(k2, k1):
+        zz = cod[k2]
+        m = Z.compose(mu.at(zz), Z.compose(t.mor(under[k2]), under[k1]))
+        return mid(m, dom[k1], zz)
+
+    compose = composition_table(morphisms, dom, cod, composite)
     return make_fincat(
         list(Z.objects), morphisms, dom, cod, identity, compose
     )

@@ -12,7 +12,7 @@ Dd0(m) . fbar = hbar . Dd1(m).  The (strict) descent category is the full
 subcategory on the pairs whose fbar is invertible.
 """
 
-from .fincat import Fun, make_fincat, make_fun
+from .fincat import composition_table, make_fincat, make_fun
 from .errors import BoundaryMismatch
 
 
@@ -91,12 +91,11 @@ def lax_descent(D):
     identity = {}
     for o in objects:
         identity[o] = _mor_id(D.D1.identity[data[o].f], o, o)
-    compose = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if cod[m1] == dom[m2]:
-                c = D.D1.compose(under[m2], under[m1])
-                compose[(m2, m1)] = _mor_id(c, dom[m1], cod[m2])
+
+    def composite(m2, m1):
+        return _mor_id(D.D1.compose(under[m2], under[m1]), dom[m1], cod[m2])
+
+    compose = composition_table(morphisms, dom, cod, composite)
 
     carrier = make_fincat(objects, morphisms, dom, cod, identity, compose)
     projection = make_fun(
@@ -111,7 +110,13 @@ def lax_descent(D):
 def descent(D):
     """The descent category: data with invertible fbar, included into the
     lax descent category."""
-    lax = lax_descent(D)
+    return invertible_part(lax_descent(D))
+
+
+def invertible_part(lax):
+    """The descent category cut out of an already computed lax descent
+    category: the full subcategory on the data whose fbar is invertible."""
+    D = lax.diagram
     keep = {
         o
         for o in lax.carrier.objects
@@ -123,18 +128,15 @@ def descent(D):
         for m in lax.carrier.morphisms
         if lax.carrier.dom[m] in keep and lax.carrier.cod[m] in keep
     ]
+    dom = {m: lax.carrier.dom[m] for m in morphisms}
+    cod = {m: lax.carrier.cod[m] for m in morphisms}
     carrier = make_fincat(
         objects,
         morphisms,
-        {m: lax.carrier.dom[m] for m in morphisms},
-        {m: lax.carrier.cod[m] for m in morphisms},
+        dom,
+        cod,
         {o: lax.carrier.identity[o] for o in objects},
-        {
-            (g, f): lax.carrier.compose_table[(g, f)]
-            for g in morphisms
-            for f in morphisms
-            if lax.carrier.cod[f] == lax.carrier.dom[g]
-        },
+        composition_table(morphisms, dom, cod, lax.carrier.compose),
     )
     projection = make_fun(
         carrier,

@@ -10,6 +10,9 @@ Objects and morphisms are identifier strings; a category is its composition
 table.
 """
 
+import itertools
+import math
+
 from .errors import (
     AxiomViolation,
     BoundaryMismatch,
@@ -67,6 +70,8 @@ class FinCat:
     def __eq__(self, other):
         if not isinstance(other, FinCat):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
@@ -111,9 +116,10 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
         if i not in mor_set or dom[i] != x or cod[i] != x:
             raise AxiomViolation("identity of %r is not an endomorphism: %r" % (x, i))
 
-    composable = {
-        (g, f) for f in morphisms for g in morphisms if cod[f] == dom[g]
-    }
+    by_dom = {}
+    for m in morphisms:
+        by_dom.setdefault(dom[m], []).append(m)
+    composable = {(g, f) for f in morphisms for g in by_dom.get(cod[f], ())}
     given = set(compose)
     if given != composable:
         missing = composable - given
@@ -137,19 +143,31 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
         if compose[(identity[cod[f]], f)] != f:
             raise AxiomViolation("left identity law fails at %r" % f)
 
-    by_dom = {}
-    for m in morphisms:
-        by_dom.setdefault(dom[m], []).append(m)
+    # h.(g.f) = (h.g).f on every composable triple, compared a row at a
+    # time: after[x] maps each h with dom h = cod x to h.x, and after[g],
+    # after[g.f] list the same h in the same order
+    after = {x: {h: compose[(h, x)] for h in by_dom.get(cod[x], ())} for x in morphisms}
     for f in morphisms:
-        for g in by_dom.get(cod[f], ()):
-            gf = compose[(g, f)]
-            for h in by_dom.get(cod[g], ()):
-                if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
-                    raise AxiomViolation(
-                        "associativity fails on (%r, %r, %r)" % (h, g, f)
-                    )
+        af = after[f]
+        for g, gf in af.items():
+            ag, agf = after[g], after[gf]
+            if list(map(af.__getitem__, ag.values())) != list(agf.values()):
+                h = next(h for h, hg in ag.items() if agf[h] != af[hg])
+                raise AxiomViolation(
+                    "associativity fails on (%r, %r, %r)" % (h, g, f)
+                )
 
     return FinCat(objects, morphisms, dom, cod, identity, compose)
+
+
+def composition_table(morphisms, dom, cod, composite):
+    """The table {(g, f): composite(g, f)} over exactly the composable
+    pairs, read off a by-codomain index: g runs through morphisms in
+    order, and for each g every f with cod f = dom g, in the same order."""
+    into = {}
+    for f in morphisms:
+        into.setdefault(cod[f], []).append(f)
+    return {(g, f): composite(g, f) for g in morphisms for f in into.get(dom[g], ())}
 
 
 class Fun:
@@ -342,14 +360,12 @@ class ProductCat(FinCat):
             o: "(%s,%s)" % (C.identity[c], D.identity[d])
             for o, (c, d) in obj_pair.items()
         }
-        compose = {}
-        for m2, (f2, g2) in mor_pair.items():
-            for m1, (f1, g1) in mor_pair.items():
-                if cod[m1] == dom[m2]:
-                    compose[(m2, m1)] = "(%s,%s)" % (
-                        C.compose_table[(f2, f1)],
-                        D.compose_table[(g2, g1)],
-                    )
+
+        def composite(m2, m1):
+            (f2, g2), (f1, g1) = mor_pair[m2], mor_pair[m1]
+            return "(%s,%s)" % (C.compose_table[(f2, f1)], D.compose_table[(g2, g1)])
+
+        compose = composition_table(morphisms, dom, cod, composite)
         checked = make_fincat(objects, morphisms, dom, cod, identity, compose)
         FinCat.__init__(
             self,
@@ -453,6 +469,14 @@ def _enumerate_nats(F, G):
     """All natural transformations F => G for parallel functors."""
     C, D = F.src, F.tgt
     objs = list(C.objects)
+    pos = {x: i for i, x in enumerate(objs)}
+    # the naturality squares that close once objs[i] has its component;
+    # squares at identities hold for any functors
+    squares = [[] for _ in objs]
+    for m in C.morphisms:
+        if not C.is_identity(m):
+            a, b = C.dom[m], C.cod[m]
+            squares[max(pos[a], pos[b])].append((a, b, F.on_mor[m], G.on_mor[m]))
     out = []
 
     def assign(i, comps):
@@ -463,15 +487,10 @@ def _enumerate_nats(F, G):
         for c in D.hom(F.on_obj[x], G.on_obj[x]):
             comps[x] = c
             ok = True
-            for m in C.morphisms:
-                a, b = C.dom[m], C.cod[m]
-                if a in comps and b in comps:
-                    if (
-                        D.compose_table[(G.on_mor[m], comps[a])]
-                        != D.compose_table[(comps[b], F.on_mor[m])]
-                    ):
-                        ok = False
-                        break
+            for a, b, fm, gm in squares[i]:
+                if D.compose_table[(gm, comps[a])] != D.compose_table[(comps[b], fm)]:
+                    ok = False
+                    break
             if ok:
                 assign(i + 1, comps)
             del comps[x]
@@ -487,55 +506,73 @@ class HomCat(FinCat):
     ... assigned in a canonical order, so two builds over equal inputs give
     identical names.  functor_of/nat_of and obj_id/mor_id translate between
     identifiers and the actual structures.
+
+    Transformations are searched only between functors F, G with
+    D.hom(F x, G x) non-empty at every object x: functors are grouped by
+    their object image, and the targets of each source image are found by
+    walking the product of the per-object reachable sets or by scanning
+    the distinct images, whichever is shorter.  The composition table is
+    read off a by-codomain index of the transformations, each composite's
+    key taken componentwise from D's table.
     """
 
     def __init__(self, C, D):
-        funs = _enumerate_functors(C, D)
-        funs.sort(key=_fun_key)
+        keyed = sorted(
+            ((_fun_key(F), F) for F in _enumerate_functors(C, D)), key=lambda t: t[0]
+        )
         self._funs = {}
         self._fun_ids = {}
-        for i, F in enumerate(funs):
+        by_image = {}
+        for i, (key, F) in enumerate(keyed):
             fid = "F%d" % i
             self._funs[fid] = F
-            self._fun_ids[_fun_key(F)] = fid
+            self._fun_ids[key] = fid
+            by_image.setdefault(key[0], []).append((fid, F))
 
+        reach = {a: {b for b in D.objects if D.hom(a, b)} for a in D.objects}
         nats = []
-        for F in funs:
-            src_id = self._fun_ids[_fun_key(F)]
-            for G in funs:
-                tgt_id = self._fun_ids[_fun_key(G)]
-                for a in _enumerate_nats(F, G):
-                    nats.append((_nat_key(a, src_id, tgt_id), a, src_id, tgt_id))
+        for image, sources in by_image.items():
+            allowed = [reach[a] for a in image]
+            if math.prod(map(len, allowed)) < len(by_image):
+                targets = [
+                    t for im in itertools.product(*allowed) for t in by_image.get(im, ())
+                ]
+            else:
+                targets = [
+                    t
+                    for im, ts in by_image.items()
+                    if all(b in r for b, r in zip(im, allowed))
+                    for t in ts
+                ]
+            for src_id, F in sources:
+                for tgt_id, G in targets:
+                    for a in _enumerate_nats(F, G):
+                        nats.append((_nat_key(a, src_id, tgt_id), a))
         nats.sort(key=lambda t: t[0])
         self._nats = {}
         self._nat_ids = {}
-        dom, cod = {}, {}
-        for i, (key, a, src_id, tgt_id) in enumerate(nats):
+        dom, cod, comps = {}, {}, {}
+        for i, (key, a) in enumerate(nats):
             nid = "n%d" % i
             self._nats[nid] = a
             self._nat_ids[key] = nid
-            dom[nid] = src_id
-            cod[nid] = tgt_id
+            dom[nid], cod[nid], comps[nid] = key
 
-        identity = {}
-        for fid, F in self._funs.items():
-            ia = identity_nat(F)
-            identity[fid] = self._nat_ids[_nat_key(ia, fid, fid)]
-        compose = {}
-        for n2, b in self._nats.items():
-            for n1, a in self._nats.items():
-                if cod[n1] == dom[n2]:
-                    v = paste("vertical", b, a)
-                    compose[(n2, n1)] = self._nat_ids[
-                        _nat_key(v, dom[n1], cod[n2])
-                    ]
+        objs, Dc = C.objects, D.compose_table
+        identity = {
+            fid: self._nat_ids[
+                (fid, fid, tuple(D.identity[F.on_obj[x]] for x in objs))
+            ]
+            for fid, F in self._funs.items()
+        }
+
+        def vertical(n2, n1):
+            pairs = zip(comps[n2], comps[n1])
+            return self._nat_ids[(dom[n1], cod[n2], tuple(map(Dc.__getitem__, pairs)))]
+
+        compose = composition_table(list(self._nats), dom, cod, vertical)
         checked = make_fincat(
-            sorted(self._funs, key=lambda s: int(s[1:])),
-            sorted(self._nats, key=lambda s: int(s[1:])),
-            dom,
-            cod,
-            identity,
-            compose,
+            list(self._funs), list(self._nats), dom, cod, identity, compose
         )
         FinCat.__init__(
             self,

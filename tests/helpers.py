@@ -1,7 +1,10 @@
 """Shared small categories and builders used across the test suite."""
 
+import itertools
+
 from fin2cat import fincat
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
+from fin2cat.errors import NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
 
 
@@ -143,3 +146,111 @@ def monoid_extension(diagram, theta):
         Dd=i,
         Dtheta=make_nat(i, i, {"*": theta}),
     )
+
+
+# small monoids as (elements, unit first, multiplication)
+SMALL_MONOIDS = {
+    "1": (["e"], {("e", "e"): "e"}),
+    "z2": (["e", "s"], {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}),
+    "idem": (["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}),
+}
+
+
+def layered_cat(n, arrows, endos):
+    """Objects 0 .. n-1 with one arrow i -> j for each pair of the
+    transitive closure of arrows (all i < j), and the monoid endos[i] as
+    the endomorphisms of i.  An endomorphism composed with an arrow on
+    either side gives the arrow back, which is associative because no
+    arrow runs back down."""
+    objects = [str(i) for i in range(n)]
+    reach = {(i, j) for i, j in arrows}
+    while True:
+        more = {(i, k) for i, j in reach for j2, k in reach if j == j2} - reach
+        if not more:
+            break
+        reach |= more
+    morphisms, dom, cod, compose, identity = [], {}, {}, {}, {}
+    endo_of = {}
+    for i in range(n):
+        els, table = SMALL_MONOIDS[endos[i]]
+        for g in els:
+            m = "%s%d" % (g, i)
+            morphisms.append(m)
+            dom[m] = cod[m] = str(i)
+            endo_of[m] = g
+        identity[str(i)] = "e%d" % i
+        for (g, h), gh in table.items():
+            compose[("%s%d" % (g, i), "%s%d" % (h, i))] = "%s%d" % (gh, i)
+    for i, j in sorted(reach):
+        u = "u%d%d" % (i, j)
+        morphisms.append(u)
+        dom[u], cod[u] = str(i), str(j)
+    for u in morphisms:
+        if u in endo_of:
+            continue
+        i, j = dom[u], cod[u]
+        for m in morphisms:
+            if m in endo_of and dom[m] == i:
+                compose[(u, m)] = u
+            if m in endo_of and dom[m] == j:
+                compose[(m, u)] = u
+            if m not in endo_of and dom[m] == j:
+                compose[(m, u)] = "u%s%s" % (i, cod[m])
+    return make_fincat(objects, morphisms, dom, cod, identity, compose)
+
+
+def walking_iso():
+    """Two objects and a pair of mutually inverse arrows between them."""
+    return make_fincat(
+        objects=["0", "1"],
+        morphisms=["id0", "id1", "i", "j"],
+        dom={"id0": "0", "id1": "1", "i": "0", "j": "1"},
+        cod={"id0": "0", "id1": "1", "i": "1", "j": "0"},
+        identity={"0": "id0", "1": "id1"},
+        compose={
+            ("id0", "id0"): "id0", ("id1", "id1"): "id1",
+            ("i", "id0"): "i", ("id1", "i"): "i",
+            ("j", "id1"): "j", ("id0", "j"): "j",
+            ("j", "i"): "id0", ("i", "j"): "id1",
+        },
+    )
+
+
+def brute_force_hom_cat(C, D):
+    """The functor category [C, D] by the all-pairs route: every ordered
+    pair of functors is searched for transformations over the whole
+    product of its component hom-sets, and every composite is a vertical
+    paste.  Functors, transformations and their F#/n# names follow the
+    same canonical order as fincat.HomCat.  Returns (category, functor by
+    name, transformation by name)."""
+    funs = sorted(fincat._enumerate_functors(C, D), key=fincat._fun_key)
+    fun_of = {"F%d" % i: F for i, F in enumerate(funs)}
+    fun_id = {fincat._fun_key(F): fid for fid, F in fun_of.items()}
+    nats = []
+    for src_id, F in fun_of.items():
+        for tgt_id, G in fun_of.items():
+            homs = [D.hom(F.ob(x), G.ob(x)) for x in C.objects]
+            for comps in itertools.product(*homs):
+                try:
+                    a = make_nat(F, G, dict(zip(C.objects, comps)))
+                except NaturalityViolation:
+                    continue
+                nats.append((fincat._nat_key(a, src_id, tgt_id), a))
+    nats.sort(key=lambda t: t[0])
+    nat_of = {"n%d" % i: a for i, (_, a) in enumerate(nats)}
+    nat_id = {key: "n%d" % i for i, (key, _) in enumerate(nats)}
+
+    def name(a):
+        src_id, tgt_id = fun_id[fincat._fun_key(a.src)], fun_id[fincat._fun_key(a.tgt)]
+        return nat_id[fincat._nat_key(a, src_id, tgt_id)]
+
+    dom = {nid: fun_id[fincat._fun_key(a.src)] for nid, a in nat_of.items()}
+    cod = {nid: fun_id[fincat._fun_key(a.tgt)] for nid, a in nat_of.items()}
+    identity = {fid: name(fincat.identity_nat(F)) for fid, F in fun_of.items()}
+    compose = {}
+    for n2, b in nat_of.items():
+        for n1, a in nat_of.items():
+            if cod[n1] == dom[n2]:
+                compose[(n2, n1)] = name(fincat.paste("vertical", b, a))
+    H = make_fincat(list(fun_of), list(nat_of), dom, cod, identity, compose)
+    return H, fun_of, nat_of

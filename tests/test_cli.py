@@ -6,6 +6,8 @@ tmp_path on the fly.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -228,6 +230,29 @@ def test_main_exit_codes(capsys):
         == 2
     )
     capsys.readouterr()
+
+
+def test_module_entry_point_reports_and_exits():
+    # python -m fin2cat.cli runs main() and hands its exit code back
+    src = os.path.dirname(os.path.dirname(fin2cat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "fin2cat.cli", "check-algebra", "--input", Z2_FX, "skew"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    report = json.loads(done.stdout)
+    assert report["command"] == "check-algebra"
+    assert report["status"] == "fail"
+    assert report["data"] == {"algebra": "skew"}
+    assert any("unit" in w for w in report["witnesses"])
+    assert done.stdout == json.dumps(
+        run(load(Z2_FX), "check-algebra", ["skew"]), sort_keys=True, indent=2
+    ) + "\n"
 
 
 def test_z2_fixture_round_trip():

@@ -1,21 +1,32 @@
-import pytest
-from hypothesis import given, strategies as st
+import os
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fin2cat
 from fin2cat import fincat
+from fin2cat.cli import load
 from fin2cat.errors import (
     AxiomViolation,
     BoundaryMismatch,
     FunctorialityViolation,
     NaturalityViolation,
 )
+from fin2cat.laxalg import build_Tzy
 from helpers import (
+    SMALL_MONOIDS,
+    brute_force_hom_cat,
     chain3,
     constant_fun,
     discrete,
     identity_fun_on,
+    layered_cat,
     terminal_cat,
     walking_arrow,
+    walking_iso,
 )
+
+FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +98,38 @@ def test_broken_associativity_rejected():
             identity={"x": "idx"},
             compose=compose,
         )
+
+
+def test_associativity_failure_names_the_first_triple():
+    # every single-entry mutant of Z/3 that keeps the unit laws: refused
+    # exactly when some triple fails, naming the triple that the plain
+    # loop over f, then g after f, then h after g meets first
+    els = ["e", "a", "b"]
+    z3 = {(g, f): els[(els.index(g) + els.index(f)) % 3] for g in els for f in els}
+    for g0, f0 in [(g, f) for g in els[1:] for f in els[1:]]:
+        for v in els:
+            if v == z3[(g0, f0)]:
+                continue
+            table = dict(z3)
+            table[(g0, f0)] = v
+            first = next(
+                (
+                    (h, g, f)
+                    for f in els
+                    for g in els
+                    for h in els
+                    if table[(h, table[(g, f)])] != table[(table[(h, g)], f)]
+                ),
+                None,
+            )
+            ends = {m: "*" for m in els}
+            try:
+                fincat.make_fincat(["*"], els, ends, ends, {"*": "e"}, table)
+                refused = None
+            except AxiomViolation as e:
+                refused = str(e)
+            want = None if first is None else "associativity fails on (%r, %r, %r)" % first
+            assert refused == want
 
 
 def test_composite_with_wrong_boundary_rejected():
@@ -376,6 +419,94 @@ def test_hom_cat_into_terminal_is_terminal():
     C = chain3()
     H = fincat.hom_cat(C, T)
     assert len(H.objects) == 1 and len(H.morphisms) == 1
+
+
+def assert_same_hom_cat(H, C, D):
+    """H = hom_cat(C, D) agrees with the all-pairs construction, names
+    included."""
+    B, fun_of, nat_of = brute_force_hom_cat(C, D)
+    assert H.objects == B.objects
+    assert H.morphisms == B.morphisms
+    assert H.dom == B.dom
+    assert H.cod == B.cod
+    assert H.identity == B.identity
+    assert H.compose_table == B.compose_table
+    assert all(H.functor_of(o) == fun_of[o] for o in H.objects)
+    assert all(H.nat_of(m) == nat_of[m] for m in H.morphisms)
+
+
+@st.composite
+def small_categories(draw):
+    """At most three objects and at most three non-identity arrows: a
+    layered category (see helpers.layered_cat) or the walking isomorphism."""
+    if draw(st.integers(0, 5)) == 0:
+        return walking_iso()
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2)) if pairs else []
+    endos = draw(st.lists(st.sampled_from(sorted(SMALL_MONOIDS)), min_size=n, max_size=n))
+    extra = sum(len(SMALL_MONOIDS[e][0]) - 1 for e in endos)
+    while extra + len(arrows) > 3:
+        i = next(i for i, e in enumerate(endos) if e != "1")
+        endos[i] = "1"
+        extra -= 1
+    return layered_cat(n, arrows, endos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), small_categories())
+def test_hom_cat_matches_all_pairs_construction(C, D):
+    assert_same_hom_cat(fincat.hom_cat(C, D), C, D)
+
+
+@pytest.mark.parametrize(
+    "fixture, y, z",
+    [
+        ("z2_action.json", "swap", "swap"),
+        ("z2_action.json", "skew", "skew"),
+        ("z2_action.json", "skew", "swap"),
+        ("monad_on_2.json", "idalg", "idalg"),
+        ("monad_on_2.json", "const1", "const1"),
+        ("monad_on_2.json", "idalg", "const1"),
+    ],
+)
+def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U = y.universe
+    D = build_Tzy(U, y, z)
+    Y = y.Z
+    for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (D.D3, U.T(U.T(Y)))):
+        assert_same_hom_cat(level, source, z.Z)
+
+
+def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
+    # [T^2 P2, P2] for the swap fixture: 256 functors out of a discrete
+    # category, so only the 256 pairs (F, F) have every component
+    # hom-set inhabited
+    ws = load(os.path.join(FIXTURES, "z2_action.json"))
+    y = ws.algebras["swap"]
+    U, Z = y.universe, y.Z
+    T2Y = U.T(U.T(Z))
+    tried = []
+    search = fincat._enumerate_nats
+
+    def counting(F, G):
+        tried.append((fincat._fun_key(F), fincat._fun_key(G)))
+        return search(F, G)
+
+    monkeypatch.setattr(fincat, "_enumerate_nats", counting)
+    H = fincat.hom_cat(T2Y, Z)
+    funs = [H.functor_of(o) for o in H.objects]
+    inhabited = {
+        (fincat._fun_key(F), fincat._fun_key(G))
+        for F in funs
+        for G in funs
+        if all(Z.hom(F.ob(x), G.ob(x)) for x in T2Y.objects)
+    }
+    assert len(funs) == 256
+    assert len(tried) == len(inhabited) == 256
+    assert set(tried) == inhabited
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import os
+
 import pytest
 
-from fin2cat import fincat, laxalg
+import fin2cat
+from fin2cat import descent, fincat, laxalg
+from fin2cat.cli import load
 from fin2cat.errors import (
     AxiomViolation,
     BoundaryMismatch,
@@ -19,7 +23,9 @@ from fin2cat.laxalg import (
     monoid_two_monad,
     verify_prop_descent,
 )
-from helpers import constant_fun, walking_arrow, z2_cat
+from helpers import constant_fun, one_object_cat, walking_arrow, z2_cat
+
+Z2_FX = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures", "z2_action.json")
 
 
 def trivial_monoid():
@@ -411,3 +417,72 @@ def test_verify_prop_descent_mixed_algebras():
     report = verify_prop_descent(U, y, z)
     assert report["status"] == "pass"
     assert report["lax"]["match"] is True
+
+
+def test_verify_prop_descent_builds_each_level_once(monkeypatch):
+    # [Y, Z], [TY, Z] and [T^2 Y, Z] once each, and one lax descent
+    # category that the strict one is cut out of
+    ws = load(Z2_FX)
+    y = ws.algebras["swap"]
+    calls = {"hom_cat": 0, "lax_descent": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    hom = counting("hom_cat", fincat.hom_cat)
+    lax = counting("lax_descent", descent.lax_descent)
+    for module in (fincat, laxalg):
+        monkeypatch.setattr(module, "hom_cat", hom)
+    for module in (descent, laxalg):
+        monkeypatch.setattr(module, "lax_descent", lax)
+    report = verify_prop_descent(y.universe, y, y)
+    assert report["status"] == "pass"
+    assert calls == {"hom_cat": 3, "lax_descent": 1}
+
+
+def _twist_z2(C):
+    """C with x . x = x instead of the identity for one endomorphism x
+    whose square is the identity: same names, one composite differs."""
+    o = C.objects[0]
+    i = C.identity[o]
+    x = next(m for m in C.hom(o, o) if m != i and C.compose(m, m) == i)
+    table = dict(C.compose_table)
+    table[(x, x)] = x
+    return x, fincat.make_fincat(C.objects, C.morphisms, C.dom, C.cod, C.identity, table)
+
+
+def test_compare_identity_names_the_differing_composite():
+    z2 = one_object_cat(["e", "a"], "e", {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"})
+    x, idem = _twist_z2(z2)
+    assert laxalg._compare_identity(z2, z2) == (True, None)
+    ok, why = laxalg._compare_identity(z2, idem)
+    assert not ok
+    assert why == "composition not preserved on (%r, %r)" % (x, x)
+
+
+def test_verify_prop_descent_reports_a_differing_composite(monkeypatch):
+    # skew -> skew has two objects, each with a Z/2 of endomorphisms; a
+    # direct enumeration whose table differs from the descent category in
+    # one composite only is reported as a mismatch naming that composite
+    ws = load(Z2_FX)
+    z = ws.algebras["skew"]
+    real = laxalg.AlgHomCat
+    twisted = []
+
+    def twisting(*args, **kw):
+        x, H = _twist_z2(real(*args, **kw))
+        twisted.append(x)
+        return H
+
+    monkeypatch.setattr(laxalg, "AlgHomCat", twisting)
+    report = verify_prop_descent(z.universe, z, z)
+    assert report["status"] == "fail"
+    assert report["lax"]["match"] is False
+    assert report["pseudo"]["match"] is False
+    assert report["lax"]["hom_morphisms"] == report["lax"]["descent_morphisms"] == 4
+    x = twisted[0]
+    assert report["counterexample"] == "lax: composition not preserved on (%r, %r)" % (x, x)
