@@ -6,7 +6,10 @@ to specs.  load() turns the file into live objects (every constructor
 check runs at load time, so a workspace that loads is already valid),
 run() executes one command against it, and main() wraps run() for the
 console: the report goes to stdout as canonical JSON and the exit code
-is 0 for pass, 1 for fail, 2 for undecided.
+is 0 for pass, 1 for fail, 2 for undecided and 3 for error.  An input
+that cannot be read or used -- malformed JSON, a bad spec, a dangling
+name, an unknown command, a law violation, an unreadable --input file --
+gives an "error" report naming the exception in data, not a traceback.
 
 Section formats:
 
@@ -52,7 +55,7 @@ from .laxalg import (
 
 _SECTIONS = ("categories", "monoids", "universes", "algebras", "morphisms", "diagrams")
 
-_EXIT = {"pass": 0, "fail": 1, "undecided": 2}
+_EXIT = {"pass": 0, "fail": 1, "undecided": 2, "error": 3}
 
 
 class Workspace:
@@ -413,9 +416,18 @@ def main(argv=None):
     parser.add_argument("--out", help="also write the report here")
     ns = parser.parse_intermixed_args(argv)
 
-    ws = load(ns.input) if ns.input else Workspace()
     probes = ns.probes.split(",") if ns.probes else None
-    report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
+    try:
+        ws = load(ns.input) if ns.input else Workspace()
+        report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
+    except (ReferenceError, ValueError, OSError) as e:
+        report = {
+            "command": ns.command,
+            "status": "error",
+            "witnesses": [],
+            "data": {"error": type(e).__name__, "message": str(e)},
+            "trace": [],
+        }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if ns.out:
         with open(ns.out, "w") as fh:

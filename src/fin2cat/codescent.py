@@ -316,30 +316,35 @@ def _enumerate_normal_forms(P, lhss, meter, trace):
                 return (P.gen_cod[g], suf)
         return (P.gen_cod[g], ())
 
-    # cycle detection over the reachable state graph
-    WHITE, GRAY, BLACK = 0, 1, 2
+    # cycle detection over the reachable state graph, depth first with an
+    # explicit stack of (state, pending generators)
+    GRAY, BLACK = 1, 2
     color = {}
 
-    def visit(state):
-        color[state] = GRAY
-        obj, ctx = state
-        for g in by_src.get(obj, ()):
-            nxt = step(obj, ctx, g)
-            if nxt is None:
-                continue
-            c = color.get(nxt, WHITE)
-            if c == GRAY:
-                return g
-            if c == WHITE:
-                witness = visit(nxt)
-                if witness is not None:
-                    return witness
-        color[state] = BLACK
+    def find_cycle(root):
+        color[root] = GRAY
+        stack = [(root, iter(by_src.get(root[0], ())))]
+        while stack:
+            state, gens = stack[-1]
+            for g in gens:
+                nxt = step(state[0], state[1], g)
+                if nxt is None:
+                    continue
+                c = color.get(nxt)
+                if c == GRAY:
+                    return g
+                if c is None:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(by_src.get(nxt[0], ()))))
+                    break
+            else:
+                color[state] = BLACK
+                stack.pop()
         return None
 
     for x in P.objects:
-        if color.get((x, ()), WHITE) == WHITE:
-            witness = visit((x, ()))
+        if (x, ()) not in color:
+            witness = find_cycle((x, ()))
             if witness is not None:
                 trace.append(
                     "normal-form language is infinite (cycle through %r)"
@@ -347,22 +352,22 @@ def _enumerate_normal_forms(P, lhss, meter, trace):
                 )
                 return None
 
+    # list every word in preorder: a word, then its extensions by each
+    # generator in declaration order
     words = []
-
-    def grow(at, obj, ctx, word):
-        try:
-            meter.spend()
-        except _BudgetExceeded:
-            raise
-        words.append((at, word))
-        for g in by_src.get(obj, ()):
-            nxt = step(obj, ctx, g)
-            if nxt is not None:
-                grow(at, nxt[0], nxt[1], word + (g,))
-
     try:
         for x in P.objects:
-            grow(x, x, (), ())
+            stack = [(x, (), ())]
+            while stack:
+                obj, ctx, word = stack.pop()
+                meter.spend()
+                words.append((x, word))
+                grown = []
+                for g in by_src.get(obj, ()):
+                    nxt = step(obj, ctx, g)
+                    if nxt is not None:
+                        grown.append((nxt[0], nxt[1], word + (g,)))
+                stack.extend(reversed(grown))
     except _BudgetExceeded:
         trace.append("rewrite budget exhausted while listing normal forms")
         return None

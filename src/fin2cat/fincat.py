@@ -338,7 +338,11 @@ def whisker_right(beta, F):
 
 
 class ProductCat(FinCat):
-    """Product category; carries the projection functors and pair indexes."""
+    """Product category with its pair indexes.
+
+    proj1 and proj2 are built on access, each time a fresh Fun, so that a
+    product holds no functor pointing back at itself and is freed as soon
+    as the last reference to it goes."""
 
     def __init__(self, C, D):
         obj_pair, mor_pair = {}, {}
@@ -379,14 +383,22 @@ class ProductCat(FinCat):
         self.factors = (C, D)
         self.obj_pair = obj_pair
         self.mor_pair = mor_pair
-        self.proj1 = Fun(
-            self, C, {o: p[0] for o, p in obj_pair.items()},
-            {m: p[0] for m, p in mor_pair.items()},
+
+    def _projection(self, k):
+        return Fun(
+            self,
+            self.factors[k],
+            {o: p[k] for o, p in self.obj_pair.items()},
+            {m: p[k] for m, p in self.mor_pair.items()},
         )
-        self.proj2 = Fun(
-            self, D, {o: p[1] for o, p in obj_pair.items()},
-            {m: p[1] for m, p in mor_pair.items()},
-        )
+
+    @property
+    def proj1(self):
+        return self._projection(0)
+
+    @property
+    def proj2(self):
+        return self._projection(1)
 
     def pair_obj(self, c, d):
         return "(%s,%s)" % (c, d)
@@ -396,7 +408,7 @@ class ProductCat(FinCat):
 
 
 def product_cat(C, D):
-    """The product category C x D with projection functors attached."""
+    """The product category C x D; its projections are proj1 and proj2."""
     return ProductCat(C, D)
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fincat import (
     FinCat,
+    _fun_key,
     compose_fun,
     composition_table,
     hom_cat,
@@ -93,6 +94,14 @@ class MonadUniverse:
     Members are the seeds and their T-iterates; T(X) for the last iterate
     of a chain raises AxiomViolation.  m, eta give the structure functors
     at a member, mu/iota/tau their (identity) comparison cells.
+
+    m, eta and T on functors are memoised on the universe: each distinct
+    structure functor (m or eta at a member, T(F) for each functor F
+    between members) is built and proved by make_fun once, the first
+    time it is asked for, and every later call returns that same object.
+    The memo lives as long as the universe does; a failed build is not
+    remembered and fails again on the next call.  Members are found by
+    identity first, so index_of on a member compares no tables.
     """
 
     def __init__(self, monoid, seeds, depth):
@@ -101,6 +110,8 @@ class MonadUniverse:
         self.members = []
         self.names = []
         self._succ = {}
+        self._index = {}
+        self._memo = {}
         els = list(monoid.elements)
         self._mdisc = make_fincat(
             objects=els,
@@ -126,13 +137,25 @@ class MonadUniverse:
     def _add(self, name, cat):
         self.members.append(cat)
         self.names.append(name)
+        if id(cat) not in self._index:
+            self._index[id(cat)] = self._scan(cat)
         return len(self.members) - 1
 
-    def index_of(self, C):
+    def _scan(self, C):
         for i, m in enumerate(self.members):
             if m == C:
                 return i
         raise AxiomViolation("category is not a universe member")
+
+    def index_of(self, C):
+        i = self._index.get(id(C))
+        return self._scan(C) if i is None else i
+
+    def _memoised(self, key, build):
+        F = self._memo.get(key)
+        if F is None:
+            F = self._memo[key] = build()
+        return F
 
     def T(self, C):
         j = self._succ[self.index_of(C)]
@@ -142,11 +165,14 @@ class MonadUniverse:
 
     def T_fun(self, F):
         TS, TT = self.T(F.src), self.T(F.tgt)
-        return make_fun(
-            TS,
-            TT,
-            {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
-            {m: TT.pair_mor(g, F.mor(f)) for m, (g, f) in TS.mor_pair.items()},
+        return self._memoised(
+            ("T", self.index_of(F.src), self.index_of(F.tgt), _fun_key(F)),
+            lambda: make_fun(
+                TS,
+                TT,
+                {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
+                {m: TT.pair_mor(g, F.mor(f)) for m, (g, f) in TS.mor_pair.items()},
+            ),
         )
 
     def T_nat(self, a):
@@ -160,24 +186,31 @@ class MonadUniverse:
     def eta(self, C):
         TC = self.T(C)
         e = self.monoid.unit
-        return make_fun(
-            C,
-            TC,
-            {x: TC.pair_obj(e, x) for x in C.objects},
-            {m: TC.pair_mor(e, m) for m in C.morphisms},
+        return self._memoised(
+            ("eta", self.index_of(C)),
+            lambda: make_fun(
+                C,
+                TC,
+                {x: TC.pair_obj(e, x) for x in C.objects},
+                {m: TC.pair_mor(e, m) for m in C.morphisms},
+            ),
         )
 
     def m(self, C):
         TC = self.T(C)
         T2C = self.T(TC)
-        on_obj, on_mor = {}, {}
-        for o, (g, o2) in T2C.obj_pair.items():
-            h, x = TC.obj_pair[o2]
-            on_obj[o] = TC.pair_obj(self.monoid.mul(g, h), x)
-        for m, (g, m2) in T2C.mor_pair.items():
-            h, f = TC.mor_pair[m2]
-            on_mor[m] = TC.pair_mor(self.monoid.mul(g, h), f)
-        return make_fun(T2C, TC, on_obj, on_mor)
+
+        def build():
+            on_obj, on_mor = {}, {}
+            for o, (g, o2) in T2C.obj_pair.items():
+                h, x = TC.obj_pair[o2]
+                on_obj[o] = TC.pair_obj(self.monoid.mul(g, h), x)
+            for m, (g, m2) in T2C.mor_pair.items():
+                h, f = TC.mor_pair[m2]
+                on_mor[m] = TC.pair_mor(self.monoid.mul(g, h), f)
+            return make_fun(T2C, TC, on_obj, on_mor)
+
+        return self._memoised(("m", self.index_of(C)), build)
 
     def _identity_cell(self, F, G):
         TC = F.tgt

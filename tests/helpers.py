@@ -2,7 +2,7 @@
 
 import itertools
 
-from fin2cat import fincat
+from fin2cat import fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
@@ -254,3 +254,57 @@ def brute_force_hom_cat(C, D):
                 compose[(n2, n1)] = name(fincat.paste("vertical", b, a))
     H = make_fincat(list(fun_of), list(nat_of), dom, cod, identity, compose)
     return H, fun_of, nat_of
+
+
+def unital_associative_tables(els):
+    """Brute force: every multiplication table on els that has a two-sided
+    unit and is associative, as (unit, table) pairs."""
+    out = []
+    keys = [(a, b) for a in els for b in els]
+    for values in itertools.product(els, repeat=len(keys)):
+        t = dict(zip(keys, values))
+        unit = None
+        for e in els:
+            if all(t[(e, a)] == a and t[(a, e)] == a for a in els):
+                unit = e
+                break
+        if unit is None:
+            continue
+        if is_associative(els, t):
+            out.append((unit, t))
+    return out
+
+
+def is_associative(els, t):
+    for a in els:
+        for b in els:
+            ab = t[(a, b)]
+            for c in els:
+                if t[(ab, c)] != t[(a, t[(b, c)])]:
+                    return False
+    return True
+
+
+def nonassociative_mutants(els, unit, table):
+    """Every table that differs from table in one entry and is not
+    associative, in a fixed order."""
+    for key in table:
+        for v in els:
+            if v == table[key]:
+                continue
+            bad = dict(table)
+            bad[key] = v
+            if not is_associative(els, bad):
+                yield bad
+
+
+class UncachedUniverse(laxalg.MonadUniverse):
+    """MonadUniverse without its memo or its identity index: every m, eta
+    and T_fun call builds and proves its functor anew, and index_of scans
+    the members by equality.  The oracle for the memoised universe."""
+
+    def _memoised(self, key, build):
+        return build()
+
+    def index_of(self, C):
+        return self._scan(C)

@@ -44,7 +44,15 @@ from fin2cat.laxalg import (
     verify_prop_descent,
 )
 
-from helpers import chain3, constant_fun, terminal_cat, walking_arrow, z2_cat
+from helpers import (
+    chain3,
+    constant_fun,
+    is_associative,
+    terminal_cat,
+    unital_associative_tables,
+    walking_arrow,
+    z2_cat,
+)
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -60,35 +68,6 @@ def report(num, label, ok, elapsed, bound):
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def unital_associative_tables(els):
-    """Brute force: every multiplication table on els that has a two-sided
-    unit and is associative, as (unit, table) pairs."""
-    out = []
-    keys = [(a, b) for a in els for b in els]
-    for values in itertools.product(els, repeat=len(keys)):
-        t = dict(zip(keys, values))
-        unit = None
-        for e in els:
-            if all(t[(e, a)] == a and t[(a, e)] == a for a in els):
-                unit = e
-                break
-        if unit is None:
-            continue
-        if _is_associative(els, t):
-            out.append((unit, t))
-    return out
-
-
-def _is_associative(els, t):
-    for a in els:
-        for b in els:
-            ab = t[(a, b)]
-            for c in els:
-                if t[(ab, c)] != t[(a, t[(b, c)])]:
-                    return False
-    return True
 
 
 def fixed_unit_monoids(els):
@@ -371,7 +350,7 @@ def test_4_pseudomonad_over_all_small_monoids():
                     continue
                 bad = dict(table)
                 bad[key] = v
-                if _is_associative(els, bad):
+                if is_associative(els, bad):
                     continue
                 mutants += 1
                 try:

@@ -264,3 +264,52 @@ def test_z2_fixture_round_trip():
     hom = run(ws, "hom", ["swap", "swap", "pseudo"])
     assert hom["data"]["object_count"] == 2
     assert hom["data"]["morphism_count"] == 2
+
+
+def _run_cli(*args):
+    src = os.path.dirname(os.path.dirname(fin2cat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fin2cat.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_malformed_workspace_is_an_error_report(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("{not json")
+    done = _run_cli("validate", "--input", str(p))
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert sorted(report) == ["command", "data", "status", "trace", "witnesses"]
+    assert report["command"] == "validate"
+    assert report["status"] == "error"
+    assert report["data"]["error"] == "ParseError"
+    assert "line 1" in report["data"]["message"]
+
+
+def test_unknown_command_is_an_error_report():
+    done = _run_cli("frobnicate", "--input", MONAD_FX)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "error"
+    assert report["data"] == {
+        "error": "UnknownCommand",
+        "message": "unknown command 'frobnicate'",
+    }
+
+
+def test_main_reports_input_errors_with_exit_code_three(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["validate", "--input", missing]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["error"] == "FileNotFoundError"
+    assert main(["check-algebra", "--input", MONAD_FX, "ghost"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["error"] == "ReferenceError"

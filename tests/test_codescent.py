@@ -159,6 +159,69 @@ def test_quotient_normalize_is_exposed():
     assert Q.word_id(("s",), "*") == "s"
 
 
+def _chain_presentation(n, loop=False):
+    objects = [str(i) for i in range(n + 1)]
+    gens = [("g%d" % i, str(i), str(i + 1)) for i in range(n)]
+    if loop:
+        gens.append(("loop", str(n), str(n)))
+    return PresentedCategory(objects, gens, [])
+
+
+def test_long_chain_runs_out_of_budget_without_recursion_error():
+    Q = quotient_category(_chain_presentation(1100), budget=5000)
+    assert Q.status == UNDECIDED
+    assert Q.trace[-1] == "rewrite budget exhausted while listing normal forms"
+
+
+def test_long_chain_with_a_loop_is_infinite_without_recursion_error():
+    Q = quotient_category(_chain_presentation(1100, loop=True), budget=5000)
+    assert Q.status == UNDECIDED
+    assert Q.trace[-1] == "normal-form language is infinite (cycle through 'loop')"
+
+
+def _recursive_normal_forms(P, lhss):
+    """Irreducible words in preorder, by plain recursion: each object's
+    empty word, then every extension by a generator in declaration order
+    that ends in no left-hand side."""
+    words = []
+
+    def grow(at, obj, word):
+        words.append(codescent._word_id(word, at))
+        for name, d, c in P.generators:
+            w = word + (name,)
+            if d == obj and not any(w[len(w) - len(l) :] == l for l in lhss):
+                grow(at, c, w)
+
+    for x in P.objects:
+        grow(x, x, ())
+    return words
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        loop_presentation([(("s", "s", "s"), ())]),
+        PresentedCategory(
+            ["*"],
+            [("x", "*", "*"), ("y", "*", "*")],
+            [(("x", "x"), (), "*"), (("y", "y"), (), "*"),
+             (("x", "y", "x"), ("y", "x", "y"), "*")],
+        ),
+        PresentedCategory(
+            ["0", "1", "2"],
+            [("f", "0", "1"), ("g", "1", "0"), ("h", "1", "2")],
+            [(("f", "g"), (), "0"), (("g", "f"), (), "1")],
+        ),
+        _chain_presentation(6),
+    ],
+)
+def test_normal_forms_keep_the_recursive_preorder(P):
+    Q = quotient_category(P)
+    assert Q.status == FINITE
+    lhss = [l for l, _ in Q.rules]
+    assert list(Q.category.morphisms) == _recursive_normal_forms(P, lhss)
+
+
 # ---------------------------------------------------------------------------
 # the Kleisli oracle
 

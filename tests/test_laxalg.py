@@ -1,4 +1,7 @@
+import gc
 import os
+import random
+import weakref
 
 import pytest
 
@@ -23,7 +26,17 @@ from fin2cat.laxalg import (
     monoid_two_monad,
     verify_prop_descent,
 )
-from helpers import constant_fun, one_object_cat, walking_arrow, z2_cat
+from helpers import (
+    UncachedUniverse,
+    constant_fun,
+    discrete,
+    nonassociative_mutants,
+    one_object_cat,
+    terminal_cat,
+    unital_associative_tables,
+    walking_arrow,
+    z2_cat,
+)
 
 Z2_FX = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures", "z2_action.json")
 
@@ -486,3 +499,137 @@ def test_verify_prop_descent_reports_a_differing_composite(monkeypatch):
     assert report["lax"]["hom_morphisms"] == report["lax"]["descent_morphisms"] == 4
     x = twisted[0]
     assert report["counterexample"] == "lax: composition not preserved on (%r, %r)" % (x, x)
+
+
+# ---------------------------------------------------------------------------
+# the universe's memo and identity index
+
+
+def _small_monoids():
+    for els in (["e"], ["e", "a"], ["e", "a", "b"]):
+        for unit, table in unital_associative_tables(els):
+            yield els, unit, table
+
+
+def _seeds():
+    return [("1", terminal_cat()), ("A", walking_arrow()), ("D", discrete("pq"))]
+
+
+def test_memoised_structure_matches_uncached_builds():
+    for els, unit, table in _small_monoids():
+        M = Monoid(els, unit, table)
+        U = monoid_two_monad(M, _seeds(), 3)
+        V = UncachedUniverse(M, _seeds(), 3)
+        for C, D in zip(U.members, V.members):
+            if not laxalg._has_iterates(U, C, 1):
+                continue
+            assert U.eta(C) is U.eta(C)
+            assert U.eta(C) == V.eta(D)
+            assert U.T_fun(fincat.identity_fun(C)) == V.T_fun(fincat.identity_fun(D))
+            if not laxalg._has_iterates(U, C, 2):
+                continue
+            assert U.m(C) is U.m(C)
+            assert U.m(C) == V.m(D)
+            assert U.T_fun(U.eta(C)) is U.T_fun(U.eta(C))
+            assert U.T_fun(U.eta(C)) == V.T_fun(V.eta(D))
+            assert U.T_nat(U.iota(C)) == V.T_nat(V.iota(D))
+            assert U.T_nat(U.tau(C)) == V.T_nat(V.tau(D))
+            if laxalg._has_iterates(U, C, 3):
+                assert U.T_fun(U.m(C)) == V.T_fun(V.m(D))
+
+
+def _pseudomonad_outcome(universe, M, seeds):
+    try:
+        v = check_pseudomonad(universe(M, seeds, 3))
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    return v.ok, v.failures
+
+
+def test_pseudomonad_failures_match_uncached_universe():
+    cases = []
+    for els, unit, table in _small_monoids():
+        for bad in nonassociative_mutants(els, unit, table):
+            cases.append((els, unit, bad))
+    small = [c for c in cases if len(c[0]) <= 2]
+    assert len(small) == 6
+    sample = random.Random(3).sample([c for c in cases if len(c[0]) == 3], 40)
+    for els, unit, bad in small + sample:
+        M = Monoid(els, unit, bad, check=False)
+        for seeds in ([("1", terminal_cat())], [("A", walking_arrow())]):
+            fast = _pseudomonad_outcome(laxalg.MonadUniverse, M, seeds)
+            slow = _pseudomonad_outcome(UncachedUniverse, M, seeds)
+            assert fast == slow
+            assert fast[0] is False
+
+
+def _make_fun_calls(monkeypatch, universe):
+    """Run one check_pseudomonad for Z/2 over the walking arrow at depth 3
+    and return the universe plus the functors laxalg built, in order."""
+    made = []
+    real = fincat.make_fun
+
+    def counting(src, tgt, on_obj, on_mor):
+        F = real(src, tgt, on_obj, on_mor)
+        made.append(F)
+        return F
+
+    monkeypatch.setattr(laxalg, "make_fun", counting)
+    U = universe(z2_monoid(), [("A", walking_arrow())], 3)
+    assert check_pseudomonad(U)
+    return U, made
+
+
+def test_pseudomonad_proves_each_structure_functor_once(monkeypatch):
+    U, made = _make_fun_calls(monkeypatch, laxalg.MonadUniverse)
+    keys = [(U.index_of(F.src), U.index_of(F.tgt), fincat._fun_key(F)) for F in made]
+    assert len(keys) == len(set(keys))
+    built = {id(F) for F in made}
+    for C in U.members[:3]:
+        assert id(U.eta(C)) in built
+    for C in U.members[:2]:
+        assert id(U.m(C)) in built
+        assert id(U.T_fun(U.eta(C))) in built
+    # the same check without the memo proves the same functors many times
+    _, again = _make_fun_calls(monkeypatch, UncachedUniverse)
+    assert len(again) > 3 * len(made)
+
+
+def test_index_of_a_member_compares_no_tables(monkeypatch):
+    U = monoid_two_monad(z2_monoid(), _seeds(), 3)
+    calls = []
+    real = fincat.FinCat.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(fincat.FinCat, "__eq__", counting)
+    assert [U.index_of(C) for C in U.members] == list(range(len(U.members)))
+    assert calls == []
+    # a category equal to a member but not the same object is still found
+    assert U.index_of(walking_arrow()) == 4
+    assert calls
+
+
+def test_equal_seeds_map_to_the_first_index():
+    U = monoid_two_monad(z2_monoid(), [("A", walking_arrow()), ("B", walking_arrow())], 2)
+    assert U.members[0] is not U.members[3]
+    assert U.index_of(U.members[3]) == 0
+    assert U.index_of(U.members[4]) == 1
+    assert U.T(U.members[3]) is U.members[1]
+
+
+def test_universe_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        U = monoid_two_monad(z2_monoid(), [("A", walking_arrow())], 3)
+        assert check_pseudomonad(U)
+        assert U.T(U.members[0]).proj2.tgt is U.members[0]
+        product = weakref.ref(U.members[1])
+        del U
+        assert product() is None
+    finally:
+        if was_enabled:
+            gc.enable()
