@@ -6,6 +6,12 @@ relations.  quotient_category runs Knuth-Bendix completion over shortlex
 applications, decides finiteness of the normal-form language with a
 factor-avoidance automaton, and materializes the quotient as a FinCat.
 
+Words are rewritten as strings, generator i spelled chr(i), by one
+_Rewriter.  Its strategy is fixed: rewrite the leftmost redex, by the
+first rule in list order that matches there, until no redex is left.
+The budget is charged once per rewrite, so the count of rewrite
+applications depends only on that strategy, not on how redexes are found.
+
 A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
 with comparison cells An0/An1 attached to the degeneracy and the three
@@ -59,6 +65,8 @@ class PresentedCategory:
         names = [g[0] for g in self.generators]
         if len(set(names)) != len(names):
             raise MalformedWord("duplicate generator names")
+        self._names = names
+        self._letter = {g: chr(i) for i, g in enumerate(names)}
         self.gen_dom = {}
         self.gen_cod = {}
         for name, d, c in self.generators:
@@ -92,6 +100,14 @@ class PresentedCategory:
             cur = self.gen_cod[g]
         return (at, cur)
 
+    def encode(self, word):
+        """A generator word as a string, generator i spelled chr(i), so
+        that shortlex order on words is (len, str) order on their codes."""
+        return "".join([self._letter[g] for g in word])
+
+    def decode(self, code):
+        return tuple([self._names[ord(c)] for c in code])
+
     def __repr__(self):
         return "PresentedCategory(%d objects, %d generators, %d relations)" % (
             len(self.objects),
@@ -115,24 +131,72 @@ class _Meter:
             raise _BudgetExceeded()
 
 
+class _Rewriter:
+    """An ordered rewriting system on encoded words (see
+    PresentedCategory.encode); every left-hand side is non-empty.
+
+    normalize rewrites the leftmost redex, by the first rule in list order
+    that matches there, until no redex is left.  This is the rescan that
+    tries every position from the left and every rule at each position,
+    starting over after each rewrite; only the search is faster.  Each
+    rule's earliest match is found by str.find, bounded so that it must
+    start strictly left of the best match so far, so a later rule never
+    wins a tie.  After a rewrite at position a, the search resumes at
+    a - (longest lhs - 1): a redex starting further left would lie inside
+    the prefix before a, which held none.  The redexes rewritten, their
+    order, and so the spend calls (one per rewrite) are the rescan's."""
+
+    def __init__(self, rules):
+        self.rules = list(rules)
+        self.reach = max([len(l) for l, _ in self.rules], default=1) - 1
+
+    def normalize(self, word, spend=None):
+        rules, reach = self.rules, self.reach
+        start = 0
+        while True:
+            at, hit = len(word), None
+            for rule in rules:
+                l = rule[0]
+                i = word.find(l, start, at + len(l) - 1)
+                if i >= 0:
+                    at, hit = i, rule
+            if hit is None:
+                return word
+            if spend is not None:
+                spend()
+            word = word[:at] + hit[1] + word[at + len(hit[0]) :]
+            start = max(0, at - reach)
+
+
 class QuotientResult:
     """Outcome of quotient_category.
 
     status is Finite (category holds the quotient) or Undecided (budget
     ran out, or the normal-form language is provably infinite -- the
-    trace says which).  normalize/word_id apply the final rewriting
-    system to arbitrary words of the presentation."""
+    trace says which).  rules lists the final rewriting system as
+    (lhs, rhs) generator tuples; normalize/word_id apply it to arbitrary
+    words of the presentation.
 
-    def __init__(self, status, trace, presentation, rules, category=None):
+    >>> P = PresentedCategory(["*"], [("x", "*", "*")], [(("x",) * 3, (), "*")])
+    >>> quotient_category(P).normalize(("x",) * 4, "*")
+    ('x',)
+    """
+
+    def __init__(self, status, trace, presentation, rewriter, category=None):
         self.status = status
         self.trace = trace
         self.presentation = presentation
-        self.rules = rules
+        self.rules = [
+            (presentation.decode(l), presentation.decode(r))
+            for l, r in rewriter.rules
+        ]
         self.category = category
+        self._rewriter = rewriter
 
     def normalize(self, word, at):
-        self.presentation.word_boundary(tuple(word), at)
-        return _rewrite_fix(tuple(word), self.rules)
+        P = self.presentation
+        P.word_boundary(tuple(word), at)
+        return P.decode(self._rewriter.normalize(P.encode(word)))
 
     def word_id(self, word, at):
         nf = self.normalize(word, at)
@@ -147,23 +211,6 @@ class QuotientResult:
 
 def _word_id(word, at):
     return "id[%s]" % at if not word else "*".join(word)
-
-
-def _rewrite_fix(word, rules):
-    """Normalize without budget accounting (used post-completion, where
-    the system is terminating)."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word)):
-            for l, r in rules:
-                if word[i : i + len(l)] == l:
-                    word = word[:i] + r + word[i + len(l) :]
-                    changed = True
-                    break
-            if changed:
-                break
-    return word
 
 
 def _critical_pairs(rule1, rule2):
@@ -190,50 +237,27 @@ def quotient_category(P, budget=50000):
         % (len(P.objects), len(P.generators), len(P.relations))
     ]
     meter = _Meter(budget)
-    index = {g[0]: i for i, g in enumerate(P.generators)}
-
-    def key(w):
-        return (len(w), tuple(index[g] for g in w))
-
-    rules = []
-
-    def normalize(word):
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(word)):
-                for l, r in rules:
-                    if word[i : i + len(l)] == l:
-                        meter.spend()
-                        word = word[:i] + r + word[i + len(l) :]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return word
-
-    pending = deque((l, r) for l, r, _ in P.relations)
+    spend = meter.spend
+    rw = _Rewriter([])
+    pending = deque((P.encode(l), P.encode(r)) for l, r, _ in P.relations)
     try:
         while pending:
             l, r = pending.popleft()
-            l, r = normalize(l), normalize(r)
+            l, r = rw.normalize(l, spend), rw.normalize(r, spend)
             if l == r:
                 continue
-            if key(l) < key(r):
+            if (len(l), l) < (len(r), r):
                 l, r = r, l
             new = (l, r)
             survivors = []
-            for old in rules:
-                if any(
-                    old[0][i : i + len(l)] == l
-                    for i in range(len(old[0]) - len(l) + 1)
-                ):
+            for old in rw.rules:
+                if l in old[0]:
                     pending.append(old)
                 else:
                     survivors.append(old)
-            rules = survivors
-            rules.append(new)
-            for other in list(rules):
+            survivors.append(new)
+            rw = _Rewriter(survivors)
+            for other in rw.rules:
                 for pair in _critical_pairs(new, other):
                     pending.append(pair)
                 if other != new:
@@ -243,38 +267,43 @@ def quotient_category(P, budget=50000):
         trace.append(
             "rewrite budget exhausted after %d applications" % meter.used
         )
-        return QuotientResult(UNDECIDED, trace, P, rules)
+        return QuotientResult(UNDECIDED, trace, P, rw)
 
     trace.append(
         "completed with %d rules after %d rewrite applications"
-        % (len(rules), meter.used)
+        % (len(rw.rules), meter.used)
     )
 
-    words = _enumerate_normal_forms(P, [l for l, _ in rules], meter, trace)
+    lhss = [P.decode(l) for l, _ in rw.rules]
+    words = _enumerate_normal_forms(P, lhss, meter, trace)
     if words is None:
-        return QuotientResult(UNDECIDED, trace, P, rules)
+        return QuotientResult(UNDECIDED, trace, P, rw)
 
+    # one id string per normal form, shared by every composite equal to it
     morphisms, dom, cod = [], {}, {}
-    by_word = {}
+    by_word, ids = {}, {}
     for at, w in words:
         mid = _word_id(w, at)
         morphisms.append(mid)
         dom[mid], cod[mid] = P.word_boundary(w, at)
-        by_word[mid] = (at, w)
+        by_word[mid] = (at, P.encode(w))
+        ids[by_word[mid]] = mid
     identity = {x: _word_id((), x) for x in P.objects}
-    compose = {}
+
+    def composite(m2, m1):
+        a1, w1 = by_word[m1]
+        spend()
+        nf = rw.normalize(w1 + by_word[m2][1], spend)
+        # a word that is no normal form keeps a fresh id for make_fincat
+        # to reject
+        return ids.get((a1, nf)) or _word_id(P.decode(nf), a1)
+
     try:
-        for m2 in morphisms:
-            for m1 in morphisms:
-                if cod[m1] != dom[m2]:
-                    continue
-                a1, w1 = by_word[m1]
-                _, w2 = by_word[m2]
-                meter.spend()
-                nf = normalize(w1 + w2)
-                compose[(m2, m1)] = _word_id(nf, a1)
+        compose = composition_table(morphisms, dom, cod, composite)
         for l, r, at in P.relations:
-            if normalize(l) != normalize(r):
+            if rw.normalize(P.encode(l), spend) != rw.normalize(
+                P.encode(r), spend
+            ):
                 raise AxiomViolation(
                     "completion failed to join relation %r = %r" % (l, r)
                 )
@@ -282,11 +311,11 @@ def quotient_category(P, budget=50000):
         trace.append(
             "rewrite budget exhausted after %d applications" % meter.used
         )
-        return QuotientResult(UNDECIDED, trace, P, rules)
+        return QuotientResult(UNDECIDED, trace, P, rw)
     trace.append("re-verified %d input relations" % len(P.relations))
 
     cat = make_fincat(list(P.objects), morphisms, dom, cod, identity, compose)
-    return QuotientResult(FINITE, trace, P, rules, cat)
+    return QuotientResult(FINITE, trace, P, rw, cat)
 
 
 def _enumerate_normal_forms(P, lhss, meter, trace):

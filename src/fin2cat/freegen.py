@@ -365,15 +365,23 @@ def two_cells_equal(w1, w2):
     return normalize_2cell(w1).positions() == normalize_2cell(w2).positions()
 
 
-def _rewrites(c, start, edges):
-    """One-step rewrites of a path (as an edge tuple) by the cells of c."""
-    path = Path(c.base, start, edges)
-    for g in c.cells:
-        s = c.src[g]
-        k = len(s.edges)
-        for pos in range(len(edges) - k + 1):
-            if edges[pos : pos + k] == s.edges and path.node_at(pos) == s.start:
-                yield edges[:pos] + c.tgt[g].edges + edges[pos + k :]
+def _cell_shapes(c):
+    """(source edges, source start, target edges) of each cell of c, in
+    declaration order."""
+    return [(c.src[g].edges, c.src[g].start, c.tgt[g].edges) for g in c.cells]
+
+
+def _rewrites(shapes, tgt, start, edges):
+    """One-step rewrites of a path (as an edge tuple) by the cell shapes:
+    cells in order, then positions ascending.  tgt is the graph's edge
+    target map."""
+    nodes = (start,) + tuple([tgt[e] for e in edges])
+    n = len(edges)
+    for s_edges, s_start, t_edges in shapes:
+        k = len(s_edges)
+        for pos in range(n - k + 1):
+            if nodes[pos] == s_start and edges[pos : pos + k] == s_edges:
+                yield edges[:pos] + t_edges + edges[pos + k :]
 
 
 def preorder_leq(c, f, g, budget=10000):
@@ -390,11 +398,12 @@ def preorder_leq(c, f, g, budget=10000):
     target = g.edges
     if f.edges == target:
         return YES
+    shapes, tgt = _cell_shapes(c), c.base.tgt
     seen = {f.edges}
     queue = deque([f.edges])
     while queue:
         cur = queue.popleft()
-        for nxt in _rewrites(c, f.start, cur):
+        for nxt in _rewrites(shapes, tgt, f.start, cur):
             if nxt == target:
                 return YES
             if nxt not in seen:

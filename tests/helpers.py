@@ -1,11 +1,13 @@
 """Shared small categories and builders used across the test suite."""
 
 import itertools
+from collections import deque
 
-from fin2cat import fincat, laxalg
+from fin2cat import codescent, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
+from fin2cat.freegen import Path
 
 
 def terminal_cat():
@@ -308,3 +310,134 @@ class UncachedUniverse(laxalg.MonadUniverse):
 
     def index_of(self, C):
         return self._scan(C)
+
+
+def slicing_normalize(word, rules, spend=None):
+    """Rewrite a word (tuple or string) to normal form by rescanning from
+    the left after every rewrite: at each position, in order, try every
+    rule in list order by slicing.  Calls spend once per rewrite.  The
+    oracle for codescent._Rewriter.normalize."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word)):
+            for l, r in rules:
+                if word[i : i + len(l)] == l:
+                    if spend is not None:
+                        spend()
+                    word = word[:i] + r + word[i + len(l) :]
+                    changed = True
+                    break
+            if changed:
+                break
+    return word
+
+
+def slicing_quotient(P, budget=50000):
+    """quotient_category by the slicing route: completion over generator
+    tuples with an index-tuple shortlex key, every word normalised by
+    slicing_normalize, and the composition table from an all-pairs loop.
+    Returns (status, trace, rules, morphisms, compose table); the last two
+    are None unless the status is Finite."""
+    trace = [
+        "%d objects, %d generators, %d relations"
+        % (len(P.objects), len(P.generators), len(P.relations))
+    ]
+    meter = codescent._Meter(budget)
+    index = {g[0]: i for i, g in enumerate(P.generators)}
+
+    def key(w):
+        return (len(w), tuple(index[g] for g in w))
+
+    rules = []
+
+    def normalize(word):
+        return slicing_normalize(word, rules, meter.spend)
+
+    def undecided():
+        return codescent.UNDECIDED, trace, list(rules), None, None
+
+    pending = deque((l, r) for l, r, _ in P.relations)
+    try:
+        while pending:
+            l, r = pending.popleft()
+            l, r = normalize(l), normalize(r)
+            if l == r:
+                continue
+            if key(l) < key(r):
+                l, r = r, l
+            new = (l, r)
+            survivors = []
+            for old in rules:
+                if any(
+                    old[0][i : i + len(l)] == l
+                    for i in range(len(old[0]) - len(l) + 1)
+                ):
+                    pending.append(old)
+                else:
+                    survivors.append(old)
+            rules = survivors
+            rules.append(new)
+            for other in list(rules):
+                for pair in codescent._critical_pairs(new, other):
+                    pending.append(pair)
+                if other != new:
+                    for pair in codescent._critical_pairs(other, new):
+                        pending.append(pair)
+    except codescent._BudgetExceeded:
+        trace.append(
+            "rewrite budget exhausted after %d applications" % meter.used
+        )
+        return undecided()
+
+    trace.append(
+        "completed with %d rules after %d rewrite applications"
+        % (len(rules), meter.used)
+    )
+
+    words = codescent._enumerate_normal_forms(
+        P, [l for l, _ in rules], meter, trace
+    )
+    if words is None:
+        return undecided()
+
+    morphisms, dom, cod = [], {}, {}
+    by_word = {}
+    for at, w in words:
+        mid = codescent._word_id(w, at)
+        morphisms.append(mid)
+        dom[mid], cod[mid] = P.word_boundary(w, at)
+        by_word[mid] = (at, w)
+    compose = {}
+    try:
+        for m2 in morphisms:
+            for m1 in morphisms:
+                if cod[m1] != dom[m2]:
+                    continue
+                a1, w1 = by_word[m1]
+                _, w2 = by_word[m2]
+                meter.spend()
+                nf = normalize(w1 + w2)
+                compose[(m2, m1)] = codescent._word_id(nf, a1)
+        for l, r, at in P.relations:
+            assert normalize(l) == normalize(r)
+    except codescent._BudgetExceeded:
+        trace.append(
+            "rewrite budget exhausted after %d applications" % meter.used
+        )
+        return undecided()
+    trace.append("re-verified %d input relations" % len(P.relations))
+    return codescent.FINITE, trace, rules, morphisms, compose
+
+
+def path_rewrites(c, start, edges):
+    """One-step rewrites of a path (as an edge tuple) by the cells of c:
+    cells in declaration order, positions ascending, each match checked
+    by slicing and Path.node_at.  The oracle for freegen's rewrites."""
+    path = Path(c.base, start, edges)
+    for g in c.cells:
+        s = c.src[g]
+        k = len(s.edges)
+        for pos in range(len(edges) - k + 1):
+            if edges[pos : pos + k] == s.edges and path.node_at(pos) == s.start:
+                yield edges[:pos] + c.tgt[g].edges + edges[pos + k :]

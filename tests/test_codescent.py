@@ -6,6 +6,8 @@ the base category directly); strictify must reproduce it up to isomorphism
 through the completely different presentation/rewriting route.
 """
 
+import random
+
 import pytest
 
 from fin2cat import codescent, fincat, laxalg
@@ -32,7 +34,15 @@ from fin2cat.errors import (
 )
 from fin2cat.laxalg import Monoid, monad_algebra, monoid_two_monad
 
-from helpers import chain3, constant_fun, terminal_cat, walking_arrow, z2_cat
+from helpers import (
+    chain3,
+    constant_fun,
+    slicing_normalize,
+    slicing_quotient,
+    terminal_cat,
+    walking_arrow,
+    z2_cat,
+)
 
 
 def triv_universe(C, depth=3):
@@ -220,6 +230,115 @@ def test_normal_forms_keep_the_recursive_preorder(P):
     assert Q.status == FINITE
     lhss = [l for l, _ in Q.rules]
     assert list(Q.category.morphisms) == _recursive_normal_forms(P, lhss)
+
+
+def _random_word(rng, letters, lo, hi):
+    return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+
+def _random_rules(rng, letters):
+    """Shortlex-oriented rules, so every rewrite sequence ends; some share
+    a left-hand side and some left-hand sides contain others."""
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if rules and roll < 0.2:
+            l = rng.choice(rules)[0]
+        elif rules and roll < 0.4:
+            inner = rng.choice(rules)[0]
+            l = _random_word(rng, letters, 0, 2) + inner + _random_word(rng, letters, 0, 2)
+        else:
+            l = _random_word(rng, letters, 1, 4)
+        r = _random_word(rng, letters, 0, len(l))
+        if (len(r), r) >= (len(l), l):
+            r = r[: len(l) - 1]
+        rules.append((l, r))
+    return rules
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rewriter_matches_the_slicing_rescan(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        letters = "".join(chr(i) for i in range(rng.randint(1, 3)))
+        rules = _random_rules(rng, letters)
+        word = _random_word(rng, letters, 0, 14)
+        spent = [0, 0]
+
+        def spend_new():
+            spent[0] += 1
+
+        def spend_old():
+            spent[1] += 1
+
+        got = codescent._Rewriter(rules).normalize(word, spend_new)
+        assert got == slicing_normalize(word, rules, spend_old), (rules, word)
+        assert spent[0] == spent[1]
+
+
+def _one_object_presentation(gens, relations):
+    return PresentedCategory(
+        ["*"],
+        [(g, "*", "*") for g in gens],
+        [(tuple(l), tuple(r), "*") for l, r in relations],
+    )
+
+
+def _fixed_presentations():
+    out = []
+    for n in range(1, 48):
+        out.append((_one_object_presentation("x", [("x" * n, "")]), 50000))
+    for n in range(4, 16):
+        rels = [("r" * n, ""), ("ss", ""), ("srs", "r" * (n - 1))]
+        out.append((_one_object_presentation("rs", rels), 50000))
+    for k in range(2, 8):
+        rels = [("xx", ""), ("yyy", ""), ("xy" * k, "")]
+        out.append((_one_object_presentation("xy", rels), 2000))
+    for n in (3, 5, 7, 9):
+        P = PresentedCategory(
+            ["a", "b"],
+            [("f", "a", "b"), ("g", "b", "a"), ("x", "a", "a")],
+            [(("f", "g"), (), "a"), (("g", "f"), (), "b"), (("x",) * n, (), "a")],
+        )
+        out.append((P, 50000))
+    out.append((_one_object_presentation("x", []), 50000))
+    out.append((_one_object_presentation("xy", [("xy", "yx")]), 50000))
+    out.append((_chain_presentation(6), 50000))
+    return out
+
+
+def test_quotients_match_the_slicing_route():
+    statuses = []
+    for P, budget in _fixed_presentations():
+        status, trace, rules, morphisms, compose = slicing_quotient(P, budget)
+        Q = quotient_category(P, budget)
+        assert (Q.status, Q.trace, Q.rules) == (status, trace, rules), P
+        if status == FINITE:
+            assert list(Q.category.morphisms) == morphisms
+            assert list(Q.category.compose_table.items()) == list(compose.items())
+        else:
+            assert Q.category is None and morphisms is None
+        statuses.append(status)
+    # (2,3,4) to (2,3,7) run out of budget; the free and the free
+    # commutative monoid have infinitely many normal forms
+    assert statuses.count(UNDECIDED) == 6
+
+
+def test_composites_share_the_morphism_ids():
+    Q = quotient_category(loop_presentation([(("s",) * 12, ())]))
+    names = {id(m) for m in Q.category.morphisms}
+    assert len(Q.category.compose_table) == 144
+    assert all(id(v) in names for v in Q.category.compose_table.values())
+
+
+def test_long_cyclic_quotient_spends_its_budget_in_the_table():
+    Q = quotient_category(loop_presentation([(("s",) * 1200, ())]), budget=1300)
+    assert Q.status == UNDECIDED
+    assert Q.trace[1:] == [
+        "completed with 1 rules after 0 rewrite applications",
+        "found 1200 normal forms",
+        "rewrite budget exhausted after 1301 applications",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from fin2cat.freegen import (
     validate_computad,
 )
 
+from helpers import path_rewrites
+
 
 # ---------------------------------------------------------------------------
 # test computad: one node, two loops, a relabeling cell and a doubling cell
@@ -328,3 +330,28 @@ def test_preorder_budget_counts_visited_words():
     # tiny and exploration terminates long before the default budget.
     assert preorder_leq(c, f, g) == NO_WITHIN_BUDGET
     assert preorder_leq(c, f, g, budget=1) == NO_WITHIN_BUDGET
+
+
+def _all_paths(G, max_len):
+    """Every (start, edge tuple) path of G with at most max_len edges."""
+    out = []
+    stack = [(x, x, ()) for x in G.nodes]
+    while stack:
+        start, at, edges = stack.pop()
+        out.append((start, edges))
+        if len(edges) < max_len:
+            for e in G.edges:
+                if G.src[e] == at:
+                    stack.append((start, G.tgt[e], edges + (e,)))
+    return out
+
+
+@pytest.mark.parametrize("which", [DELTA_DOT_LAX, DELTA_DOT, DELTA_LAX])
+def test_rewrites_match_the_path_oracle(which):
+    c = builtin_computad(which)
+    shapes = freegen._cell_shapes(c)
+    paths = _all_paths(c.base, 6)
+    assert len(paths) > 100
+    for start, edges in paths:
+        got = list(freegen._rewrites(shapes, c.base.tgt, start, edges))
+        assert got == list(path_rewrites(c, start, edges)), (start, edges)
