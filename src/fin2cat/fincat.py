@@ -6,12 +6,20 @@ functoriality on the whole composition table, building a NatT checks every
 naturality square.  Later modules lean on this: if an assembled structure
 would be mathematically wrong, the constructor refuses it.
 
+make_fincat proves the laws by position: the composites h.f for the h out
+of cod f form a row, and associativity compares, for every composable pair
+(g, f), the row of g.f against the entries of the row of f that the row of
+g points at; every composable triple is still compared.  The searches for
+functors and transformations backtrack with explicit stacks, so their depth
+is not bounded by the interpreter's recursion limit.
+
 Objects and morphisms are identifier strings; a category is its composition
 table.
 """
 
 import itertools
 import math
+from operator import itemgetter
 
 from .errors import (
     AxiomViolation,
@@ -94,6 +102,16 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
     compose maps pairs (g, f) with cod(f) = dom(g) to the composite of f
     followed by g.  The table must cover exactly the composable pairs.
     Raises AxiomViolation naming the first broken law.
+
+    The proof goes by position.  by_dom[x] lists the morphisms out of x,
+    and rows[f] lists the composites h.f for h in by_dom[cod f], looked up
+    in compose; the lookups and a count show that the table covers exactly
+    the composable pairs.  For each g, one itemgetter pick[g] takes from a
+    row over by_dom[dom g] the entries at the places of the h.g, so
+    pick[g](rows[f]) lists (h.g).f and rows[g.f] lists h.(g.f), for every
+    h after g in the same order: one comparison per composable pair (g, f)
+    covers every composable triple.  The first failure named is the one
+    the plain loop over f, then g after f, then h after g meets first.
     """
     objects = list(objects)
     morphisms = list(morphisms)
@@ -116,48 +134,89 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
         if i not in mor_set or dom[i] != x or cod[i] != x:
             raise AxiomViolation("identity of %r is not an endomorphism: %r" % (x, i))
 
-    by_dom = {}
+    # pos[m] is the place of m in by_dom[dom m]
+    by_dom, pos = {}, {}
     for m in morphisms:
-        by_dom.setdefault(dom[m], []).append(m)
-    composable = {(g, f) for f in morphisms for g in by_dom.get(cod[f], ())}
-    given = set(compose)
-    if given != composable:
-        missing = composable - given
-        extra = given - composable
-        if missing:
-            raise AxiomViolation(
-                "composition table missing composable pair %r" % (sorted(missing)[0],)
-            )
-        raise AxiomViolation(
-            "composition table has non-composable pair %r" % (sorted(extra)[0],)
+        out = by_dom.setdefault(dom[m], [])
+        pos[m] = len(out)
+        out.append(m)
+    # the composable pairs (h, f), f by f, and for each f every h in
+    # by_dom[cod f]; the composites of f are flat[cuts[k]:cuts[k + 1]]
+    # for f = morphisms[k]
+    hs, fs, cuts = [], [], [0]
+    for f in morphisms:
+        out = by_dom[cod[f]]
+        hs += out
+        fs += [f] * len(out)
+        cuts.append(len(hs))
+    try:
+        flat = tuple(map(compose.__getitem__, zip(hs, fs)))
+    except KeyError:
+        flat = None
+    # every composable pair is a key, and there are no more keys than that
+    if flat is None or len(compose) != len(flat):
+        _raise_coverage_error(morphisms, by_dom, cod, compose)
+    # h.f runs from dom f to cod h
+    try:
+        stray = (
+            list(map(dom.__getitem__, flat)) != list(map(dom.__getitem__, fs))
+            or list(map(cod.__getitem__, flat)) != list(map(cod.__getitem__, hs))
         )
-    for (g, f), h in compose.items():
-        if h not in mor_set or dom[h] != dom[f] or cod[h] != cod[g]:
-            raise AxiomViolation(
-                "composite of (%r after %r) has wrong boundary: %r" % (g, f, h)
-            )
+    except KeyError:  # a composite that is no morphism
+        stray = True
+    if stray:
+        for (g, f), h in compose.items():
+            if h not in mor_set or dom[h] != dom[f] or cod[h] != cod[g]:
+                raise AxiomViolation(
+                    "composite of (%r after %r) has wrong boundary: %r" % (g, f, h)
+                )
+    at = tuple(map(pos.__getitem__, flat))
+    rows, pick = {}, {}
+    for f, a, b in zip(morphisms, cuts, cuts[1:]):
+        rows[f] = flat[a:b]
+        # itemgetter of one index gives the entry, not a 1-tuple
+        one = b - a == 1
+        pick[f] = itemgetter(slice(at[a], at[a] + 1)) if one else itemgetter(*at[a:b])
 
     for f in morphisms:
-        if compose[(f, identity[dom[f]])] != f:
+        if rows[identity[dom[f]]][pos[f]] != f:
             raise AxiomViolation("right identity law fails at %r" % f)
-        if compose[(identity[cod[f]], f)] != f:
+        if rows[f][pos[identity[cod[f]]]] != f:
             raise AxiomViolation("left identity law fails at %r" % f)
 
-    # h.(g.f) = (h.g).f on every composable triple, compared a row at a
-    # time: after[x] maps each h with dom h = cod x to h.x, and after[g],
-    # after[g.f] list the same h in the same order
-    after = {x: {h: compose[(h, x)] for h in by_dom.get(cod[x], ())} for x in morphisms}
+    # h.(g.f) = (h.g).f on every composable triple: pick[g] reads (h.g).f
+    # off rows[f] for every h at once, and rows[g.f] lists h.(g.f) for the
+    # same h in the same order
     for f in morphisms:
-        af = after[f]
-        for g, gf in af.items():
-            ag, agf = after[g], after[gf]
-            if list(map(af.__getitem__, ag.values())) != list(agf.values()):
-                h = next(h for h, hg in ag.items() if agf[h] != af[hg])
+        rf = rows[f]
+        for g, gf in zip(by_dom[cod[f]], rf):
+            if pick[g](rf) != rows[gf]:
+                h = next(
+                    h
+                    for h, hg, hgf in zip(by_dom[cod[g]], rows[g], rows[gf])
+                    if rf[pos[hg]] != hgf
+                )
                 raise AxiomViolation(
                     "associativity fails on (%r, %r, %r)" % (h, g, f)
                 )
 
     return FinCat(objects, morphisms, dom, cod, identity, compose)
+
+
+def _raise_coverage_error(morphisms, by_dom, cod, compose):
+    """Name the first pair, in sorted order, that compose is missing or
+    has without its being composable."""
+    composable = {(g, f) for f in morphisms for g in by_dom[cod[f]]}
+    given = set(compose)
+    missing = composable - given
+    if missing:
+        raise AxiomViolation(
+            "composition table missing composable pair %r" % (sorted(missing)[0],)
+        )
+    raise AxiomViolation(
+        "composition table has non-composable pair %r"
+        % (sorted(given - composable)[0],)
+    )
 
 
 def composition_table(morphisms, dom, cod, composite):
@@ -424,90 +483,116 @@ def _nat_key(a, src_id, tgt_id):
 
 
 def _enumerate_functors(C, D):
-    """All functors C -> D, by backtracking over object then morphism images."""
+    """All functors C -> D, by backtracking over object then morphism
+    images with an explicit stack: object images run through D.objects
+    lexicographically along C.objects, and for each, the non-identity
+    morphisms of C take their images in turn from the matching hom-sets
+    of D."""
     objs = list(C.objects)
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
+    at = {m: i for i, m in enumerate(non_id)}
+    # early pruning: checks[i] lists the composites g.f of non_id[i] with
+    # an earlier non_id[j], either way round, whose value is known once
+    # non_id[i] has its image: an identity (given by the object x) or
+    # non_id[k] for k <= i
+    checks = [[] for _ in non_id]
+    for i, m in enumerate(non_id):
+        for n in non_id[:i]:
+            for g, f in ((m, n), (n, m)):
+                if C.cod[f] == C.dom[g]:
+                    gf = C.compose_table[(g, f)]
+                    if C.is_identity(gf):
+                        checks[i].append((at[g], at[f], None, C.dom[f]))
+                    elif at[gf] <= i:
+                        checks[i].append((at[g], at[f], at[gf], None))
+    Dc = D.compose_table
+
+    def fits(i, ims, on_obj):
+        for g, f, gf, x in checks[i]:
+            want = D.identity[on_obj[x]] if gf is None else ims[gf]
+            if Dc[(ims[g], ims[f])] != want:
+                return False
+        return True
+
+    def functorial(full):
+        for (g, f), gf in C.compose_table.items():
+            if Dc[(full[g], full[f])] != full[gf]:
+                return False
+        return True
+
     out = []
-
-    def assign_mors(on_obj, i, on_mor):
-        if i == len(non_id):
-            full = dict(on_mor)
-            for x in objs:
-                full[C.identity[x]] = D.identity[on_obj[x]]
-            # final functoriality check over the whole table
-            for (g, f), gf in C.compose_table.items():
-                if D.compose_table[(full[g], full[f])] != full[gf]:
-                    return
-            out.append(Fun(C, D, dict(on_obj), full))
-            return
-        m = non_id[i]
-        for im in D.hom(on_obj[C.dom[m]], on_obj[C.cod[m]]):
-            on_mor[m] = im
-            # early pruning: composites with already-assigned factors
-            ok = True
-            for n in non_id[:i]:
-                for (g, f) in ((m, n), (n, m)):
-                    if C.cod[f] == C.dom[g]:
-                        gf = C.compose_table[(g, f)]
-                        if gf in on_mor or C.is_identity(gf):
-                            want = (
-                                D.identity[on_obj[C.dom[f]]]
-                                if C.is_identity(gf)
-                                else on_mor[gf]
-                            )
-                            if D.compose_table[(on_mor[g], on_mor[f])] != want:
-                                ok = False
-                                break
-                if not ok:
-                    break
-            if ok:
-                assign_mors(on_obj, i + 1, on_mor)
-            del on_mor[m]
-
-    def assign_objs(i, on_obj):
-        if i == len(objs):
-            assign_mors(on_obj, 0, {})
-            return
-        for d in D.objects:
-            on_obj[objs[i]] = d
-            assign_objs(i + 1, on_obj)
-            del on_obj[objs[i]]
-
-    assign_objs(0, {})
+    for image in itertools.product(D.objects, repeat=len(objs)):
+        on_obj = dict(zip(objs, image))
+        ims = [None] * len(non_id)
+        stack = []
+        while True:
+            if len(stack) < len(non_id):
+                m = non_id[len(stack)]
+                stack.append(iter(D.hom(on_obj[C.dom[m]], on_obj[C.cod[m]])))
+            else:
+                full = dict(zip(non_id, ims))
+                for x in objs:
+                    full[C.identity[x]] = D.identity[on_obj[x]]
+                # final functoriality check over the whole table
+                if functorial(full):
+                    out.append(Fun(C, D, on_obj, full))
+            # the deepest morphism takes its next image that passes its
+            # checks; a morphism whose images run out is dropped
+            while stack:
+                i = len(stack) - 1
+                for ims[i] in stack[i]:
+                    if fits(i, ims, on_obj):
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            if not stack:
+                break
     return out
 
 
 def _enumerate_nats(F, G):
-    """All natural transformations F => G for parallel functors."""
+    """All natural transformations F => G for parallel functors, by
+    backtracking over the components along C.objects with an explicit
+    stack: each component runs through its hom-set of D in order."""
     C, D = F.src, F.tgt
-    objs = list(C.objects)
-    pos = {x: i for i, x in enumerate(objs)}
+    objs = C.objects
+    homs = [D.hom(F.on_obj[x], G.on_obj[x]) for x in objs]
+    if not all(homs):
+        return []
+    if not objs:
+        return [NatT(F, G, {})]
+    at = {x: i for i, x in enumerate(objs)}
     # the naturality squares that close once objs[i] has its component;
     # squares at identities hold for any functors
     squares = [[] for _ in objs]
+    ids, Fm, Gm = C._identities, F.on_mor, G.on_mor
     for m in C.morphisms:
-        if not C.is_identity(m):
-            a, b = C.dom[m], C.cod[m]
-            squares[max(pos[a], pos[b])].append((a, b, F.on_mor[m], G.on_mor[m]))
+        if m not in ids:
+            a, b = at[C.dom[m]], at[C.cod[m]]
+            squares[a if a > b else b].append((a, b, Fm[m], Gm[m]))
+    Dc = D.compose_table
+    last = len(objs) - 1
+    comps = [None] * len(objs)
     out = []
-
-    def assign(i, comps):
-        if i == len(objs):
-            out.append(NatT(F, G, dict(comps)))
-            return
-        x = objs[i]
-        for c in D.hom(F.on_obj[x], G.on_obj[x]):
-            comps[x] = c
-            ok = True
+    stack = [iter(homs[0])]
+    while stack:
+        i = len(stack) - 1
+        # the next component at objs[i] that closes its squares
+        for comps[i] in stack[i]:
             for a, b, fm, gm in squares[i]:
-                if D.compose_table[(gm, comps[a])] != D.compose_table[(comps[b], fm)]:
-                    ok = False
+                if Dc[gm, comps[a]] != Dc[comps[b], fm]:
                     break
-            if ok:
-                assign(i + 1, comps)
-            del comps[x]
-
-    assign(0, {})
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        if i < last:
+            stack.append(iter(homs[i + 1]))
+        else:
+            out.append(NatT(F, G, dict(zip(objs, comps))))
     return out
 
 

@@ -5,7 +5,7 @@ from collections import deque
 
 from fin2cat import codescent, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
-from fin2cat.errors import NaturalityViolation
+from fin2cat.errors import AxiomViolation, NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
 from fin2cat.freegen import Path
 
@@ -441,3 +441,156 @@ def path_rewrites(c, start, edges):
         for pos in range(len(edges) - k + 1):
             if edges[pos : pos + k] == s.edges and path.node_at(pos) == s.start:
                 yield edges[:pos] + c.tgt[g].edges + edges[pos + k :]
+
+
+def triple_loop_make_fincat(objects, morphisms, dom, cod, identity, compose):
+    """make_fincat as it was before the proof by position: the coverage
+    check compares two sets of pairs, and associativity is compared a row
+    of a dict-of-dicts at a time.  Same laws, same messages, same first
+    failure.  The oracle for fincat.make_fincat."""
+    objects = list(objects)
+    morphisms = list(morphisms)
+    if len(set(objects)) != len(objects):
+        raise AxiomViolation("duplicate object identifiers")
+    if len(set(morphisms)) != len(morphisms):
+        raise AxiomViolation("duplicate morphism identifiers")
+    obj_set, mor_set = set(objects), set(morphisms)
+
+    if set(dom) != mor_set or set(cod) != mor_set:
+        raise AxiomViolation("dom/cod must be defined on exactly the morphisms")
+    for m in morphisms:
+        if dom[m] not in obj_set or cod[m] not in obj_set:
+            raise AxiomViolation("morphism %r has boundary outside objects" % m)
+
+    if set(identity) != obj_set:
+        raise AxiomViolation("identity must be defined on exactly the objects")
+    for x in objects:
+        i = identity[x]
+        if i not in mor_set or dom[i] != x or cod[i] != x:
+            raise AxiomViolation("identity of %r is not an endomorphism: %r" % (x, i))
+
+    by_dom = {}
+    for m in morphisms:
+        by_dom.setdefault(dom[m], []).append(m)
+    composable = {(g, f) for f in morphisms for g in by_dom.get(cod[f], ())}
+    given = set(compose)
+    if given != composable:
+        missing = composable - given
+        extra = given - composable
+        if missing:
+            raise AxiomViolation(
+                "composition table missing composable pair %r" % (sorted(missing)[0],)
+            )
+        raise AxiomViolation(
+            "composition table has non-composable pair %r" % (sorted(extra)[0],)
+        )
+    for (g, f), h in compose.items():
+        if h not in mor_set or dom[h] != dom[f] or cod[h] != cod[g]:
+            raise AxiomViolation(
+                "composite of (%r after %r) has wrong boundary: %r" % (g, f, h)
+            )
+
+    for f in morphisms:
+        if compose[(f, identity[dom[f]])] != f:
+            raise AxiomViolation("right identity law fails at %r" % f)
+        if compose[(identity[cod[f]], f)] != f:
+            raise AxiomViolation("left identity law fails at %r" % f)
+
+    after = {x: {h: compose[(h, x)] for h in by_dom.get(cod[x], ())} for x in morphisms}
+    for f in morphisms:
+        af = after[f]
+        for g, gf in af.items():
+            ag, agf = after[g], after[gf]
+            if list(map(af.__getitem__, ag.values())) != list(agf.values()):
+                h = next(h for h, hg in ag.items() if agf[h] != af[hg])
+                raise AxiomViolation(
+                    "associativity fails on (%r, %r, %r)" % (h, g, f)
+                )
+
+    return fincat.FinCat(objects, morphisms, dom, cod, identity, compose)
+
+
+def recursive_enumerate_functors(C, D):
+    """All functors C -> D by recursive backtracking over object then
+    morphism images.  The oracle for fincat._enumerate_functors."""
+    objs = list(C.objects)
+    non_id = [m for m in C.morphisms if not C.is_identity(m)]
+    out = []
+
+    def assign_mors(on_obj, i, on_mor):
+        if i == len(non_id):
+            full = dict(on_mor)
+            for x in objs:
+                full[C.identity[x]] = D.identity[on_obj[x]]
+            for (g, f), gf in C.compose_table.items():
+                if D.compose_table[(full[g], full[f])] != full[gf]:
+                    return
+            out.append(fincat.Fun(C, D, dict(on_obj), full))
+            return
+        m = non_id[i]
+        for im in D.hom(on_obj[C.dom[m]], on_obj[C.cod[m]]):
+            on_mor[m] = im
+            ok = True
+            for n in non_id[:i]:
+                for (g, f) in ((m, n), (n, m)):
+                    if C.cod[f] == C.dom[g]:
+                        gf = C.compose_table[(g, f)]
+                        if gf in on_mor or C.is_identity(gf):
+                            want = (
+                                D.identity[on_obj[C.dom[f]]]
+                                if C.is_identity(gf)
+                                else on_mor[gf]
+                            )
+                            if D.compose_table[(on_mor[g], on_mor[f])] != want:
+                                ok = False
+                                break
+                if not ok:
+                    break
+            if ok:
+                assign_mors(on_obj, i + 1, on_mor)
+            del on_mor[m]
+
+    def assign_objs(i, on_obj):
+        if i == len(objs):
+            assign_mors(on_obj, 0, {})
+            return
+        for d in D.objects:
+            on_obj[objs[i]] = d
+            assign_objs(i + 1, on_obj)
+            del on_obj[objs[i]]
+
+    assign_objs(0, {})
+    return out
+
+
+def recursive_enumerate_nats(F, G):
+    """All natural transformations F => G by recursive backtracking over
+    the components.  The oracle for fincat._enumerate_nats."""
+    C, D = F.src, F.tgt
+    objs = list(C.objects)
+    pos = {x: i for i, x in enumerate(objs)}
+    squares = [[] for _ in objs]
+    for m in C.morphisms:
+        if not C.is_identity(m):
+            a, b = C.dom[m], C.cod[m]
+            squares[max(pos[a], pos[b])].append((a, b, F.on_mor[m], G.on_mor[m]))
+    out = []
+
+    def assign(i, comps):
+        if i == len(objs):
+            out.append(fincat.NatT(F, G, dict(comps)))
+            return
+        x = objs[i]
+        for c in D.hom(F.on_obj[x], G.on_obj[x]):
+            comps[x] = c
+            ok = True
+            for a, b, fm, gm in squares[i]:
+                if D.compose_table[(gm, comps[a])] != D.compose_table[(comps[b], fm)]:
+                    ok = False
+                    break
+            if ok:
+                assign(i + 1, comps)
+            del comps[x]
+
+    assign(0, {})
+    return out

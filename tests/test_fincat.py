@@ -21,12 +21,25 @@ from helpers import (
     discrete,
     identity_fun_on,
     layered_cat,
+    one_object_cat,
+    recursive_enumerate_functors,
+    recursive_enumerate_nats,
     terminal_cat,
+    triple_loop_make_fincat,
     walking_arrow,
     walking_iso,
 )
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
+# algebra pairs whose three functor-category levels build in under a second
+FIXTURE_PAIRS = [
+    ("z2_action.json", "swap", "swap"),
+    ("z2_action.json", "skew", "skew"),
+    ("z2_action.json", "skew", "swap"),
+    ("monad_on_2.json", "idalg", "idalg"),
+    ("monad_on_2.json", "const1", "const1"),
+    ("monad_on_2.json", "idalg", "const1"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +160,160 @@ def test_composite_with_wrong_boundary_rejected():
                 ("id1", "u"): "u",
             },
         )
+
+
+def proof_outcome(prove, *args):
+    """The category prove builds, or the message it refuses with."""
+    try:
+        return prove(*args)
+    except AxiomViolation as e:
+        return str(e)
+
+
+def assert_same_proof(*args):
+    """make_fincat accepts exactly what the triple-loop prover accepts and
+    otherwise names the same first failure.  Returns the outcome."""
+    got = proof_outcome(fincat.make_fincat, *args)
+    want = proof_outcome(triple_loop_make_fincat, *args)
+    assert type(got) is type(want)
+    assert got == want
+    return got
+
+
+def table_args(C):
+    return (
+        list(C.objects), list(C.morphisms), dict(C.dom), dict(C.cod),
+        dict(C.identity), dict(C.compose_table),
+    )
+
+
+def single_entry_mutants(compose, values):
+    for key, h in compose.items():
+        for v in values:
+            if v != h:
+                bad = dict(compose)
+                bad[key] = v
+                yield bad
+
+
+ELS3 = ["e", "a", "b"]
+Z3 = {(g, f): ELS3[(ELS3.index(g) + ELS3.index(f)) % 3] for g in ELS3 for f in ELS3}
+
+
+def test_make_fincat_agrees_with_triple_loop_on_single_entry_mutants():
+    ends = {m: "*" for m in ELS3}
+    outcomes = [
+        assert_same_proof(["*"], ELS3, ends, ends, {"*": "e"}, table)
+        for table in single_entry_mutants(Z3, ELS3 + ["zz"])
+    ]
+    assert len(outcomes) == 27
+    assert all(isinstance(o, str) for o in outcomes)
+    assert any(o.startswith("associativity") for o in outcomes)
+    assert any(o.startswith("right identity") for o in outcomes)
+    assert any("wrong boundary" in o for o in outcomes)
+
+    objects, morphisms, dom, cod, identity, compose = table_args(walking_arrow())
+    outcomes = [
+        assert_same_proof(objects, morphisms, dom, cod, identity, table)
+        for table in single_entry_mutants(compose, morphisms)
+    ]
+    assert len(outcomes) == 8 and all(isinstance(o, str) for o in outcomes)
+
+
+def test_make_fincat_agrees_with_triple_loop_on_coverage_and_boundary():
+    objects, morphisms, dom, cod, identity, compose = table_args(walking_arrow())
+    for key in compose:
+        dropped = {k: h for k, h in compose.items() if k != key}
+        got = assert_same_proof(objects, morphisms, dom, cod, identity, dropped)
+        assert got == "composition table missing composable pair %r" % (key,)
+    for key in (("u", "u"), ("id0", "id1"), ("id1", "id0"), ("u", "id1")):
+        extra = dict(compose)
+        extra[key] = "u"
+        got = assert_same_proof(objects, morphisms, dom, cod, identity, extra)
+        assert got == "composition table has non-composable pair %r" % (key,)
+    # a key that is no pair of morphisms at all
+    extra = dict(compose)
+    extra[("v", "u")] = "u"
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, extra)
+    assert "non-composable" in got
+
+    wrong = dict(compose)
+    wrong[("u", "id0")] = "id0"
+    wrong[("id1", "u")] = "id1"
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, wrong)
+    # the first wrong boundary in the table's order
+    assert got == "composite of ('u' after 'id0') has wrong boundary: 'id0'"
+
+    # a coverage error and a boundary error at once: coverage is named
+    both = {k: h for k, h in wrong.items() if k != ("id1", "id1")}
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, both)
+    assert got == "composition table missing composable pair ('id1', 'id1')"
+    both = dict(wrong)
+    both[("u", "u")] = "u"
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, both)
+    assert got == "composition table has non-composable pair ('u', 'u')"
+
+
+def test_make_fincat_agrees_with_triple_loop_on_discrete_categories():
+    # every row of a discrete category has one entry
+    for names in (["a"], ["a", "b"], ["a", "b", "c", "d"]):
+        args = table_args(discrete(names))
+        assert isinstance(assert_same_proof(*args), fincat.FinCat)
+        objects, morphisms, dom, cod, identity, compose = args
+        for table in single_entry_mutants(compose, morphisms + ["zz"]):
+            got = assert_same_proof(objects, morphisms, dom, cod, identity, table)
+            assert "wrong boundary" in got
+        for key in compose:
+            dropped = {k: h for k, h in compose.items() if k != key}
+            assert "missing" in assert_same_proof(
+                objects, morphisms, dom, cod, identity, dropped
+            )
+
+
+def test_make_fincat_refuses_when_only_the_last_triple_fails():
+    # 0 -> 1 -> 2 -> 3 with two arrows a, b: 0 -> 3; u23.u02 is set to b
+    # while u13.u01 = a, so associativity fails on (u23, u12, u01) alone,
+    # and the morphisms are listed so that this triple comes last in the
+    # loop over f, then g after f, then h after g
+    morphisms = ["id0", "id1", "id2", "id3", "u13", "u23", "u02", "a", "b", "u12", "u01"]
+    ends = {
+        "id0": "00", "id1": "11", "id2": "22", "id3": "33", "u01": "01", "u12": "12",
+        "u23": "23", "u02": "02", "u13": "13", "a": "03", "b": "03",
+    }
+    dom = {m: e[0] for m, e in ends.items()}
+    cod = {m: e[1] for m, e in ends.items()}
+    identity = {x: "id" + x for x in "0123"}
+    inner = {
+        ("u12", "u01"): "u02", ("u23", "u12"): "u13",
+        ("u23", "u02"): "b", ("u13", "u01"): "a",
+    }
+
+    def composite(g, f):
+        if g == identity[cod[f]]:
+            return f
+        if f == identity[dom[g]]:
+            return g
+        return inner[(g, f)]
+
+    compose = fincat.composition_table(morphisms, dom, cod, composite)
+    objects = list("0123")
+    by_dom = {x: [m for m in morphisms if dom[m] == x] for x in objects}
+    failing = [
+        (h, g, f)
+        for f in morphisms
+        for g in by_dom[cod[f]]
+        for h in by_dom[cod[g]]
+        if compose[(h, compose[(g, f)])] != compose[(compose[(h, g)], f)]
+    ]
+    loop_order = [
+        (h, g, f) for f in morphisms for g in by_dom[cod[f]] for h in by_dom[cod[g]]
+    ]
+    assert failing == [("u23", "u12", "u01")] == loop_order[-1:]
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, compose)
+    assert got == "associativity fails on ('u23', 'u12', 'u01')"
+    compose[("u23", "u02")] = "a"
+    got = assert_same_proof(objects, morphisms, dom, cod, identity, compose)
+    assert isinstance(got, fincat.FinCat)
 
 
 def test_hom_and_inverse():
@@ -459,17 +626,81 @@ def test_hom_cat_matches_all_pairs_construction(C, D):
     assert_same_hom_cat(fincat.hom_cat(C, D), C, D)
 
 
-@pytest.mark.parametrize(
-    "fixture, y, z",
-    [
-        ("z2_action.json", "swap", "swap"),
-        ("z2_action.json", "skew", "skew"),
-        ("z2_action.json", "skew", "swap"),
-        ("monad_on_2.json", "idalg", "idalg"),
-        ("monad_on_2.json", "const1", "const1"),
-        ("monad_on_2.json", "idalg", "const1"),
-    ],
-)
+@st.composite
+def mutated_tables(draw):
+    """The table of a small category with up to two entries changed,
+    dropped or added: a value is drawn from the morphisms and one stray
+    name, or from the hom-set of a composite of two non-identities."""
+    # e, a and an absorbing b with a.a = b
+    nil = {(g, f): g if f == "e" else f if g == "e" else "b" for g in ELS3 for f in ELS3}
+    base = draw(
+        st.one_of(
+            small_categories(),
+            st.sampled_from([Z3, nil]).map(lambda t: one_object_cat(ELS3, "e", t)),
+        )
+    )
+    objects, morphisms, dom, cod, identity, compose = table_args(base)
+    values = st.sampled_from(morphisms + ["zz"])
+    ids = set(identity.values())
+    inner = sorted(k for k in compose if not ids & set(k))
+    for _ in range(draw(st.integers(0, 2))):
+        kinds = ["set", "drop", "add"] + (["reset"] * 2 if inner else [])
+        what = draw(st.sampled_from(kinds if compose else ["add"]))
+        if what == "reset":
+            # a composite of two non-identities moved inside its hom-set
+            g, f = draw(st.sampled_from(inner))
+            hom = [h for h in morphisms if (dom[h], cod[h]) == (dom[f], cod[g])]
+            compose[(g, f)] = draw(st.sampled_from(hom))
+        elif what == "set":
+            compose[draw(st.sampled_from(sorted(compose)))] = draw(values)
+        elif what == "drop":
+            del compose[draw(st.sampled_from(sorted(compose)))]
+        else:
+            pair = (draw(st.sampled_from(morphisms)), draw(st.sampled_from(morphisms)))
+            compose[pair] = draw(values)
+    return objects, morphisms, dom, cod, identity, compose
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_tables())
+def test_make_fincat_agrees_with_triple_loop_on_drawn_tables(args):
+    assert_same_proof(*args)
+
+
+def assert_same_enumerations(C, D):
+    """The functors C -> D and the transformations between every pair of
+    them come out as the recursive searches give them, in the same
+    order."""
+    funs = fincat._enumerate_functors(C, D)
+    want = recursive_enumerate_functors(C, D)
+    assert [(list(F.on_obj.items()), list(F.on_mor.items())) for F in funs] == [
+        (list(F.on_obj.items()), list(F.on_mor.items())) for F in want
+    ]
+    for F in funs:
+        for G in funs:
+            got = [list(a.components.items()) for a in fincat._enumerate_nats(F, G)]
+            assert got == [
+                list(a.components.items()) for a in recursive_enumerate_nats(F, G)
+            ]
+    return funs
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_categories(), small_categories())
+def test_enumerations_match_recursive_searches(C, D):
+    assert_same_enumerations(C, D)
+
+
+def test_enumerations_match_recursive_searches_on_named_categories():
+    cats = [terminal_cat(), walking_arrow(), walking_iso(), chain3()]
+    cats += [discrete([]), discrete("ab"), layered_cat(2, [(0, 1)], ["z2", "idem"])]
+    for C in cats:
+        for D in cats:
+            assert_same_enumerations(C, D)
+    assert len(fincat._enumerate_functors(discrete([]), chain3())) == 1
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
     ws = load(os.path.join(FIXTURES, fixture))
     y, z = ws.algebras[y], ws.algebras[z]
@@ -478,6 +709,21 @@ def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
     Y = y.Z
     for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (D.D3, U.T(U.T(Y)))):
         assert_same_hom_cat(level, source, z.Z)
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_enumerations_match_recursive_searches_on_fixture_levels(fixture, y, z):
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U, Y = y.universe, y.Z
+    for source in (Y, U.T(Y), U.T(U.T(Y))):
+        assert assert_same_enumerations(source, z.Z)
+
+
+def test_hom_cat_over_a_long_discrete_source():
+    # more source objects than the interpreter's default recursion limit
+    H = fincat.hom_cat(discrete(["x%d" % i for i in range(1100)]), terminal_cat())
+    assert len(H.objects) == 1 and len(H.morphisms) == 1
 
 
 def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
