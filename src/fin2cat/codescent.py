@@ -36,13 +36,13 @@ from .errors import (
     MonadLawViolation,
 )
 from .fincat import (
+    Fun,
     compose_fun,
     composition_table,
     hom_cat,
     identity_fun,
     iso_categories,
     make_fincat,
-    make_fun,
     make_nat,
     whisker_left,
     whisker_right,
@@ -676,7 +676,7 @@ def verify_codescent_universal(A, Q, probes):
         D3 = hom_cat(A.A3, X)
 
         def pre(hs, ht, G):
-            return make_fun(
+            return Fun(
                 hs,
                 ht,
                 {o: ht.obj_id(compose_fun(hs.functor_of(o), G)) for o in hs.objects},

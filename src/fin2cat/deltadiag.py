@@ -82,29 +82,31 @@ def make_dot_extension(base, D0, Dd, Dtheta):
     return DotExtension(base, D0, Dd, Dtheta)
 
 
+def descent_equations(d, f, th):
+    """The two descent equations of a DeltaDiagram d at an object f of D1
+    and a morphism th: Dd1(f) -> Dd0(f) of D2, as (lhs, rhs) pairs: the
+    associativity equation in D3, then the identity equation in D1."""
+    c3 = d.D3.compose
+    lhs = c3(d.Dsig00.at(f), c3(d.Dp0.mor(th), c3(d.Dsig20.at(f), d.Dp2.mor(th))))
+    return (
+        (lhs, c3(d.Dp1.mor(th), d.Dsig21.at(f))),
+        (d.D1.compose(d.Ds0.mor(th), d.Dn1.at(f)), d.Dn0.at(f)),
+    )
+
+
 def check_dot_extension(ext):
     """Check the two lower-shape equations at every object of D0.
 
     Returns a Verdict; its failures name the equation and the object.
     """
-    d = ext.base
     failures = []
     for x in ext.D0.objects:
-        f = ext.Dd.ob(x)
-        th = ext.Dtheta.at(x)
-        lhs = d.D3.compose(
-            d.Dsig00.at(f),
-            d.D3.compose(d.Dp0.mor(th), d.D3.compose(d.Dsig20.at(f), d.Dp2.mor(th))),
-        )
-        rhs = d.D3.compose(d.Dp1.mor(th), d.Dsig21.at(f))
-        if lhs != rhs:
-            failures.append(
-                "associativity equation fails at %r: %r != %r" % (x, lhs, rhs)
-            )
-        lhs = d.D1.compose(d.Ds0.mor(th), d.Dn1.at(f))
-        rhs = d.Dn0.at(f)
-        if lhs != rhs:
-            failures.append("identity equation fails at %r: %r != %r" % (x, lhs, rhs))
+        pairs = descent_equations(ext.base, ext.Dd.ob(x), ext.Dtheta.at(x))
+        for name, (lhs, rhs) in zip(("associativity", "identity"), pairs):
+            if lhs != rhs:
+                failures.append(
+                    "%s equation fails at %r: %r != %r" % (name, x, lhs, rhs)
+                )
     return verdict_all(failures)
 
 

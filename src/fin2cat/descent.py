@@ -2,7 +2,7 @@
 
 An object of the lax descent category of D is a pair (f, fbar) with f an
 object of D1 and fbar: Dd1(f) -> Dd0(f) in D2 satisfying the two equations
-also used by deltadiag.check_dot_extension:
+of deltadiag.descent_equations:
 
     Dsig00_f . Dp0(fbar) . Dsig20_f . Dp2(fbar) = Dp1(fbar) . Dsig21_f
     Ds0(fbar) . Dn1_f = Dn0_f
@@ -12,7 +12,8 @@ Dd0(m) . fbar = hbar . Dd1(m).  The (strict) descent category is the full
 subcategory on the pairs whose fbar is invertible.
 """
 
-from .fincat import composition_table, make_fincat, make_fun
+from .deltadiag import descent_equations
+from .fincat import FinCat, Fun, composition_table
 from .errors import BoundaryMismatch
 
 
@@ -45,16 +46,6 @@ class DescentCategory:
         return "DescentCategory(%r)" % (self.carrier,)
 
 
-def _datum_ok(d, f, fbar):
-    lhs = d.D3.compose(
-        d.Dsig00.at(f),
-        d.D3.compose(d.Dp0.mor(fbar), d.D3.compose(d.Dsig20.at(f), d.Dp2.mor(fbar))),
-    )
-    if lhs != d.D3.compose(d.Dp1.mor(fbar), d.Dsig21.at(f)):
-        return False
-    return d.D1.compose(d.Ds0.mor(fbar), d.Dn1.at(f)) == d.Dn0.at(f)
-
-
 def _obj_id(f, fbar):
     return "(%s,%s)" % (f, fbar)
 
@@ -64,12 +55,13 @@ def _mor_id(m, o1, o2):
 
 
 def lax_descent(D):
-    """The lax descent category of a DeltaDiagram."""
+    """The lax descent category of a DeltaDiagram.  Its carrier and
+    projection are lawful by theorem and built without proof."""
     data = {}
     objects = []
     for f in D.D1.objects:
         for fbar in D.D2.hom(D.Dd1.ob(f), D.Dd0.ob(f)):
-            if _datum_ok(D, f, fbar):
+            if all(lhs == rhs for lhs, rhs in descent_equations(D, f, fbar)):
                 o = _obj_id(f, fbar)
                 objects.append(o)
                 data[o] = DescentDatum(f, fbar)
@@ -97,8 +89,8 @@ def lax_descent(D):
 
     compose = composition_table(morphisms, dom, cod, composite)
 
-    carrier = make_fincat(objects, morphisms, dom, cod, identity, compose)
-    projection = make_fun(
+    carrier = FinCat(objects, morphisms, dom, cod, identity, compose)
+    projection = Fun(
         carrier,
         D.D1,
         {o: data[o].f for o in objects},
@@ -115,7 +107,9 @@ def descent(D):
 
 def invertible_part(lax):
     """The descent category cut out of an already computed lax descent
-    category: the full subcategory on the data whose fbar is invertible."""
+    category: the full subcategory on the data whose fbar is invertible.
+    A full subcategory of a category is one, so the carrier, projection
+    and inclusion are built without proof."""
     D = lax.diagram
     keep = {
         o
@@ -130,21 +124,16 @@ def invertible_part(lax):
     ]
     dom = {m: lax.carrier.dom[m] for m in morphisms}
     cod = {m: lax.carrier.cod[m] for m in morphisms}
-    carrier = make_fincat(
-        objects,
-        morphisms,
-        dom,
-        cod,
-        {o: lax.carrier.identity[o] for o in objects},
-        composition_table(morphisms, dom, cod, lax.carrier.compose),
-    )
-    projection = make_fun(
+    identity = {o: lax.carrier.identity[o] for o in objects}
+    compose = composition_table(morphisms, dom, cod, lax.carrier.compose)
+    carrier = FinCat(objects, morphisms, dom, cod, identity, compose)
+    projection = Fun(
         carrier,
         D.D1,
         {o: lax.data[o].f for o in objects},
         {m: lax.projection.mor(m) for m in morphisms},
     )
-    inclusion = make_fun(
+    inclusion = Fun(
         carrier,
         lax.carrier,
         {o: o for o in objects},

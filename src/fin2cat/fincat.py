@@ -1,17 +1,26 @@
 """Finite categories, functors, natural transformations, and pasting.
 
-Everything here is exhaustively validated at construction time: building a
-FinCat checks every identity/associativity instance, building a Fun checks
-functoriality on the whole composition table, building a NatT checks every
-naturality square.  Later modules lean on this: if an assembled structure
-would be mathematically wrong, the constructor refuses it.
+Laws are proved once, where data comes in: make_fincat, make_fun and
+make_nat prove every identity, associativity, functoriality and
+naturality instance of a table from outside (workspace files, tables
+built by hand, monoid actions, rewriting quotients) and refuse the first
+broken law.  FinCat, Fun and NatT trust their input.  Constructions that
+are lawful by theorem build them directly from proved structures:
+products, functor categories, composites and pasting here; T on functors
+and cells, universe members and algebra hom categories in laxalg; the
+descent carriers; the pre- and postcomposition faces of the three-level
+diagrams.  A test in tests/test_fincat.py proves each theorem once:
+test_products_and_functor_categories_are_categories,
+test_descent_levels_faces_and_carriers_are_lawful,
+test_universe_members_and_T_are_lawful and
+test_codescent_probe_faces_are_lawful.
 
 make_fincat proves the laws by position: the composites h.f for the h out
 of cod f form a row, and associativity compares, for every composable pair
 (g, f), the row of g.f against the entries of the row of f that the row of
 g points at; every composable triple is still compared.  The searches for
-functors and transformations backtrack with explicit stacks, so their depth
-is not bounded by the interpreter's recursion limit.
+functors, transformations and isomorphisms backtrack with explicit stacks,
+so their depth is not bounded by the interpreter's recursion limit.
 
 Objects and morphisms are identifier strings; a category is its composition
 table.
@@ -19,6 +28,7 @@ table.
 
 import itertools
 import math
+from collections import Counter
 from operator import itemgetter
 
 from .errors import (
@@ -32,8 +42,9 @@ from .errors import (
 class FinCat:
     """A finite category given by explicit tables.
 
-    Use make_fincat rather than calling this directly; the constructor
-    trusts its input.
+    The constructor trusts its input: tables from outside go through
+    make_fincat, and only tables that are lawful by theorem come here
+    directly (see the module docstring).
     """
 
     def __init__(self, objects, morphisms, dom, cod, identity, compose_table):
@@ -399,26 +410,29 @@ def whisker_right(beta, F):
 class ProductCat(FinCat):
     """Product category with its pair indexes.
 
+    The product of two categories is a category, so its table is not
+    proved again.  Only its names are checked: "(c,d)" names a pair of
+    identifiers, and identifiers with commas or brackets in them can make
+    two pairs print alike.  Such a name raises AxiomViolation before any
+    table is built.
+
     proj1 and proj2 are built on access, each time a fresh Fun, so that a
     product holds no functor pointing back at itself and is freed as soon
     as the last reference to it goes."""
 
     def __init__(self, C, D):
-        obj_pair, mor_pair = {}, {}
-        objects = []
-        for c in C.objects:
-            for d in D.objects:
-                o = "(%s,%s)" % (c, d)
-                objects.append(o)
-                obj_pair[o] = (c, d)
-        morphisms, dom, cod = [], {}, {}
-        for f in C.morphisms:
-            for g in D.morphisms:
-                m = "(%s,%s)" % (f, g)
-                morphisms.append(m)
-                mor_pair[m] = (f, g)
-                dom[m] = "(%s,%s)" % (C.dom[f], D.dom[g])
-                cod[m] = "(%s,%s)" % (C.cod[f], D.cod[g])
+        obj_pairs = list(itertools.product(C.objects, D.objects))
+        mor_pairs = list(itertools.product(C.morphisms, D.morphisms))
+        objects = ["(%s,%s)" % p for p in obj_pairs]
+        morphisms = ["(%s,%s)" % p for p in mor_pairs]
+        for names in (objects, morphisms):
+            if len(set(names)) != len(names):
+                clash = next(n for n, k in Counter(names).items() if k > 1)
+                raise AxiomViolation("product name %r names two pairs" % clash)
+        obj_pair = dict(zip(objects, obj_pairs))
+        mor_pair = dict(zip(morphisms, mor_pairs))
+        dom = {m: "(%s,%s)" % (C.dom[f], D.dom[g]) for m, (f, g) in mor_pair.items()}
+        cod = {m: "(%s,%s)" % (C.cod[f], D.cod[g]) for m, (f, g) in mor_pair.items()}
         identity = {
             o: "(%s,%s)" % (C.identity[c], D.identity[d])
             for o, (c, d) in obj_pair.items()
@@ -429,16 +443,7 @@ class ProductCat(FinCat):
             return "(%s,%s)" % (C.compose_table[(f2, f1)], D.compose_table[(g2, g1)])
 
         compose = composition_table(morphisms, dom, cod, composite)
-        checked = make_fincat(objects, morphisms, dom, cod, identity, compose)
-        FinCat.__init__(
-            self,
-            checked.objects,
-            checked.morphisms,
-            checked.dom,
-            checked.cod,
-            checked.identity,
-            checked.compose_table,
-        )
+        FinCat.__init__(self, objects, morphisms, dom, cod, identity, compose)
         self.factors = (C, D)
         self.obj_pair = obj_pair
         self.mor_pair = mor_pair
@@ -610,7 +615,8 @@ class HomCat(FinCat):
     walking the product of the per-object reachable sets or by scanning
     the distinct images, whichever is shorter.  The composition table is
     read off a by-codomain index of the transformations, each composite's
-    key taken componentwise from D's table.
+    key taken componentwise from D's table.  A functor category is a
+    category, so the table is not proved again.
     """
 
     def __init__(self, C, D):
@@ -667,19 +673,9 @@ class HomCat(FinCat):
             pairs = zip(comps[n2], comps[n1])
             return self._nat_ids[(dom[n1], cod[n2], tuple(map(Dc.__getitem__, pairs)))]
 
-        compose = composition_table(list(self._nats), dom, cod, vertical)
-        checked = make_fincat(
-            list(self._funs), list(self._nats), dom, cod, identity, compose
-        )
-        FinCat.__init__(
-            self,
-            checked.objects,
-            checked.morphisms,
-            checked.dom,
-            checked.cod,
-            checked.identity,
-            checked.compose_table,
-        )
+        morphisms = list(self._nats)
+        compose = composition_table(morphisms, dom, cod, vertical)
+        FinCat.__init__(self, list(self._funs), morphisms, dom, cod, identity, compose)
         self.source_cat = C
         self.target_cat = D
 
@@ -704,12 +700,45 @@ def hom_cat(C, D):
 
 
 def _obj_profile(C):
-    sizes = {}
-    for x in C.objects:
-        row = sorted(len(C.hom(x, y)) for y in C.objects)
-        col = sorted(len(C.hom(y, x)) for y in C.objects)
-        sizes[x] = (len(C.hom(x, x)), tuple(row), tuple(col))
-    return sizes
+    """Each object's endomorphism count, and the sorted sizes of the
+    hom-sets out of and into it, empty ones included."""
+    n = len(C.objects)
+    out, into = {x: [] for x in C.objects}, {x: [] for x in C.objects}
+    for (x, y), ms in C._hom.items():
+        out[x].append(len(ms))
+        into[y].append(len(ms))
+
+    def sizes(found):
+        return (0,) * (n - len(found)) + tuple(sorted(found))
+
+    return {
+        x: (len(C._hom.get((x, x), ())), sizes(out[x]), sizes(into[x]))
+        for x in C.objects
+    }
+
+
+def _first_choice(n, options, complete):
+    """Depth-first search with an explicit stack over one choice for each
+    of the slots 0 .. n-1.  options(chosen) gives the candidates for the
+    next slot in the order to try them, and must not read chosen later;
+    complete(chosen) judges a full choice, None meaning go on.  Returns
+    complete's first other answer, or None.  No candidate may be None."""
+    if n == 0:
+        return complete([])
+    chosen, stack = [], [iter(options([]))]
+    while stack:
+        # the deepest slot drops its choice to take the next one
+        del chosen[len(stack) - 1 :]
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        chosen.append(c)
+        if len(chosen) < n:
+            stack.append(iter(options(chosen)))
+        elif (got := complete(chosen)) is not None:
+            return got
+    return None
 
 
 def iso_categories(C, D):
@@ -723,75 +752,45 @@ def iso_categories(C, D):
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None
     pc, pd = _obj_profile(C), _obj_profile(D)
-    cobjs = sorted(C.objects)
+    cobjs, dobjs = sorted(C.objects), sorted(D.objects)
 
-    def match_mors(omap):
-        pairs = []
-        for x in cobjs:
-            for y in cobjs:
-                hc = C.hom(x, y)
-                hd = D.hom(omap[x], omap[y])
-                if len(hc) != len(hd):
+    def object_images(chosen):
+        x, used = cobjs[len(chosen)], set(chosen)
+        return (d for d in dobjs if d not in used and pc[x] == pd[d])
+
+    rank = {x: i for i, x in enumerate(cobjs)}
+    homs = sorted(C._hom.items(), key=lambda h: (rank[h[0][0]], rank[h[0][1]]))
+
+    def match_mors(chosen):
+        omap = dict(zip(cobjs, chosen))
+        # one slot per morphism of C, hom-set by hom-set; the hom-sets of
+        # D are disjoint, so no image is used twice anywhere.  The
+        # morphism counts agree, so once the non-empty hom-sets of C have
+        # their sizes matched, every other hom-set of D is empty
+        slots = []
+        for (x, y), hc in homs:
+            hd = D.hom(omap[x], omap[y])
+            if len(hc) != len(hd):
+                return None
+            slots += [(m, hd) for m in hc]
+
+        def images(picked):
+            m, hd = slots[len(picked)]
+            used, is_id = set(picked), C.is_identity(m)
+            return (im for im in hd if im not in used and D.is_identity(im) == is_id)
+
+        def functorial(picked):
+            mmap = dict(zip([m for m, _ in slots], picked))
+            for (g, f), gf in C.compose_table.items():
+                if D.compose_table[(mmap[g], mmap[f])] != mmap[gf]:
                     return None
-                pairs.append((list(hc), list(hd)))
+            return omap, mmap
 
-        mmap = {}
+        return _first_choice(len(slots), images, functorial)
 
-        def extend(i):
-            if i == len(pairs):
-                for (g, f), gf in C.compose_table.items():
-                    if D.compose_table[(mmap[g], mmap[f])] != mmap[gf]:
-                        return False
-                return True
-            hc, hd = pairs[i]
-
-            def pick(j, used):
-                if j == len(hc):
-                    return extend(i + 1)
-                m = hc[j]
-                for im in hd:
-                    if im in used:
-                        continue
-                    if C.is_identity(m) != D.is_identity(im):
-                        continue
-                    mmap[m] = im
-                    if pick(j + 1, used | {im}):
-                        return True
-                    del mmap[m]
-                return False
-
-            return pick(0, frozenset())
-
-        if extend(0):
-            return dict(mmap)
+    found = _first_choice(len(cobjs), object_images, match_mors)
+    if found is None:
         return None
-
-    omap = {}
-
-    def assign(i, used):
-        if i == len(cobjs):
-            return match_mors(omap)
-        x = cobjs[i]
-        for d in sorted(D.objects):
-            if d in used:
-                continue
-            if pc[x] != pd[d]:
-                continue
-            omap[x] = d
-            got = assign(i + 1, used | {d})
-            if got is not None:
-                return got
-            del omap[x]
-        return None
-
-    mmap = assign(0, frozenset())
-    if mmap is None:
-        return None
-    fwd = Fun(C, D, dict(omap), mmap)
-    back = Fun(
-        D,
-        C,
-        {v: k for k, v in omap.items()},
-        {v: k for k, v in mmap.items()},
-    )
-    return fwd, back
+    omap, mmap = found
+    back = Fun(D, C, {v: k for k, v in omap.items()}, {v: k for k, v in mmap.items()})
+    return Fun(C, D, omap, mmap), back

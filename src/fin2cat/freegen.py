@@ -106,21 +106,19 @@ def make_path(graph, start, edges):
 
 def enumerate_paths(G, a, b, max_len):
     """All paths from a to b with at most max_len edges, shortest first and
-    in edge-name order within a length."""
+    in edge-name order within a length.  Walks depth first with an
+    explicit stack, over the out-edges of each node listed once."""
+    out = {}
+    for e in G.edges:
+        out.setdefault(G.src[e], []).append(e)
     found = []
-
-    def walk(at, acc):
+    stack = [(a, ())] if max_len >= 0 else []
+    while stack:
+        at, es = stack.pop()
         if at == b:
-            found.append(tuple(acc))
-        if len(acc) == max_len:
-            return
-        for e in sorted(G.edges):
-            if G.src[e] == at:
-                acc.append(e)
-                walk(G.tgt[e], acc)
-                acc.pop()
-
-    walk(a, [])
+            found.append(es)
+        if len(es) < max_len:
+            stack += [(G.tgt[e], es + (e,)) for e in out.get(at, ())]
     found.sort(key=lambda es: (len(es), es))
     return [Path(G, a, es) for es in found]
 

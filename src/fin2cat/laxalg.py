@@ -28,6 +28,8 @@ from .errors import (
 )
 from .fincat import (
     FinCat,
+    Fun,
+    NatT,
     _fun_key,
     compose_fun,
     composition_table,
@@ -97,11 +99,18 @@ class MonadUniverse:
 
     m, eta and T on functors are memoised on the universe: each distinct
     structure functor (m or eta at a member, T(F) for each functor F
-    between members) is built and proved by make_fun once, the first
-    time it is asked for, and every later call returns that same object.
-    The memo lives as long as the universe does; a failed build is not
-    remembered and fails again on the next call.  Members are found by
-    identity first, so index_of on a member compares no tables.
+    between members) is built once, the first time it is asked for, and
+    every later call returns that same object.  The memo lives as long as
+    the universe does; a failed build is not remembered and fails again
+    on the next call.  Members are found by identity first, so index_of
+    on a member compares no tables.
+
+    What is proved: m and eta by make_fun, since they read the monoid's
+    table, and a Monoid(check=False) table may hold anything; mu, iota
+    and tau by make_nat, which is where check_pseudomonad meets a
+    non-associative table.  What is lawful by theorem and built without
+    proof: the members T(X) = M x X, products of proved categories, and
+    T(F) = id x F and T(a) = id x a for a functor F and a cell a.
     """
 
     def __init__(self, monoid, seeds, depth):
@@ -167,7 +176,7 @@ class MonadUniverse:
         TS, TT = self.T(F.src), self.T(F.tgt)
         return self._memoised(
             ("T", self.index_of(F.src), self.index_of(F.tgt), _fun_key(F)),
-            lambda: make_fun(
+            lambda: Fun(
                 TS,
                 TT,
                 {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
@@ -181,7 +190,7 @@ class MonadUniverse:
         comps = {
             o: TT.pair_mor(g, a.at(x)) for o, (g, x) in TS.obj_pair.items()
         }
-        return make_nat(self.T_fun(a.src), self.T_fun(a.tgt), comps)
+        return NatT(self.T_fun(a.src), self.T_fun(a.tgt), comps)
 
     def eta(self, C):
         TC = self.T(C)
@@ -616,7 +625,9 @@ class AlgHomCat(FinCat):
     transformations.  Objects are named (F#, n#) after the functor and
     comparison-cell identifiers in the underlying hom categories; data
     and trans recover the actual structures.  levels, when given, are the
-    already built hom categories [Y, Z] and [TY, Z] to read them from."""
+    already built hom categories [Y, Z] and [TY, Z] to read them from.
+    The algebra morphisms and their transformations form a category, so
+    the table is built without proof."""
 
     def __init__(self, U, y, z, cls, levels=None):
         if cls not in ("lax", "pseudo"):
@@ -667,16 +678,7 @@ class AlgHomCat(FinCat):
             return "[%s:%s->%s]" % (c, dom[m1], cod[m2])
 
         compose = composition_table(morphisms, dom, cod, composite)
-        checked = make_fincat(objects, morphisms, dom, cod, identity, compose)
-        FinCat.__init__(
-            self,
-            checked.objects,
-            checked.morphisms,
-            checked.dom,
-            checked.cod,
-            checked.identity,
-            checked.compose_table,
-        )
+        FinCat.__init__(self, objects, morphisms, dom, cod, identity, compose)
         self.data = data
         self.trans = trans
         self.hom_class = cls
@@ -693,8 +695,9 @@ def build_Tzy(U, y, z):
     lax morphisms y -> z.
 
     Levels are the hom categories out of Y, TY, T^2 Y into Z; the faces
-    precompose with the action/multiplication or apply a_z.T(-); the
-    comparison cells whisker zbar/zbar0 of the two algebras."""
+    precompose with the action/multiplication or apply a_z.T(-), and are
+    functors by theorem, built without proof; the comparison cells whisker
+    zbar/zbar0 of the two algebras and are proved by make_nat."""
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
     T2Y = U.T(TY)
@@ -703,7 +706,7 @@ def build_Tzy(U, y, z):
     d3 = hom_cat(T2Y, Z)
 
     def mk(src_h, tgt_h, on_f, on_n):
-        return make_fun(
+        return Fun(
             src_h,
             tgt_h,
             {o: tgt_h.obj_id(on_f(src_h.functor_of(o))) for o in src_h.objects},

@@ -300,16 +300,49 @@ def nonassociative_mutants(els, unit, table):
                 yield bad
 
 
+def proved_cat(C):
+    """C's tables proved again by make_fincat: the route every category
+    took before laws were proved only where data comes in."""
+    return make_fincat(
+        C.objects, C.morphisms, C.dom, C.cod, C.identity, C.compose_table
+    )
+
+
+def proved_fun(F):
+    """F's maps proved again by make_fun."""
+    return make_fun(F.src, F.tgt, F.on_obj, F.on_mor)
+
+
+def proved_nat(a):
+    """a's components proved again by make_nat."""
+    return make_nat(a.src, a.tgt, a.components)
+
+
 class UncachedUniverse(laxalg.MonadUniverse):
-    """MonadUniverse without its memo or its identity index: every m, eta
-    and T_fun call builds and proves its functor anew, and index_of scans
-    the members by equality.  The oracle for the memoised universe."""
+    """MonadUniverse without its memo or its identity index, proving what
+    the universe builds as lawful by theorem: every member is proved by
+    make_fincat as it joins, every m, eta and T_fun call builds its
+    functor anew and T_fun proves it by make_fun, T_nat proves its cell by
+    make_nat, and index_of scans the members by equality.  The oracle for
+    the memoised universe."""
+
+    def _add(self, name, cat):
+        proved_cat(cat)
+        return super()._add(name, cat)
 
     def _memoised(self, key, build):
         return build()
 
     def index_of(self, C):
         return self._scan(C)
+
+    def T_fun(self, F):
+        TF = super().T_fun(F)
+        return laxalg.make_fun(TF.src, TF.tgt, TF.on_obj, TF.on_mor)
+
+    def T_nat(self, a):
+        Ta = super().T_nat(a)
+        return laxalg.make_nat(Ta.src, Ta.tgt, Ta.components)
 
 
 def slicing_normalize(word, rules, spend=None):
@@ -594,3 +627,112 @@ def recursive_enumerate_nats(F, G):
 
     assign(0, {})
     return out
+
+
+def recursive_iso_categories(C, D):
+    """iso_categories by recursive backtracking: objects matched by
+    hom-profile in sorted order, then morphism bijections extended
+    hom-set by hom-set over every pair of objects, then the composition
+    table verified.  The oracle for fincat.iso_categories."""
+    if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
+        return None
+
+    def profile(K):
+        sizes = {}
+        for x in K.objects:
+            row = sorted(len(K.hom(x, y)) for y in K.objects)
+            col = sorted(len(K.hom(y, x)) for y in K.objects)
+            sizes[x] = (len(K.hom(x, x)), tuple(row), tuple(col))
+        return sizes
+
+    pc, pd = profile(C), profile(D)
+    cobjs = sorted(C.objects)
+
+    def match_mors(omap):
+        pairs = []
+        for x in cobjs:
+            for y in cobjs:
+                hc = C.hom(x, y)
+                hd = D.hom(omap[x], omap[y])
+                if len(hc) != len(hd):
+                    return None
+                pairs.append((list(hc), list(hd)))
+
+        mmap = {}
+
+        def extend(i):
+            if i == len(pairs):
+                for (g, f), gf in C.compose_table.items():
+                    if D.compose_table[(mmap[g], mmap[f])] != mmap[gf]:
+                        return False
+                return True
+            hc, hd = pairs[i]
+
+            def pick(j, used):
+                if j == len(hc):
+                    return extend(i + 1)
+                m = hc[j]
+                for im in hd:
+                    if im in used:
+                        continue
+                    if C.is_identity(m) != D.is_identity(im):
+                        continue
+                    mmap[m] = im
+                    if pick(j + 1, used | {im}):
+                        return True
+                    del mmap[m]
+                return False
+
+            return pick(0, frozenset())
+
+        if extend(0):
+            return dict(mmap)
+        return None
+
+    omap = {}
+
+    def assign(i, used):
+        if i == len(cobjs):
+            return match_mors(omap)
+        x = cobjs[i]
+        for d in sorted(D.objects):
+            if d in used:
+                continue
+            if pc[x] != pd[d]:
+                continue
+            omap[x] = d
+            got = assign(i + 1, used | {d})
+            if got is not None:
+                return got
+            del omap[x]
+        return None
+
+    mmap = assign(0, frozenset())
+    if mmap is None:
+        return None
+    fwd = fincat.Fun(C, D, dict(omap), mmap)
+    back = fincat.Fun(
+        D, C, {v: k for k, v in omap.items()}, {v: k for k, v in mmap.items()}
+    )
+    return fwd, back
+
+
+def recursive_enumerate_paths(G, a, b, max_len):
+    """enumerate_paths by recursive walking, scanning every edge of the
+    graph at each step.  The oracle for freegen.enumerate_paths."""
+    found = []
+
+    def walk(at, acc):
+        if at == b:
+            found.append(tuple(acc))
+        if len(acc) == max_len:
+            return
+        for e in sorted(G.edges):
+            if G.src[e] == at:
+                acc.append(e)
+                walk(G.tgt[e], acc)
+                acc.pop()
+
+    walk(a, [])
+    found.sort(key=lambda es: (len(es), es))
+    return [Path(G, a, es) for es in found]

@@ -7,6 +7,7 @@ union-find interchange closure for pasting words, the Kleisli category
 for strictification, and scripted perturbations for the validators.
 """
 
+import hashlib
 import io
 import itertools
 import os
@@ -461,6 +462,137 @@ def test_7_reports_are_deterministic():
         time.monotonic() - t0,
         60,
     )
+
+
+def _pinned_slate():
+    """ROADMAP's determinism slate: test_7's commands, then hom (lax and
+    pseudo), verify-prop-descent and build-tzy on every algebra pair of
+    both fixtures, duplicates dropped.  Each argv is keyed by its words
+    with the fixture paths cut to their file names."""
+    argvs = [list(a) for a in CLI_SLATE]
+    for path, algebras in ((MONAD_FX, ("idalg", "const1")), (Z2_FX, ("swap", "skew"))):
+        for y, z in itertools.product(algebras, repeat=2):
+            argvs.append(["hom", "--input", path, y, z, "lax"])
+            argvs.append(["hom", "--input", path, y, z, "pseudo"])
+            argvs.append(["verify-prop-descent", "--input", path, y, z])
+            argvs.append(["build-tzy", "--input", path, y, z])
+    slate = {}
+    for argv in argvs:
+        key = " ".join(os.path.basename(w) if w.startswith(FIXTURES) else w for w in argv)
+        slate.setdefault(key, argv)
+    return slate
+
+
+# exit code and sha256 of the report of every slate command, as recorded
+# before laws were proved only at the trust boundary; a change that keeps
+# every answer keeps these
+SLATE_PINS = (
+    ("validate --input monad_on_2.json", 0,
+     "06accf2b7658fbde9e59e0257a8b23b044ac862789c4be47928e1940590ff2e5"),
+    ("check-pseudomonad --input monad_on_2.json U", 0,
+     "f0cc364ccadfc3f23884f300a9b128b6c432b1ef09874b440fa23123baa61a7d"),
+    ("check-algebra --input monad_on_2.json idalg", 0,
+     "9aedbef709d9188a39009b7b8b0f16026c0d803e8d9220975fdfc0d479681f6d"),
+    ("check-morphism --input monad_on_2.json collapse", 0,
+     "b67fb823e745bddb21f00b64bcc06a067be40ff7dde964dd9da5ff2eee77ffbc"),
+    ("hom --input monad_on_2.json idalg idalg lax", 0,
+     "632e929f5c5b82d9b4522897d39cad4318d1b9e0255922c9534f05efc732549e"),
+    ("descent --input monad_on_2.json Did", 0,
+     "a2a8ff44d4689d04eacfea5eba0ddfadd564b0ba980cd951d5f9cdf429d90abb"),
+    ("lax-descent --input monad_on_2.json Did", 0,
+     "53610e17aa50565d43eb127519a044cd3fded4e1d44d1d3536bb8745d21c2975"),
+    ("verify-prop-descent --input monad_on_2.json idalg idalg", 0,
+     "8d363d2554c35c34adc62c1352df7db9d29db9368bc7e9e5ec08c2d9397945a2"),
+    ("build-tzy --input monad_on_2.json idalg const1", 0,
+     "2205205fd5d1f63343b0c4891a5c71a89831c8dc5add69074f64cb06fc28ece5"),
+    ("normalize-2cell --input monad_on_2.json DeltaDotLax 1 d0,p0 0:sig00", 0,
+     "615a964bd87e95401dcb5f5b0421b9e82c47e411ba7a899b598efb3c8260791b"),
+    ("preorder-leq --input monad_on_2.json DeltaDotLax 0 d d,d0,s0", 0,
+     "d4741b2a93991d106827affeb779c725454e9dadb1a89dee17d74db915808c59"),
+    ("kleisli --input monad_on_2.json const1", 0,
+     "d2bf130096208fd29a7c7d571272d1d6d97ed1123e8cedc25069df86106a16a9"),
+    ("strictify --input monad_on_2.json const1", 0,
+     "cfa0fb12e368a685918b123575d17feee58478cd2f5d792d3a90761013866b56"),
+    ("verify-codescent --input monad_on_2.json const1 --probes 1,C2", 0,
+     "66fb4b8b0ed120076d9ed1a4ab35c602cb636f0742c3ba1b6c34985dfddf47e1"),
+    ("validate --input z2_action.json", 0,
+     "2d225b8cf02768127ff4ec38ae9a7715ab107b429105ef154a8a4c4031b9e542"),
+    ("check-pseudomonad --input z2_action.json U2", 0,
+     "597445993dac7b5612e9456fe327e3535e9dd9269bc5db409397b7c0a842590d"),
+    ("check-algebra --input z2_action.json swap", 0,
+     "4b2f3edd4fe2d7d5079371620e75f1a7a2a8079addd4e3a92f6bf790f84086ca"),
+    ("check-algebra --input z2_action.json skew", 1,
+     "cd485d68e04bbd69bf51c2dd526c2dad46fdb779ded1ede8c665b1661ff786bf"),
+    ("check-morphism --input z2_action.json ident", 0,
+     "9be5140ac7b8c60da59cd18ba716eff8e4e5d0dbdb6899be9053a5ddd1431f9a"),
+    ("hom --input z2_action.json swap swap pseudo", 0,
+     "f2d4295d7455c20260fdd1984b10c8e9304beb354c18a0b07c3fadbdedfbb948"),
+    ("verify-prop-descent --input z2_action.json swap swap", 0,
+     "a40b825630355faf116144e2e2a6af2cf87580e90cb9b9e7406b7cc2545fc9b6"),
+    ("build-tzy --input z2_action.json swap swap", 0,
+     "68a45814fd1fe4342ebcd4d43ed08af7c3442cdc0ed296f2698fafc06e7c87a1"),
+    ("hom --input monad_on_2.json idalg idalg pseudo", 0,
+     "683908391d3b5cf699e962f6f257f341dd4ef348dd0aac8fd922f816c5ff1a57"),
+    ("build-tzy --input monad_on_2.json idalg idalg", 0,
+     "2205205fd5d1f63343b0c4891a5c71a89831c8dc5add69074f64cb06fc28ece5"),
+    ("hom --input monad_on_2.json idalg const1 lax", 0,
+     "abda29dec7aaa136dc4bbcdd4472ccfafd954a32aa1ed180ccd602c470b2489c"),
+    ("hom --input monad_on_2.json idalg const1 pseudo", 0,
+     "44e55dc6792f80695111be97259be05ea61c7aa7e26a68462d99083d1dc5b026"),
+    ("verify-prop-descent --input monad_on_2.json idalg const1", 0,
+     "2e5f7b5aa3c75e2e24a327f38c33284cbd69187182267d76a0fbecd48362725d"),
+    ("hom --input monad_on_2.json const1 idalg lax", 0,
+     "20be38c326b04f27b7a7d9d0cdec7a7e0b67e62f05e479f27c7a7c3ee03babe7"),
+    ("hom --input monad_on_2.json const1 idalg pseudo", 0,
+     "f7fc8e0f4076233afbf943f0bedf2f6dcdc23924f644f419b4e4d0e51e4b0be3"),
+    ("verify-prop-descent --input monad_on_2.json const1 idalg", 0,
+     "e5fa41d5b762afbfdd22416459a5f271337f21149b05052579675b2fe48dc660"),
+    ("build-tzy --input monad_on_2.json const1 idalg", 0,
+     "2205205fd5d1f63343b0c4891a5c71a89831c8dc5add69074f64cb06fc28ece5"),
+    ("hom --input monad_on_2.json const1 const1 lax", 0,
+     "9dcf03b295b5744ebd9c20e9456e19f53ad3781115c0794bd56e4d93a5267dc9"),
+    ("hom --input monad_on_2.json const1 const1 pseudo", 0,
+     "678c66ecd3475d840e413c1dff1e8296e7cf2a348615d4f6c0a59b143a6d3a71"),
+    ("verify-prop-descent --input monad_on_2.json const1 const1", 0,
+     "615d499fe3af180922ba72b21019b2db317a7e9a46a09fe60d2cc6502e3b9eac"),
+    ("build-tzy --input monad_on_2.json const1 const1", 0,
+     "2205205fd5d1f63343b0c4891a5c71a89831c8dc5add69074f64cb06fc28ece5"),
+    ("hom --input z2_action.json swap swap lax", 0,
+     "87364bf10929fcdbbeabe4abf42c09a56fa813921cfb143c71780484afe3bb55"),
+    ("hom --input z2_action.json swap skew lax", 0,
+     "bcc6f1d0af73b43c7b5bb396a6e932734f83e74da1379afed248ce547e1a8fee"),
+    ("hom --input z2_action.json swap skew pseudo", 0,
+     "92ddaa3579dab32664823ddcb340ec9fae714d0359ba7ce06d756ff33790dfeb"),
+    ("verify-prop-descent --input z2_action.json swap skew", 0,
+     "ec313615852303addaa314988e82daa8f5a094be96ec55910b7bd24aa7d4c2ea"),
+    ("build-tzy --input z2_action.json swap skew", 0,
+     "b9c981bed180533dedd8f384c2fe0371ec229953096a790e8996e56441dc745b"),
+    ("hom --input z2_action.json skew swap lax", 0,
+     "bcc6f1d0af73b43c7b5bb396a6e932734f83e74da1379afed248ce547e1a8fee"),
+    ("hom --input z2_action.json skew swap pseudo", 0,
+     "92ddaa3579dab32664823ddcb340ec9fae714d0359ba7ce06d756ff33790dfeb"),
+    ("verify-prop-descent --input z2_action.json skew swap", 0,
+     "ec313615852303addaa314988e82daa8f5a094be96ec55910b7bd24aa7d4c2ea"),
+    ("build-tzy --input z2_action.json skew swap", 0,
+     "ea4bda48441bef7fbbcb048a195158888fe53cee8dd6e304b9554a1ec139d5ca"),
+    ("hom --input z2_action.json skew skew lax", 0,
+     "a87e99e2d37d7aaf60e3032888528ea2870e101ae33e2f13763ffeddea8d1eeb"),
+    ("hom --input z2_action.json skew skew pseudo", 0,
+     "6d6d6862bb0a6f629e43016dcd83d7672d3a44b7c6e613965cef189c70e95020"),
+    ("verify-prop-descent --input z2_action.json skew skew", 0,
+     "71167adfb04dba1134c5ee2a1bec68d8263b8a44830e09f2fcd7941ea3b4a830"),
+    ("build-tzy --input z2_action.json skew skew", 0,
+     "8cad7d90d3e444f5ff4acb6eace76a002444bd622858f8edea75bfec2013b8e8"),
+)
+
+
+def test_cli_slate_reports_match_their_pins():
+    slate = _pinned_slate()
+    assert list(slate) == [key for key, _, _ in SLATE_PINS]
+    for key, code, digest in SLATE_PINS:
+        got_code, out = run_cli(slate[key])
+        got = (got_code, hashlib.sha256(out.encode()).hexdigest())
+        assert got == (code, digest), key
 
 
 # ---------------------------------------------------------------------------

@@ -313,3 +313,141 @@ def test_main_reports_input_errors_with_exit_code_three(tmp_path, capsys):
     assert main(["check-algebra", "--input", MONAD_FX, "ghost"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["data"]["error"] == "ReferenceError"
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary: every law that comes in from a workspace is proved
+
+
+def _z2_action(images):
+    """A functor spec T(Z2cat) -> Z2cat from the images of the pairs
+    (g, f) of the monoid element g and the morphism f."""
+    return {
+        "on_objects": {"(e,*)": "*", "(s,*)": "*"},
+        "on_morphisms": {"(%s,%s)" % gf: v for gf, v in images.items()},
+    }
+
+
+# e the unit, a.a = b, a.b = a, b.a = b, b.b = a: (a.a).a = b but a.(a.a) = a
+_NONASSOC = [
+    ["e", "e", "e"], ["e", "a", "a"], ["e", "b", "b"],
+    ["a", "e", "a"], ["a", "a", "b"], ["a", "b", "a"],
+    ["b", "e", "b"], ["b", "a", "b"], ["b", "b", "a"],
+]
+# functorial on each copy of Z2cat, but a(s, a(s, s)) = e while a(e, s) = s
+_NOT_ASSOCIATIVE = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "e", ("s", "s"): "e"}
+_BROKEN_INPUTS = {
+    "category table": (
+        "categories",
+        "bad",
+        {
+            "objects": ["*"],
+            "morphisms": {m: ["*", "*"] for m in "eab"},
+            "identities": {"*": "e"},
+            "compose": _NONASSOC,
+        },
+        "categories.bad: associativity fails on ('a', 'a', 'a')",
+    ),
+    "monoid": (
+        "monoids",
+        "bad",
+        {"elements": ["e", "a", "b"], "unit": "e", "table": _NONASSOC},
+        "monoids.bad: associativity fails on ('a', 'a', 'a')",
+    ),
+    "strict action, not functorial": (
+        "algebras",
+        "bad",
+        {
+            "universe": "U2",
+            "carrier": "Z2cat",
+            "kind": "strict",
+            "action": _z2_action(
+                {("e", "e"): "s", ("e", "s"): "s", ("s", "e"): "e", ("s", "s"): "s"}
+            ),
+        },
+        "algebras.bad: identity of '(e,*)' not preserved",
+    ),
+    "strict action, not associative": (
+        "algebras",
+        "bad",
+        {
+            "universe": "U2",
+            "carrier": "Z2cat",
+            "kind": "strict",
+            "action": _z2_action(_NOT_ASSOCIATIVE),
+        },
+        "algebras.bad: naturality square fails at '(s,(s,s))'",
+    ),
+    "lax algebra, zbar not natural": (
+        "algebras",
+        "bad",
+        {
+            "universe": "U2",
+            "carrier": "Z2cat",
+            "kind": "lax",
+            "a": _z2_action(_NOT_ASSOCIATIVE),
+            "zbar": {"(%s,(%s,*))" % (g, h): "e" for g in "es" for h in "es"},
+            "zbar0": {"*": "e"},
+        },
+        "algebras.bad: naturality square fails at '(s,(s,s))'",
+    ),
+    "morphism, wrong fbar component": (
+        "morphisms",
+        "ident",
+        {
+            "source": "swap",
+            "target": "swap",
+            "f": {
+                "on_objects": {"p": "p", "q": "q"},
+                "on_morphisms": {"idp": "idp", "idq": "idq"},
+            },
+            "fbar": {"(e,p)": "idq", "(e,q)": "idq", "(s,p)": "idq", "(s,q)": "idp"},
+        },
+        "morphisms.ident: component at '(e,p)' must be a morphism 'p' -> 'p',"
+        " got 'idq'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_INPUTS))
+def test_a_broken_law_from_the_workspace_is_an_error_report(case, tmp_path, capsys):
+    section, name, spec, message = _BROKEN_INPUTS[case]
+    with open(Z2_FX) as fh:
+        payload = json.load(fh)
+    payload[section][name] = spec
+    assert main(["validate", "--input", write(tmp_path, payload)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["data"] == {"error": "ParseError", "message": message}
+
+
+def test_colliding_product_names_are_an_error_report(tmp_path, capsys):
+    # T(S) = M x S names both (e, ",x") and ("e,", x) "(e,,x)"
+    payload = {
+        "categories": {
+            "S": {
+                "objects": ["x", ",x"],
+                "morphisms": {"idx": ["x", "x"], "id,x": [",x", ",x"]},
+                "identities": {"x": "idx", ",x": "id,x"},
+                "compose": [["idx", "idx", "idx"], ["id,x", "id,x", "id,x"]],
+            }
+        },
+        "monoids": {
+            "M": {
+                "elements": ["e", "e,"],
+                "unit": "e",
+                "table": [
+                    ["e", "e", "e"], ["e", "e,", "e,"],
+                    ["e,", "e", "e,"], ["e,", "e,", "e,"],
+                ],
+            }
+        },
+        "universes": {"U": {"monoid": "M", "seeds": ["S"], "depth": 1}},
+    }
+    assert main(["validate", "--input", write(tmp_path, payload)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["data"] == {
+        "error": "ParseError",
+        "message": "universes.U: product name '(e,,x)' names two pairs",
+    }

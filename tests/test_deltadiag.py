@@ -118,3 +118,17 @@ def test_theta_invertible():
     assert theta_invertible(good)
     bad = make_dot_extension(base=d, D0=C, Dd=i, Dtheta=cell("a"))
     assert not theta_invertible(bad)
+
+
+def test_failures_name_each_equation_and_both_sides():
+    # in Z/2 with theta = e: sig00.theta.sig20.theta = e but
+    # theta.sig21 = s, and Ds0(theta).n1 = e but n0 = s
+    d = monoid_diagram(z2_cat(), "e", "e", "s", "s", "e")
+    v = check_dot_extension(monoid_extension(d, "e"))
+    assert v.failures == [
+        "associativity equation fails at '*': 'e' != 's'",
+        "identity equation fails at '*': 'e' != 's'",
+    ]
+    d = monoid_diagram(z2_cat(), "e", "e", "e", "s", "e")
+    v = check_dot_extension(monoid_extension(d, "e"))
+    assert v.failures == ["identity equation fails at '*': 'e' != 's'"]

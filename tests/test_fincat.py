@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fin2cat
-from fin2cat import fincat
+from fin2cat import codescent, fincat
 from fin2cat.cli import load
+from fin2cat.codescent import build_Ay_strict, lax_codescent
+from fin2cat.deltadiag import make_delta_diagram
+from fin2cat.descent import invertible_part, lax_descent
 from fin2cat.errors import (
     AxiomViolation,
     BoundaryMismatch,
     FunctorialityViolation,
     NaturalityViolation,
 )
-from fin2cat.laxalg import build_Tzy
+from fin2cat.laxalg import AlgHomCat, build_Tzy, check_lax_algebra, check_pseudomonad
 from helpers import (
     SMALL_MONOIDS,
     brute_force_hom_cat,
@@ -22,8 +25,12 @@ from helpers import (
     identity_fun_on,
     layered_cat,
     one_object_cat,
+    proved_cat,
+    proved_fun,
+    proved_nat,
     recursive_enumerate_functors,
     recursive_enumerate_nats,
+    recursive_iso_categories,
     terminal_cat,
     triple_loop_make_fincat,
     walking_arrow,
@@ -552,6 +559,27 @@ def test_product_with_terminal_is_isomorphic():
     assert fincat.compose_fun(f, g) == fincat.identity_fun(C)
 
 
+def _idempotent_cat(unit, other):
+    """One object, the identity unit and an idempotent other."""
+    els = [unit, other]
+    table = {(g, f): g if f == unit else f if g == unit else other for g in els for f in els}
+    return one_object_cat(els, unit, table)
+
+
+def test_product_names_that_collide_are_refused():
+    # "(e,,x)" names both the pair (e, ",x") and the pair ("e,", x)
+    with pytest.raises(AxiomViolation) as got:
+        fincat.product_cat(discrete(["e", "e,"]), discrete(["x", ",x"]))
+    assert str(got.value) == "product name '(e,,x)' names two pairs"
+    # one object "(*,*)", but "(i,,j)" names two pairs of morphisms
+    with pytest.raises(AxiomViolation) as got:
+        fincat.product_cat(_idempotent_cat("i", "i,"), _idempotent_cat("j", ",j"))
+    assert str(got.value) == "product name '(i,,j)' names two pairs"
+    # names with commas that print apart are fine
+    P = fincat.product_cat(discrete(["e,"]), discrete(["x", ",x"]))
+    assert P.objects == ("(e,,x)", "(e,,,x)")
+
+
 # ---------------------------------------------------------------------------
 # hom_cat
 
@@ -809,3 +837,159 @@ def test_iso_distinguishes_composition():
     )
     assert fincat.iso_categories(z2, z2) is not None
     assert fincat.iso_categories(z2, idem) is None
+
+
+def relabeled(C, rnd):
+    """C with its objects and morphisms renamed and listed in a shuffled
+    order, so that sorted order no longer follows C's."""
+    objs, mors = list(C.objects), list(C.morphisms)
+    rnd.shuffle(objs)
+    rnd.shuffle(mors)
+    o = {x: "o%d" % i for i, x in enumerate(objs)}
+    m = {f: "m%d" % i for i, f in enumerate(mors)}
+    return fincat.make_fincat(
+        [o[x] for x in objs],
+        [m[f] for f in mors],
+        {m[f]: o[C.dom[f]] for f in mors},
+        {m[f]: o[C.cod[f]] for f in mors},
+        {o[x]: m[C.identity[x]] for x in objs},
+        {(m[g], m[f]): m[gf] for (g, f), gf in C.compose_table.items()},
+    )
+
+
+def assert_same_iso(C, D):
+    """iso_categories finds the isomorphism the recursive search finds
+    first, maps listed in the same order, or neither finds one."""
+    got, want = fincat.iso_categories(C, D), recursive_iso_categories(C, D)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(list(F.on_obj.items()), list(F.on_mor.items())) for F in got] == [
+            (list(F.on_obj.items()), list(F.on_mor.items())) for F in want
+        ]
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_categories(), small_categories(), st.randoms(use_true_random=False))
+def test_iso_matches_the_recursive_search(C, D, rnd):
+    assert_same_iso(C, D)
+    R = relabeled(C, rnd)
+    assert assert_same_iso(C, R) is not None
+    assert assert_same_iso(R, C) is not None
+
+
+def test_iso_matches_the_recursive_search_on_named_categories():
+    cats = [terminal_cat(), walking_arrow(), walking_iso(), chain3(), discrete([])]
+    cats += [discrete("ab"), layered_cat(2, [(0, 1)], ["z2", "idem"])]
+    cats += [fincat.product_cat(walking_arrow(), walking_iso())]
+    for C in cats:
+        for D in cats:
+            assert_same_iso(C, D)
+
+
+def test_iso_backtracks_over_objects_and_morphisms():
+    # objects: 0 first goes to 0, whose endomorphisms are the wrong monoid
+    C = layered_cat(2, [], ["z2", "idem"])
+    D = layered_cat(2, [], ["idem", "z2"])
+    fwd, _ = assert_same_iso(C, D)
+    assert fwd.on_obj == {"0": "1", "1": "0"}
+    # morphisms: a first goes to the absorbing b, which squares to itself
+    nil = {(g, f): g if f == "e" else f if g == "e" else "b" for g in ELS3 for f in ELS3}
+    C = one_object_cat(ELS3, "e", nil)
+    D = one_object_cat(["e", "b", "a"], "e", nil)
+    fwd, _ = assert_same_iso(C, D)
+    assert fwd.on_mor == {"e": "e", "a": "a", "b": "b"}
+
+
+def test_iso_of_long_discrete_categories():
+    # more objects than the interpreter's default recursion limit
+    C = discrete(["x%04d" % i for i in range(1100)])
+    D = discrete(["y%04d" % i for i in range(1100)])
+    fwd, back = fincat.iso_categories(C, D)
+    assert fwd.on_obj == {"x%04d" % i: "y%04d" % i for i in range(1100)}
+    assert fincat.compose_fun(back, fwd) == fincat.identity_fun(C)
+
+
+# ---------------------------------------------------------------------------
+# lawful by theorem: what the library builds from proved categories without
+# proving it again, proved here once with make_fincat / make_fun / make_nat
+
+
+def assert_lawful(*cats, funs=(), nats=()):
+    for C in cats:
+        assert proved_cat(C) == C
+    for F in funs:
+        assert proved_fun(F) == F
+    for a in nats:
+        assert proved_nat(a) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), small_categories())
+def test_products_and_functor_categories_are_categories(C, D):
+    P = fincat.product_cat(C, D)
+    assert_lawful(P, fincat.hom_cat(C, D), funs=(P.proj1, P.proj2))
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U = y.universe
+    D = build_Tzy(U, y, z)
+    faces = [D.Dd0, D.Dd1, D.Ds0, D.Dp0, D.Dp1, D.Dp2]
+    assert_lawful(D.D1, D.D2, D.D3, funs=faces)
+    lax = lax_descent(D)
+    strict = invertible_part(lax)
+    assert_lawful(
+        lax.carrier,
+        strict.carrier,
+        funs=(lax.projection, strict.projection, strict.inclusion),
+    )
+    for cls in ("lax", "pseudo"):
+        assert_lawful(
+            AlgHomCat(U, y, z, cls),
+            AlgHomCat(U, y, z, cls, levels=(D.D1, D.D2)),
+        )
+
+
+@pytest.mark.parametrize("fixture", ["monad_on_2.json", "z2_action.json"])
+def test_universe_members_and_T_are_lawful(fixture):
+    ws = load(os.path.join(FIXTURES, fixture))
+    for U in ws.universes.values():
+        assert check_pseudomonad(U)
+    # fill each universe's memo with the T(F) that the commands build
+    for z in ws.algebras.values():
+        U = z.universe
+        assert_lawful(nats=(U.T_nat(z.zbar), U.T_nat(z.zbar0)))
+        check_lax_algebra(U, z)
+    for y in ws.algebras.values():
+        for z in ws.algebras.values():
+            if y.universe is z.universe:
+                build_Tzy(y.universe, y, z)
+    for U in ws.universes.values():
+        Ts = [F for key, F in U._memo.items() if key[0] == "T"]
+        assert len(Ts) > 10
+        assert_lawful(*U.members, funs=Ts)
+
+
+def test_codescent_probe_faces_are_lawful(monkeypatch):
+    ws = load(os.path.join(FIXTURES, "monad_on_2.json"))
+    z = ws.algebras["const1"]
+    A = build_Ay_strict(z.universe, z)
+    diagrams = []
+
+    def keep(**kw):
+        diagrams.append(kw)
+        return make_delta_diagram(**kw)
+
+    monkeypatch.setattr(codescent, "make_delta_diagram", keep)
+    probes = [("1", ws.categories["1"]), ("C2", ws.categories["C2"])]
+    report = codescent.verify_codescent_universal(A, lax_codescent(A), probes)
+    assert report["status"] == "pass"
+    assert len(diagrams) == 2
+    for kw in diagrams:
+        assert_lawful(
+            kw["D1"], kw["D2"], kw["D3"],
+            funs=[kw[f] for f in ("Dd0", "Dd1", "Ds0", "Dp0", "Dp1", "Dp2")],
+        )

@@ -1,6 +1,7 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fin2cat import freegen
 from fin2cat.errors import (
@@ -25,7 +26,7 @@ from fin2cat.freegen import (
     validate_computad,
 )
 
-from helpers import path_rewrites
+from helpers import path_rewrites, recursive_enumerate_paths
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,51 @@ def test_enumerate_paths_ordering():
         ["y", "x"],
         ["y", "y"],
     ]
+
+
+@st.composite
+def small_graphs(draw):
+    """At most three nodes and five edges, loops and parallel edges
+    allowed; edge names are declared out of sorted order."""
+    nodes = [str(i) for i in range(draw(st.integers(1, 3)))]
+    names = draw(st.permutations(["v", "w", "x", "y", "z"]))
+    edges = names[: draw(st.integers(0, 5))]
+    src = {e: draw(st.sampled_from(nodes)) for e in edges}
+    tgt = {e: draw(st.sampled_from(nodes)) for e in edges}
+    return make_graph(nodes, edges, src, tgt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.integers(0, 4), st.data())
+def test_enumerate_paths_matches_the_recursive_walk(G, max_len, data):
+    a = data.draw(st.sampled_from(G.nodes))
+    b = data.draw(st.sampled_from(G.nodes))
+    got = enumerate_paths(G, a, b, max_len)
+    assert got == recursive_enumerate_paths(G, a, b, max_len)
+
+
+def test_enumerate_paths_matches_the_recursive_walk_on_builtin_shapes():
+    for which in (DELTA_DOT_LAX, DELTA_LAX, DELTA_DOT):
+        G = builtin_computad(which).base
+        for a in G.nodes:
+            for b in G.nodes:
+                for n in range(5):
+                    got = enumerate_paths(G, a, b, n)
+                    assert got == recursive_enumerate_paths(G, a, b, n)
+
+
+def test_enumerate_paths_on_a_long_chain():
+    # more edges than the interpreter's default recursion limit
+    nodes = ["n%d" % i for i in range(1101)]
+    edges = ["e%04d" % i for i in range(1100)]
+    G = make_graph(
+        nodes, edges, dict(zip(edges, nodes)), dict(zip(edges, nodes[1:]))
+    )
+    (p,) = enumerate_paths(G, "n0", "n1100", 1100)
+    assert p.edges == tuple(edges)
+    assert enumerate_paths(G, "n0", "n1100", 1099) == []
+    # no path has fewer than no edges
+    assert enumerate_paths(G, "n0", "n0", -1) == []
 
 
 # ---------------------------------------------------------------------------
