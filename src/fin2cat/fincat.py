@@ -23,9 +23,13 @@ functors, transformations and isomorphisms backtrack with explicit stacks,
 so their depth is not bounded by the interpreter's recursion limit.
 
 Objects and morphisms are identifier strings; a category is its composition
-table.
+table.  A functor category (HomCat) holds no table when it is built: its
+composites are computed on demand, componentwise in the target's table,
+and the table itself is assembled only for a reader that takes it whole
+(see HomCat).
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -48,12 +52,17 @@ class FinCat:
     """
 
     def __init__(self, objects, morphisms, dom, cod, identity, compose_table):
+        self._set_shape(objects, morphisms, dom, cod, identity)
+        self.compose_table = dict(compose_table)
+
+    def _set_shape(self, objects, morphisms, dom, cod, identity):
+        """Everything but the composition table, with the identity and
+        hom-set indexes."""
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
-        self.compose_table = dict(compose_table)
         self._identities = set(self.identity.values())
         self._hom = {}
         for m in self.morphisms:
@@ -67,10 +76,13 @@ class FinCat:
         try:
             return self.compose_table[(g, f)]
         except KeyError:
-            raise BoundaryMismatch(
-                "cannot compose %r after %r: cod %r != dom %r"
-                % (g, f, self.cod.get(f), self.dom.get(g))
-            )
+            raise self._not_composable(g, f)
+
+    def _not_composable(self, g, f):
+        return BoundaryMismatch(
+            "cannot compose %r after %r: cod %r != dom %r"
+            % (g, f, self.cod.get(f), self.dom.get(g))
+        )
 
     def is_identity(self, m):
         return m in self._identities
@@ -80,8 +92,8 @@ class FinCat:
         x, y = self.dom[m], self.cod[m]
         for w in self.hom(y, x):
             if (
-                self.compose_table[(w, m)] == self.identity[x]
-                and self.compose_table[(m, w)] == self.identity[y]
+                self.compose(w, m) == self.identity[x]
+                and self.compose(m, w) == self.identity[y]
             ):
                 return w
         return None
@@ -346,16 +358,18 @@ def make_nat(F, G, components):
     C, D = F.src, F.tgt
     if set(components) != set(C.objects):
         raise BoundaryMismatch("components must cover exactly the source objects")
+    # D.dom is keyed by exactly the morphisms of D
     for x, c in components.items():
-        if c not in set(D.morphisms) or D.dom[c] != F.on_obj[x] or D.cod[c] != G.on_obj[x]:
+        if c not in D.dom or D.dom[c] != F.on_obj[x] or D.cod[c] != G.on_obj[x]:
             raise BoundaryMismatch(
                 "component at %r must be a morphism %r -> %r, got %r"
                 % (x, F.on_obj[x], G.on_obj[x], c)
             )
+    compose = D.compose
     for m in C.morphisms:
         x, y = C.dom[m], C.cod[m]
-        left = D.compose_table[(G.on_mor[m], components[x])]
-        right = D.compose_table[(components[y], F.on_mor[m])]
+        left = compose(G.on_mor[m], components[x])
+        right = compose(components[y], F.on_mor[m])
         if left != right:
             raise NaturalityViolation("naturality square fails at %r" % m)
     return NatT(F, G, components)
@@ -613,10 +627,20 @@ class HomCat(FinCat):
     D.hom(F x, G x) non-empty at every object x: functors are grouped by
     their object image, and the targets of each source image are found by
     walking the product of the per-object reachable sets or by scanning
-    the distinct images, whichever is shorter.  The composition table is
-    read off a by-codomain index of the transformations, each composite's
-    key taken componentwise from D's table.  A functor category is a
-    category, so the table is not proved again.
+    the distinct images, whichever is shorter.  A functor category is a
+    category, so nothing is proved again.
+
+    No composition table is built with the category: compose computes
+    each vertical composite on demand, its components looked up in D's
+    table and the transformation found by its key.  compose_table is
+    assembled through compose on its first read only, and is then the
+    same dict, in the same order, as an eager build gives.  The readers
+    that take the whole table materialise it: iso_categories (as in
+    verify_codescent_universal), FinCat equality between distinct
+    objects, make_fun and functor enumeration with a HomCat source or
+    target, and products and pastes over a HomCat.  Callers that take one
+    composite at a time (make_nat, FinCat.inverse, the descent equations,
+    lax_descent, AlgHomCat) go through compose and never force it.
     """
 
     def __init__(self, C, D):
@@ -661,23 +685,34 @@ class HomCat(FinCat):
             self._nat_ids[key] = nid
             dom[nid], cod[nid], comps[nid] = key
 
-        objs, Dc = C.objects, D.compose_table
+        objs = C.objects
         identity = {
             fid: self._nat_ids[
                 (fid, fid, tuple(D.identity[F.on_obj[x]] for x in objs))
             ]
             for fid, F in self._funs.items()
         }
-
-        def vertical(n2, n1):
-            pairs = zip(comps[n2], comps[n1])
-            return self._nat_ids[(dom[n1], cod[n2], tuple(map(Dc.__getitem__, pairs)))]
-
-        morphisms = list(self._nats)
-        compose = composition_table(morphisms, dom, cod, vertical)
-        FinCat.__init__(self, list(self._funs), morphisms, dom, cod, identity, compose)
+        self._set_shape(list(self._funs), list(self._nats), dom, cod, identity)
+        self._comps = comps
+        self._component_of = D.compose_table.__getitem__
         self.source_cat = C
         self.target_cat = D
+
+    def compose(self, g, f):
+        """Vertical composite of f followed by g, taken componentwise in
+        the target category."""
+        x = self.cod.get(f)
+        if x is None or x != self.dom.get(g):
+            raise self._not_composable(g, f)
+        pairs = zip(self._comps[g], self._comps[f])
+        key = (self.dom[f], self.cod[g], tuple(map(self._component_of, pairs)))
+        return self._nat_ids[key]
+
+    @functools.cached_property
+    def compose_table(self):
+        """The full composition table, assembled through compose on first
+        read."""
+        return composition_table(self.morphisms, self.dom, self.cod, self.compose)
 
     def functor_of(self, obj_id):
         return self._funs[obj_id]

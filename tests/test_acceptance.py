@@ -11,6 +11,7 @@ import hashlib
 import io
 import itertools
 import os
+import statistics
 import time
 from contextlib import redirect_stdout
 
@@ -593,6 +594,21 @@ def test_cli_slate_reports_match_their_pins():
         got_code, out = run_cli(slate[key])
         got = (got_code, hashlib.sha256(out.encode()).hexdigest())
         assert got == (code, digest), key
+
+
+def test_verify_prop_descent_swap_skew_within_its_time_gate():
+    # [T^2 P2, P2] is read only where the descent equations need it, so
+    # the comparison takes about 15 ms; the gate leaves a tenfold margin
+    key = "verify-prop-descent --input z2_action.json swap skew"
+    pins = {k: (code, digest) for k, code, digest in SLATE_PINS}
+    argv = _pinned_slate()[key]
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        code, out = run_cli(argv)
+        times.append(time.perf_counter() - t0)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pins[key]
+    assert statistics.median(times) <= 0.2, times
 
 
 # ---------------------------------------------------------------------------

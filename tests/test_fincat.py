@@ -35,6 +35,7 @@ from helpers import (
     triple_loop_make_fincat,
     walking_arrow,
     walking_iso,
+    z2_cat,
 )
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
@@ -617,15 +618,32 @@ def test_hom_cat_into_terminal_is_terminal():
 
 
 def assert_same_hom_cat(H, C, D):
-    """H = hom_cat(C, D) agrees with the all-pairs construction, names
-    included."""
+    """H = hom_cat(C, D), its table not yet read, agrees with the all-pairs
+    construction, names included: it composes every pair on demand as the
+    all-pairs table says, refuses a pair that is not composable with
+    FinCat.compose's message, and assembles on first read the all-pairs
+    table, entry for entry and in the same order."""
     B, fun_of, nat_of = brute_force_hom_cat(C, D)
     assert H.objects == B.objects
     assert H.morphisms == B.morphisms
     assert H.dom == B.dom
     assert H.cod == B.cod
     assert H.identity == B.identity
-    assert H.compose_table == B.compose_table
+    assert "compose_table" not in vars(H)
+    for (g, f), gf in B.compose_table.items():
+        assert H.compose(g, f) == gf
+    mors = list(B.morphisms[:8])
+    stray = [(g, f) for g in mors for f in mors if (g, f) not in B.compose_table]
+    stray += [("nope", m) for m in mors[:1]] + [(m, "nope") for m in mors[:1]]
+    for g, f in stray + [("nope", "nope")]:
+        with pytest.raises(BoundaryMismatch) as want:
+            B.compose(g, f)
+        with pytest.raises(BoundaryMismatch) as got:
+            H.compose(g, f)
+        assert str(got.value) == str(want.value)
+    assert "compose_table" not in vars(H)
+    assert list(H.compose_table.items()) == list(B.compose_table.items())
+    assert H.compose_table is H.compose_table
     assert all(H.functor_of(o) == fun_of[o] for o in H.objects)
     assert all(H.nat_of(m) == nat_of[m] for m in H.morphisms)
 
@@ -737,6 +755,29 @@ def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
     Y = y.Z
     for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (D.D3, U.T(U.T(Y)))):
         assert_same_hom_cat(level, source, z.Z)
+
+
+def test_hom_cat_non_composable_pair_matches_fincat_message():
+    # [G, G] for the one-object Z/2 category G: the identity functor and
+    # the trivial one have the same object image, so a cell on one and a
+    # cell on the other compose componentwise in G, and only the boundary
+    # check refuses them
+    C = z2_cat()
+    H = fincat.hom_cat(C, C)
+    B, _, _ = brute_force_hom_cat(C, C)
+    g, f = next(
+        (g, f)
+        for g in H.morphisms
+        for f in H.morphisms
+        if H.cod[f] != H.dom[g]
+        and all((H.nat_of(g).at(x), H.nat_of(f).at(x)) in C.compose_table for x in C.objects)
+    )
+    with pytest.raises(BoundaryMismatch) as got:
+        H.compose(g, f)
+    with pytest.raises(BoundaryMismatch) as want:
+        B.compose(g, f)
+    assert str(got.value) == str(want.value)
+    assert "compose_table" not in vars(H)
 
 
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)

@@ -457,6 +457,58 @@ def test_verify_prop_descent_builds_each_level_once(monkeypatch):
     assert calls == {"hom_cat": 3, "lax_descent": 1}
 
 
+def _descent_pairs():
+    """swap -> skew on the shipped Z/2 workspace, and the trivial action of
+    Z/2 on the one-object Z/2 category G, whose [T^2 G, G] is dense: 16
+    functors, 256 transformations and 4,096 composable pairs."""
+    ws = load(Z2_FX)
+    G = z2_cat()
+    U = monoid_two_monad(z2_monoid(), [("G", G)], 3)
+    dense = laxalg.strict_algebra(U, G, U.T(G).proj2)
+    return {
+        "swap-skew": (ws.algebras["swap"], ws.algebras["skew"]),
+        "dense": (dense, dense),
+    }
+
+
+@pytest.mark.parametrize("pair", ["swap-skew", "dense"])
+def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
+    # D3 = [T^2 Y, Z] is read only at the comparison cells and the
+    # descent equations: a few dozen composites, and never its table.  D1
+    # and D2 are read one composite at a time too (lax_descent, the
+    # inverses of invertible_part, AlgHomCat), so no level's table is built
+    y, z = _descent_pairs()[pair]
+    composites = {}
+    compose = fincat.HomCat.compose
+
+    def counting(self, g, f):
+        composites[id(self)] = composites.get(id(self), 0) + 1
+        return compose(self, g, f)
+
+    monkeypatch.setattr(fincat.HomCat, "compose", counting)
+    diagrams = []
+    build = laxalg.build_Tzy
+
+    def recording(*args):
+        diagrams.append(build(*args))
+        return diagrams[-1]
+
+    D = build_Tzy(y.universe, y, z)
+    assert "compose_table" not in vars(D.D3)
+    assert composites.get(id(D.D3), 0) < 100
+    descent.lax_descent(D)
+    assert "compose_table" not in vars(D.D3)
+    assert composites.get(id(D.D3), 0) < 100
+
+    monkeypatch.setattr(laxalg, "build_Tzy", recording)
+    assert verify_prop_descent(y.universe, y, z)["status"] == "pass"
+    (D,) = diagrams
+    assert len(D.D3.morphisms) == 256
+    assert composites.get(id(D.D3), 0) < 100
+    for level in (D.D1, D.D2, D.D3):
+        assert "compose_table" not in vars(level)
+
+
 def _twist_z2(C):
     """C with x . x = x instead of the identity for one endomorphism x
     whose square is the identity: same names, one composite differs."""
