@@ -403,18 +403,20 @@ def run(ws, command, args, budget=None, probes=None):
     }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="fin2cat",
+    description="finite 2-category checks over a JSON workspace",
+)
+_PARSER.add_argument("command", help="one of: %s" % ", ".join(sorted(_COMMANDS)))
+_PARSER.add_argument("names", nargs="*", help="command arguments")
+_PARSER.add_argument("--input", help="workspace JSON file")
+_PARSER.add_argument("--budget", type=int, help="search/rewrite budget override")
+_PARSER.add_argument("--probes", help="comma-separated category names")
+_PARSER.add_argument("--out", help="also write the report here")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="fin2cat",
-        description="finite 2-category checks over a JSON workspace",
-    )
-    parser.add_argument("command", help="one of: %s" % ", ".join(sorted(_COMMANDS)))
-    parser.add_argument("names", nargs="*", help="command arguments")
-    parser.add_argument("--input", help="workspace JSON file")
-    parser.add_argument("--budget", type=int, help="search/rewrite budget override")
-    parser.add_argument("--probes", help="comma-separated category names")
-    parser.add_argument("--out", help="also write the report here")
-    ns = parser.parse_intermixed_args(argv)
+    ns = _PARSER.parse_intermixed_args(argv)
 
     probes = ns.probes.split(",") if ns.probes else None
     try:

@@ -15,18 +15,29 @@ applications depends only on that strategy, not on how redexes are found.
 A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
 with comparison cells An0/An1 attached to the degeneracy and the three
-Asig cells to the projections.  lax_codescent presents its lax codescent
-category by generators and relations and quotients it.
+Asig cells to the projections.  make_codescent_data checks it against
+deltadiag's shape table read upward.  lax_codescent presents its lax
+codescent category by generators and relations and quotients it.
 
-build_Ay_strict resolves a lax algebra into codescent data using a strict
-free/underlying adjunction (identity_adjunction supplies the canonical
-one); strictify composes the two.  kleisli is an independent oracle: the
-Kleisli category of a monad read directly off hom sets of the base.
+build_Ay_strict resolves a lax algebra into codescent data, checking the
+triangles of a strict free/underlying adjunction (identity_adjunction
+supplies the canonical one); strictify composes the two.
+verify_codescent_universal maps the data into each probe category with
+deltadiag.hom_diagram.  kleisli is an independent oracle: the Kleisli
+category of a monad read directly off hom sets of the base.
 """
 
 from collections import deque
 
-from .deltadiag import make_delta_diagram
+from .deltadiag import (
+    CELLS,
+    FACES,
+    DeltaDiagram,
+    check_shape,
+    face_composite,
+    hom_diagram,
+    precompose,
+)
 from .descent import lax_descent
 from .errors import (
     AdjunctionNotStrict,
@@ -36,7 +47,6 @@ from .errors import (
     MonadLawViolation,
 )
 from .fincat import (
-    Fun,
     compose_fun,
     composition_table,
     hom_cat,
@@ -45,7 +55,6 @@ from .fincat import (
     make_fincat,
     make_nat,
     whisker_left,
-    whisker_right,
 )
 from .laxalg import strict_algebra
 
@@ -449,16 +458,30 @@ def kleisli(Z, t, mu, eta):
     )
 
 
+# deltadiag's shape read upward: each face points the other way, so each
+# path runs in the opposite order, and the unit cells cross, An0 taking
+# the row of Dn1 and An1 that of Dn0.  A probe's hom-dual diagram crosses
+# them back.
+_CROSS = {"Dn0": "Dn1", "Dn1": "Dn0"}
+
+
+def _up(name):
+    return "A" + name[1:]
+
+
+_FACES = {_up(f): (_up(t), _up(s)) for f, (s, t) in FACES.items()}
+_CELLS = {
+    _up(c): tuple(tuple(map(_up, reversed(p))) for p in CELLS[_CROSS.get(c, c)])
+    for c in CELLS
+}
+
+
 class CodescentData:
     """Three levels A1, A2, A3 with faces Ad0, Ad1 and degeneracy As0
     between the lower levels, projections Ap0, Ap1, Ap2 from the top, and
-    five comparison cells; see make_codescent_data for the typing."""
+    five comparison cells, typed by deltadiag's shape read upward."""
 
-    FIELDS = (
-        "A1", "A2", "A3",
-        "Ad0", "Ad1", "As0", "Ap0", "Ap1", "Ap2",
-        "Asig00", "Asig20", "Asig21", "An0", "An1",
-    )
+    FIELDS = tuple(map(_up, DeltaDiagram.FIELDS))
 
     def __init__(self, **kw):
         for f in self.FIELDS:
@@ -469,54 +492,20 @@ class CodescentData:
 
 
 def make_codescent_data(**kw):
-    missing = [f for f in CodescentData.FIELDS if f not in kw]
-    if missing:
-        raise BoundaryMismatch("missing fields: %s" % ", ".join(missing))
-    A1, A2, A3 = kw["A1"], kw["A2"], kw["A3"]
-    fun_spec = {
-        "Ad0": (A2, A1),
-        "Ad1": (A2, A1),
-        "As0": (A1, A2),
-        "Ap0": (A3, A2),
-        "Ap1": (A3, A2),
-        "Ap2": (A3, A2),
-    }
-    for name, (src, tgt) in fun_spec.items():
-        F = kw[name]
-        if F.src != src or F.tgt != tgt:
-            raise BoundaryMismatch(
-                "%s must be a functor between the stated levels" % name
-            )
-    Ad0, Ad1, As0 = kw["Ad0"], kw["Ad1"], kw["As0"]
-    Ap0, Ap1, Ap2 = kw["Ap0"], kw["Ap1"], kw["Ap2"]
-    nat_spec = {
-        "Asig00": (compose_fun(Ad0, Ap0), compose_fun(Ad0, Ap1)),
-        "Asig20": (compose_fun(Ad0, Ap2), compose_fun(Ad1, Ap0)),
-        "Asig21": (compose_fun(Ad1, Ap2), compose_fun(Ad1, Ap1)),
-        "An0": (identity_fun(A1), compose_fun(Ad1, As0)),
-        "An1": (identity_fun(A1), compose_fun(Ad0, As0)),
-    }
-    for name, (src, tgt) in nat_spec.items():
-        a = kw[name]
-        if a.src != src or a.tgt != tgt:
-            raise BoundaryMismatch("%s has the wrong boundary" % name)
+    check_shape(kw, CodescentData.FIELDS, _FACES, _CELLS)
     return CodescentData(**kw)
 
 
 class StrictAdjunction:
     """A strict free/underlying adjunction over a universe, given by
     callables: free(X) is the free algebra on a member X, rho(X) the unit
-    at X, counit(z) the carrier-level counit at an algebra z.  E_fun and
-    E_nat transport functors and cells along the underlying 2-functor
-    (identity for the canonical instance)."""
+    at X, counit(z) the carrier-level counit at an algebra z."""
 
-    def __init__(self, U, free, rho, counit, E_fun=None, E_nat=None):
+    def __init__(self, U, free, rho, counit):
         self.U = U
         self.free = free
         self.rho = rho
         self.counit = counit
-        self.E_fun = E_fun or (lambda F: F)
-        self.E_nat = E_nat or (lambda a: a)
 
     def validate_at(self, X):
         z = self.free(X)
@@ -546,44 +535,33 @@ def identity_adjunction(U):
 def build_Ay_strict(U, y, adj=None):
     """Resolve a lax algebra y into codescent data.
 
-    Levels are the free iterates T Y, T^2 Y, T^3 Y carried through the
-    adjunction; the multiplication face meets T of the action, and the
+    Levels are the free iterates T Y, T^2 Y, T^3 Y; the multiplication face meets T of the action, and the
     algebra's comparison cells become Asig21 and An0 (the other three
     cells are strict, hence identities)."""
     if adj is None:
         adj = identity_adjunction(U)
     Y = y.Z
     adj.validate_at(Y)
-    E, En = adj.E_fun, adj.E_nat
     TY = U.T(Y)
-
-    Ad0 = E(U.m(Y))
-    Ad1 = E(U.T_fun(y.a))
-    As0 = E(U.T_fun(U.eta(Y)))
-    Ap0 = E(U.m(TY))
-    Ap1 = E(U.T_fun(U.m(Y)))
-    Ap2 = E(U.T_fun(U.T_fun(y.a)))
-    A1, A2, A3 = Ad0.tgt, Ad0.src, Ap0.src
-
-    def icell(F, G):
-        return make_nat(F, G, {v: A1.identity[F.ob(v)] for v in F.src.objects})
-
-    return make_codescent_data(
-        A1=A1,
-        A2=A2,
-        A3=A3,
-        Ad0=Ad0,
-        Ad1=Ad1,
-        As0=As0,
-        Ap0=Ap0,
-        Ap1=Ap1,
-        Ap2=Ap2,
-        Asig00=icell(compose_fun(Ad0, Ap0), compose_fun(Ad0, Ap1)),
-        Asig20=icell(compose_fun(Ad0, Ap2), compose_fun(Ad1, Ap0)),
-        Asig21=En(U.T_nat(y.zbar)),
-        An0=En(U.T_nat(y.zbar0)),
-        An1=icell(identity_fun(A1), compose_fun(Ad0, As0)),
-    )
+    Ad0, Ap0 = U.m(Y), U.m(TY)
+    A1 = Ad0.tgt
+    kw = {
+        "A1": A1,
+        "A2": Ad0.src,
+        "A3": Ap0.src,
+        "Ad0": Ad0,
+        "Ad1": U.T_fun(y.a),
+        "As0": U.T_fun(U.eta(Y)),
+        "Ap0": Ap0,
+        "Ap1": U.T_fun(U.m(Y)),
+        "Ap2": U.T_fun(U.T_fun(y.a)),
+        "Asig21": U.T_nat(y.zbar),
+        "An0": U.T_nat(y.zbar0),
+    }
+    for name in ("Asig00", "Asig20", "An1"):
+        F, G = (face_composite(kw, p, A1) for p in _CELLS[name])
+        kw[name] = make_nat(F, G, {v: A1.identity[F.ob(v)] for v in F.src.objects})
+    return make_codescent_data(**kw)
 
 
 def lax_codescent(A, budget=50000):
@@ -670,50 +648,14 @@ def verify_codescent_universal(A, Q, probes):
         else:
             norm.append(("X%d" % i, p))
 
+    faces = {f: precompose(getattr(A, _up(f))) for f in FACES}
+    cells = {}
+    for c in CELLS:
+        alpha = getattr(A, _up(_CROSS.get(c, c)))
+        cells[c] = lambda F, alpha=alpha: whisker_left(F, alpha)
     for name, X in norm:
-        D1 = hom_cat(A.A1, X)
-        D2 = hom_cat(A.A2, X)
-        D3 = hom_cat(A.A3, X)
-
-        def pre(hs, ht, G):
-            return Fun(
-                hs,
-                ht,
-                {o: ht.obj_id(compose_fun(hs.functor_of(o), G)) for o in hs.objects},
-                {m: ht.mor_id(whisker_right(hs.nat_of(m), G)) for m in hs.morphisms},
-            )
-
-        Dd0 = pre(D1, D2, A.Ad0)
-        Dd1 = pre(D1, D2, A.Ad1)
-        Ds0 = pre(D2, D1, A.As0)
-        Dp0 = pre(D2, D3, A.Ap0)
-        Dp1 = pre(D2, D3, A.Ap1)
-        Dp2 = pre(D2, D3, A.Ap2)
-
-        sig00, sig20, sig21, n0, n1 = {}, {}, {}, {}, {}
-        for o in D1.objects:
-            F = D1.functor_of(o)
-            sig00[o] = D3.mor_id(whisker_left(F, A.Asig00))
-            sig20[o] = D3.mor_id(whisker_left(F, A.Asig20))
-            sig21[o] = D3.mor_id(whisker_left(F, A.Asig21))
-            n0[o] = D1.mor_id(whisker_left(F, A.An1))
-            n1[o] = D1.mor_id(whisker_left(F, A.An0))
-
-        D = make_delta_diagram(
-            D1=D1,
-            D2=D2,
-            D3=D3,
-            Dd0=Dd0,
-            Dd1=Dd1,
-            Ds0=Ds0,
-            Dp0=Dp0,
-            Dp1=Dp1,
-            Dp2=Dp2,
-            Dsig00=make_nat(compose_fun(Dp0, Dd0), compose_fun(Dp1, Dd0), sig00),
-            Dsig20=make_nat(compose_fun(Dp2, Dd0), compose_fun(Dp0, Dd1), sig20),
-            Dsig21=make_nat(compose_fun(Dp2, Dd1), compose_fun(Dp1, Dd1), sig21),
-            Dn0=make_nat(identity_fun(D1), compose_fun(Ds0, Dd0), n0),
-            Dn1=make_nat(identity_fun(D1), compose_fun(Ds0, Dd1), n1),
+        D = hom_diagram(
+            hom_cat(A.A1, X), hom_cat(A.A2, X), hom_cat(A.A3, X), faces, cells
         )
         DC = lax_descent(D)
         H = hom_cat(L, X)

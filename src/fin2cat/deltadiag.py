@@ -11,18 +11,40 @@ th = Dtheta_x, the two pasting equations
 
     Dsig00_f . Dp0(th) . Dsig20_f . Dp2(th)  =  Dp1(th) . Dsig21_f   in D3
     Ds0(th) . Dn1_f  =  Dn0_f                                        in D1
+
+The shape is written once, as the tables FACES and CELLS:
+make_delta_diagram checks against them, codescent reads them upward, and
+hom_diagram builds the diagram on three functor categories from the
+faces' actions (precompose for precomposition) and the cells at each
+functor of D1, as build_Tzy and the codescent probes do.
 """
 
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import compose_fun, identity_fun
+from .fincat import Fun, compose_fun, identity_fun, make_nat, whisker_right
+
+# The three-level shape, written once.  FACES gives each face's source and
+# target level.  CELLS gives each comparison cell's source and target as a
+# path of faces in the order they apply, starting at D1; the empty path is
+# the identity of D1.
+FACES = {
+    "Dd0": ("D1", "D2"),
+    "Dd1": ("D1", "D2"),
+    "Ds0": ("D2", "D1"),
+    "Dp0": ("D2", "D3"),
+    "Dp1": ("D2", "D3"),
+    "Dp2": ("D2", "D3"),
+}
+CELLS = {
+    "Dsig00": (("Dd0", "Dp0"), ("Dd0", "Dp1")),
+    "Dsig20": (("Dd0", "Dp2"), ("Dd1", "Dp0")),
+    "Dsig21": (("Dd1", "Dp2"), ("Dd1", "Dp1")),
+    "Dn0": ((), ("Dd0", "Ds0")),
+    "Dn1": ((), ("Dd1", "Ds0")),
+}
 
 
 class DeltaDiagram:
-    FIELDS = (
-        "D1", "D2", "D3",
-        "Dd0", "Dd1", "Ds0", "Dp0", "Dp1", "Dp2",
-        "Dsig00", "Dsig20", "Dsig21", "Dn0", "Dn1",
-    )
+    FIELDS = ("D1", "D2", "D3") + tuple(FACES) + tuple(CELLS)
 
     def __init__(self, **kw):
         for f in self.FIELDS:
@@ -42,22 +64,71 @@ def _require_nat(name, a, src_fun, tgt_fun):
         raise BoundaryMismatch("%s has the wrong boundary" % name)
 
 
+def face_composite(fields, path, base):
+    """The composite functor of a path of two faces named in fields, or the
+    identity of the category base for the empty path."""
+    if not path:
+        return identity_fun(base)
+    first, then = path
+    return compose_fun(fields[then], fields[first])
+
+
+def check_shape(kw, fields, faces, cells):
+    """Boundary-check the keyword arguments kw against a shape: its fields
+    in order, then faces and cells written as in FACES and CELLS, with
+    every path starting at the level fields[0]."""
+    missing = [f for f in fields if f not in kw]
+    if missing:
+        raise BoundaryMismatch("missing fields: %s" % ", ".join(missing))
+    for name, (src, tgt) in faces.items():
+        _require_fun(name, kw[name], kw[src], kw[tgt])
+    base = kw[fields[0]]
+    for name, (src, tgt) in cells.items():
+        _require_nat(
+            name,
+            kw[name],
+            face_composite(kw, src, base),
+            face_composite(kw, tgt, base),
+        )
+
+
 def make_delta_diagram(**kw):
     """Assemble and boundary-check a DeltaDiagram (keyword arguments named
     after the fields)."""
-    d = DeltaDiagram(**kw)
-    _require_fun("Dd0", d.Dd0, d.D1, d.D2)
-    _require_fun("Dd1", d.Dd1, d.D1, d.D2)
-    _require_fun("Ds0", d.Ds0, d.D2, d.D1)
-    _require_fun("Dp0", d.Dp0, d.D2, d.D3)
-    _require_fun("Dp1", d.Dp1, d.D2, d.D3)
-    _require_fun("Dp2", d.Dp2, d.D2, d.D3)
-    _require_nat("Dsig00", d.Dsig00, compose_fun(d.Dp0, d.Dd0), compose_fun(d.Dp1, d.Dd0))
-    _require_nat("Dsig20", d.Dsig20, compose_fun(d.Dp2, d.Dd0), compose_fun(d.Dp0, d.Dd1))
-    _require_nat("Dsig21", d.Dsig21, compose_fun(d.Dp2, d.Dd1), compose_fun(d.Dp1, d.Dd1))
-    _require_nat("Dn0", d.Dn0, identity_fun(d.D1), compose_fun(d.Ds0, d.Dd0))
-    _require_nat("Dn1", d.Dn1, identity_fun(d.D1), compose_fun(d.Ds0, d.Dd1))
-    return d
+    check_shape(kw, DeltaDiagram.FIELDS, FACES, CELLS)
+    return DeltaDiagram(**kw)
+
+
+def precompose(G):
+    """The face action of precomposition with G, for hom_diagram: a functor
+    F goes to F.G, a cell a to a whiskered by G."""
+    return (lambda F: compose_fun(F, G), lambda a: whisker_right(a, G))
+
+
+def hom_diagram(D1, D2, D3, faces, cells):
+    """The three-level diagram on functor categories D1, D2, D3 (HomCats).
+
+    faces maps each face to its pair of actions (on functors, on cells)
+    between the functors and cells that its levels enumerate; a face so
+    given is a functor by theorem and is built without proof.  cells maps
+    each comparison cell to its transformation at a functor of D1; each
+    cell is proved by make_nat."""
+    kw = {"D1": D1, "D2": D2, "D3": D3}
+    for name, (src, tgt) in FACES.items():
+        on_fun, on_nat = faces[name]
+        S, T = kw[src], kw[tgt]
+        kw[name] = Fun(
+            S,
+            T,
+            {o: T.obj_id(on_fun(S.functor_of(o))) for o in S.objects},
+            {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
+        )
+    functors = [(o, D1.functor_of(o)) for o in D1.objects]
+    for name, (src, tgt) in CELLS.items():
+        F, G = face_composite(kw, src, D1), face_composite(kw, tgt, D1)
+        at = cells[name]
+        kw[name] = make_nat(F, G, {o: F.tgt.mor_id(at(f)) for o, f in functors})
+    return make_delta_diagram(**kw)
 
 
 class DotExtension:

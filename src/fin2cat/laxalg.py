@@ -17,7 +17,7 @@ build_Tzy.  Both use the same object naming, so a successful comparison is
 an identity isomorphism, checked functor-by-functor.
 """
 
-from .deltadiag import make_delta_diagram
+from .deltadiag import hom_diagram, precompose
 from .descent import invertible_part, lax_descent
 from .errors import (
     AxiomViolation,
@@ -695,75 +695,36 @@ def build_Tzy(U, y, z):
     lax morphisms y -> z.
 
     Levels are the hom categories out of Y, TY, T^2 Y into Z; the faces
-    precompose with the action/multiplication or apply a_z.T(-), and are
-    functors by theorem, built without proof; the comparison cells whisker
-    zbar/zbar0 of the two algebras and are proved by make_nat."""
+    precompose with the action/multiplication or apply a_z.T(-), and the
+    comparison cells whisker zbar/zbar0 of the two algebras.  hom_diagram
+    builds the faces without proof and proves the cells."""
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
     T2Y = U.T(TY)
-    d1 = hom_cat(Y, Z)
-    d2 = hom_cat(TY, Z)
-    d3 = hom_cat(T2Y, Z)
 
-    def mk(src_h, tgt_h, on_f, on_n):
-        return Fun(
-            src_h,
-            tgt_h,
-            {o: tgt_h.obj_id(on_f(src_h.functor_of(o))) for o in src_h.objects},
-            {m: tgt_h.mor_id(on_n(src_h.nat_of(m))) for m in src_h.morphisms},
-        )
+    def act(F):
+        return compose_fun(z.a, U.T_fun(F))
 
-    Dd0 = mk(d1, d2, lambda F: compose_fun(F, y.a), lambda n: whisker_right(n, y.a))
-    Dd1 = mk(
-        d1,
-        d2,
-        lambda F: compose_fun(z.a, U.T_fun(F)),
-        lambda n: whisker_left(z.a, U.T_nat(n)),
-    )
-    Ds0 = mk(
-        d2, d1, lambda G: compose_fun(G, U.eta(Y)), lambda n: whisker_right(n, U.eta(Y))
-    )
-    Dp0 = mk(
-        d2,
-        d3,
-        lambda G: compose_fun(G, U.T_fun(y.a)),
-        lambda n: whisker_right(n, U.T_fun(y.a)),
-    )
-    Dp1 = mk(
-        d2, d3, lambda G: compose_fun(G, U.m(Y)), lambda n: whisker_right(n, U.m(Y))
-    )
-    Dp2 = mk(
-        d2,
-        d3,
-        lambda G: compose_fun(z.a, U.T_fun(G)),
-        lambda n: whisker_left(z.a, U.T_nat(n)),
-    )
-
-    sig00, sig20, sig21, n0, n1 = {}, {}, {}, {}, {}
-    p2d0 = compose_fun(Dp2, Dd0)
-    for o in d1.objects:
-        f = d1.functor_of(o)
-        sig00[o] = d3.mor_id(whisker_left(f, y.zbar))
-        sig20[o] = d3.identity[p2d0.ob(o)]
-        sig21[o] = d3.mor_id(whisker_right(z.zbar, U.T_fun(U.T_fun(f))))
-        n0[o] = d1.mor_id(whisker_left(f, y.zbar0))
-        n1[o] = d1.mor_id(whisker_right(z.zbar0, f))
-
-    return make_delta_diagram(
-        D1=d1,
-        D2=d2,
-        D3=d3,
-        Dd0=Dd0,
-        Dd1=Dd1,
-        Ds0=Ds0,
-        Dp0=Dp0,
-        Dp1=Dp1,
-        Dp2=Dp2,
-        Dsig00=make_nat(compose_fun(Dp0, Dd0), compose_fun(Dp1, Dd0), sig00),
-        Dsig20=make_nat(compose_fun(Dp2, Dd0), compose_fun(Dp0, Dd1), sig20),
-        Dsig21=make_nat(compose_fun(Dp2, Dd1), compose_fun(Dp1, Dd1), sig21),
-        Dn0=make_nat(identity_fun(d1), compose_fun(Ds0, Dd0), n0),
-        Dn1=make_nat(identity_fun(d1), compose_fun(Ds0, Dd1), n1),
+    acting = (act, lambda n: whisker_left(z.a, U.T_nat(n)))
+    return hom_diagram(
+        hom_cat(Y, Z),
+        hom_cat(TY, Z),
+        hom_cat(T2Y, Z),
+        faces={
+            "Dd0": precompose(y.a),
+            "Dd1": acting,
+            "Ds0": precompose(U.eta(Y)),
+            "Dp0": precompose(U.T_fun(y.a)),
+            "Dp1": precompose(U.m(Y)),
+            "Dp2": acting,
+        },
+        cells={
+            "Dsig00": lambda f: whisker_left(f, y.zbar),
+            "Dsig20": lambda f: identity_nat(act(compose_fun(f, y.a))),
+            "Dsig21": lambda f: whisker_right(z.zbar, U.T_fun(U.T_fun(f))),
+            "Dn0": lambda f: whisker_left(f, y.zbar0),
+            "Dn1": lambda f: whisker_right(z.zbar0, f),
+        },
     )
 
 

@@ -305,6 +305,30 @@ def test_unknown_command_is_an_error_report():
     }
 
 
+def test_main_parses_every_call_alike(capsys):
+    # the parser is built once; a usage error or --help leaves it as it was
+    def usage(argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out = capsys.readouterr()
+        return err.value.code, out.out, out.err
+
+    first = usage(["--help"])
+    assert first[0] == 0
+    assert first[1].startswith("usage: fin2cat [-h] [--input INPUT]")
+    assert "one of: build-tzy, check-algebra," in first[1]
+    missing = usage([])
+    assert missing[0] == 2
+    assert "the following arguments are required: command" in missing[2]
+    assert main(["validate"]) == 0
+    report = capsys.readouterr().out
+    assert usage(["--budget", "x", "validate"])[0] == 2
+    assert usage(["--help"]) == first
+    assert usage([]) == missing
+    assert main(["validate"]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_main_reports_input_errors_with_exit_code_three(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["validate", "--input", missing]) == 3
@@ -406,6 +430,44 @@ _BROKEN_INPUTS = {
         "morphisms.ident: component at '(e,p)' must be a morphism 'p' -> 'p',"
         " got 'idq'",
     ),
+    "diagram, target outside the source's universe": (
+        "diagrams",
+        "D",
+        {"kind": "tzy", "source": "swap", "target": "one"},
+        "diagrams.D: category is not a universe member",
+    ),
+    "diagram, unknown kind": (
+        "diagrams",
+        "D",
+        {"kind": "tyz", "source": "swap", "target": "swap"},
+        "diagrams.D: unknown diagram kind 'tyz'",
+    ),
+}
+# entries a case adds to the workspace besides the broken one: a strict
+# algebra on the terminal category One, in a universe of its own
+_ALONGSIDE = {
+    "diagram, target outside the source's universe": {
+        "categories": {
+            "One": {
+                "objects": ["*"],
+                "morphisms": {"id": ["*", "*"]},
+                "identities": {"*": "id"},
+                "compose": [["id", "id", "id"]],
+            }
+        },
+        "universes": {"U1": {"monoid": "z2", "seeds": ["One"], "depth": 3}},
+        "algebras": {
+            "one": {
+                "universe": "U1",
+                "carrier": "One",
+                "kind": "strict",
+                "action": {
+                    "on_objects": {"(e,*)": "*", "(s,*)": "*"},
+                    "on_morphisms": {"(e,id)": "id", "(s,id)": "id"},
+                },
+            }
+        },
+    },
 }
 
 
@@ -414,7 +476,9 @@ def test_a_broken_law_from_the_workspace_is_an_error_report(case, tmp_path, caps
     section, name, spec, message = _BROKEN_INPUTS[case]
     with open(Z2_FX) as fh:
         payload = json.load(fh)
-    payload[section][name] = spec
+    for sec, entries in _ALONGSIDE.get(case, {}).items():
+        payload[sec].update(entries)
+    payload.setdefault(section, {})[name] = spec
     assert main(["validate", "--input", write(tmp_path, payload)]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "error"

@@ -435,6 +435,17 @@ def test_make_codescent_data_validates_boundaries():
         make_codescent_data(**bad)
 
 
+def test_codescent_data_names_a_missing_field():
+    C = walking_arrow()
+    U = triv_universe(C)
+    A = build_Ay_strict(U, monad_algebra(U, C, *const1_monad(C)))
+    for name in CodescentData.FIELDS:
+        kw = {f: getattr(A, f) for f in CodescentData.FIELDS if f != name}
+        with pytest.raises(BoundaryMismatch) as err:
+            make_codescent_data(**kw)
+        assert str(err.value) == "missing fields: %s" % name
+
+
 def test_broken_adjunction_is_rejected():
     C = walking_arrow()
     U = triv_universe(C)

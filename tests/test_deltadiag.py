@@ -2,12 +2,16 @@ import pytest
 
 from fin2cat import fincat
 from fin2cat.deltadiag import (
+    CELLS,
+    FACES,
+    DeltaDiagram,
     check_dot_extension,
     make_delta_diagram,
     make_dot_extension,
     theta_invertible,
 )
 from fin2cat.errors import BoundaryMismatch
+from fin2cat.freegen import DELTA_LAX, builtin_computad
 from helpers import (
     idem_cat,
     monoid_diagram,
@@ -31,6 +35,37 @@ def test_terminal_diagram_builds_and_checks():
     v = check_dot_extension(ext)
     assert v and v.failures == []
     assert theta_invertible(ext)
+
+
+def test_diagram_names_a_missing_field():
+    T = terminal_cat()
+    i = fincat.identity_fun(T)
+    cell = fincat.identity_nat(i)
+    fields = dict(
+        D1=T, D2=T, D3=T,
+        Dd0=i, Dd1=i, Ds0=i, Dp0=i, Dp1=i, Dp2=i,
+        Dsig00=cell, Dsig20=cell, Dsig21=cell, Dn0=cell, Dn1=cell,
+    )
+    for name in DeltaDiagram.FIELDS:
+        kw = {f: v for f, v in fields.items() if f != name}
+        with pytest.raises(BoundaryMismatch) as err:
+            make_delta_diagram(**kw)
+        assert str(err.value) == "missing fields: %s" % name
+
+
+def test_shape_table_is_the_delta_lax_computad():
+    # each face joins its edge's endpoints; each cell's two sides are the
+    # computad's boundary paths, from node 1, in the order the faces apply
+    c = builtin_computad(DELTA_LAX)
+    G = c.base
+    assert list(FACES) == ["D" + e for e in G.edges]
+    for e in G.edges:
+        assert FACES["D" + e] == ("D" + G.src[e], "D" + G.tgt[e])
+    assert list(CELLS) == ["D" + g for g in c.cells]
+    for g in c.cells:
+        for side, path in zip(CELLS["D" + g], (c.src[g], c.tgt[g])):
+            assert path.start == "1"
+            assert side == tuple("D" + e for e in path.edges)
 
 
 def test_diagram_rejects_wrong_functor_boundary():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fin2cat
-from fin2cat import codescent, fincat
+from fin2cat import codescent, deltadiag, fincat
 from fin2cat.cli import load
 from fin2cat.codescent import build_Ay_strict, lax_codescent
 from fin2cat.deltadiag import make_delta_diagram
@@ -1024,7 +1024,7 @@ def test_codescent_probe_faces_are_lawful(monkeypatch):
         diagrams.append(kw)
         return make_delta_diagram(**kw)
 
-    monkeypatch.setattr(codescent, "make_delta_diagram", keep)
+    monkeypatch.setattr(deltadiag, "make_delta_diagram", keep)
     probes = [("1", ws.categories["1"]), ("C2", ws.categories["C2"])]
     report = codescent.verify_codescent_universal(A, lax_codescent(A), probes)
     assert report["status"] == "pass"

@@ -1,0 +1,49 @@
+"""The bench harness's tracer against the library it wraps.
+
+perfbench/tracer.py names the fin2cat functions and methods it wraps; a
+renamed or removed one would break only traced bench runs.  These tests
+load the tracer from the checkout and change nothing under perfbench/.
+"""
+
+import importlib.util
+import os
+import sys
+
+import fin2cat.cli  # noqa: F401  (loads every module)
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_listed_name_and_restores_it():
+    tr = _tracer_module()
+    mods = {n: m for n, m in sys.modules.items() if n.startswith("fin2cat.")}
+    before = {n: dict(vars(m)) for n, m in mods.items()}
+    owners = [
+        (getattr(mods["fin2cat." + mod], cls), meth)
+        for mod, cls, meth, _ in tr.METHODS
+    ]
+    methods = [vars(cls)[meth] for cls, meth in owners]
+
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        for mod, fns in tr.FUNCTIONS.items():
+            home = mods["fin2cat." + mod]
+            for fn in fns:
+                assert getattr(home, fn) is not before[home.__name__][fn], fn
+        for (cls, meth), orig in zip(owners, methods):
+            assert vars(cls)[meth] is not orig, meth
+    finally:
+        tracer.uninstall()
+
+    for n, m in mods.items():
+        now = vars(m)
+        assert [k for k, v in before[n].items() if now.get(k) is not v] == [], n
+    assert [vars(cls)[meth] for cls, meth in owners] == methods
