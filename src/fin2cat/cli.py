@@ -87,7 +87,7 @@ def _build(section, name, fn, *a):
         return fn(*a)
     except ReferenceError:
         raise
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
         raise ParseError("%s.%s: %s" % (section, name, e))
 
 
@@ -182,9 +182,11 @@ def load(path):
             )
     if not isinstance(raw, dict):
         raise ParseError("workspace must be a JSON object")
-    for section in raw:
+    for section, entries in raw.items():
         if section not in _SECTIONS:
             raise ParseError("unknown section %r" % (section,))
+        if not isinstance(entries, dict):
+            raise ParseError("section %r must be a JSON object" % (section,))
 
     ws = Workspace(path)
     for name, spec in raw.get("categories", {}).items():

@@ -9,11 +9,12 @@ of deltadiag.descent_equations:
 
 A morphism (f, fbar) -> (h, hbar) is m: f -> h in D1 with
 Dd0(m) . fbar = hbar . Dd1(m).  The (strict) descent category is the full
-subcategory on the pairs whose fbar is invertible.
+subcategory on the pairs whose fbar is invertible.  fincat.category_over
+builds both carriers over D1, with that square as the admitted morphisms.
 """
 
 from .deltadiag import descent_equations
-from .fincat import FinCat, Fun, composition_table
+from .fincat import Fun, category_over
 from .errors import BoundaryMismatch
 
 
@@ -46,57 +47,25 @@ class DescentCategory:
         return "DescentCategory(%r)" % (self.carrier,)
 
 
-def _obj_id(f, fbar):
-    return "(%s,%s)" % (f, fbar)
+def _over_D1(D, data):
+    """The carrier of the data over D1 and its projection: m: f -> h is a
+    morphism (f, fbar) -> (h, hbar) when Dd0(m) . fbar = hbar . Dd1(m)."""
+    compose = D.D2.compose
 
+    def admits(m, o1, o2):
+        return compose(D.Dd0.mor(m), data[o1].fbar) == compose(data[o2].fbar, D.Dd1.mor(m))
 
-def _mor_id(m, o1, o2):
-    return "[%s:%s->%s]" % (m, o1, o2)
+    return category_over(D.D1, {o: d.f for o, d in data.items()}, admits)
 
 
 def lax_descent(D):
-    """The lax descent category of a DeltaDiagram.  Its carrier and
-    projection are lawful by theorem and built without proof."""
+    """The lax descent category of a DeltaDiagram."""
     data = {}
-    objects = []
     for f in D.D1.objects:
         for fbar in D.D2.hom(D.Dd1.ob(f), D.Dd0.ob(f)):
             if all(lhs == rhs for lhs, rhs in descent_equations(D, f, fbar)):
-                o = _obj_id(f, fbar)
-                objects.append(o)
-                data[o] = DescentDatum(f, fbar)
-
-    morphisms, dom, cod, under = [], {}, {}, {}
-    for o1 in objects:
-        d1 = data[o1]
-        for o2 in objects:
-            d2 = data[o2]
-            for m in D.D1.hom(d1.f, d2.f):
-                if D.D2.compose(D.Dd0.mor(m), d1.fbar) == D.D2.compose(
-                    d2.fbar, D.Dd1.mor(m)
-                ):
-                    mid = _mor_id(m, o1, o2)
-                    morphisms.append(mid)
-                    dom[mid], cod[mid] = o1, o2
-                    under[mid] = m
-
-    identity = {}
-    for o in objects:
-        identity[o] = _mor_id(D.D1.identity[data[o].f], o, o)
-
-    def composite(m2, m1):
-        return _mor_id(D.D1.compose(under[m2], under[m1]), dom[m1], cod[m2])
-
-    compose = composition_table(morphisms, dom, cod, composite)
-
-    carrier = FinCat(objects, morphisms, dom, cod, identity, compose)
-    projection = Fun(
-        carrier,
-        D.D1,
-        {o: data[o].f for o in objects},
-        {m: under[m] for m in morphisms},
-    )
-    return DescentCategory(D, carrier, projection, data)
+                data["(%s,%s)" % (f, fbar)] = DescentDatum(f, fbar)
+    return DescentCategory(D, *_over_D1(D, data), data)
 
 
 def descent(D):
@@ -107,45 +76,18 @@ def descent(D):
 
 def invertible_part(lax):
     """The descent category cut out of an already computed lax descent
-    category: the full subcategory on the data whose fbar is invertible.
-    A full subcategory of a category is one, so the carrier, projection
-    and inclusion are built without proof."""
+    category: the full subcategory on the data whose fbar is invertible,
+    under the same names, so the inclusion is the identity on names."""
     D = lax.diagram
-    keep = {
-        o
-        for o in lax.carrier.objects
-        if D.D2.inverse(lax.data[o].fbar) is not None
-    }
-    objects = [o for o in lax.carrier.objects if o in keep]
-    morphisms = [
-        m
-        for m in lax.carrier.morphisms
-        if lax.carrier.dom[m] in keep and lax.carrier.cod[m] in keep
-    ]
-    dom = {m: lax.carrier.dom[m] for m in morphisms}
-    cod = {m: lax.carrier.cod[m] for m in morphisms}
-    identity = {o: lax.carrier.identity[o] for o in objects}
-    compose = composition_table(morphisms, dom, cod, lax.carrier.compose)
-    carrier = FinCat(objects, morphisms, dom, cod, identity, compose)
-    projection = Fun(
-        carrier,
-        D.D1,
-        {o: lax.data[o].f for o in objects},
-        {m: lax.projection.mor(m) for m in morphisms},
-    )
+    data = {o: d for o, d in lax.data.items() if D.D2.inverse(d.fbar) is not None}
+    carrier, projection = _over_D1(D, data)
     inclusion = Fun(
         carrier,
         lax.carrier,
-        {o: o for o in objects},
-        {m: m for m in morphisms},
+        {o: o for o in carrier.objects},
+        {m: m for m in carrier.morphisms},
     )
-    return DescentCategory(
-        D,
-        carrier,
-        projection,
-        {o: lax.data[o] for o in objects},
-        inclusion=inclusion,
-    )
+    return DescentCategory(D, carrier, projection, data, inclusion=inclusion)
 
 
 def descent_projection(DC):

@@ -6,11 +6,13 @@ naturality instance of a table from outside (workspace files, tables
 built by hand, monoid actions, rewriting quotients) and refuse the first
 broken law.  FinCat, Fun and NatT trust their input.  Constructions that
 are lawful by theorem build them directly from proved structures:
-products, functor categories, composites and pasting here; T on functors
-and cells, universe members and algebra hom categories in laxalg; the
-descent carriers; the pre- and postcomposition faces of the three-level
-diagrams.  A test in tests/test_fincat.py proves each theorem once:
+products, functor categories, composites, pasting and category_over (the
+lax and strict descent carriers and the algebra hom categories) here; T
+on functors and cells and universe members in laxalg; the pre- and
+postcomposition faces of the three-level diagrams.  A test in
+tests/test_fincat.py proves each theorem once:
 test_products_and_functor_categories_are_categories,
+test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
 test_universe_members_and_T_are_lawful and
 test_codescent_probe_faces_are_lawful.
@@ -303,12 +305,20 @@ def make_fun(src, tgt, on_obj, on_mor):
     for x in src.objects:
         if on_mor[src.identity[x]] != tgt.identity[on_obj[x]]:
             raise FunctorialityViolation("identity of %r not preserved" % x)
-    for (g, f), gf in src.compose_table.items():
-        if tgt.compose_table[(on_mor[g], on_mor[f])] != on_mor[gf]:
-            raise FunctorialityViolation(
-                "composition not preserved on (%r, %r)" % (g, f)
-            )
+    broken = _unpreserved(src, tgt, on_mor)
+    if broken is not None:
+        raise FunctorialityViolation("composition not preserved on (%r, %r)" % broken)
     return Fun(src, tgt, on_obj, on_mor)
+
+
+def _unpreserved(C, D, on_mor):
+    """The first pair (g, f) of C's table that on_mor does not preserve
+    in D, or None."""
+    Dc = D.compose_table
+    for (g, f), gf in C.compose_table.items():
+        if Dc[(on_mor[g], on_mor[f])] != on_mor[gf]:
+            return g, f
+    return None
 
 
 def identity_fun(C):
@@ -325,6 +335,45 @@ def compose_fun(G, F):
         {x: G.on_obj[fx] for x, fx in F.on_obj.items()},
         {m: G.on_mor[fm] for m, fm in F.on_mor.items()},
     )
+
+
+def category_over(base, over, admits):
+    """The category whose objects o, in the order of over, lie over the
+    objects over[o] of base.  Its morphisms o1 -> o2 are the m in
+    base.hom(over[o1], over[o2]) for which admits(m, o1, o2) holds, each
+    named "[m:o1->o2]"; identities and composites are base's.  Returns the
+    category and its faithful projection to base, both built without
+    proof: they are lawful when admits holds at identities and is closed
+    under composition.
+
+    >>> Z2 = make_fincat(["*"], ["e", "s"], {"e": "*", "s": "*"},
+    ...     {"e": "*", "s": "*"}, {"*": "e"}, {("e", "e"): "e",
+    ...     ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"})
+    >>> C, p = category_over(Z2, {"a": "*", "b": "*"}, lambda m, o1, o2: True)
+    >>> C.hom("a", "b")
+    ('[e:a->b]', '[s:a->b]')
+    >>> C.compose("[s:b->a]", "[s:a->b]"), C.identity["a"]
+    ('[e:a->a]', '[e:a->a]')
+    >>> p.mor("[s:a->b]")
+    's'
+    """
+    morphisms, dom, cod, under = [], {}, {}, {}
+    for o1, x1 in over.items():
+        for o2, x2 in over.items():
+            for m in base.hom(x1, x2):
+                if admits(m, o1, o2):
+                    name = "[%s:%s->%s]" % (m, o1, o2)
+                    morphisms.append(name)
+                    dom[name], cod[name] = o1, o2
+                    under[name] = m
+    identity = {o: "[%s:%s->%s]" % (base.identity[x], o, o) for o, x in over.items()}
+
+    def composite(g, f):
+        return "[%s:%s->%s]" % (base.compose(under[g], under[f]), dom[f], cod[g])
+
+    compose = composition_table(morphisms, dom, cod, composite)
+    C = FinCat(over, morphisms, dom, cod, identity, compose)
+    return C, Fun(C, base, over, under)
 
 
 class NatT:
@@ -533,12 +582,6 @@ def _enumerate_functors(C, D):
                 return False
         return True
 
-    def functorial(full):
-        for (g, f), gf in C.compose_table.items():
-            if Dc[(full[g], full[f])] != full[gf]:
-                return False
-        return True
-
     out = []
     for image in itertools.product(D.objects, repeat=len(objs)):
         on_obj = dict(zip(objs, image))
@@ -553,7 +596,7 @@ def _enumerate_functors(C, D):
                 for x in objs:
                     full[C.identity[x]] = D.identity[on_obj[x]]
                 # final functoriality check over the whole table
-                if functorial(full):
+                if _unpreserved(C, D, full) is None:
                     out.append(Fun(C, D, on_obj, full))
             # the deepest morphism takes its next image that passes its
             # checks; a morphism whose images run out is dropped
@@ -640,7 +683,7 @@ class HomCat(FinCat):
     objects, make_fun and functor enumeration with a HomCat source or
     target, and products and pastes over a HomCat.  Callers that take one
     composite at a time (make_nat, FinCat.inverse, the descent equations,
-    lax_descent, AlgHomCat) go through compose and never force it.
+    category_over) go through compose and never force it.
     """
 
     def __init__(self, C, D):
@@ -695,8 +738,6 @@ class HomCat(FinCat):
         self._set_shape(list(self._funs), list(self._nats), dom, cod, identity)
         self._comps = comps
         self._component_of = D.compose_table.__getitem__
-        self.source_cat = C
-        self.target_cat = D
 
     def compose(self, g, f):
         """Vertical composite of f followed by g, taken componentwise in
@@ -816,10 +857,7 @@ def iso_categories(C, D):
 
         def functorial(picked):
             mmap = dict(zip([m for m, _ in slots], picked))
-            for (g, f), gf in C.compose_table.items():
-                if D.compose_table[(mmap[g], mmap[f])] != mmap[gf]:
-                    return None
-            return omap, mmap
+            return (omap, mmap) if _unpreserved(C, D, mmap) is None else None
 
         return _first_choice(len(slots), images, functorial)
 

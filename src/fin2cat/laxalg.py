@@ -31,8 +31,8 @@ from .fincat import (
     Fun,
     NatT,
     _fun_key,
+    category_over,
     compose_fun,
-    composition_table,
     hom_cat,
     identity_fun,
     identity_nat,
@@ -329,8 +329,7 @@ def check_pseudomonad(U):
                 if U.T_fun(identity_fun(C)) == identity_fun(U.T(C))
                 else failures.append("T(id) != id at %s" % U.names[i]),
             )
-            if _has_iterates(U, C, 1):
-                structural.append(("eta at %s" % U.names[i], U.eta(C)))
+            structural.append(("eta at %s" % U.names[i], U.eta(C)))
             if _has_iterates(U, C, 2):
                 structural.append(("m at %s" % U.names[i], U.m(C)))
     for label, F in structural:
@@ -622,12 +621,11 @@ def check_transformation(U, phi, psi, m):
 
 class AlgHomCat(FinCat):
     """The category of lax (or pseudo) morphisms y -> z and their
-    transformations.  Objects are named (F#, n#) after the functor and
-    comparison-cell identifiers in the underlying hom categories; data
-    and trans recover the actual structures.  levels, when given, are the
-    already built hom categories [Y, Z] and [TY, Z] to read them from.
-    The algebra morphisms and their transformations form a category, so
-    the table is built without proof."""
+    transformations, over [Y, Z]: objects (F#, n#) are named after the
+    functor and comparison-cell identifiers in the hom categories, and data
+    maps each to its LaxMorphism.  levels, when given, are the already
+    built [Y, Z] and [TY, Z].  Transformations compose, so category_over
+    builds the table without proof."""
 
     def __init__(self, U, y, z, cls, levels=None):
         if cls not in ("lax", "pseudo"):
@@ -636,7 +634,7 @@ class AlgHomCat(FinCat):
         if levels is None:
             levels = (hom_cat(Y, Z), hom_cat(U.T(Y), Z))
         d1, d2 = levels
-        objects, data = [], {}
+        over, data = {}, {}
         for fid in d1.objects:
             f = d1.functor_of(fid)
             src = compose_fun(z.a, U.T_fun(f))
@@ -650,38 +648,17 @@ class AlgHomCat(FinCat):
                 if cls == "pseudo" and k == "lax":
                     continue
                 o = "(%s,%s)" % (fid, nid)
-                objects.append(o)
+                over[o] = fid
                 data[o] = phi
 
-        morphisms, dom, cod, trans, under = [], {}, {}, {}, {}
-        for o1 in objects:
-            for o2 in objects:
-                phi, psi = data[o1], data[o2]
-                f1 = d1.obj_id(phi.f)
-                f2 = d1.obj_id(psi.f)
-                for mid in d1.hom(f1, f2):
-                    cell = d1.nat_of(mid)
-                    if check_transformation(U, phi, psi, cell):
-                        mm = "[%s:%s->%s]" % (mid, o1, o2)
-                        morphisms.append(mm)
-                        dom[mm], cod[mm] = o1, o2
-                        trans[mm] = cell
-                        under[mm] = mid
+        def admits(m, o1, o2):
+            return check_transformation(U, data[o1], data[o2], d1.nat_of(m))
 
-        identity = {}
-        for o in objects:
-            fid = d1.obj_id(data[o].f)
-            identity[o] = "[%s:%s->%s]" % (d1.identity[fid], o, o)
-
-        def composite(m2, m1):
-            c = d1.compose(under[m2], under[m1])
-            return "[%s:%s->%s]" % (c, dom[m1], cod[m2])
-
-        compose = composition_table(morphisms, dom, cod, composite)
-        FinCat.__init__(self, objects, morphisms, dom, cod, identity, compose)
+        C, _ = category_over(d1, over, admits)
+        FinCat.__init__(
+            self, C.objects, C.morphisms, C.dom, C.cod, C.identity, C.compose_table
+        )
         self.data = data
-        self.trans = trans
-        self.hom_class = cls
 
 
 def enumerate_hom_category(U, y, z, cls="lax"):

@@ -292,6 +292,18 @@ def test_malformed_workspace_is_an_error_report(tmp_path):
     assert report["data"]["error"] == "ParseError"
     assert "line 1" in report["data"]["message"]
 
+    # a section that is no JSON object
+    p.write_text('{"categories": []}')
+    done = _run_cli("validate", "--input", str(p))
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["status"] == "error"
+    assert report["data"] == {
+        "error": "ParseError",
+        "message": "section 'categories' must be a JSON object",
+    }
+
 
 def test_unknown_command_is_an_error_report():
     done = _run_cli("frobnicate", "--input", MONAD_FX)
@@ -435,6 +447,28 @@ _BROKEN_INPUTS = {
         "D",
         {"kind": "tzy", "source": "swap", "target": "one"},
         "diagrams.D: category is not a universe member",
+    ),
+    "category, one-element morphism boundary": (
+        "categories",
+        "bad",
+        {
+            "objects": ["x"],
+            "morphisms": {"i": ["x"]},
+            "identities": {"x": "i"},
+            "compose": [["i", "i", "i"]],
+        },
+        "categories.bad: tuple index out of range",
+    ),
+    "category, morphisms given as a list": (
+        "categories",
+        "bad",
+        {
+            "objects": ["x"],
+            "morphisms": [["i", "x", "x"]],
+            "identities": {"x": "i"},
+            "compose": [["i", "i", "i"]],
+        },
+        "categories.bad: 'list' object has no attribute 'items'",
     ),
     "diagram, unknown kind": (
         "diagrams",

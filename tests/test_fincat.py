@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -972,6 +973,27 @@ def test_products_and_functor_categories_are_categories(C, D):
     assert_lawful(P, fincat.hom_cat(C, D), funs=(P.proj1, P.proj2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), st.data())
+def test_categories_over_a_base_are_categories(B, data):
+    # up to four objects over B, two of them possibly over the same object
+    xs = data.draw(st.lists(st.sampled_from(B.objects), min_size=1, max_size=4))
+    over = {"o%d" % i: x for i, x in enumerate(xs)}
+    for admits in (
+        lambda m, o1, o2: True,
+        lambda m, o1, o2: B.is_identity(m),
+        lambda m, o1, o2: B.inverse(m) is not None,
+    ):
+        C, p = fincat.category_over(B, over, admits)
+        assert_lawful(C, funs=(p,))
+        assert C.objects == tuple(over)
+        for o1, x1 in over.items():
+            for o2, x2 in over.items():
+                admitted = [m for m in B.hom(x1, x2) if admits(m, o1, o2)]
+                assert C.hom(o1, o2) == tuple("[%s:%s->%s]" % (m, o1, o2) for m in admitted)
+                assert [p.mor(m) for m in C.hom(o1, o2)] == admitted
+
+
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
     ws = load(os.path.join(FIXTURES, fixture))
@@ -992,6 +1014,44 @@ def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
             AlgHomCat(U, y, z, cls),
             AlgHomCat(U, y, z, cls, levels=(D.D1, D.D2)),
         )
+
+
+# sha256 of each fixture pair's carriers (see carrier_digest); on these
+# pairs every datum's fbar is invertible, so the lax and strict descent
+# carriers coincide, and the lax and pseudo algebra hom categories are
+# the same category under the same names
+CARRIER_PINS = {
+    ("z2_action.json", "swap", "swap"): "a33abcfbf93c33ccc48e9af12265c0beefc24f625b15b7c893e5e6c8180352d8",
+    ("z2_action.json", "skew", "skew"): "055f4851d58336c0cdd2f6c556487af4c9ef4b0850bba3eca681a72a9991c8db",
+    ("z2_action.json", "skew", "swap"): "8ed49e616c2fe6c20b16552560ced62cb2de55d249a14c6bd51e4283cb6c381a",
+    ("monad_on_2.json", "idalg", "idalg"): "e86b6395dca5bd93c6ae6470efc1cb2d36024e380da276984140390fbaf12d8f",
+    ("monad_on_2.json", "const1", "const1"): "8afda520aa8a7a59b9a322cbc8ed1c3c9a48fe1bfc0b39bd0598b787501c30ae",
+    ("monad_on_2.json", "idalg", "const1"): "0ab3f31760b90cb2545a693db031e86b66ca8263d95af5692a200bab2951df87",
+}
+
+
+def carrier_digest(C):
+    """sha256 of C's names, boundaries, identities and table, in order."""
+    shape = (
+        C.objects,
+        C.morphisms,
+        [(m, C.dom[m], C.cod[m]) for m in C.morphisms],
+        [(o, C.identity[o]) for o in C.objects],
+        list(C.compose_table.items()),
+    )
+    return hashlib.sha256(repr(shape).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_descent_and_algebra_carriers_match_their_pins(fixture, y, z):
+    pin = CARRIER_PINS[(fixture, y, z)]
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U = y.universe
+    lax = lax_descent(build_Tzy(U, y, z))
+    carriers = [lax.carrier, invertible_part(lax).carrier]
+    carriers += [AlgHomCat(U, y, z, cls) for cls in ("lax", "pseudo")]
+    assert [carrier_digest(C) for C in carriers] == [pin] * 4
 
 
 @pytest.mark.parametrize("fixture", ["monad_on_2.json", "z2_action.json"])
