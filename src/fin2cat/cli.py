@@ -3,8 +3,9 @@
 A workspace is one JSON file with up to six sections -- categories,
 monoids, universes, algebras, morphisms, diagrams -- each mapping names
 to specs.  load() turns the file into live objects (every constructor
-check runs at load time, so a workspace that loads is already valid),
-run() executes one command against it, and main() wraps run() for the
+check runs at load time, so a workspace that loads is already valid; a
+declared diagram is checked at load but built by the command that reads
+it), run() executes one command against it, and main() wraps run() for the
 console: the report goes to stdout as canonical JSON and the exit code
 is 0 for pass, 1 for fail, 2 for undecided and 3 for error.  An input
 that cannot be read or used -- malformed JSON, a bad spec, a dangling
@@ -35,7 +36,7 @@ import sys
 
 from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
 from .descent import descent, lax_descent
-from .errors import CoherenceViolation, ParseError, UnknownCommand
+from .errors import BoundaryMismatch, CoherenceViolation, ParseError, UnknownCommand
 from .fincat import compose_fun, identity_fun, make_fincat, make_fun, make_nat
 from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
@@ -43,10 +44,12 @@ from .laxalg import (
     LaxMorphism,
     Monoid,
     build_Tzy,
+    cell_boundaries,
     check_lax_algebra,
     check_lax_morphism,
     check_pseudomonad,
     enumerate_hom_category,
+    fbar_boundary,
     monad_algebra,
     monoid_two_monad,
     strict_algebra,
@@ -91,30 +94,50 @@ def _build(section, name, fn, *a):
         raise ParseError("%s.%s: %s" % (section, name, e))
 
 
+def _list(value, what):
+    # a JSON string would otherwise be read as a list of its characters
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def _rows(spec, key):
+    return [_list(row, "%s row" % key) for row in _list(spec[key], key)]
+
+
 def _load_category(spec):
-    morphs = {m: tuple(dc) for m, dc in spec["morphisms"].items()}
+    morphs = {
+        m: tuple(_list(dc, "boundary of %r" % (m,)))
+        for m, dc in spec["morphisms"].items()
+    }
     return make_fincat(
-        objects=list(spec["objects"]),
+        objects=_list(spec["objects"], "objects"),
         morphisms=list(morphs),
         dom={m: dc[0] for m, dc in morphs.items()},
         cod={m: dc[1] for m, dc in morphs.items()},
         identity=dict(spec["identities"]),
-        compose={(g, f): h for g, f, h in spec["compose"]},
+        compose={(g, f): h for g, f, h in _rows(spec, "compose")},
     )
 
 
 def _load_monoid(spec):
     return Monoid(
-        list(spec["elements"]),
+        _list(spec["elements"], "elements"),
         spec["unit"],
-        {(a, b): c for a, b, c in spec["table"]},
+        {(a, b): c for a, b, c in _rows(spec, "table")},
     )
 
 
 def _load_universe(ws, spec):
     M = _ref(ws.monoids, "monoids", spec["monoid"])
-    seeds = [(n, _ref(ws.categories, "categories", n)) for n in spec["seeds"]]
-    return monoid_two_monad(M, seeds, int(spec["depth"]))
+    seeds = [
+        (n, _ref(ws.categories, "categories", n))
+        for n in _list(spec["seeds"], "seeds")
+    ]
+    depth = spec["depth"]
+    if type(depth) is not int:
+        raise ValueError("depth must be an integer, got %r" % (depth,))
+    return monoid_two_monad(M, seeds, depth)
 
 
 def _fun(src, tgt, spec):
@@ -136,16 +159,9 @@ def _load_algebra(ws, spec):
         return strict_algebra(U, Z, _fun(U.T(Z), Z, spec["action"]))
     if kind == "lax":
         a = _fun(U.T(Z), Z, spec["a"])
-        zbar = make_nat(
-            compose_fun(a, U.T_fun(a)),
-            compose_fun(a, U.m(Z)),
-            dict(spec["zbar"]),
-        )
-        zbar0 = make_nat(
-            identity_fun(Z),
-            compose_fun(a, U.eta(Z)),
-            dict(spec["zbar0"]),
-        )
+        mult, unit = cell_boundaries(U, Z, a)
+        zbar = make_nat(*mult, dict(spec["zbar"]))
+        zbar0 = make_nat(*unit, dict(spec["zbar0"]))
         return LaxAlgebra(U, Z, a, zbar, zbar0)
     raise ValueError("unknown algebra kind %r" % (kind,))
 
@@ -153,21 +169,29 @@ def _load_algebra(ws, spec):
 def _load_morphism(ws, spec):
     y = _ref(ws.algebras, "algebras", spec["source"])
     z = _ref(ws.algebras, "algebras", spec["target"])
-    U = y.universe
     f = _fun(y.Z, z.Z, spec["f"])
-    fbar = make_nat(
-        compose_fun(z.a, U.T_fun(f)),
-        compose_fun(f, y.a),
-        dict(spec["fbar"]),
-    )
+    fbar = make_nat(*fbar_boundary(y.universe, y, z, f), dict(spec["fbar"]))
     return LaxMorphism(f, fbar, src_alg=y, tgt_alg=z)
 
 
 def _load_diagram(ws, spec):
+    # keeps the pair (source, target); _diagram builds T_zy when a command
+    # reads it.  T_zy needs T^2 of both carriers in the source's universe
+    # (the source's own is there, as its zbar runs over it), and the
+    # target's action must start at T of its carrier there
     if spec["kind"] != "tzy":
         raise ValueError("unknown diagram kind %r" % (spec["kind"],))
     y = _ref(ws.algebras, "algebras", spec["source"])
     z = _ref(ws.algebras, "algebras", spec["target"])
+    TZ = y.universe.T(z.Z)
+    if TZ != z.a.src:
+        raise BoundaryMismatch("functors not composable")
+    y.universe.T(TZ)
+    return y, z
+
+
+def _diagram(ws, name):
+    y, z = _ref(ws.diagrams, "diagrams", name)
     return build_Tzy(y.universe, y, z)
 
 
@@ -273,14 +297,12 @@ def _cmd_hom(ws, args, budget, probes):
 
 def _cmd_descent(ws, args, budget, probes):
     (dname,) = _args(args, 1, "descent <diagram>")
-    D = _ref(ws.diagrams, "diagrams", dname)
-    return "pass", [], _counts(descent(D).carrier), []
+    return "pass", [], _counts(descent(_diagram(ws, dname)).carrier), []
 
 
 def _cmd_lax_descent(ws, args, budget, probes):
     (dname,) = _args(args, 1, "lax-descent <diagram>")
-    D = _ref(ws.diagrams, "diagrams", dname)
-    return "pass", [], _counts(lax_descent(D).carrier), []
+    return "pass", [], _counts(lax_descent(_diagram(ws, dname)).carrier), []
 
 
 def _cmd_verify_prop_descent(ws, args, budget, probes):
@@ -417,6 +439,16 @@ _PARSER.add_argument("--probes", help="comma-separated category names")
 _PARSER.add_argument("--out", help="also write the report here")
 
 
+def _error_report(command, e):
+    return {
+        "command": command,
+        "status": "error",
+        "witnesses": [],
+        "data": {"error": type(e).__name__, "message": str(e)},
+        "trace": [],
+    }
+
+
 def main(argv=None):
     ns = _PARSER.parse_intermixed_args(argv)
 
@@ -425,17 +457,15 @@ def main(argv=None):
         ws = load(ns.input) if ns.input else Workspace()
         report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
     except (ReferenceError, ValueError, OSError) as e:
-        report = {
-            "command": ns.command,
-            "status": "error",
-            "witnesses": [],
-            "data": {"error": type(e).__name__, "message": str(e)},
-            "trace": [],
-        }
+        report = _error_report(ns.command, e)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            report = _error_report(ns.command, e)
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     return _EXIT[report["status"]]
 

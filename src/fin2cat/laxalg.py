@@ -8,7 +8,11 @@ the depth is an error rather than silent growth.
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
 a.eta_Z); check_lax_algebra evaluates its three pasted coherence equations.
 A lax morphism (f, fbar: a_z.T(f) => f.a_y) is checked by
-check_lax_morphism, which classifies it as strict / pseudo / lax.
+check_lax_morphism, which classifies it as strict / pseudo / lax.  The
+boundaries of zbar, zbar0 and fbar live in cell_boundaries and
+fbar_boundary; every pasted equation is reported by _unequal, a law that
+cannot be assembled is recorded by _recorded, and a law needing k
+T-iterates of C runs when MonadUniverse.height(C) >= k.
 
 verify_prop_descent compares two independently computed categories: the
 hom category of lax morphisms (direct evaluation of the axioms) and the
@@ -16,6 +20,8 @@ lax descent category of the induced three-level diagram built by
 build_Tzy.  Both use the same object naming, so a successful comparison is
 an identity isomorphism, checked functor-by-functor.
 """
+
+from contextlib import contextmanager
 
 from .deltadiag import hom_diagram, precompose
 from .descent import invertible_part, lax_descent
@@ -166,6 +172,13 @@ class MonadUniverse:
             F = self._memo[key] = build()
         return F
 
+    def height(self, C):
+        """How many times T applies to the member C before the depth ends."""
+        n, j = 0, self._succ[self.index_of(C)]
+        while j is not None:
+            n, j = n + 1, self._succ[self.index_of(self.members[j])]
+        return n
+
     def T(self, C):
         j = self._succ[self.index_of(C)]
         if j is None:
@@ -266,20 +279,27 @@ def _vv(*nats):
     return out
 
 
-def _first_diff(a, b):
-    for x in sorted(a.components):
-        if a.components[x] != b.components.get(x):
-            return "%r (%r vs %r)" % (x, a.components[x], b.components.get(x))
-    return "boundaries differ"
+def _unequal(what, lhs, rhs, at=""):
+    """[] when the pasted cells lhs and rhs agree, else the one failure
+    "<what> fails at <at><first differing component>"."""
+    if lhs == rhs:
+        return []
+    diff = "boundaries differ"
+    for x in sorted(lhs.components):
+        if lhs.components[x] != rhs.components.get(x):
+            diff = "%r (%r vs %r)" % (x, lhs.components[x], rhs.components.get(x))
+            break
+    return ["%s fails at %s%s" % (what, at, diff)]
 
 
-def _has_iterates(U, C, k):
+@contextmanager
+def _recorded(failures, label):
+    """Record an AxiomViolation or BoundaryMismatch raised in the block as
+    the failure "label: message"; the rest of the block is skipped."""
     try:
-        for _ in range(k):
-            C = U.T(C)
-        return True
-    except AxiomViolation:
-        return False
+        yield
+    except (AxiomViolation, BoundaryMismatch) as e:
+        failures.append("%s: %s" % (label, e))
 
 
 def check_pseudomonad(U):
@@ -292,83 +312,61 @@ def check_pseudomonad(U):
     Returns a Verdict listing each member and law that fails.
     """
     failures = []
-
-    def guard(label, thunk):
-        try:
-            thunk()
-        except (AxiomViolation, BoundaryMismatch) as e:
-            failures.append("%s: %s" % (label, e))
-
-    for i, C in enumerate(U.members):
-        name = U.names[i]
-        if not _has_iterates(U, C, 1):
-            continue
-        TC = U.T(C)
-        if _has_iterates(U, C, 2):
-            def units(C=C, TC=TC, name=name):
+    h = U.height
+    members = [(C, name, h(C)) for C, name in zip(U.members, U.names)]
+    for C, name, k in members:
+        if k >= 2:
+            TC = U.T(C)
+            with _recorded(failures, "unit laws at %s" % name):
                 if compose_fun(U.m(C), U.eta(TC)) != identity_fun(TC):
                     failures.append("left unit law fails at %s" % name)
                 if compose_fun(U.m(C), U.T_fun(U.eta(C))) != identity_fun(TC):
                     failures.append("right unit law fails at %s" % name)
-            guard("unit laws at %s" % name, units)
-        if _has_iterates(U, C, 3):
-            def assoc(C=C, TC=TC, name=name):
+        if k >= 3:
+            with _recorded(failures, "associativity at %s" % name):
                 if compose_fun(U.m(C), U.T_fun(U.m(C))) != compose_fun(
                     U.m(C), U.m(TC)
                 ):
                     failures.append("associativity law fails at %s" % name)
-            guard("associativity at %s" % name, assoc)
 
     # strict functoriality of T and naturality of the structure maps
     structural = []
-    for i, C in enumerate(U.members):
-        if _has_iterates(U, C, 1):
-            guard(
-                "T on identity at %s" % U.names[i],
-                lambda C=C: None
-                if U.T_fun(identity_fun(C)) == identity_fun(U.T(C))
-                else failures.append("T(id) != id at %s" % U.names[i]),
-            )
-            structural.append(("eta at %s" % U.names[i], U.eta(C)))
-            if _has_iterates(U, C, 2):
-                structural.append(("m at %s" % U.names[i], U.m(C)))
+    for C, name, k in members:
+        if k >= 1:
+            with _recorded(failures, "T on identity at %s" % name):
+                if U.T_fun(identity_fun(C)) != identity_fun(U.T(C)):
+                    failures.append("T(id) != id at %s" % name)
+            structural.append(("eta at %s" % name, U.eta(C)))
+            if k >= 2:
+                structural.append(("m at %s" % name, U.m(C)))
     for label, F in structural:
-        if _has_iterates(U, F.src, 1) and _has_iterates(U, F.tgt, 1):
-            def eta_nat(F=F, label=label):
+        if min(h(F.src), h(F.tgt)) >= 1:
+            with _recorded(failures, "eta naturality (%s)" % label):
                 if compose_fun(U.eta(F.tgt), F) != compose_fun(
                     U.T_fun(F), U.eta(F.src)
                 ):
                     failures.append("eta not natural along %s" % label)
-            guard("eta naturality (%s)" % label, eta_nat)
-        if _has_iterates(U, F.src, 2) and _has_iterates(U, F.tgt, 2):
-            def m_nat(F=F, label=label):
+        if min(h(F.src), h(F.tgt)) >= 2:
+            with _recorded(failures, "m naturality (%s)" % label):
                 if compose_fun(U.m(F.tgt), U.T_fun(U.T_fun(F))) != compose_fun(
                     U.T_fun(F), U.m(F.src)
                 ):
                     failures.append("m not natural along %s" % label)
-            guard("m naturality (%s)" % label, m_nat)
     for label1, F in structural:
         for label2, G in structural:
-            if (
-                F.tgt == G.src
-                and _has_iterates(U, F.src, 1)
-                and _has_iterates(U, F.tgt, 1)
-                and _has_iterates(U, G.tgt, 1)
-            ):
-                def strictness(F=F, G=G, label1=label1, label2=label2):
+            if F.tgt == G.src and min(h(F.src), h(F.tgt), h(G.tgt)) >= 1:
+                with _recorded(failures, "T strictness"):
                     if U.T_fun(compose_fun(G, F)) != compose_fun(
                         U.T_fun(G), U.T_fun(F)
                     ):
                         failures.append(
                             "T not strict on %s after %s" % (label2, label1)
                         )
-                guard("T strictness", strictness)
 
     # coherence pastings, where enough iterates exist
-    for i, C in enumerate(U.members):
-        name = U.names[i]
-        if _has_iterates(U, C, 4):
-            def assoc_paste(C=C, name=name):
+    for C, name, k in members:
+        if k >= 4:
+            with _recorded(failures, "associativity pasting at %s" % name):
                 TC = U.T(C)
                 lhs = _vv(
                     whisker_left(U.m(C), U.mu(TC)),
@@ -379,28 +377,34 @@ def check_pseudomonad(U):
                     whisker_right(U.mu(C), U.m(U.T(TC))),
                     whisker_right(U.mu(C), U.T_fun(U.T_fun(U.m(C)))),
                 )
-                if lhs != rhs:
-                    failures.append(
-                        "associativity pasting fails at %s: %s"
-                        % (name, _first_diff(lhs, rhs))
-                    )
-            guard("associativity pasting at %s" % name, assoc_paste)
-        if _has_iterates(U, C, 3):
-            def tri_paste(C=C, name=name):
+                failures += _unequal("associativity pasting", lhs, rhs, name + ": ")
+        if k >= 3:
+            with _recorded(failures, "triangle pasting at %s" % name):
                 TC = U.T(C)
                 lhs = _vv(
                     whisker_left(U.m(C), U.tau(TC)),
                     whisker_right(U.mu(C), U.T_fun(U.eta(TC))),
                 )
                 rhs = whisker_left(U.m(C), U.T_nat(U.iota(C)))
-                if lhs != rhs:
-                    failures.append(
-                        "triangle pasting fails at %s: %s"
-                        % (name, _first_diff(lhs, rhs))
-                    )
-            guard("triangle pasting at %s" % name, tri_paste)
+                failures += _unequal("triangle pasting", lhs, rhs, name + ": ")
 
     return verdict_all(failures)
+
+
+def cell_boundaries(U, Z, a):
+    """The boundaries (source, target) of the comparison cells of a lax
+    algebra with action a: T(Z) -> Z: (a.T(a), a.m_Z) for zbar and
+    (id_Z, a.eta_Z) for zbar0."""
+    return (
+        (compose_fun(a, U.T_fun(a)), compose_fun(a, U.m(Z))),
+        (identity_fun(Z), compose_fun(a, U.eta(Z))),
+    )
+
+
+def fbar_boundary(U, y, z, f):
+    """The boundary (a_z.T(f), f.a_y) of the comparison cell fbar of a lax
+    morphism y -> z with underlying functor f."""
+    return compose_fun(z.a, U.T_fun(f)), compose_fun(f, y.a)
 
 
 class LaxAlgebra:
@@ -416,15 +420,12 @@ class LaxAlgebra:
         self.a = a
         self.zbar = zbar
         self.zbar0 = zbar0
-        U = universe
-        TZ = U.T(Z)
-        if a.src != TZ or a.tgt != Z:
+        if a.src != universe.T(Z) or a.tgt != Z:
             raise BoundaryMismatch("action must be a functor T(Z) -> Z")
-        if zbar.src != compose_fun(a, U.T_fun(a)) or zbar.tgt != compose_fun(
-            a, U.m(Z)
-        ):
+        mult, unit = cell_boundaries(universe, Z, a)
+        if (zbar.src, zbar.tgt) != mult:
             raise BoundaryMismatch("zbar must run a.T(a) => a.m")
-        if zbar0.src != identity_fun(Z) or zbar0.tgt != compose_fun(a, U.eta(Z)):
+        if (zbar0.src, zbar0.tgt) != unit:
             raise BoundaryMismatch("zbar0 must run id => a.eta")
 
     def __repr__(self):
@@ -434,12 +435,9 @@ class LaxAlgebra:
 def strict_algebra(U, Z, a):
     """Package a strictly associative, strictly unital action as a
     LaxAlgebra with identity comparison cells."""
-    zbar = identity_nat(compose_fun(a, U.T_fun(a)))
-    zbar = make_nat(zbar.src, compose_fun(a, U.m(Z)), zbar.components)
-    zbar0 = make_nat(
-        identity_fun(Z),
-        compose_fun(a, U.eta(Z)),
-        {x: Z.identity[x] for x in Z.objects},
+    zbar, zbar0 = (
+        make_nat(F, G, identity_nat(F).components)
+        for F, G in cell_boundaries(U, Z, a)
     )
     return LaxAlgebra(U, Z, a, zbar, zbar0)
 
@@ -460,14 +458,9 @@ def monad_algebra(U, Z, t, mu, eta):
         _, o2 = T2Z.obj_pair[o]
         _, x = TZ.obj_pair[o2]
         zbar_comps[o] = mu.at(x)
-    zbar = make_nat(
-        compose_fun(a, U.T_fun(a)), compose_fun(a, U.m(Z)), zbar_comps
-    )
-    zbar0 = make_nat(
-        identity_fun(Z),
-        compose_fun(a, U.eta(Z)),
-        {x: eta.at(x) for x in Z.objects},
-    )
+    mult, unit = cell_boundaries(U, Z, a)
+    zbar = make_nat(*mult, zbar_comps)
+    zbar0 = make_nat(*unit, {x: eta.at(x) for x in Z.objects})
     return LaxAlgebra(U, Z, a, zbar, zbar0)
 
 
@@ -517,8 +510,7 @@ def check_lax_algebra(U, z):
     failures = []
     a, Z = z.a, z.Z
     TZ = U.T(Z)
-
-    if _has_iterates(U, Z, 3):
+    if U.height(Z) >= 3:
         lhs = _vv(
             whisker_left(a, U.mu(Z)),
             whisker_right(z.zbar, U.T_fun(U.m(Z))),
@@ -528,31 +520,20 @@ def check_lax_algebra(U, z):
             whisker_right(z.zbar, U.m(TZ)),
             whisker_right(z.zbar, U.T_fun(U.T_fun(a))),
         )
-        if lhs != rhs:
-            failures.append(
-                "multiplication pasting fails at %s" % _first_diff(lhs, rhs)
-            )
-    if _has_iterates(U, Z, 2):
+        failures += _unequal("multiplication pasting", lhs, rhs)
+    if U.height(Z) >= 2:
         lhs = _vv(
             whisker_left(a, U.iota(Z)),
             whisker_right(z.zbar, U.eta(TZ)),
             whisker_right(z.zbar0, a),
         )
-        if lhs != identity_nat(a):
-            failures.append(
-                "unit pasting (eta) fails at %s"
-                % _first_diff(lhs, identity_nat(a))
-            )
+        failures += _unequal("unit pasting (eta)", lhs, identity_nat(a))
         lhs = _vv(
             whisker_left(a, U.tau(Z)),
             whisker_right(z.zbar, U.T_fun(U.eta(Z))),
             whisker_left(a, U.T_nat(z.zbar0)),
         )
-        if lhs != identity_nat(a):
-            failures.append(
-                "unit pasting (T eta) fails at %s"
-                % _first_diff(lhs, identity_nat(a))
-            )
+        failures += _unequal("unit pasting (T eta)", lhs, identity_nat(a))
     return verdict_all(failures)
 
 
@@ -566,9 +547,7 @@ def check_lax_morphism(U, y, z, phi):
     Y, Z = y.Z, z.Z
     if f.src != Y or f.tgt != Z:
         raise BoundaryMismatch("underlying functor must run Y -> Z")
-    if fbar.src != compose_fun(z.a, U.T_fun(f)) or fbar.tgt != compose_fun(
-        f, y.a
-    ):
+    if (fbar.src, fbar.tgt) != fbar_boundary(U, y, z, f):
         raise BoundaryMismatch("fbar must run a_z.T(f) => f.a_y")
 
     lhs = _vv(
@@ -580,20 +559,18 @@ def check_lax_morphism(U, y, z, phi):
         whisker_right(fbar, U.T_fun(y.a)),
         whisker_left(z.a, U.T_nat(fbar)),
     )
-    if lhs != rhs:
-        raise CoherenceViolation(
-            "multiplication compatibility fails at %s" % _first_diff(lhs, rhs)
-        )
+    failed = _unequal("multiplication compatibility", lhs, rhs)
+    if failed:
+        raise CoherenceViolation(*failed)
 
     lhs = _vv(
         whisker_right(fbar, U.eta(Y)),
         whisker_right(z.zbar0, f),
     )
     rhs = whisker_left(f, y.zbar0)
-    if lhs != rhs:
-        raise CoherenceViolation(
-            "unit compatibility fails at %s" % _first_diff(lhs, rhs)
-        )
+    failed = _unequal("unit compatibility", lhs, rhs)
+    if failed:
+        raise CoherenceViolation(*failed)
 
     phi.src_alg, phi.tgt_alg = y, z
     return phi.cls
@@ -614,9 +591,7 @@ def check_transformation(U, phi, psi, m):
     a_z = phi.tgt_alg.a
     lhs = paste("vertical", psi.fbar, whisker_left(a_z, U.T_nat(m)))
     rhs = paste("vertical", whisker_right(m, a_y), phi.fbar)
-    if lhs != rhs:
-        return verdict_all(["compatibility fails at %s" % _first_diff(lhs, rhs)])
-    return verdict_all([])
+    return verdict_all(_unequal("compatibility", lhs, rhs))
 
 
 class AlgHomCat(FinCat):
@@ -637,8 +612,7 @@ class AlgHomCat(FinCat):
         over, data = {}, {}
         for fid in d1.objects:
             f = d1.functor_of(fid)
-            src = compose_fun(z.a, U.T_fun(f))
-            tgt = compose_fun(f, y.a)
+            src, tgt = fbar_boundary(U, y, z, f)
             for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
                 phi = LaxMorphism(f, d2.nat_of(nid), src_alg=y, tgt_alg=z)
                 try:

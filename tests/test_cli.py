@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import fin2cat
+from fin2cat import laxalg
 from fin2cat.cli import load, main, run
 from fin2cat.errors import ParseError, UnknownCommand
 
@@ -130,13 +131,22 @@ def test_check_algebra_failure_reported():
     assert any("unit" in w for w in report["witnesses"])
 
 
-def test_descent_commands_on_diagram():
+def test_descent_commands_on_diagram(tmp_path):
     ws = load(MONAD_FX)
     lax = run(ws, "lax-descent", ["Did"])
     strict = run(ws, "descent", ["Did"])
     assert lax["data"]["object_count"] == 3
     assert lax["data"]["morphism_count"] == 6
     assert strict["data"]["object_count"] == 3
+    # T_zy runs from source to target: const1 -> idalg has 3 lax morphisms
+    # (2 pseudo), idalg -> const1 only 1
+    with open(MONAD_FX) as fh:
+        payload = json.load(fh)
+    payload["diagrams"]["Dc"] = {"kind": "tzy", "source": "const1", "target": "idalg"}
+    ws = load(write(tmp_path, payload))
+    for command, counts in (("lax-descent", (3, 6)), ("descent", (2, 3))):
+        data = run(ws, command, ["Dc"])["data"]
+        assert (data["object_count"], data["morphism_count"]) == counts
 
 
 def test_verify_prop_descent_command():
@@ -218,6 +228,41 @@ def test_main_report_is_byte_stable(tmp_path, capsys):
     assert capsys.readouterr().out == first
     # keys arrive sorted
     assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n"
+
+
+def test_an_unwritable_out_file_is_an_error_report(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["validate", "--input", MONAD_FX, "--out", str(out)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["command", "data", "status", "trace", "witnesses"]
+    assert report["status"] == "error"
+    assert report["data"] == {
+        "error": "FileNotFoundError",
+        "message": "[Errno 2] No such file or directory: %r" % str(out),
+    }
+    assert not out.parent.exists()
+
+
+def test_declared_diagrams_are_built_by_the_commands_that_read_them(
+    monkeypatch, capsys
+):
+    # validate, kleisli and hom never read the diagram Did, so no command
+    # but descent and lax-descent builds [T^2 C2, C2]
+    built = []
+    hom_cat = laxalg.hom_cat
+    monkeypatch.setattr(
+        laxalg, "hom_cat", lambda C, D: built.append(len(C.objects)) or hom_cat(C, D)
+    )
+    assert main(["validate", "--input", MONAD_FX]) == 0
+    assert main(["kleisli", "--input", MONAD_FX, "const1"]) == 0
+    assert built == []
+    assert main(["hom", "--input", MONAD_FX, "idalg", "const1"]) == 0
+    assert built == [2, 2]  # [C2, C2] and [T C2, C2] over the trivial monoid
+    for command in ("descent", "lax-descent"):
+        del built[:]
+        assert main([command, "--input", MONAD_FX, "Did"]) == 0
+        assert built == [2, 2, 2]
+    capsys.readouterr()
 
 
 def test_main_exit_codes(capsys):
@@ -476,19 +521,166 @@ _BROKEN_INPUTS = {
         {"kind": "tyz", "source": "swap", "target": "swap"},
         "diagrams.D: unknown diagram kind 'tyz'",
     ),
+    "diagram, target carrier too shallow in the source's universe": (
+        "diagrams",
+        "D",
+        {"kind": "tzy", "source": "one", "target": "tt"},
+        "diagrams.D: T is undefined beyond the universe depth",
+    ),
+    "diagram, target algebra over another monoid": (
+        "diagrams",
+        "D",
+        {"kind": "tzy", "source": "swap", "target": "pt"},
+        "diagrams.D: functors not composable",
+    ),
+    "category, objects given as a string": (
+        "categories",
+        "bad",
+        {
+            "objects": "xy",
+            "morphisms": {"i": ["x", "x"], "j": ["y", "y"]},
+            "identities": {"x": "i", "y": "j"},
+            "compose": [["i", "i", "i"], ["j", "j", "j"]],
+        },
+        "categories.bad: objects must be a list, got 'xy'",
+    ),
+    "category, morphism boundary given as a string": (
+        "categories",
+        "bad",
+        {
+            "objects": ["x"],
+            "morphisms": {"i": "xx"},
+            "identities": {"x": "i"},
+            "compose": [["i", "i", "i"]],
+        },
+        "categories.bad: boundary of 'i' must be a list, got 'xx'",
+    ),
+    "category, compose row given as a string": (
+        "categories",
+        "bad",
+        {
+            "objects": ["x"],
+            "morphisms": {"i": ["x", "x"]},
+            "identities": {"x": "i"},
+            "compose": ["iii"],
+        },
+        "categories.bad: compose row must be a list, got 'iii'",
+    ),
+    "monoid, elements given as a string": (
+        "monoids",
+        "bad",
+        {
+            "elements": "ea",
+            "unit": "e",
+            "table": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "a"]],
+        },
+        "monoids.bad: elements must be a list, got 'ea'",
+    ),
+    "monoid, table row given as a string": (
+        "monoids",
+        "bad",
+        {
+            "elements": ["e", "a"],
+            "unit": "e",
+            "table": [["e", "e", "e"], "eaa", ["a", "e", "a"], ["a", "a", "a"]],
+        },
+        "monoids.bad: table row must be a list, got 'eaa'",
+    ),
+    "universe, seeds given as a string": (
+        "universes",
+        "bad",
+        {"monoid": "z2", "seeds": "C", "depth": 3},
+        "universes.bad: seeds must be a list, got 'C'",
+    ),
+    "universe, fractional depth": (
+        "universes",
+        "bad",
+        {"monoid": "z2", "seeds": ["P2"], "depth": 2.9},
+        "universes.bad: depth must be an integer, got 2.9",
+    ),
 }
+_ONE = {
+    "objects": ["*"],
+    "morphisms": {"id": ["*", "*"]},
+    "identities": {"*": "id"},
+    "compose": [["id", "id", "id"]],
+}
+
+
+def _discrete_iterate(k):
+    """T^k(One) over z2, a discrete category, named and ordered as the
+    universe names and orders it."""
+    obj, mor = ["*"], ["id"]
+    for _ in range(k):
+        obj = ["(%s,%s)" % (g, o) for g in "es" for o in obj]
+        mor = ["(%s,%s)" % (g, m) for g in "es" for m in mor]
+    return obj, mor
+
+
+def _discrete_spec(k):
+    obj, mor = _discrete_iterate(k)
+    return {
+        "objects": obj,
+        "morphisms": {m: [o, o] for o, m in zip(obj, mor)},
+        "identities": dict(zip(obj, mor)),
+        "compose": [[m, m, m] for m in mor],
+    }
+
+
+def _trivial_action(k):
+    """z2 acting trivially on T^k(One): (g, x) goes to x."""
+    obj, mor = _discrete_iterate(k)
+    return {
+        "on_objects": {"(%s,%s)" % (g, o): o for g in "es" for o in obj},
+        "on_morphisms": {"(%s,%s)" % (g, m): m for g in "es" for m in mor},
+    }
+
+
 # entries a case adds to the workspace besides the broken one: a strict
-# algebra on the terminal category One, in a universe of its own
+# algebra on the terminal category One, in a universe of its own; the
+# terminal category under the one-letter name a string of seeds spells;
+# an algebra on a copy TT1 of T^2(One), a member of One's universe with
+# no room for T^3(One); and the trivial action on P2 of the trivial monoid
 _ALONGSIDE = {
-    "diagram, target outside the source's universe": {
-        "categories": {
-            "One": {
-                "objects": ["*"],
-                "morphisms": {"id": ["*", "*"]},
-                "identities": {"*": "id"},
-                "compose": [["id", "id", "id"]],
+    "diagram, target algebra over another monoid": {
+        "monoids": {"triv": {"elements": ["e"], "unit": "e", "table": [["e", "e", "e"]]}},
+        "universes": {"W": {"monoid": "triv", "seeds": ["P2"], "depth": 3}},
+        "algebras": {
+            "pt": {
+                "universe": "W",
+                "carrier": "P2",
+                "kind": "strict",
+                "action": {
+                    "on_objects": {"(e,p)": "p", "(e,q)": "q"},
+                    "on_morphisms": {"(e,idp)": "idp", "(e,idq)": "idq"},
+                },
             }
         },
+    },
+    "universe, seeds given as a string": {"categories": {"C": _ONE}},
+    "diagram, target carrier too shallow in the source's universe": {
+        "categories": {"One": _ONE, "TT1": _discrete_spec(2)},
+        "universes": {
+            "U1": {"monoid": "z2", "seeds": ["One"], "depth": 3},
+            "V": {"monoid": "z2", "seeds": ["TT1"], "depth": 2},
+        },
+        "algebras": {
+            "one": {
+                "universe": "U1",
+                "carrier": "One",
+                "kind": "strict",
+                "action": _trivial_action(0),
+            },
+            "tt": {
+                "universe": "V",
+                "carrier": "TT1",
+                "kind": "strict",
+                "action": _trivial_action(2),
+            },
+        },
+    },
+    "diagram, target outside the source's universe": {
+        "categories": {"One": _ONE},
         "universes": {"U1": {"monoid": "z2", "seeds": ["One"], "depth": 3}},
         "algebras": {
             "one": {
