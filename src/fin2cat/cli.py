@@ -2,32 +2,28 @@
 
 A workspace is one JSON file with up to six sections -- categories,
 monoids, universes, algebras, morphisms, diagrams -- each mapping names
-to specs.  load() turns the file into live objects (every constructor
-check runs at load time, so a workspace that loads is already valid; a
+to specs.  Its format is the table _SCHEMA: the fields of each section's
+specs and the shape of each field.  Names are JSON strings, an integer is
+a JSON integer, rows have a fixed length, and the fields of an algebra or
+a diagram depend on its kind.
+
+load() checks the whole file against _SCHEMA before any constructor runs,
+then turns it into live objects: every constructor check runs at load
+time, so a workspace that loads is already valid, and a universe of more
+than laxalg.UNIVERSE_LIMIT morphisms is refused before it is built.  A
 declared diagram is checked at load but built by the command that reads
-it), run() executes one command against it, and main() wraps run() for the
-console: the report goes to stdout as canonical JSON and the exit code
-is 0 for pass, 1 for fail, 2 for undecided and 3 for error.  An input
-that cannot be read or used -- malformed JSON, a bad spec, a dangling
-name, an unknown command, a law violation, an unreadable --input file --
-gives an "error" report naming the exception in data, not a traceback.
-
-Section formats:
-
-    categories: {objects: [..], morphisms: {m: [dom, cod]},
-                 identities: {obj: m}, compose: [[g, f, gf], ..]}
-    monoids:    {elements: [..], unit: e, table: [[a, b, ab], ..]}
-    universes:  {monoid: name, seeds: [category names], depth: n}
-    algebras:   {universe, carrier, kind: monad|strict|lax, ...} where
-                monad adds t/mu/eta, strict adds action, lax adds
-                a/zbar/zbar0
-    morphisms:  {source, target, f: functor spec, fbar: components}
-    diagrams:   {kind: "tzy", source, target}
-
-Functor specs are {on_objects: {..}, on_morphisms: {..}}; component
-tables map objects to morphisms.  Bad structure raises ParseError with
-the section.name that failed; a name that points at nothing raises
+it.  A spec of the wrong shape or one that breaks a law raises ParseError
+naming its section.name; a name that points at nothing raises
 ReferenceError.
+
+run() executes one command against a workspace, and main() wraps run()
+for the console: the report goes to stdout as canonical JSON and the exit
+code is 0 for pass, 1 for fail, 2 for undecided and 3 for error.  An
+input that cannot be read or used -- malformed JSON, a bad spec, a
+dangling name, an unknown command, a law violation, an unreadable --input
+file -- gives an "error" report naming the exception in data, not a
+traceback.  So does a fault inside fin2cat, under its own exception type
+(KeyError, say), never as ParseError.
 """
 
 import argparse
@@ -56,133 +52,190 @@ from .laxalg import (
     verify_prop_descent,
 )
 
-_SECTIONS = ("categories", "monoids", "universes", "algebras", "morphisms", "diagrams")
+# The workspace format, written once: section -> field -> shape.  A shape
+# is str (a name: a JSON string), int (an integer; true and 2.0 are not),
+# a row length n (a list of exactly n names), [shape] (a list of rows of
+# that shape, or of names), (label, shape) (an object from names to that
+# shape, the entry at k called label % k; _NAMES maps names to names) or
+# a dict of fields (a spec, as _FUNCTOR).  The field "kind" maps each kind
+# to the further fields it brings.  Fields a spec does not list are ignored.
+_NAMES = (None, str)
+_FUNCTOR = {"on_objects": _NAMES, "on_morphisms": _NAMES}
+_SCHEMA = {
+    "categories": {
+        "objects": [str],
+        "morphisms": ("boundary of %r", 2),
+        "identities": _NAMES,
+        "compose": [3],
+    },
+    "monoids": {"elements": [str], "unit": str, "table": [3]},
+    "universes": {"monoid": str, "seeds": [str], "depth": int},
+    "algebras": {
+        "universe": str,
+        "carrier": str,
+        "kind": {
+            "monad": {"t": _FUNCTOR, "mu": _NAMES, "eta": _NAMES},
+            "strict": {"action": _FUNCTOR},
+            "lax": {"a": _FUNCTOR, "zbar": _NAMES, "zbar0": _NAMES},
+        },
+    },
+    "morphisms": {"source": str, "target": str, "f": _FUNCTOR, "fbar": _NAMES},
+    "diagrams": {"kind": {"tzy": {"source": str, "target": str}}},
+}
+_SECTIONS = tuple(_SCHEMA)
+# the JSON type of a value of each kind of shape (a str or int shape is its
+# own), and how messages name each JSON type
+_FORM = {int: list, list: list, tuple: dict, dict: dict}
+_NOUN = {str: "a name", int: "an integer", list: "a list", dict: "a JSON object"}
 
 _EXIT = {"pass": 0, "fail": 1, "undecided": 2, "error": 3}
 
 
 class Workspace:
-    """The live objects of a loaded workspace file, one dict per section."""
+    """The live objects of a loaded workspace file: one dict per section,
+    the attribute named after the section (ws.categories, ws.monoids, ...)."""
 
     def __init__(self, path=None):
         self.path = path
-        self.categories = {}
-        self.monoids = {}
-        self.universes = {}
-        self.algebras = {}
-        self.morphisms = {}
-        self.diagrams = {}
+        for section in _SCHEMA:
+            setattr(self, section, {})
 
     def __repr__(self):
         return "Workspace(%r)" % (self.path,)
 
 
-def _ref(table, section, name):
+def _check(v, shape, what):
+    """Raise ValueError("<what> must be ...") unless the JSON value v has
+    the shape.  Lists and objects of names are checked in one pass."""
+    form = _FORM.get(type(shape), shape)
+    if type(v) is not form:
+        raise ValueError("%s must be %s, got %r" % (what, _NOUN[form], v))
+    if type(shape) is int:
+        if len(v) != shape or not all(type(x) is str for x in v):
+            raise ValueError("%s must be a list of %d names, got %r" % (what, shape, v))
+    elif type(shape) is dict:
+        _fields(v, shape, None, what + ".")
+    elif shape == [str] or shape is _NAMES:
+        if not all(type(x) is str for x in (v if form is list else v.values())):
+            raise ValueError("%s must be %s of names, got %r" % (what, _NOUN[form], v))
+    elif type(shape) is list:
+        for row in v:
+            _check(row, shape[0], what + " row")
+    elif type(shape) is tuple:
+        for k, x in v.items():
+            _check(x, shape[1], shape[0] % (k,))
+
+
+def _fields(spec, fields, noun, prefix=""):
+    """Check the fields of a spec, and those its kind brings; noun names
+    the spec's sort in the message for an unknown kind."""
+    for field, shape in fields.items():
+        if field not in spec:
+            raise ValueError("missing field %s%s" % (prefix, field))
+        if field != "kind":
+            _check(spec[field], shape, prefix + field)
+            continue
+        kind = spec["kind"]
+        _check(kind, str, "kind")
+        if kind not in shape:
+            raise ValueError("unknown %s kind %r" % (noun, kind))
+        _fields(spec, shape[kind], noun)
+
+
+def _check_workspace(raw):
+    """Check a whole workspace against _SCHEMA; ParseError names the first
+    section.name at fault."""
+    if type(raw) is not dict:
+        raise ParseError("workspace must be a JSON object")
+    for section, entries in raw.items():
+        if section not in _SCHEMA:
+            raise ParseError("unknown section %r" % (section,))
+        if type(entries) is not dict:
+            raise ParseError("section %r must be a JSON object" % (section,))
+        for name, spec in entries.items():
+            if type(spec) is not dict:
+                where = (section, name, spec)
+                raise ParseError("%s.%s: spec must be a JSON object, got %r" % where)
+            # section[:-1] names one entry: "algebras" -> "algebra"
+            _build(section, name, _fields, spec, _SCHEMA[section], section[:-1])
+
+
+def _ref(ws, section, name):
+    table = getattr(ws, section)
     if name not in table:
         raise ReferenceError("%s: no entry named %r" % (section, name))
     return table[name]
 
 
 def _build(section, name, fn, *a):
-    # constructor complaints become ParseErrors that say where; dangling
-    # names keep their ReferenceError identity
+    # the errors of fin2cat (every one a ValueError) become ParseErrors that
+    # say where; a dangling name keeps its ReferenceError, and any other
+    # exception is a fault of fin2cat, not of the file, and goes to main
     try:
         return fn(*a)
-    except ReferenceError:
-        raise
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
+    except ValueError as e:
         raise ParseError("%s.%s: %s" % (section, name, e))
 
 
-def _list(value, what):
-    # a JSON string would otherwise be read as a list of its characters
-    if not isinstance(value, list):
-        raise ValueError("%s must be a list, got %r" % (what, value))
-    return value
-
-
-def _rows(spec, key):
-    return [_list(row, "%s row" % key) for row in _list(spec[key], key)]
-
-
-def _load_category(spec):
-    morphs = {
-        m: tuple(_list(dc, "boundary of %r" % (m,)))
-        for m, dc in spec["morphisms"].items()
-    }
+def _load_category(ws, spec):
+    bounds = spec["morphisms"]
     return make_fincat(
-        objects=_list(spec["objects"], "objects"),
-        morphisms=list(morphs),
-        dom={m: dc[0] for m, dc in morphs.items()},
-        cod={m: dc[1] for m, dc in morphs.items()},
-        identity=dict(spec["identities"]),
-        compose={(g, f): h for g, f, h in _rows(spec, "compose")},
+        objects=spec["objects"],
+        morphisms=list(bounds),
+        dom={m: dc[0] for m, dc in bounds.items()},
+        cod={m: dc[1] for m, dc in bounds.items()},
+        identity=spec["identities"],
+        compose={(g, f): h for g, f, h in spec["compose"]},
     )
 
 
-def _load_monoid(spec):
-    return Monoid(
-        _list(spec["elements"], "elements"),
-        spec["unit"],
-        {(a, b): c for a, b, c in _rows(spec, "table")},
-    )
+def _load_monoid(ws, spec):
+    table = {(a, b): c for a, b, c in spec["table"]}
+    return Monoid(spec["elements"], spec["unit"], table)
 
 
 def _load_universe(ws, spec):
-    M = _ref(ws.monoids, "monoids", spec["monoid"])
-    seeds = [
-        (n, _ref(ws.categories, "categories", n))
-        for n in _list(spec["seeds"], "seeds")
-    ]
-    depth = spec["depth"]
-    if type(depth) is not int:
-        raise ValueError("depth must be an integer, got %r" % (depth,))
-    return monoid_two_monad(M, seeds, depth)
+    M = _ref(ws, "monoids", spec["monoid"])
+    seeds = [(n, _ref(ws, "categories", n)) for n in spec["seeds"]]
+    return monoid_two_monad(M, seeds, spec["depth"])
 
 
 def _fun(src, tgt, spec):
-    return make_fun(src, tgt, dict(spec["on_objects"]), dict(spec["on_morphisms"]))
+    return make_fun(src, tgt, spec["on_objects"], spec["on_morphisms"])
 
 
 def _load_algebra(ws, spec):
-    U = _ref(ws.universes, "universes", spec["universe"])
-    Z = _ref(ws.categories, "categories", spec["carrier"])
+    U = _ref(ws, "universes", spec["universe"])
+    Z = _ref(ws, "categories", spec["carrier"])
     kind = spec["kind"]
     if kind == "monad":
         t = _fun(Z, Z, spec["t"])
-        mu = make_nat(compose_fun(t, t), t, dict(spec["mu"]))
-        eta = make_nat(identity_fun(Z), t, dict(spec["eta"]))
+        mu = make_nat(compose_fun(t, t), t, spec["mu"])
+        eta = make_nat(identity_fun(Z), t, spec["eta"])
         alg = monad_algebra(U, Z, t, mu, eta)
         alg.monad = (t, mu, eta)
         return alg
     if kind == "strict":
         return strict_algebra(U, Z, _fun(U.T(Z), Z, spec["action"]))
-    if kind == "lax":
-        a = _fun(U.T(Z), Z, spec["a"])
-        mult, unit = cell_boundaries(U, Z, a)
-        zbar = make_nat(*mult, dict(spec["zbar"]))
-        zbar0 = make_nat(*unit, dict(spec["zbar0"]))
-        return LaxAlgebra(U, Z, a, zbar, zbar0)
-    raise ValueError("unknown algebra kind %r" % (kind,))
+    a = _fun(U.T(Z), Z, spec["a"])  # kind lax
+    mult, unit = cell_boundaries(U, Z, a)
+    zbar, zbar0 = make_nat(*mult, spec["zbar"]), make_nat(*unit, spec["zbar0"])
+    return LaxAlgebra(U, Z, a, zbar, zbar0)
 
 
 def _load_morphism(ws, spec):
-    y = _ref(ws.algebras, "algebras", spec["source"])
-    z = _ref(ws.algebras, "algebras", spec["target"])
+    y, z = [_ref(ws, "algebras", spec[k]) for k in ("source", "target")]
     f = _fun(y.Z, z.Z, spec["f"])
-    fbar = make_nat(*fbar_boundary(y.universe, y, z, f), dict(spec["fbar"]))
+    fbar = make_nat(*fbar_boundary(y.universe, y, z, f), spec["fbar"])
     return LaxMorphism(f, fbar, src_alg=y, tgt_alg=z)
 
 
 def _load_diagram(ws, spec):
-    # keeps the pair (source, target); _diagram builds T_zy when a command
-    # reads it.  T_zy needs T^2 of both carriers in the source's universe
-    # (the source's own is there, as its zbar runs over it), and the
-    # target's action must start at T of its carrier there
-    if spec["kind"] != "tzy":
-        raise ValueError("unknown diagram kind %r" % (spec["kind"],))
-    y = _ref(ws.algebras, "algebras", spec["source"])
-    z = _ref(ws.algebras, "algebras", spec["target"])
+    # keeps the pair (source, target) of a diagram of kind tzy; _diagram
+    # builds T_zy when a command reads it.  T_zy needs T^2 of both carriers
+    # in the source's universe (the source's own is there, as its zbar runs
+    # over it), and the target's action must start at T of its carrier there
+    y, z = [_ref(ws, "algebras", spec[k]) for k in ("source", "target")]
     TZ = y.universe.T(z.Z)
     if TZ != z.a.src:
         raise BoundaryMismatch("functors not composable")
@@ -190,13 +243,18 @@ def _load_diagram(ws, spec):
     return y, z
 
 
+_LOADERS = (_load_category, _load_monoid, _load_universe, _load_algebra,
+            _load_morphism, _load_diagram)  # in the order of _SECTIONS
+
+
 def _diagram(ws, name):
-    y, z = _ref(ws.diagrams, "diagrams", name)
+    y, z = _ref(ws, "diagrams", name)
     return build_Tzy(y.universe, y, z)
 
 
 def load(path):
-    """Load a workspace file, validating everything it declares."""
+    """Load a workspace file: check its shape against _SCHEMA, then build
+    and validate everything it declares, section by section."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -204,27 +262,12 @@ def load(path):
             raise ParseError(
                 "%s: line %d column %d: %s" % (path, e.lineno, e.colno, e.msg)
             )
-    if not isinstance(raw, dict):
-        raise ParseError("workspace must be a JSON object")
-    for section, entries in raw.items():
-        if section not in _SECTIONS:
-            raise ParseError("unknown section %r" % (section,))
-        if not isinstance(entries, dict):
-            raise ParseError("section %r must be a JSON object" % (section,))
-
+    _check_workspace(raw)
     ws = Workspace(path)
-    for name, spec in raw.get("categories", {}).items():
-        ws.categories[name] = _build("categories", name, _load_category, spec)
-    for name, spec in raw.get("monoids", {}).items():
-        ws.monoids[name] = _build("monoids", name, _load_monoid, spec)
-    for name, spec in raw.get("universes", {}).items():
-        ws.universes[name] = _build("universes", name, _load_universe, ws, spec)
-    for name, spec in raw.get("algebras", {}).items():
-        ws.algebras[name] = _build("algebras", name, _load_algebra, ws, spec)
-    for name, spec in raw.get("morphisms", {}).items():
-        ws.morphisms[name] = _build("morphisms", name, _load_morphism, ws, spec)
-    for name, spec in raw.get("diagrams", {}).items():
-        ws.diagrams[name] = _build("diagrams", name, _load_diagram, ws, spec)
+    for section, loader in zip(_SECTIONS, _LOADERS):
+        table = getattr(ws, section)
+        for name, spec in raw.get(section, {}).items():
+            table[name] = _build(section, name, loader, ws, spec)
     return ws
 
 
@@ -254,23 +297,21 @@ def _cmd_validate(ws, args, budget, probes):
 
 def _cmd_check_pseudomonad(ws, args, budget, probes):
     (uname,) = _args(args, 1, "check-pseudomonad <universe>")
-    U = _ref(ws.universes, "universes", uname)
+    U = _ref(ws, "universes", uname)
     v = check_pseudomonad(U)
-    status = "pass" if v else "fail"
-    return status, list(v.failures), {"universe": uname}, []
+    return "pass" if v else "fail", list(v.failures), {"universe": uname}, []
 
 
 def _cmd_check_algebra(ws, args, budget, probes):
     (zname,) = _args(args, 1, "check-algebra <algebra>")
-    z = _ref(ws.algebras, "algebras", zname)
+    z = _ref(ws, "algebras", zname)
     v = check_lax_algebra(z.universe, z)
-    status = "pass" if v else "fail"
-    return status, list(v.failures), {"algebra": zname}, []
+    return "pass" if v else "fail", list(v.failures), {"algebra": zname}, []
 
 
 def _cmd_check_morphism(ws, args, budget, probes):
     (mname,) = _args(args, 1, "check-morphism <morphism>")
-    phi = _ref(ws.morphisms, "morphisms", mname)
+    phi = _ref(ws, "morphisms", mname)
     y, z = phi.src_alg, phi.tgt_alg
     try:
         cls = check_lax_morphism(y.universe, y, z, phi)
@@ -281,14 +322,11 @@ def _cmd_check_morphism(ws, args, budget, probes):
 
 def _cmd_hom(ws, args, budget, probes):
     if len(args) == 2:
-        yname, zname = args
-        cls = "lax"
-    else:
-        yname, zname, cls = _args(
-            args, 3, "hom <source algebra> <target algebra> [lax|pseudo]"
-        )
-    y = _ref(ws.algebras, "algebras", yname)
-    z = _ref(ws.algebras, "algebras", zname)
+        args = args + ["lax"]  # the class defaults to lax
+    yname, zname, cls = _args(
+        args, 3, "hom <source algebra> <target algebra> [lax|pseudo]"
+    )
+    y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
     H = enumerate_hom_category(y.universe, y, z, cls=cls)
     data = _counts(H)
     data["class"] = cls
@@ -307,8 +345,7 @@ def _cmd_lax_descent(ws, args, budget, probes):
 
 def _cmd_verify_prop_descent(ws, args, budget, probes):
     yname, zname = _args(args, 2, "verify-prop-descent <source> <target>")
-    y = _ref(ws.algebras, "algebras", yname)
-    z = _ref(ws.algebras, "algebras", zname)
+    y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
     rep = verify_prop_descent(y.universe, y, z)
     witnesses = [] if rep["counterexample"] is None else [rep["counterexample"]]
     data = {"lax": rep["lax"], "pseudo": rep["pseudo"]}
@@ -317,8 +354,7 @@ def _cmd_verify_prop_descent(ws, args, budget, probes):
 
 def _cmd_build_tzy(ws, args, budget, probes):
     yname, zname = _args(args, 2, "build-tzy <source> <target>")
-    y = _ref(ws.algebras, "algebras", yname)
-    z = _ref(ws.algebras, "algebras", zname)
+    y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
     D = build_Tzy(y.universe, y, z)
     data = {}
     for level, C in (("D1", D.D1), ("D2", D.D2), ("D3", D.D3)):
@@ -335,10 +371,7 @@ def _cmd_normalize_2cell(ws, args, budget, probes):
     which, start, edges = args[0], args[1], args[2]
     c = builtin_computad(which)
     source = make_path(c.base, start, _csv(edges))
-    steps = []
-    for item in args[3:]:
-        pos, _, gen = item.partition(":")
-        steps.append((int(pos), gen))
+    steps = [(int(pos), gen) for pos, _, gen in (a.partition(":") for a in args[3:])]
     n = normalize_2cell(make_word(c, source, steps))
     data = {
         "computad": which,
@@ -364,16 +397,15 @@ def _cmd_preorder_leq(ws, args, budget, probes):
 
 def _cmd_kleisli(ws, args, budget, probes):
     (zname,) = _args(args, 1, "kleisli <monad algebra>")
-    z = _ref(ws.algebras, "algebras", zname)
+    z = _ref(ws, "algebras", zname)
     if not hasattr(z, "monad"):
         raise ValueError("kleisli needs an algebra of kind 'monad'")
-    t, mu, eta = z.monad
-    return "pass", [], _counts(kleisli(z.Z, t, mu, eta)), []
+    return "pass", [], _counts(kleisli(z.Z, *z.monad)), []
 
 
 def _cmd_strictify(ws, args, budget, probes):
     (zname,) = _args(args, 1, "strictify <algebra>")
-    z = _ref(ws.algebras, "algebras", zname)
+    z = _ref(ws, "algebras", zname)
     Q = strictify(z.universe, z, budget=50000 if budget is None else budget)
     if Q.status == FINITE:
         return "pass", [], _counts(Q.category), list(Q.trace)
@@ -384,10 +416,10 @@ def _cmd_verify_codescent(ws, args, budget, probes):
     (zname,) = _args(args, 1, "verify-codescent <algebra> --probes <category,..>")
     if not probes:
         raise ValueError("verify-codescent needs --probes <category,..>")
-    z = _ref(ws.algebras, "algebras", zname)
+    z = _ref(ws, "algebras", zname)
     A = build_Ay_strict(z.universe, z)
     Q = lax_codescent(A, budget=50000 if budget is None else budget)
-    named = [(p, _ref(ws.categories, "categories", p)) for p in probes]
+    named = [(p, _ref(ws, "categories", p)) for p in probes]
     rep = verify_codescent_universal(A, Q, named)
     witnesses = sorted(
         name for name, r in rep.get("probes", {}).items() if not r["iso"]
@@ -395,21 +427,9 @@ def _cmd_verify_codescent(ws, args, budget, probes):
     return rep["status"], witnesses, {"probes": rep.get("probes", {})}, list(Q.trace)
 
 
+# each command is the function _cmd_<name>, dashes written as underscores
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "check-pseudomonad": _cmd_check_pseudomonad,
-    "check-algebra": _cmd_check_algebra,
-    "check-morphism": _cmd_check_morphism,
-    "hom": _cmd_hom,
-    "descent": _cmd_descent,
-    "lax-descent": _cmd_lax_descent,
-    "verify-prop-descent": _cmd_verify_prop_descent,
-    "build-tzy": _cmd_build_tzy,
-    "normalize-2cell": _cmd_normalize_2cell,
-    "preorder-leq": _cmd_preorder_leq,
-    "kleisli": _cmd_kleisli,
-    "strictify": _cmd_strictify,
-    "verify-codescent": _cmd_verify_codescent,
+    n[5:].replace("_", "-"): fn for n, fn in globals().items() if n.startswith("_cmd_")
 }
 
 
@@ -417,7 +437,10 @@ def run(ws, command, args, budget=None, probes=None):
     """Execute one command; returns the report dict main() prints."""
     if command not in _COMMANDS:
         raise UnknownCommand("unknown command %r" % (command,))
-    status, witnesses, data, trace = _COMMANDS[command](ws, args, budget, probes)
+    return _report(command, *_COMMANDS[command](ws, args, budget, probes))
+
+
+def _report(command, status, witnesses, data, trace):
     return {
         "command": command,
         "status": status,
@@ -440,13 +463,8 @@ _PARSER.add_argument("--out", help="also write the report here")
 
 
 def _error_report(command, e):
-    return {
-        "command": command,
-        "status": "error",
-        "witnesses": [],
-        "data": {"error": type(e).__name__, "message": str(e)},
-        "trace": [],
-    }
+    data = {"error": type(e).__name__, "message": str(e)}
+    return _report(command, "error", [], data, [])
 
 
 def main(argv=None):
@@ -456,7 +474,7 @@ def main(argv=None):
     try:
         ws = load(ns.input) if ns.input else Workspace()
         report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
-    except (ReferenceError, ValueError, OSError) as e:
+    except Exception as e:  # a fault of fin2cat too is a report, not a traceback
         report = _error_report(ns.command, e)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if ns.out:

@@ -12,7 +12,7 @@ th = Dtheta_x, the two pasting equations
     Dsig00_f . Dp0(th) . Dsig20_f . Dp2(th)  =  Dp1(th) . Dsig21_f   in D3
     Ds0(th) . Dn1_f  =  Dn0_f                                        in D1
 
-The shape is written once, as the tables FACES and CELLS:
+The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and CELLS:
 make_delta_diagram checks against them, codescent reads them upward, and
 hom_diagram builds the diagram on three functor categories from the
 faces' actions (precompose for precomposition) and the cells at each
@@ -21,25 +21,16 @@ functor of D1, as build_Tzy and the codescent probes do.
 
 from .errors import BoundaryMismatch, verdict_all
 from .fincat import Fun, compose_fun, identity_fun, make_nat, whisker_right
+from .freegen import SHAPE_CELLS, SHAPE_EDGES
 
-# The three-level shape, written once.  FACES gives each face's source and
-# target level.  CELLS gives each comparison cell's source and target as a
-# path of faces in the order they apply, starting at D1; the empty path is
-# the identity of D1.
-FACES = {
-    "Dd0": ("D1", "D2"),
-    "Dd1": ("D1", "D2"),
-    "Ds0": ("D2", "D1"),
-    "Dp0": ("D2", "D3"),
-    "Dp1": ("D2", "D3"),
-    "Dp2": ("D2", "D3"),
-}
+# freegen's three-level shape with every name prefixed by D.  FACES gives
+# each face's source and target level.  CELLS gives each comparison cell's
+# source and target as a path of faces in the order they apply, starting
+# at D1; the empty path is the identity of D1.
+FACES = {"D" + e: ("D" + s, "D" + t) for e, (s, t) in SHAPE_EDGES.items()}
 CELLS = {
-    "Dsig00": (("Dd0", "Dp0"), ("Dd0", "Dp1")),
-    "Dsig20": (("Dd0", "Dp2"), ("Dd1", "Dp0")),
-    "Dsig21": (("Dd1", "Dp2"), ("Dd1", "Dp1")),
-    "Dn0": ((), ("Dd0", "Ds0")),
-    "Dn1": ((), ("Dd1", "Ds0")),
+    "D" + c: tuple(tuple("D" + e for e in path) for path in sides)
+    for c, sides in SHAPE_CELLS.items()
 }
 
 

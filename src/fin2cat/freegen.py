@@ -173,6 +173,35 @@ def make_computad(base, cells, src, tgt):
     return validate_computad(Computad(base, cells, src, tgt))
 
 
+# The three-level shape, written once: each edge's source and target node,
+# and each comparison cell's source and target as a path of edges from
+# node 1 (the empty path is the identity at node 1).  deltadiag names its
+# faces and cells after these.
+SHAPE_EDGES = {
+    "d0": ("1", "2"),
+    "d1": ("1", "2"),
+    "s0": ("2", "1"),
+    "p0": ("2", "3"),
+    "p1": ("2", "3"),
+    "p2": ("2", "3"),
+}
+SHAPE_CELLS = {
+    "sig00": (("d0", "p0"), ("d0", "p1")),
+    "sig20": (("d0", "p2"), ("d1", "p0")),
+    "sig21": (("d1", "p2"), ("d1", "p1")),
+    "n0": ((), ("d0", "s0")),
+    "n1": ((), ("d1", "s0")),
+}
+# the dot below the shape: an edge d: 0 -> 1 and cells from node 0, of
+# which each built-in computad takes the first _DOTS[which]
+_DOT_EDGES = {"d": ("0", "1")}
+_DOT_CELLS = {
+    "theta": (("d", "d1"), ("d", "d0")),
+    "theta_op": (("d", "d0"), ("d", "d1")),
+}
+_DOTS = {DELTA_LAX: 0, DELTA_DOT_LAX: 1, DELTA_DOT: 2}
+
+
 def builtin_computad(which):
     """The three built-in shape computads.
 
@@ -182,57 +211,24 @@ def builtin_computad(which):
     DeltaLax: the restriction to nodes 1..3 (no d, no theta).
     DeltaDot: DeltaDotLax plus the reverse cell theta_op: d.d0 => d.d1.
     """
+    if which not in _DOTS:
+        raise ValueError("unknown builtin computad %r" % which)
+    dots = list(_DOT_CELLS.items())[: _DOTS[which]]
+    edges = (_DOT_EDGES if dots else {}) | SHAPE_EDGES
     G = make_graph(
-        nodes=["0", "1", "2", "3"],
-        edges=["d", "d0", "d1", "s0", "p0", "p1", "p2"],
-        src={"d": "0", "d0": "1", "d1": "1", "s0": "2", "p0": "2", "p1": "2", "p2": "2"},
-        tgt={"d": "1", "d0": "2", "d1": "2", "s0": "1", "p0": "3", "p1": "3", "p2": "3"},
+        ["0"] * bool(dots) + ["1", "2", "3"],
+        edges,
+        {e: ends[0] for e, ends in edges.items()},
+        {e: ends[1] for e, ends in edges.items()},
     )
-
-    def p(start, edges):
-        return make_path(G, start, edges)
-
-    cells = ["sig00", "sig20", "sig21", "n0", "n1"]
-    src = {
-        "sig00": p("1", ["d0", "p0"]),
-        "sig20": p("1", ["d0", "p2"]),
-        "sig21": p("1", ["d1", "p2"]),
-        "n0": p("1", []),
-        "n1": p("1", []),
-    }
-    tgt = {
-        "sig00": p("1", ["d0", "p1"]),
-        "sig20": p("1", ["d1", "p0"]),
-        "sig21": p("1", ["d1", "p1"]),
-        "n0": p("1", ["d0", "s0"]),
-        "n1": p("1", ["d1", "s0"]),
-    }
-
-    if which == DELTA_LAX:
-        H = make_graph(
-            nodes=["1", "2", "3"],
-            edges=["d0", "d1", "s0", "p0", "p1", "p2"],
-            src={k: v for k, v in G.src.items() if k != "d"},
-            tgt={k: v for k, v in G.tgt.items() if k != "d"},
-        )
-        return make_computad(
-            H,
-            cells,
-            {g: make_path(H, s.start, s.edges) for g, s in src.items()},
-            {g: make_path(H, t.start, t.edges) for g, t in tgt.items()},
-        )
-
-    cells = cells + ["theta"]
-    src["theta"] = p("0", ["d", "d1"])
-    tgt["theta"] = p("0", ["d", "d0"])
-    if which == DELTA_DOT_LAX:
-        return make_computad(G, cells, src, tgt)
-    if which == DELTA_DOT:
-        cells = cells + ["theta_op"]
-        src["theta_op"] = p("0", ["d", "d0"])
-        tgt["theta_op"] = p("0", ["d", "d1"])
-        return make_computad(G, cells, src, tgt)
-    raise ValueError("unknown builtin computad %r" % which)
+    cells = {g: ("1",) + sides for g, sides in SHAPE_CELLS.items()}
+    cells.update((g, ("0",) + sides) for g, sides in dots)
+    return make_computad(
+        G,
+        cells,
+        {g: make_path(G, at, s) for g, (at, s, _) in cells.items()},
+        {g: make_path(G, at, t) for g, (at, _, t) in cells.items()},
+    )
 
 
 class PastingWord:

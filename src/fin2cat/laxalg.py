@@ -3,7 +3,8 @@
 monoid_two_monad builds the 2-monad T = M x (-) on a finite universe of
 categories: each seed gets a chain X, TX, T^2 X, ... up to a fixed depth,
 and T acts on functors and transformations componentwise.  Applying T past
-the depth is an error rather than silent growth.
+the depth is an error rather than silent growth, and a universe of more
+than UNIVERSE_LIMIT morphisms is refused before any member is built.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
 a.eta_Z); check_lax_algebra evaluates its three pasted coherence equations.
@@ -264,10 +265,36 @@ class MonadUniverse:
         return "MonadUniverse(%r, %d members)" % (self.monoid, len(self.members))
 
 
+# The most morphisms a universe may hold; monoid_two_monad refuses a larger
+# one before building any member.
+UNIVERSE_LIMIT = 100000
+
+
+def universe_size(M, seeds, depth):
+    """The morphisms of the universe over seeds up to depth: |M|^k |mor X|
+    for each seed X and k <= depth.  An empty member counts as one, so that
+    empty seeds are bounded too.  The sum stops as soon as it passes
+    UNIVERSE_LIMIT."""
+    total = 0
+    for entry in seeds:
+        size = len((entry[1] if isinstance(entry, tuple) else entry).morphisms)
+        for _ in range(depth + 1):
+            total += max(size, 1)
+            if total > UNIVERSE_LIMIT:
+                return total
+            size *= len(M.elements)
+    return total
+
+
 def monoid_two_monad(M, seeds, depth):
     """Build the universe for T = M x (-) over the given seed categories."""
     if depth < 1:
         raise AxiomViolation("depth must be at least 1")
+    if universe_size(M, seeds, depth) > UNIVERSE_LIMIT:
+        raise AxiomViolation(
+            "depth %d makes a universe of more than %d morphisms"
+            % (depth, UNIVERSE_LIMIT)
+        )
     return MonadUniverse(M, seeds, depth)
 
 

@@ -1,6 +1,9 @@
 """Shared small categories and builders used across the test suite."""
 
+import ast
+import io
 import itertools
+import tokenize
 from collections import deque
 
 from fin2cat import codescent, fincat, laxalg
@@ -736,3 +739,38 @@ def recursive_enumerate_paths(G, a, b, max_len):
     walk(a, [])
     found.sort(key=lambda es: (len(es), es))
     return [Path(G, a, es) for es in found]
+
+
+def code_lines(path):
+    """The code lines of a Python file: lines that hold a token other than
+    a comment, not counting blank lines or the docstrings of the module,
+    its classes and its functions.  A string spanning lines counts every
+    line it spans."""
+    with open(path) as fh:
+        source = fh.read()
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {
+        tokenize.COMMENT,
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENCODING,
+        tokenize.ENDMARKER,
+    }
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)

@@ -4,17 +4,22 @@ Uses the two shipped fixture workspaces; malformed inputs are written to
 tmp_path on the fly.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fin2cat
-from fin2cat import laxalg
+from fin2cat import cli, laxalg
 from fin2cat.cli import load, main, run
-from fin2cat.errors import ParseError, UnknownCommand
+from fin2cat.errors import AxiomViolation, ParseError, UnknownCommand
+from fin2cat.fincat import make_fincat
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -311,17 +316,22 @@ def test_z2_fixture_round_trip():
     assert hom["data"]["morphism_count"] == 2
 
 
-def _run_cli(*args):
+def _run_python(*args):
+    """Run a fresh interpreter that imports this fin2cat."""
     src = os.path.dirname(os.path.dirname(fin2cat.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "fin2cat.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def _run_cli(*args):
+    return _run_python("-m", "fin2cat.cli", *args)
 
 
 def test_malformed_workspace_is_an_error_report(tmp_path):
@@ -502,7 +512,7 @@ _BROKEN_INPUTS = {
             "identities": {"x": "i"},
             "compose": [["i", "i", "i"]],
         },
-        "categories.bad: tuple index out of range",
+        "categories.bad: boundary of 'i' must be a list of 2 names, got ['x']",
     ),
     "category, morphisms given as a list": (
         "categories",
@@ -513,7 +523,7 @@ _BROKEN_INPUTS = {
             "identities": {"x": "i"},
             "compose": [["i", "i", "i"]],
         },
-        "categories.bad: 'list' object has no attribute 'items'",
+        "categories.bad: morphisms must be a JSON object, got [['i', 'x', 'x']]",
     ),
     "diagram, unknown kind": (
         "diagrams",
@@ -597,6 +607,46 @@ _BROKEN_INPUTS = {
         "bad",
         {"monoid": "z2", "seeds": ["P2"], "depth": 2.9},
         "universes.bad: depth must be an integer, got 2.9",
+    ),
+    "universe, depth given as true": (
+        "universes",
+        "bad",
+        {"monoid": "z2", "seeds": ["P2"], "depth": True},
+        "universes.bad: depth must be an integer, got True",
+    ),
+    "category, an object given as a number": (
+        "categories",
+        "bad",
+        {
+            "objects": ["x", 1],
+            "morphisms": {"i": ["x", "x"]},
+            "identities": {"x": "i"},
+            "compose": [["i", "i", "i"]],
+        },
+        "categories.bad: objects must be a list of names, got ['x', 1]",
+    ),
+    "category, no composition table": (
+        "categories",
+        "bad",
+        {"objects": ["x"], "morphisms": {"i": ["x", "x"]}, "identities": {"x": "i"}},
+        "categories.bad: missing field compose",
+    ),
+    "strict action without its morphism part": (
+        "algebras",
+        "bad",
+        {
+            "universe": "U2",
+            "carrier": "P2",
+            "kind": "strict",
+            "action": {"on_objects": {"(e,p)": "p"}},
+        },
+        "algebras.bad: missing field action.on_morphisms",
+    ),
+    "algebra, unknown kind": (
+        "algebras",
+        "bad",
+        {"universe": "U2", "carrier": "P2", "kind": "weak"},
+        "algebras.bad: unknown algebra kind 'weak'",
     ),
 }
 _ONE = {
@@ -741,3 +791,230 @@ def test_colliding_product_names_are_an_error_report(tmp_path, capsys):
         "error": "ParseError",
         "message": "universes.U: product name '(e,,x)' names two pairs",
     }
+
+
+
+# ---------------------------------------------------------------------------
+# the workspace's shape is checked once, against cli._SCHEMA, before any
+# constructor runs; a fault inside fin2cat is not a ParseError
+
+
+def _json_type(v):
+    return {
+        type(None): "null",
+        bool: "bool",
+        int: "int",
+        float: "float",
+        str: "string",
+        list: "list",
+        dict: "object",
+    }[type(v)]
+
+
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))
+_OF_TYPE = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "list": st.lists(_LEAF, max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), _LEAF, max_size=3),
+}
+_FUNCTOR_FIELDS = ("t", "action", "a", "f")
+
+
+def _spec_nodes(value, path):
+    """(path, value) for every JSON node inside the spec at path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for k, v in items:
+        yield path + (k,), v
+        yield from _spec_nodes(v, path + (k,))
+
+
+def _fixture_nodes():
+    out = []
+    for fixture in (MONAD_FX, Z2_FX):
+        with open(fixture) as fh:
+            raw = json.load(fh)
+        for section, entries in raw.items():
+            for name, spec in entries.items():
+                out += [(raw, p, v) for p, v in _spec_nodes(spec, (section, name))]
+    return out
+
+
+_NODES = _fixture_nodes()
+
+
+def _is_fixed_field(path):
+    # a field of a spec, or on_objects/on_morphisms of a functor spec
+    return len(path) == 3 or (len(path) == 4 and path[2] in _FUNCTOR_FIELDS)
+
+
+@st.composite
+def _mutations(draw):
+    raw, path, value = draw(st.sampled_from(_NODES))
+    ops = sorted(set(_OF_TYPE) - {_json_type(value)})
+    if _is_fixed_field(path):
+        ops.append("drop")
+    op = draw(st.sampled_from(ops))
+    new = None if op == "drop" else draw(_OF_TYPE[op])
+    return raw, path, op, new
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_mutations())
+def test_any_spec_node_of_another_json_type_or_dropped_is_a_parse_error(
+    case, tmp_path_factory
+):
+    raw, path, op, new = case
+    payload = copy.deepcopy(raw)
+    parent = payload
+    for k in path[:-1]:
+        parent = parent[k]
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--input", _write_scratch(tmp_path_factory, payload)])
+    report = json.loads(out.getvalue())
+    assert code == 3
+    assert sorted(report) == ["command", "data", "status", "trace", "witnesses"]
+    assert report["status"] == "error"
+    assert report["data"]["error"] == "ParseError", report
+    assert report["data"]["message"].startswith("%s.%s: " % path[:2]), report
+
+
+def _write_scratch(tmp_path_factory, payload):
+    # one file, rewritten for every example of the Hypothesis test above
+    path = tmp_path_factory.getbasetemp() / "schema-fuzz.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_a_fault_inside_fin2cat_keeps_its_own_type(monkeypatch, capsys):
+    def broken(**kw):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "make_fincat", broken)
+    assert main(["validate", "--input", MONAD_FX]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["data"] == {"error": "KeyError", "message": "'boom'"}
+
+
+def _category(**fields):
+    spec = {
+        "objects": ["x"],
+        "morphisms": {"i": ["x", "x"]},
+        "identities": {"x": "i"},
+        "compose": [["i", "i", "i"]],
+    }
+    spec.update(fields)
+    return {"categories": {"X": spec}}
+
+
+def _fbar_as_pairs():
+    with open(Z2_FX) as fh:
+        payload = json.load(fh)
+    fbar = payload["morphisms"]["ident"]["fbar"]
+    payload["morphisms"]["ident"]["fbar"] = [list(kv) for kv in fbar.items()]
+    return payload
+
+
+# each loaded without complaint, and validate exited 0, before the shape
+# of the workspace was checked
+_SHAPE_FAULTS = [
+    (
+        _category(identities=[["x", "i"]]),
+        "categories.X: identities must be a JSON object, got [['x', 'i']]",
+    ),
+    (
+        _category(identities=["xi"]),
+        "categories.X: identities must be a JSON object, got ['xi']",
+    ),
+    (
+        _category(morphisms={"i": ["x", "x", "x"]}),
+        "categories.X: boundary of 'i' must be a list of 2 names, got ['x', 'x', 'x']",
+    ),
+    (
+        _fbar_as_pairs(),
+        "morphisms.ident: fbar must be a JSON object, got [['(e,p)', 'idp'],"
+        " ['(e,q)', 'idq'], ['(s,p)', 'idq'], ['(s,q)', 'idp']]",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload, message", _SHAPE_FAULTS)
+def test_a_shape_fault_is_an_error_report_in_a_real_process(payload, message, tmp_path):
+    done = _run_cli("validate", "--input", write(tmp_path, payload))
+    assert done.returncode == 3
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    assert sorted(report) == ["command", "data", "status", "trace", "witnesses"]
+    assert report["status"] == "error"
+    assert report["data"] == {"error": "ParseError", "message": message}
+
+
+_LIMIT_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from fin2cat.cli import main
+t0 = time.perf_counter()
+code = main(["validate", "--input", sys.argv[1]])
+sys.stderr.write("%f" % (time.perf_counter() - t0))
+sys.exit(code)
+"""
+
+
+def test_a_universe_past_the_limit_is_refused_before_it_is_built(tmp_path):
+    # Z/2 on a one-morphism seed: 2^65 - 1 morphisms at depth 64; run in a
+    # process of at most 512 MiB, so that a build fails the test instead
+    # of exhausting the machine
+    with open(Z2_FX) as fh:
+        z2 = json.load(fh)["monoids"]["z2"]
+    payload = {
+        "categories": {"One": _ONE},
+        "monoids": {"z2": z2},
+        "universes": {"U": {"monoid": "z2", "seeds": ["One"], "depth": 64}},
+    }
+    done = _run_python("-c", _LIMIT_CHILD, write(tmp_path, payload))
+    assert done.returncode == 3
+    assert json.loads(done.stdout)["data"] == {
+        "error": "ParseError",
+        "message": "universes.U: depth 64 makes a universe of more than 100000"
+        " morphisms",
+    }
+    assert float(done.stderr) < 1.0
+
+
+def test_an_empty_seed_still_counts_against_the_limit():
+    empty = make_fincat(objects=[], morphisms=[], dom={}, cod={}, identity={}, compose={})
+    M = laxalg.Monoid(["e"], "e", {("e", "e"): "e"})
+    assert laxalg.universe_size(M, [("E", empty)], 3) == 4
+    with pytest.raises(AxiomViolation) as err:
+        laxalg.monoid_two_monad(M, [("E", empty)], 10**9)
+    assert str(err.value) == (
+        "depth 1000000000 makes a universe of more than 100000 morphisms"
+    )
+
+
+@pytest.mark.parametrize("fixture", [MONAD_FX, Z2_FX])
+def test_universe_size_is_the_morphism_count_of_the_members_built(fixture):
+    # no seed of either fixture is an iterate of another, so the count is
+    # exact
+    ws = load(fixture)
+    with open(fixture) as fh:
+        specs = json.load(fh)["universes"]
+    for name, spec in specs.items():
+        seeds = [(n, ws.categories[n]) for n in spec["seeds"]]
+        M = ws.monoids[spec["monoid"]]
+        built = sum(len(C.morphisms) for C in ws.universes[name].members)
+        assert laxalg.universe_size(M, seeds, spec["depth"]) == built

@@ -219,6 +219,58 @@ def test_builtin_shapes_frozen():
     assert "theta" in c.cells and "theta_op" in c.cells
 
 
+# the built-in computads as their hand-written constructor gave them:
+# nodes, edges, edge endpoints and cells (name, source start and edges,
+# target start and edges), all in order, since cell_index drives normal
+# forms
+_SHAPE_EDGES = [
+    ("d0", "1", "2"),
+    ("d1", "1", "2"),
+    ("s0", "2", "1"),
+    ("p0", "2", "3"),
+    ("p1", "2", "3"),
+    ("p2", "2", "3"),
+]
+_SHAPE_CELLS = [
+    ("sig00", "1", ("d0", "p0"), "1", ("d0", "p1")),
+    ("sig20", "1", ("d0", "p2"), "1", ("d1", "p0")),
+    ("sig21", "1", ("d1", "p2"), "1", ("d1", "p1")),
+    ("n0", "1", (), "1", ("d0", "s0")),
+    ("n1", "1", (), "1", ("d1", "s0")),
+]
+_THETA = ("theta", "0", ("d", "d1"), "0", ("d", "d0"))
+_THETA_OP = ("theta_op", "0", ("d", "d0"), "0", ("d", "d1"))
+_BUILTIN_PINS = {
+    DELTA_LAX: (("1", "2", "3"), _SHAPE_EDGES, _SHAPE_CELLS),
+    DELTA_DOT_LAX: (
+        ("0", "1", "2", "3"),
+        [("d", "0", "1")] + _SHAPE_EDGES,
+        _SHAPE_CELLS + [_THETA],
+    ),
+    DELTA_DOT: (
+        ("0", "1", "2", "3"),
+        [("d", "0", "1")] + _SHAPE_EDGES,
+        _SHAPE_CELLS + [_THETA, _THETA_OP],
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_BUILTIN_PINS))
+def test_builtin_computads_match_their_pins_in_order(which):
+    nodes, edges, cells = _BUILTIN_PINS[which]
+    c = builtin_computad(which)
+    G = c.base
+    assert G.nodes == nodes
+    assert G.edges == tuple(e for e, _, _ in edges)
+    assert list(G.src.items()) == [(e, s) for e, s, _ in edges]
+    assert list(G.tgt.items()) == [(e, t) for e, _, t in edges]
+    assert [
+        (g, c.src[g].start, c.src[g].edges, c.tgt[g].start, c.tgt[g].edges)
+        for g in c.cells
+    ] == cells
+    assert c.cell_index == {g[0]: i for i, g in enumerate(cells)}
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError):
         builtin_computad("NoSuchShape")

@@ -1,4 +1,5 @@
-"""The bench harness's tracer against the library it wraps.
+"""The bench harness's tracer against the library it wraps, and the code
+line count.
 
 perfbench/tracer.py names the fin2cat functions and methods it wraps; a
 renamed or removed one would break only traced bench runs.  These tests
@@ -10,6 +11,7 @@ import os
 import sys
 
 import fin2cat.cli  # noqa: F401  (loads every module)
+from helpers import code_lines
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -47,3 +49,37 @@ def test_tracer_wraps_every_listed_name_and_restores_it():
         now = vars(m)
         assert [k for k, v in before[n].items() if now.get(k) is not v] == [], n
     assert [vars(cls)[meth] for cls, meth in owners] == methods
+
+
+_SOURCE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+
+import os  # a comment after code
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring:
+    an assigned string"""
+
+    def f(self):
+        \'\'\'Function docstring.\'\'\'
+        return (1,
+                2)
+
+
+async def g():
+    "One-line docstring."
+    return os.sep
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    # import, class, x (two lines), def, return (two lines), async def,
+    # return: nine lines
+    p = tmp_path / "sample.py"
+    p.write_text(_SOURCE)
+    assert code_lines(str(p)) == 9
