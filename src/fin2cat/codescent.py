@@ -1,16 +1,21 @@
 """Presented categories, rewriting quotients, and codescent of lax algebras.
 
 A PresentedCategory is a finite set of objects, typed generators, and word
-relations.  quotient_category runs Knuth-Bendix completion over shortlex
-(length, then generator declaration order) with a hard budget on rewrite
-applications, decides finiteness of the normal-form language with a
-factor-avoidance automaton, and materializes the quotient as a FinCat.
+relations.  Its generators are the edges of a freegen graph on its objects,
+so make_graph checks them and make_path checks every word.
+quotient_category runs Knuth-Bendix completion over shortlex (length, then
+generator declaration order) with a hard budget on rewrite applications,
+decides finiteness of the normal-form language with a factor-avoidance
+automaton, and materializes the quotient as a FinCat.
 
-Words are rewritten as strings, generator i spelled chr(i), by one
-_Rewriter.  Its strategy is fixed: rewrite the leftmost redex, by the
-first rule in list order that matches there, until no redex is left.
-The budget is charged once per rewrite, so the count of rewrite
-applications depends only on that strategy, not on how redexes are found.
+Words stay strings, generator i spelled chr(i), from completion to the
+table: one _Rewriter rewrites them, the normal-form automaton reads them
+(a forbidden factor is a suffix found by str.endswith) and the table
+composes them; they are decoded only to name morphisms.  The rewriting
+strategy is fixed: rewrite the leftmost redex, by the first rule in list
+order that matches there, until no redex is left.  The budget is charged
+once per rewrite, so the count of rewrite applications depends only on
+that strategy, not on how redexes are found.
 
 A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
@@ -56,6 +61,7 @@ from .fincat import (
     make_nat,
     whisker_left,
 )
+from .freegen import make_graph, make_path
 from .laxalg import strict_algebra
 
 FINITE = "Finite"
@@ -65,30 +71,23 @@ UNDECIDED = "Undecided"
 class PresentedCategory:
     """Objects, typed generators (name, dom, cod), and relations
     (lhs_word, rhs_word, at) where `at` anchors the domain (needed when a
-    side is the empty word)."""
+    side is the empty word).  The generators are the edges of a
+    freegen.Graph on the objects, and a word is a path in it."""
 
     def __init__(self, objects, generators, relations):
         self.objects = list(objects)
         self.generators = [tuple(g) for g in generators]
         self.relations = [(tuple(l), tuple(r), at) for l, r, at in relations]
         names = [g[0] for g in self.generators]
-        if len(set(names)) != len(names):
-            raise MalformedWord("duplicate generator names")
-        self._names = names
+        self.graph = make_graph(
+            self.objects,
+            names,
+            {name: d for name, d, _ in self.generators},
+            {name: c for name, _, c in self.generators},
+        )
         self._letter = {g: chr(i) for i, g in enumerate(names)}
-        self.gen_dom = {}
-        self.gen_cod = {}
-        for name, d, c in self.generators:
-            if d not in self.objects or c not in self.objects:
-                raise MalformedWord(
-                    "generator %r has endpoints outside the object set" % name
-                )
-            self.gen_dom[name] = d
-            self.gen_cod[name] = c
         for l, r, at in self.relations:
-            lb = self.word_boundary(l, at)
-            rb = self.word_boundary(r, at)
-            if lb != rb:
+            if self.word_boundary(l, at) != self.word_boundary(r, at):
                 raise MalformedWord(
                     "relation sides are not parallel: %r vs %r" % (l, r)
                 )
@@ -96,18 +95,7 @@ class PresentedCategory:
     def word_boundary(self, word, at):
         """(dom, cod) of a generator word anchored at `at`; checks the
         chain is composable."""
-        if at not in self.objects:
-            raise MalformedWord("unknown anchor object %r" % at)
-        cur = at
-        for g in word:
-            if g not in self.gen_dom:
-                raise MalformedWord("unknown generator %r" % g)
-            if self.gen_dom[g] != cur:
-                raise MalformedWord(
-                    "word %r breaks at %r (expected domain %r)" % (word, g, cur)
-                )
-            cur = self.gen_cod[g]
-        return (at, cur)
+        return (at, make_path(self.graph, at, word).end)
 
     def encode(self, word):
         """A generator word as a string, generator i spelled chr(i), so
@@ -115,7 +103,7 @@ class PresentedCategory:
         return "".join([self._letter[g] for g in word])
 
     def decode(self, code):
-        return tuple([self._names[ord(c)] for c in code])
+        return tuple([self.graph.edges[ord(c)] for c in code])
 
     def __repr__(self):
         return "PresentedCategory(%d objects, %d generators, %d relations)" % (
@@ -272,42 +260,35 @@ def quotient_category(P, budget=50000):
                 if other != new:
                     for pair in _critical_pairs(other, new):
                         pending.append(pair)
-    except _BudgetExceeded:
         trace.append(
-            "rewrite budget exhausted after %d applications" % meter.used
+            "completed with %d rules after %d rewrite applications"
+            % (len(rw.rules), meter.used)
         )
-        return QuotientResult(UNDECIDED, trace, P, rw)
 
-    trace.append(
-        "completed with %d rules after %d rewrite applications"
-        % (len(rw.rules), meter.used)
-    )
+        words = _enumerate_normal_forms(P, [l for l, _ in rw.rules], meter, trace)
+        if words is None:
+            return QuotientResult(UNDECIDED, trace, P, rw)
 
-    lhss = [P.decode(l) for l, _ in rw.rules]
-    words = _enumerate_normal_forms(P, lhss, meter, trace)
-    if words is None:
-        return QuotientResult(UNDECIDED, trace, P, rw)
+        # one id string per normal form, shared by every composite equal
+        # to it
+        morphisms, dom, cod = [], {}, {}
+        by_word, ids = {}, {}
+        for at, w, end in words:
+            mid = _word_id(P.decode(w), at)
+            morphisms.append(mid)
+            dom[mid], cod[mid] = at, end
+            by_word[mid] = (at, w)
+            ids[at, w] = mid
+        identity = {x: _word_id((), x) for x in P.objects}
 
-    # one id string per normal form, shared by every composite equal to it
-    morphisms, dom, cod = [], {}, {}
-    by_word, ids = {}, {}
-    for at, w in words:
-        mid = _word_id(w, at)
-        morphisms.append(mid)
-        dom[mid], cod[mid] = P.word_boundary(w, at)
-        by_word[mid] = (at, P.encode(w))
-        ids[by_word[mid]] = mid
-    identity = {x: _word_id((), x) for x in P.objects}
+        def composite(m2, m1):
+            a1, w1 = by_word[m1]
+            spend()
+            nf = rw.normalize(w1 + by_word[m2][1], spend)
+            # a word that is no normal form keeps a fresh id for make_fincat
+            # to reject
+            return ids.get((a1, nf)) or _word_id(P.decode(nf), a1)
 
-    def composite(m2, m1):
-        a1, w1 = by_word[m1]
-        spend()
-        nf = rw.normalize(w1 + by_word[m2][1], spend)
-        # a word that is no normal form keeps a fresh id for make_fincat
-        # to reject
-        return ids.get((a1, nf)) or _word_id(P.decode(nf), a1)
-
-    try:
         compose = composition_table(morphisms, dom, cod, composite)
         for l, r, at in P.relations:
             if rw.normalize(P.encode(l), spend) != rw.normalize(
@@ -328,31 +309,30 @@ def quotient_category(P, budget=50000):
 
 
 def _enumerate_normal_forms(P, lhss, meter, trace):
-    """All irreducible words, or None when there are infinitely many.
+    """All irreducible words, as (anchor, encoded word, codomain) in
+    preorder, or None when there are infinitely many.
 
     Walks the automaton whose states pair an object with the longest
     suffix of the word read so far that could still grow into a
     forbidden factor; a reachable cycle means arbitrarily long normal
-    forms exist."""
-    prefixes = {()}
-    for l in lhss:
-        for k in range(1, len(l)):
-            prefixes.add(l[:k])
+    forms exist.  lhss are the encoded left-hand sides."""
+    prefixes = {l[:k] for l in lhss for k in range(len(l))} | {""}
+    forbidden = tuple(lhss)
 
     by_src = {}
-    for name, d, _ in P.generators:
-        by_src.setdefault(d, []).append(name)
+    for i, (_, d, c) in enumerate(P.generators):
+        by_src.setdefault(d, []).append((chr(i), c))
 
-    def step(obj, ctx, g):
-        cand = ctx + (g,)
-        for l in lhss:
-            if len(l) <= len(cand) and cand[-len(l) :] == l:
-                return None
-        for k in range(len(cand), -1, -1):
-            suf = cand[len(cand) - k :] if k else ()
-            if suf in prefixes:
-                return (P.gen_cod[g], suf)
-        return (P.gen_cod[g], ())
+    def step(ctx, g):
+        # the longest suffix of ctx + g that is a prefix of some lhs, or
+        # None when ctx + g ends in a left-hand side
+        cand = ctx + g
+        if cand.endswith(forbidden):
+            return None
+        k = 0
+        while cand[k:] not in prefixes:
+            k += 1
+        return cand[k:]
 
     # cycle detection over the reachable state graph, depth first with an
     # explicit stack of (state, pending generators)
@@ -363,30 +343,31 @@ def _enumerate_normal_forms(P, lhss, meter, trace):
         color[root] = GRAY
         stack = [(root, iter(by_src.get(root[0], ())))]
         while stack:
-            state, gens = stack[-1]
-            for g in gens:
-                nxt = step(state[0], state[1], g)
-                if nxt is None:
+            (obj, ctx), gens = stack[-1]
+            for g, c in gens:
+                suf = step(ctx, g)
+                if suf is None:
                     continue
-                c = color.get(nxt)
-                if c == GRAY:
+                nxt = (c, suf)
+                seen = color.get(nxt)
+                if seen == GRAY:
                     return g
-                if c is None:
+                if seen is None:
                     color[nxt] = GRAY
-                    stack.append((nxt, iter(by_src.get(nxt[0], ()))))
+                    stack.append((nxt, iter(by_src.get(c, ()))))
                     break
             else:
-                color[state] = BLACK
+                color[obj, ctx] = BLACK
                 stack.pop()
         return None
 
     for x in P.objects:
-        if (x, ()) not in color:
-            witness = find_cycle((x, ()))
+        if (x, "") not in color:
+            witness = find_cycle((x, ""))
             if witness is not None:
                 trace.append(
                     "normal-form language is infinite (cycle through %r)"
-                    % witness
+                    % P.graph.edges[ord(witness)]
                 )
                 return None
 
@@ -395,16 +376,16 @@ def _enumerate_normal_forms(P, lhss, meter, trace):
     words = []
     try:
         for x in P.objects:
-            stack = [(x, (), ())]
+            stack = [(x, "", "")]
             while stack:
                 obj, ctx, word = stack.pop()
                 meter.spend()
-                words.append((x, word))
+                words.append((x, word, obj))
                 grown = []
-                for g in by_src.get(obj, ()):
-                    nxt = step(obj, ctx, g)
-                    if nxt is not None:
-                        grown.append((nxt[0], nxt[1], word + (g,)))
+                for g, c in by_src.get(obj, ()):
+                    suf = step(ctx, g)
+                    if suf is not None:
+                        grown.append((c, suf, word + g))
                 stack.extend(reversed(grown))
     except _BudgetExceeded:
         trace.append("rewrite budget exhausted while listing normal forms")
@@ -632,7 +613,7 @@ def strictify(U, z, budget=50000, adj=None):
 def verify_codescent_universal(A, Q, probes):
     """Probe the universal property of a computed codescent category.
 
-    For each probe X, maps the codescent data into X (hom-dual of the
+    probes are (name, category) pairs.  For each probe X, maps the codescent data into X (hom-dual of the
     levels, with n-cells crossing: Dn0 comes from An1 and vice versa),
     takes lax descent, and compares against the hom category out of the
     quotient by isomorphism search."""
@@ -641,19 +622,12 @@ def verify_codescent_universal(A, Q, probes):
         report["status"] = "undecided"
         return report
     L = Q.category
-    norm = []
-    for i, p in enumerate(probes):
-        if isinstance(p, tuple):
-            norm.append(p)
-        else:
-            norm.append(("X%d" % i, p))
-
     faces = {f: precompose(getattr(A, _up(f))) for f in FACES}
     cells = {}
     for c in CELLS:
         alpha = getattr(A, _up(_CROSS.get(c, c)))
         cells[c] = lambda F, alpha=alpha: whisker_left(F, alpha)
-    for name, X in norm:
+    for name, X in probes:
         D = hom_diagram(
             hom_cat(A.A1, X), hom_cat(A.A2, X), hom_cat(A.A3, X), faces, cells
         )

@@ -47,12 +47,13 @@ class Graph:
 
 def make_graph(nodes, edges, src, tgt):
     nodes, edges = list(nodes), list(edges)
-    if len(set(nodes)) != len(nodes) or len(set(edges)) != len(edges):
+    node_set, edge_set = set(nodes), set(edges)
+    if len(node_set) != len(nodes) or len(edge_set) != len(edges):
         raise MalformedWord("duplicate node or edge identifiers")
-    if set(src) != set(edges) or set(tgt) != set(edges):
+    if set(src) != edge_set or set(tgt) != edge_set:
         raise MalformedWord("src/tgt must be defined on exactly the edges")
     for e in edges:
-        if src[e] not in set(nodes) or tgt[e] not in set(nodes):
+        if src[e] not in node_set or tgt[e] not in node_set:
             raise MalformedWord("edge %r has endpoint outside nodes" % e)
     return Graph(nodes, edges, src, tgt)
 
@@ -90,11 +91,11 @@ class Path:
 
 
 def make_path(graph, start, edges):
-    if start not in set(graph.nodes):
+    if start not in graph.nodes:
         raise MalformedWord("path start %r is not a node" % start)
     at = start
     for e in edges:
-        if e not in set(graph.edges):
+        if e not in graph.src:
             raise MalformedWord("unknown edge %r" % e)
         if graph.src[e] != at:
             raise MalformedWord(
@@ -236,7 +237,8 @@ class PastingWord:
 
     Each step is a triple (prefix path, generator, suffix path); the source
     of step i+1 is the target of step i with the generator's source segment
-    replaced.
+    replaced.  make_word builds the triples from (position, generator)
+    pairs.
     """
 
     def __init__(self, computad, source, target, steps):
@@ -244,10 +246,6 @@ class PastingWord:
         self.source = source
         self.target = target
         self.steps = tuple(steps)
-
-    @property
-    def boundary(self):
-        return (self.source, self.target)
 
     def positions(self):
         """The steps as (position, generator) pairs."""
@@ -263,18 +261,13 @@ class PastingWord:
 
 def make_word(computad, source, steps):
     """Build a pasting word from a source path and (position, generator)
-    pairs (triples (prefix, generator, suffix) are also accepted)."""
+    pairs."""
     if source.graph != computad.base:
         raise MalformedWord("source path lives on a different graph")
     G = computad.base
     cur = source
     triples = []
-    for step in steps:
-        if len(step) == 2:
-            pos, g = step
-        else:
-            pre, g, _ = step
-            pos = len(pre.edges)
+    for pos, g in steps:
         if g not in computad.cell_index:
             raise MalformedWord("unknown 2-cell generator %r" % g)
         s = computad.src[g]

@@ -1,10 +1,13 @@
 """Strict 2-monads from monoid actions, lax algebras, and their morphisms.
 
-monoid_two_monad builds the 2-monad T = M x (-) on a finite universe of
-categories: each seed gets a chain X, TX, T^2 X, ... up to a fixed depth,
-and T acts on functors and transformations componentwise.  Applying T past
-the depth is an error rather than silent growth, and a universe of more
-than UNIVERSE_LIMIT morphisms is refused before any member is built.
+A Monoid is proved as the one-object category it is: make_fincat checks
+its table, with the elements as morphisms, the unit as the identity and
+the table as composition.  monoid_two_monad builds the 2-monad
+T = M x (-) on a finite universe of categories: each seed, a (name,
+category) pair, gets a chain X, TX, T^2 X, ... up to a fixed depth, and T
+acts on functors and transformations componentwise.  Applying T past the
+depth is an error rather than silent growth, and a universe of more than
+UNIVERSE_LIMIT morphisms is refused before any member is built.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
 a.eta_Z); check_lax_algebra evaluates its three pasted coherence equations.
@@ -56,8 +59,11 @@ from .fincat import (
 class Monoid:
     """A finite monoid with an explicit multiplication table.
 
-    The constructor validates the table; pass check=False to build a
-    deliberately broken table (used to probe the checkers).
+    The constructor proves the table with make_fincat, as the one-object
+    category whose morphisms are the elements, whose identity is the unit
+    and whose composition is the table (g after f is g.f).  Pass
+    check=False to build a deliberately broken table (used to probe the
+    checkers).
     """
 
     def __init__(self, elements, unit, table, check=True):
@@ -65,30 +71,14 @@ class Monoid:
         self.unit = unit
         self.table = dict(table)
         if check:
-            self._validate()
-
-    def _validate(self):
-        els = set(self.elements)
-        if self.unit not in els:
-            raise AxiomViolation("unit %r is not an element" % self.unit)
-        want = {(a, b) for a in els for b in els}
-        if set(self.table) != want:
-            raise AxiomViolation("multiplication table must cover all pairs")
-        for v in self.table.values():
-            if v not in els:
-                raise AxiomViolation("product %r is not an element" % v)
-        for a in self.elements:
-            if self.table[(self.unit, a)] != a or self.table[(a, self.unit)] != a:
-                raise AxiomViolation("unit law fails at %r" % a)
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[(self.table[(a, b)], c)] != self.table[
-                        (a, self.table[(b, c)])
-                    ]:
-                        raise AxiomViolation(
-                            "associativity fails on (%r, %r, %r)" % (a, b, c)
-                        )
+            make_fincat(
+                ["*"],
+                self.elements,
+                dict.fromkeys(self.elements, "*"),
+                dict.fromkeys(self.elements, "*"),
+                {"*": unit},
+                self.table,
+            )
 
     def mul(self, a, b):
         return self.table[(a, b)]
@@ -100,9 +90,10 @@ class Monoid:
 class MonadUniverse:
     """The 2-monad M x (-) restricted to a finite family of categories.
 
-    Members are the seeds and their T-iterates; T(X) for the last iterate
-    of a chain raises AxiomViolation.  m, eta give the structure functors
-    at a member, mu/iota/tau their (identity) comparison cells.
+    Members are the seeds, given as (name, category) pairs, and their
+    T-iterates; T(X) for the last iterate of a chain raises
+    AxiomViolation.  m, eta give the structure functors at a member,
+    mu/iota/tau their (identity) comparison cells.
 
     m, eta and T on functors are memoised on the universe: each distinct
     structure functor (m or eta at a member, T(F) for each functor F
@@ -137,11 +128,7 @@ class MonadUniverse:
             identity={g: g for g in els},
             compose={(g, g): g for g in els},
         )
-        for entry in seeds:
-            if isinstance(entry, tuple):
-                name, cat = entry
-            else:
-                name, cat = "X%d" % len(self.members), entry
+        for name, cat in seeds:
             idx = self._add(name, cat)
             for _ in range(depth):
                 nxt = product_cat(self._mdisc, self.members[idx])
@@ -276,8 +263,8 @@ def universe_size(M, seeds, depth):
     empty seeds are bounded too.  The sum stops as soon as it passes
     UNIVERSE_LIMIT."""
     total = 0
-    for entry in seeds:
-        size = len((entry[1] if isinstance(entry, tuple) else entry).morphisms)
+    for _, X in seeds:
+        size = len(X.morphisms)
         for _ in range(depth + 1):
             total += max(size, 1)
             if total > UNIVERSE_LIMIT:
@@ -287,7 +274,8 @@ def universe_size(M, seeds, depth):
 
 
 def monoid_two_monad(M, seeds, depth):
-    """Build the universe for T = M x (-) over the given seed categories."""
+    """Build the universe for T = M x (-) over the given (name, category)
+    seeds."""
     if depth < 1:
         raise AxiomViolation("depth must be at least 1")
     if universe_size(M, seeds, depth) > UNIVERSE_LIMIT:
@@ -519,14 +507,6 @@ class LaxMorphism:
         return "LaxMorphism(cls=%s)" % self.cls
 
 
-class TTransformation:
-    """A transformation between lax morphisms: a single 2-cell m between
-    the underlying functors, subject to check_transformation."""
-
-    def __init__(self, m):
-        self.m = m
-
-
 def check_lax_algebra(U, z):
     """Evaluate the three pasted coherence equations of a lax algebra.
 
@@ -606,8 +586,6 @@ def check_lax_morphism(U, y, z, phi):
 def check_transformation(U, phi, psi, m):
     """Check the compatibility square of a transformation phi => psi:
     psi.fbar . (a_z * T(m)) = (m * a_y) . phi.fbar."""
-    if isinstance(m, TTransformation):
-        m = m.m
     if phi.src_alg is None or phi.tgt_alg is None:
         raise BoundaryMismatch(
             "morphisms must carry their algebras (src_alg/tgt_alg)"

@@ -3,12 +3,16 @@
 import ast
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tokenize
 from collections import deque
 
+import fin2cat
 from fin2cat import codescent, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
-from fin2cat.errors import AxiomViolation, NaturalityViolation
+from fin2cat.errors import AxiomViolation, MalformedWord, NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
 from fin2cat.freegen import Path
 
@@ -348,6 +352,153 @@ class UncachedUniverse(laxalg.MonadUniverse):
         return laxalg.make_nat(Ta.src, Ta.tgt, Ta.components)
 
 
+def triple_loop_monoid_check(elements, unit, table):
+    """Monoid's table check as it was before a monoid was proved as a
+    one-object category: the unit is an element, the table covers every
+    pair of elements with elements, the unit laws hold, and every triple
+    is compared by a triple loop.  Raises AxiomViolation.  The oracle for
+    laxalg.Monoid."""
+    els = set(elements)
+    if unit not in els:
+        raise AxiomViolation("unit %r is not an element" % unit)
+    if set(table) != {(a, b) for a in els for b in els}:
+        raise AxiomViolation("multiplication table must cover all pairs")
+    for v in table.values():
+        if v not in els:
+            raise AxiomViolation("product %r is not an element" % v)
+    for a in elements:
+        if table[(unit, a)] != a or table[(a, unit)] != a:
+            raise AxiomViolation("unit law fails at %r" % a)
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    raise AxiomViolation(
+                        "associativity fails on (%r, %r, %r)" % (a, b, c)
+                    )
+
+
+def walked_word_boundary(objects, generators, word, at):
+    """(dom, cod) of a word anchored at `at`, walked generator by
+    generator over the (name, dom, cod) triples; raises MalformedWord
+    where the chain breaks.  PresentedCategory.word_boundary as it was
+    before a word was a freegen path; the oracle for it."""
+    ends = {name: (d, c) for name, d, c in generators}
+    if at not in objects:
+        raise MalformedWord("unknown anchor object %r" % at)
+    cur = at
+    for g in word:
+        if g not in ends:
+            raise MalformedWord("unknown generator %r" % g)
+        if ends[g][0] != cur:
+            raise MalformedWord(
+                "word %r breaks at %r (expected domain %r)" % (word, g, cur)
+            )
+        cur = ends[g][1]
+    return (at, cur)
+
+
+def walked_presentation_check(objects, generators, relations):
+    """The checks PresentedCategory ran before its generators were a
+    freegen graph: distinct generator names, endpoints among the objects,
+    and relation sides parallel by walked_word_boundary.  Raises
+    MalformedWord.  The oracle for PresentedCategory's constructor on
+    distinct objects."""
+    names = [g[0] for g in generators]
+    if len(set(names)) != len(names):
+        raise MalformedWord("duplicate generator names")
+    for name, d, c in generators:
+        if d not in objects or c not in objects:
+            raise MalformedWord(
+                "generator %r has endpoints outside the object set" % name
+            )
+    for l, r, at in relations:
+        if walked_word_boundary(objects, generators, l, at) != walked_word_boundary(
+            objects, generators, r, at
+        ):
+            raise MalformedWord("relation sides are not parallel: %r vs %r" % (l, r))
+
+
+def tuple_normal_forms(P, lhss, meter, trace):
+    """codescent._enumerate_normal_forms over generator tuples, as it was
+    before it read encoded words: lhss are decoded left-hand sides, each
+    step compares tuple suffixes against every one of them, and the
+    result lists (anchor, word) pairs, or None.  Same trace strings and
+    budget charges.  The oracle for the encoded automaton."""
+    prefixes = {()}
+    for l in lhss:
+        for k in range(1, len(l)):
+            prefixes.add(l[:k])
+    gen_cod = {name: c for name, _, c in P.generators}
+    by_src = {}
+    for name, d, _ in P.generators:
+        by_src.setdefault(d, []).append(name)
+
+    def step(obj, ctx, g):
+        cand = ctx + (g,)
+        for l in lhss:
+            if len(l) <= len(cand) and cand[-len(l) :] == l:
+                return None
+        for k in range(len(cand), -1, -1):
+            suf = cand[len(cand) - k :] if k else ()
+            if suf in prefixes:
+                return (gen_cod[g], suf)
+
+    GRAY, BLACK = 1, 2
+    color = {}
+
+    def find_cycle(root):
+        color[root] = GRAY
+        stack = [(root, iter(by_src.get(root[0], ())))]
+        while stack:
+            state, gens = stack[-1]
+            for g in gens:
+                nxt = step(state[0], state[1], g)
+                if nxt is None:
+                    continue
+                c = color.get(nxt)
+                if c == GRAY:
+                    return g
+                if c is None:
+                    color[nxt] = GRAY
+                    stack.append((nxt, iter(by_src.get(nxt[0], ()))))
+                    break
+            else:
+                color[state] = BLACK
+                stack.pop()
+        return None
+
+    for x in P.objects:
+        if (x, ()) not in color:
+            witness = find_cycle((x, ()))
+            if witness is not None:
+                trace.append(
+                    "normal-form language is infinite (cycle through %r)"
+                    % witness
+                )
+                return None
+
+    words = []
+    try:
+        for x in P.objects:
+            stack = [(x, (), ())]
+            while stack:
+                obj, ctx, word = stack.pop()
+                meter.spend()
+                words.append((x, word))
+                grown = []
+                for g in by_src.get(obj, ()):
+                    nxt = step(obj, ctx, g)
+                    if nxt is not None:
+                        grown.append((nxt[0], nxt[1], word + (g,)))
+                stack.extend(reversed(grown))
+    except codescent._BudgetExceeded:
+        trace.append("rewrite budget exhausted while listing normal forms")
+        return None
+    trace.append("found %d normal forms" % len(words))
+    return words
+
+
 def slicing_normalize(word, rules, spend=None):
     """Rewrite a word (tuple or string) to normal form by rescanning from
     the left after every rewrite: at each position, in order, try every
@@ -372,8 +523,9 @@ def slicing_normalize(word, rules, spend=None):
 def slicing_quotient(P, budget=50000):
     """quotient_category by the slicing route: completion over generator
     tuples with an index-tuple shortlex key, every word normalised by
-    slicing_normalize, and the composition table from an all-pairs loop.
-    Returns (status, trace, rules, morphisms, compose table); the last two
+    slicing_normalize, the normal forms listed by tuple_normal_forms with
+    their boundaries walked by walked_word_boundary, and the composition
+    table from an all-pairs loop.  Returns (status, trace, rules, morphisms, compose table); the last two
     are None unless the status is Finite."""
     trace = [
         "%d objects, %d generators, %d relations"
@@ -431,9 +583,7 @@ def slicing_quotient(P, budget=50000):
         % (len(rules), meter.used)
     )
 
-    words = codescent._enumerate_normal_forms(
-        P, [l for l, _ in rules], meter, trace
-    )
+    words = tuple_normal_forms(P, [l for l, _ in rules], meter, trace)
     if words is None:
         return undecided()
 
@@ -442,7 +592,7 @@ def slicing_quotient(P, budget=50000):
     for at, w in words:
         mid = codescent._word_id(w, at)
         morphisms.append(mid)
-        dom[mid], cod[mid] = P.word_boundary(w, at)
+        dom[mid], cod[mid] = walked_word_boundary(P.objects, P.generators, w, at)
         by_word[mid] = (at, w)
     compose = {}
     try:
@@ -739,6 +889,20 @@ def recursive_enumerate_paths(G, a, b, max_len):
     walk(a, [])
     found.sort(key=lambda es: (len(es), es))
     return [Path(G, a, es) for es in found]
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this fin2cat."""
+    src = os.path.dirname(os.path.dirname(fin2cat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 def code_lines(path):

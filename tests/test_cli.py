@@ -20,6 +20,7 @@ from fin2cat import cli, laxalg
 from fin2cat.cli import load, main, run
 from fin2cat.errors import AxiomViolation, ParseError, UnknownCommand
 from fin2cat.fincat import make_fincat
+from helpers import run_python
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -316,22 +317,8 @@ def test_z2_fixture_round_trip():
     assert hom["data"]["morphism_count"] == 2
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports this fin2cat."""
-    src = os.path.dirname(os.path.dirname(fin2cat.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-
-
 def _run_cli(*args):
-    return _run_python("-m", "fin2cat.cli", *args)
+    return run_python("-m", "fin2cat.cli", *args)
 
 
 def test_malformed_workspace_is_an_error_report(tmp_path):
@@ -575,6 +562,12 @@ _BROKEN_INPUTS = {
             "compose": ["iii"],
         },
         "categories.bad: compose row must be a list, got 'iii'",
+    ),
+    "monoid, duplicate elements": (
+        "monoids",
+        "bad",
+        {"elements": ["e", "e"], "unit": "e", "table": [["e", "e", "e"]]},
+        "monoids.bad: duplicate morphism identifiers",
     ),
     "monoid, elements given as a string": (
         "monoids",
@@ -985,7 +978,7 @@ def test_a_universe_past_the_limit_is_refused_before_it_is_built(tmp_path):
         "monoids": {"z2": z2},
         "universes": {"U": {"monoid": "z2", "seeds": ["One"], "depth": 64}},
     }
-    done = _run_python("-c", _LIMIT_CHILD, write(tmp_path, payload))
+    done = run_python("-c", _LIMIT_CHILD, write(tmp_path, payload))
     assert done.returncode == 3
     assert json.loads(done.stdout)["data"] == {
         "error": "ParseError",

@@ -9,6 +9,7 @@ through the completely different presentation/rewriting route.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fin2cat import codescent, fincat, laxalg
 from fin2cat.codescent import (
@@ -40,6 +41,9 @@ from helpers import (
     slicing_normalize,
     slicing_quotient,
     terminal_cat,
+    tuple_normal_forms,
+    walked_presentation_check,
+    walked_word_boundary,
     walking_arrow,
     z2_cat,
 )
@@ -110,6 +114,79 @@ def test_presentation_rejects_bad_words():
         PresentedCategory(
             ["x", "y"], [("f", "x", "y")], [(("f", "f"), ("f",), "x")]
         )
+
+
+def _words(names, lo, hi):
+    return st.lists(st.sampled_from(names), min_size=lo, max_size=hi).map(tuple)
+
+
+@st.composite
+def presentations(draw, wild=None):
+    """Objects, generators and relations of a small presentation.  With
+    wild (drawn when None), names may repeat, endpoints and anchors may
+    fall outside the objects and words may use an unknown generator; the
+    objects are always distinct."""
+    if wild is None:
+        wild = draw(st.booleans())
+    objects = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    ends = objects + ["w"] if wild else objects
+    names = draw(st.lists(st.sampled_from("fghk"), min_size=1, max_size=4))
+    if not wild:
+        names = list(dict.fromkeys(names))
+    gens = [(n, draw(st.sampled_from(ends)), draw(st.sampled_from(ends))) for n in names]
+    letters = names + ["q"] if wild else names
+    rels = draw(
+        st.lists(
+            st.tuples(_words(letters, 0, 3), _words(letters, 0, 3), st.sampled_from(ends)),
+            max_size=3,
+        )
+    )
+    return objects, gens, rels
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(), st.lists(st.tuples(_words("fghkq", 0, 4), st.sampled_from("xyzw")), max_size=4))
+def test_presentations_match_the_walked_route(case, probes):
+    objects, gens, rels = case
+    try:
+        walked_presentation_check(objects, gens, rels)
+    except MalformedWord:
+        with pytest.raises(MalformedWord):
+            PresentedCategory(objects, gens, rels)
+        return
+    P = PresentedCategory(objects, gens, rels)
+    for word, at in probes:
+        try:
+            want = walked_word_boundary(objects, gens, word, at)
+        except MalformedWord:
+            with pytest.raises(MalformedWord):
+                P.word_boundary(word, at)
+            continue
+        assert P.word_boundary(word, at) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    presentations(wild=False),
+    st.lists(_words("fghk", 1, 3), max_size=6),
+    st.sampled_from([3, 40, 50000]),
+)
+def test_normal_forms_match_the_tuple_automaton(case, lhss, budget):
+    P = PresentedCategory(case[0], case[1], [])
+    lhss = [l for l in lhss if set(l) <= set(P.graph.edges)]
+    got_trace, want_trace = [], []
+    got_meter, want_meter = codescent._Meter(budget), codescent._Meter(budget)
+    got = codescent._enumerate_normal_forms(
+        P, [P.encode(l) for l in lhss], got_meter, got_trace
+    )
+    want = tuple_normal_forms(P, lhss, want_meter, want_trace)
+    assert (got_trace, got_meter.used) == (want_trace, want_meter.used)
+    if want is None:
+        assert got is None
+        return
+    assert [(at, P.decode(w)) for at, w, _ in got] == want
+    for at, w, end in got:
+        assert (at, end) == walked_word_boundary(P.objects, P.generators, P.decode(w), at)
 
 
 def test_quotient_of_free_arrow_presentation():

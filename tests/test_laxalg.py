@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fin2cat
 from fin2cat import descent, fincat, laxalg
@@ -16,7 +17,6 @@ from fin2cat.errors import (
 from fin2cat.laxalg import (
     LaxMorphism,
     Monoid,
-    TTransformation,
     build_Tzy,
     check_lax_algebra,
     check_lax_morphism,
@@ -33,6 +33,7 @@ from helpers import (
     nonassociative_mutants,
     one_object_cat,
     terminal_cat,
+    triple_loop_monoid_check,
     unital_associative_tables,
     walking_arrow,
     z2_cat,
@@ -134,6 +135,49 @@ def test_monoid_validation():
             ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "a",
             ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a",
         })
+    with pytest.raises(AxiomViolation):
+        Monoid(["e", "e"], "e", {("e", "e"): "e"})  # an element twice
+
+
+_LAWFUL = {}  # n -> the lawful monoid tables on n elements
+
+
+@st.composite
+def monoid_tables(draw):
+    """A unit and a table on 1-3 distinct elements: a lawful monoid, or
+    one with an entry changed (possibly to a non-element), an entry
+    dropped, or a unit that is no unit or no element."""
+    n = draw(st.integers(1, 3))
+    if n not in _LAWFUL:
+        _LAWFUL[n] = unital_associative_tables(["e", "a", "b"][:n])
+    els = ["e", "a", "b"][:n]
+    unit, table = draw(st.sampled_from(_LAWFUL[n]))
+    table = dict(table)
+    fault = draw(st.sampled_from(["none", "entry", "drop", "unit"]))
+    if fault == "entry":
+        table[draw(st.sampled_from(sorted(table)))] = draw(st.sampled_from(els + ["z"]))
+    elif fault == "drop":
+        del table[draw(st.sampled_from(sorted(table)))]
+    elif fault == "unit":
+        unit = draw(st.sampled_from(els + ["z"]))
+    return els, unit, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(monoid_tables())
+def test_monoid_accepts_what_the_triple_loop_accepts(case):
+    els, unit, table = case
+    try:
+        triple_loop_monoid_check(els, unit, table)
+        want = None
+    except AxiomViolation:
+        want = AxiomViolation
+    try:
+        Monoid(els, unit, table)
+        got = None
+    except AxiomViolation:
+        got = AxiomViolation
+    assert got == want, case
 
 
 def test_monoid_check_bypass():
@@ -348,7 +392,6 @@ def test_check_transformation():
     )
     m = fincat.make_nat(i, c1, {"0": "u", "1": "id1"})
     assert check_transformation(U, phi, psi, m)
-    assert check_transformation(U, phi, psi, TTransformation(m))
 
 
 def test_check_transformation_detects_mismatch():

@@ -7,11 +7,12 @@ load the tracer from the checkout and change nothing under perfbench/.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
 import fin2cat.cli  # noqa: F401  (loads every module)
-from helpers import code_lines
+from helpers import code_lines, run_python
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -49,6 +50,20 @@ def test_tracer_wraps_every_listed_name_and_restores_it():
         now = vars(m)
         assert [k for k, v in before[n].items() if now.get(k) is not v] == [], n
     assert [vars(cls)[meth] for cls, meth in owners] == methods
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # Tracer.install finds each module it wraps in sys.modules, and a
+    # bench run imports only fin2cat.cli first; a module the cli imported
+    # lazily would go unwrapped
+    tr = _tracer_module()
+    done = run_python(
+        "-c", "import json, sys, fin2cat.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    wanted = set(tr.FUNCTIONS) | {mod for mod, _, _, _ in tr.METHODS}
+    assert sorted(m for m in wanted if "fin2cat." + m not in loaded) == []
 
 
 _SOURCE = '''"""Module docstring,
