@@ -6,7 +6,13 @@ so make_graph checks them and make_path checks every word.
 quotient_category runs Knuth-Bendix completion over shortlex (length, then
 generator declaration order) with a hard budget on rewrite applications,
 decides finiteness of the normal-form language with a factor-avoidance
-automaton, and materializes the quotient as a FinCat.
+automaton, and materializes the quotient as a FinCat.  The table comes
+from the right action of the generators that are normal forms, as a coset
+table does: one normalize of w + g per normal form w and such generator
+g, and every composite m2.m1 by lookup, as the last letter of m2 acting
+on m2'.m1, where m2' is m2 less that letter.  make_generated_fincat
+proves it on generator triples, and each input relation is checked to
+hold in it.
 
 Words stay strings, generator i spelled chr(i), from completion to the
 table: one _Rewriter rewrites them, the normal-form automaton reads them
@@ -15,7 +21,8 @@ composes them; they are decoded only to name morphisms.  The rewriting
 strategy is fixed: rewrite the leftmost redex, by the first rule in list
 order that matches there, until no redex is left.  The budget is charged
 once per rewrite, so the count of rewrite applications depends only on
-that strategy, not on how redexes are found.
+that strategy, not on how redexes are found; it is also charged once per
+normal form listed and once per action step, never per composite.
 
 A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
@@ -33,6 +40,8 @@ category of a monad read directly off hom sets of the base.
 """
 
 from collections import deque
+from functools import reduce
+from itertools import repeat
 
 from .deltadiag import (
     CELLS,
@@ -58,6 +67,7 @@ from .fincat import (
     identity_fun,
     iso_categories,
     make_fincat,
+    make_generated_fincat,
     make_nat,
     whisker_left,
 )
@@ -226,9 +236,12 @@ def quotient_category(P, budget=50000):
     """Quotient a presentation by its relations.
 
     Runs completion, then decides whether the set of irreducible words is
-    finite; if so the returned category's composition table is total
-    normalization, revalidated by make_fincat and checked against the
-    original relations."""
+    finite.  If so, the table comes from the right action of the
+    generators that are normal forms: one normalize per normal form and
+    such generator, and every composite m2.m1 by lookup, as the last
+    letter of m2 acting on m2'.m1.  make_generated_fincat proves it, and
+    each original relation is checked to hold in it, folding both sides
+    through the table from the identity."""
     trace = [
         "%d objects, %d generators, %d relations"
         % (len(P.objects), len(P.generators), len(P.relations))
@@ -271,40 +284,60 @@ def quotient_category(P, budget=50000):
 
         # one id string per normal form, shared by every composite equal
         # to it
-        morphisms, dom, cod = [], {}, {}
-        by_word, ids = {}, {}
+        morphisms, dom, cod, ids = [], {}, {}, {}
+        into = {x: [] for x in P.objects}
         for at, w, end in words:
             mid = _word_id(P.decode(w), at)
             morphisms.append(mid)
             dom[mid], cod[mid] = at, end
-            by_word[mid] = (at, w)
             ids[at, w] = mid
-        identity = {x: _word_id((), x) for x in P.objects}
-
-        def composite(m2, m1):
-            a1, w1 = by_word[m1]
-            spend()
-            nf = rw.normalize(w1 + by_word[m2][1], spend)
-            # a word that is no normal form keeps a fresh id for make_fincat
-            # to reject
-            return ids.get((a1, nf)) or _word_id(P.decode(nf), a1)
-
-        compose = composition_table(morphisms, dom, cod, composite)
-        for l, r, at in P.relations:
-            if rw.normalize(P.encode(l), spend) != rw.normalize(
-                P.encode(r), spend
-            ):
-                raise AxiomViolation(
-                    "completion failed to join relation %r = %r" % (l, r)
-                )
+            into[end].append(mid)
+        identity = {x: ids[x, ""] for x in P.objects}
+        # value[g] is the normal form of generator g; the generators that
+        # are their own normal form act on the right, one normalize per
+        # normal form they follow, and a word that is no normal form keeps
+        # a fresh id for make_generated_fincat to reject
+        letters, value = {x: [] for x in P.objects}, {}
+        for i, (g, d, _) in enumerate(P.generators):
+            if (d, chr(i)) in ids:
+                letters[d].append(chr(i))
+            value[g] = ids.get((d, chr(i))) or ids[d, rw.normalize(chr(i), spend)]
+        act = {c: {} for cs in letters.values() for c in cs}
+        for at, w, end in words:
+            for c in letters[end]:
+                spend()
+                nf = rw.normalize(w + c, spend)
+                act[c][ids[at, w]] = ids.get((at, nf)) or _word_id(P.decode(nf), at)
+        # m2.m1 is the last letter of m2 acting on m2'.m1, where m2' is m2
+        # less that letter, listed earlier since normal forms are
+        # prefix-closed; col[m2] lists the m2.m1 for m1 in into[dom m2]
+        col, compose = {}, {}
+        for at, w, _ in words:
+            m2 = ids[at, w]
+            col[m2] = list(map(act[w[-1]].get, col[ids[at, w[:-1]]])) if w else into[at]
+            compose.update(zip(zip(repeat(m2), into[at]), col[m2]))
     except _BudgetExceeded:
         trace.append(
             "rewrite budget exhausted after %d applications" % meter.used
         )
         return QuotientResult(UNDECIDED, trace, P, rw)
-    trace.append("re-verified %d input relations" % len(P.relations))
 
-    cat = make_fincat(list(P.objects), morphisms, dom, cod, identity, compose)
+    # the values of the generators generate the quotient
+    cat = make_generated_fincat(
+        list(P.objects), morphisms, dom, cod, identity, compose, list(value.values())
+    )
+
+    def step(m, g):
+        return compose[value[g], m]
+
+    # each relation holds in the proved table: both sides, folded from
+    # the identity, end at the same morphism
+    for l, r, at in P.relations:
+        if reduce(step, l, identity[at]) != reduce(step, r, identity[at]):
+            raise AxiomViolation(
+                "completion failed to join relation %r = %r" % (l, r)
+            )
+    trace.append("re-verified %d input relations" % len(P.relations))
     return QuotientResult(FINITE, trace, P, rw, cat)
 
 

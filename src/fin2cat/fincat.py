@@ -138,8 +138,83 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
     covers every composable triple.  The first failure named is the one
     the plain loop over f, then g after f, then h after g meets first.
     """
-    objects = list(objects)
-    morphisms = list(morphisms)
+    objects, morphisms = list(objects), list(morphisms)
+    by_dom, pos, rows = _proved_rows(objects, morphisms, dom, cod, identity, compose)
+    pick = {}
+    for f, rf in rows.items():
+        at = tuple(map(pos.__getitem__, rf))
+        # itemgetter of one index gives the entry, not a 1-tuple
+        one = len(at) == 1
+        pick[f] = itemgetter(slice(at[0], at[0] + 1)) if one else itemgetter(*at)
+
+    # h.(g.f) = (h.g).f on every composable triple: pick[g] reads (h.g).f
+    # off rows[f] for every h at once, and rows[g.f] lists h.(g.f) for the
+    # same h in the same order
+    for f in morphisms:
+        rf = rows[f]
+        for g, gf in zip(by_dom[cod[f]], rf):
+            if pick[g](rf) != rows[gf]:
+                h = next(
+                    h
+                    for h, hg, hgf in zip(by_dom[cod[g]], rows[g], rows[gf])
+                    if rf[pos[hg]] != hgf
+                )
+                raise AxiomViolation(
+                    "associativity fails on (%r, %r, %r)" % (h, g, f)
+                )
+
+    return FinCat(objects, morphisms, dom, cod, identity, compose)
+
+
+def make_generated_fincat(objects, morphisms, dom, cod, identity, compose, generators):
+    """Build a FinCat that the generators reach, proving associativity on
+    generator triples only.
+
+    The coverage, boundary and identity checks are make_fincat's.  Then
+    closing the identities under h.m, for h among the generators, must
+    reach every morphism, and h.(g.f) = (h.g).f must hold for every
+    generator h and composable pair (g, f).  That gives every triple, by
+    induction on how m is reached: (m.g).f = m.(g.f) holds for an identity
+    m by the identity laws, and for m = h.m' with h a generator
+        ((h.m').g).f = (h.(m'.g)).f = h.((m'.g).f)
+                     = h.(m'.(g.f)) = (h.m').(g.f),
+    each step a generator triple or the induction hypothesis.  So the
+    proof makes |generators| comparisons per composable pair, not one per
+    composable triple.  Raises AxiomViolation naming the first broken law;
+    an associativity failure is the first generator triple that
+    make_fincat's loop over f, then g after f, then h after g meets.
+    """
+    objects, morphisms = list(objects), list(morphisms)
+    by_dom, pos, rows = _proved_rows(objects, morphisms, dom, cod, identity, compose)
+    # out[x] lists each generator h out of x with its place in by_dom[x],
+    # so that rows[m][p] is h.m; a name that is no morphism is no generator
+    out = {x: [(h, pos[h]) for h in generators if dom.get(h) == x] for x in objects}
+    reached, level = set(), set(identity.values())
+    while level:
+        reached |= level
+        level = {rows[m][p] for m in level for _, p in out[cod[m]]} - reached
+    for m in morphisms:
+        if m not in reached:
+            raise AxiomViolation("generators do not reach %r" % m)
+
+    # h.(g.f) = (h.g).f for every generator h after g
+    for f in morphisms:
+        rf = rows[f]
+        for g, gf in zip(by_dom[cod[f]], rf):
+            for h, p in out[cod[g]]:
+                if rows[gf][p] != rf[pos[rows[g][p]]]:
+                    raise AxiomViolation(
+                        "associativity fails on (%r, %r, %r)" % (h, g, f)
+                    )
+
+    return FinCat(objects, morphisms, dom, cod, identity, compose)
+
+
+def _proved_rows(objects, morphisms, dom, cod, identity, compose):
+    """The checks make_fincat and make_generated_fincat share: distinct
+    names, boundaries, coverage of exactly the composable pairs, the
+    boundary of every composite, and the identity laws.  Returns by_dom,
+    pos and rows (see make_fincat)."""
     if len(set(objects)) != len(objects):
         raise AxiomViolation("duplicate object identifiers")
     if len(set(morphisms)) != len(morphisms):
@@ -195,13 +270,7 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
                 raise AxiomViolation(
                     "composite of (%r after %r) has wrong boundary: %r" % (g, f, h)
                 )
-    at = tuple(map(pos.__getitem__, flat))
-    rows, pick = {}, {}
-    for f, a, b in zip(morphisms, cuts, cuts[1:]):
-        rows[f] = flat[a:b]
-        # itemgetter of one index gives the entry, not a 1-tuple
-        one = b - a == 1
-        pick[f] = itemgetter(slice(at[a], at[a] + 1)) if one else itemgetter(*at[a:b])
+    rows = {f: flat[a:b] for f, a, b in zip(morphisms, cuts, cuts[1:])}
 
     for f in morphisms:
         if rows[identity[dom[f]]][pos[f]] != f:
@@ -209,23 +278,7 @@ def make_fincat(objects, morphisms, dom, cod, identity, compose):
         if rows[f][pos[identity[cod[f]]]] != f:
             raise AxiomViolation("left identity law fails at %r" % f)
 
-    # h.(g.f) = (h.g).f on every composable triple: pick[g] reads (h.g).f
-    # off rows[f] for every h at once, and rows[g.f] lists h.(g.f) for the
-    # same h in the same order
-    for f in morphisms:
-        rf = rows[f]
-        for g, gf in zip(by_dom[cod[f]], rf):
-            if pick[g](rf) != rows[gf]:
-                h = next(
-                    h
-                    for h, hg, hgf in zip(by_dom[cod[g]], rows[g], rows[gf])
-                    if rf[pos[hg]] != hgf
-                )
-                raise AxiomViolation(
-                    "associativity fails on (%r, %r, %r)" % (h, g, f)
-                )
-
-    return FinCat(objects, morphisms, dom, cod, identity, compose)
+    return by_dom, pos, rows
 
 
 def _raise_coverage_error(morphisms, by_dom, cod, compose):

@@ -525,7 +525,12 @@ def slicing_quotient(P, budget=50000):
     tuples with an index-tuple shortlex key, every word normalised by
     slicing_normalize, the normal forms listed by tuple_normal_forms with
     their boundaries walked by walked_word_boundary, and the composition
-    table from an all-pairs loop.  Returns (status, trace, rules, morphisms, compose table); the last two
+    table from an all-pairs loop, uncharged.  The budget is charged as
+    quotient_category's table charges it: once per normal form w and
+    generator g that is itself a normal form, with dom g = cod w, plus the
+    rewrites of w + (g,), and the rewrites of every other generator alone.
+    Only the total shows: an exhausted budget always reads budget + 1.
+    Returns (status, trace, rules, morphisms, compose table); the last two
     are None unless the status is Finite."""
     trace = [
         "%d objects, %d generators, %d relations"
@@ -594,24 +599,33 @@ def slicing_quotient(P, budget=50000):
         morphisms.append(mid)
         dom[mid], cod[mid] = walked_word_boundary(P.objects, P.generators, w, at)
         by_word[mid] = (at, w)
-    compose = {}
+    listed = set(words)
+    letters = [(g, d) for g, d, _ in P.generators if (d, (g,)) in listed]
     try:
-        for m2 in morphisms:
-            for m1 in morphisms:
-                if cod[m1] != dom[m2]:
-                    continue
-                a1, w1 = by_word[m1]
-                _, w2 = by_word[m2]
-                meter.spend()
-                nf = normalize(w1 + w2)
-                compose[(m2, m1)] = codescent._word_id(nf, a1)
-        for l, r, at in P.relations:
-            assert normalize(l) == normalize(r)
+        for at, w in words:
+            for g, d in letters:
+                if cod[codescent._word_id(w, at)] == d:
+                    meter.spend()
+                    normalize(w + (g,))
+        for g, d, _ in P.generators:
+            if (g, d) not in letters:
+                normalize((g,))
     except codescent._BudgetExceeded:
         trace.append(
             "rewrite budget exhausted after %d applications" % meter.used
         )
         return undecided()
+    compose = {}
+    for m2 in morphisms:
+        for m1 in morphisms:
+            if cod[m1] != dom[m2]:
+                continue
+            a1, w1 = by_word[m1]
+            _, w2 = by_word[m2]
+            nf = slicing_normalize(w1 + w2, rules)
+            compose[(m2, m1)] = codescent._word_id(nf, a1)
+    for l, r, at in P.relations:
+        assert slicing_normalize(l, rules) == slicing_normalize(r, rules)
     trace.append("re-verified %d input relations" % len(P.relations))
     return codescent.FINITE, trace, rules, morphisms, compose
 

@@ -7,9 +7,10 @@ through the completely different presentation/rewriting route.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fin2cat import codescent, fincat, laxalg
 from fin2cat.codescent import (
@@ -396,9 +397,9 @@ def test_quotients_match_the_slicing_route():
         else:
             assert Q.category is None and morphisms is None
         statuses.append(status)
-    # (2,3,4) to (2,3,7) run out of budget; the free and the free
+    # (2,3,6) and (2,3,7) run out of budget; the free and the free
     # commutative monoid have infinitely many normal forms
-    assert statuses.count(UNDECIDED) == 6
+    assert statuses.count(UNDECIDED) == 4
 
 
 def test_composites_share_the_morphism_ids():
@@ -416,6 +417,138 @@ def test_long_cyclic_quotient_spends_its_budget_in_the_table():
         "found 1200 normal forms",
         "rewrite budget exhausted after 1301 applications",
     ]
+
+
+def test_x400_is_finite_at_the_default_budget():
+    Q = quotient_category(loop_presentation([(("s",) * 400, ())]))
+    assert Q.status == FINITE
+    assert len(Q.category.morphisms) == 400
+    assert Q.trace[-1] == "re-verified 1 input relations"
+
+
+def _triangle(k):
+    return _one_object_presentation("xy", [("xx", ""), ("yyy", ""), ("xy" * k, "")])
+
+
+def test_the_triangle_table_normalizes_once_per_normal_form_and_generator(monkeypatch):
+    # after completion, listing the 60 normal forms of (2,3,5) and building
+    # their table normalizes once per normal form and generator (the
+    # all-pairs table normalized each of its 3,600 composites)
+    calls = []
+    normalize = codescent._Rewriter.normalize
+    listing = codescent._enumerate_normal_forms
+
+    def counted(self, word, spend=None):
+        calls.append(word)
+        return normalize(self, word, spend)
+
+    def listed(*args):
+        calls.clear()
+        return listing(*args)
+
+    monkeypatch.setattr(codescent._Rewriter, "normalize", counted)
+    monkeypatch.setattr(codescent, "_enumerate_normal_forms", listed)
+    Q = quotient_category(_triangle(5))
+    assert Q.status == FINITE and len(Q.category.morphisms) == 60
+    assert len(calls) <= 60 * 2
+
+
+class _EndlessCompletion(Exception):
+    pass
+
+
+def _drawn_quotient(case, budget, pairs=20000):
+    """quotient_category on a drawn presentation, or None when its sides
+    are not parallel or completion forms more than `pairs` critical-pair
+    sets.  Completion charges only rewrites, so it need not stop within
+    its budget: about one presentation in a thousand of this shape was
+    still completing after a second when sampled.  That defect is left
+    for its own change, and these tests are not about it."""
+    try:
+        P = PresentedCategory(*case)
+    except MalformedWord:
+        return None
+    formed = [0]
+    critical_pairs = codescent._critical_pairs
+
+    def counted(rule1, rule2):
+        formed[0] += 1
+        if formed[0] > pairs:
+            raise _EndlessCompletion()
+        return critical_pairs(rule1, rule2)
+
+    with mock.patch.object(codescent, "_critical_pairs", counted):
+        try:
+            return quotient_category(P, budget)
+        except _EndlessCompletion:
+            return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(wild=False), st.sampled_from([30, 300, 2000]))
+def test_action_tables_match_the_all_pairs_tables(case, budget):
+    Q = _drawn_quotient(case, budget)
+    assume(Q is not None)
+    status, trace, rules, morphisms, compose = slicing_quotient(Q.presentation, budget)
+    assert (Q.status, Q.trace, Q.rules) == (status, trace, rules)
+    if status == FINITE:
+        assert list(Q.category.morphisms) == morphisms
+        assert list(Q.category.compose_table.items()) == list(compose.items())
+
+
+def _table_args(C):
+    return [
+        list(C.objects), list(C.morphisms), dict(C.dom), dict(C.cod),
+        dict(C.identity), dict(C.compose_table),
+    ]
+
+
+def _generators(Q):
+    """The ids of the generators that are normal forms."""
+    return [g for g, _, _ in Q.presentation.generators if g in Q.category.dom]
+
+
+def _outcome(prove, *args):
+    try:
+        return prove(*args)
+    except AxiomViolation as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(wild=False), st.data())
+def test_generated_proof_is_sound_on_quotient_tables(case, data):
+    Q = _drawn_quotient(case, 2000)
+    assume(Q is not None and Q.status == FINITE)
+    assume(len(Q.category.compose_table) <= 400)
+    args = _table_args(Q.category)
+    objects, morphisms, dom, cod, identity, compose = args
+    if data.draw(st.booleans()):
+        g, f = data.draw(st.sampled_from(sorted(compose)))
+        hom = [h for h in morphisms if (dom[h], cod[h]) == (dom[f], cod[g])]
+        compose[g, f] = data.draw(st.sampled_from(hom + morphisms + ["zz"]))
+    got = _outcome(fincat.make_generated_fincat, *args, _generators(Q))
+    if isinstance(got, fincat.FinCat):
+        assert fincat.make_fincat(*args) == got
+
+
+@pytest.mark.parametrize("P", [loop_presentation([(("s",) * 10, ())]), _triangle(3)])
+def test_moving_one_entry_of_a_quotient_table_is_refused(P):
+    # every entry of x^10 and of (2,3,3), moved to every other morphism
+    Q = quotient_category(P)
+    assert Q.status == FINITE
+    args = _table_args(Q.category)
+    refused = 0
+    for key, h in args[5].items():
+        for v in args[1]:
+            if v != h:
+                moved = dict(args[5])
+                moved[key] = v
+                got = _outcome(fincat.make_generated_fincat, *args[:5], moved, _generators(Q))
+                assert isinstance(got, str), (key, v)
+                refused += 1
+    n = len(args[1])
+    assert refused == n * n * (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,74 @@ def test_make_fincat_agrees_with_triple_loop_on_drawn_tables(args):
     assert_same_proof(*args)
 
 
+# ---------------------------------------------------------------------------
+# make_generated_fincat: associativity on generator triples
+
+
+def test_generated_proof_names_the_first_generator_triple():
+    # Z/3 generated by a: every single-entry mutant is refused by the
+    # shared checks as make_fincat refuses it, or because a no longer
+    # reaches every element, or because a triple with outer factor a
+    # fails, named as met first looping over f, then g; what is accepted
+    # make_fincat accepts too
+    ends = {m: "*" for m in ELS3}
+    args = (["*"], ELS3, ends, ends, {"*": "e"})
+    outcomes = []
+    for table in single_entry_mutants(Z3, ELS3):
+        got = proof_outcome(fincat.make_generated_fincat, *args, table, ["a"])
+        full = proof_outcome(fincat.make_fincat, *args, table)
+        outcomes.append(got)
+        if "identity" in full:
+            assert got == full
+            continue
+        reached = ["e", table[("a", "e")]]
+        while table[("a", reached[-1])] not in reached:
+            reached.append(table[("a", reached[-1])])
+        first = next(
+            (
+                (h, g, f)
+                for f in ELS3
+                for h in ["a"]
+                for g in ELS3
+                if table[(h, table[(g, f)])] != table[(table[(h, g)], f)]
+            ),
+            None,
+        )
+        if len(reached) < 3:
+            missing = next(m for m in ELS3 if m not in reached)
+            assert got == "generators do not reach %r" % missing
+        elif first is not None:
+            assert got == "associativity fails on (%r, %r, %r)" % first
+        else:
+            assert got == full
+    assert len(outcomes) == 18 and all(isinstance(o, str) for o in outcomes)
+    assert any(o.startswith("generators do not reach") for o in outcomes)
+    assert any(o.startswith("associativity") for o in outcomes)
+    assert fincat.make_generated_fincat(*args, Z3, ["a"]) == fincat.make_fincat(*args, Z3)
+    # a name that is no morphism generates nothing
+    with pytest.raises(AxiomViolation, match="generators do not reach 'a'"):
+        fincat.make_generated_fincat(*args, Z3, ["zz"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_tables(), st.data())
+def test_generated_proof_is_sound_on_drawn_tables(args, data):
+    morphisms = args[1]
+    gens = data.draw(st.lists(st.sampled_from(morphisms), unique=True))
+    got = proof_outcome(fincat.make_generated_fincat, *args, gens)
+    want = proof_outcome(fincat.make_fincat, *args)
+    if isinstance(got, fincat.FinCat):
+        assert got == want
+    elif not got.startswith(("generators do not reach", "associativity")):
+        # the coverage, boundary and identity checks are shared
+        assert got == want
+    # with every morphism a generator, the two proofs check the same
+    # triples in the same order, so they give the same outcome
+    every = proof_outcome(fincat.make_generated_fincat, *args, morphisms)
+    assert type(every) is type(want)
+    assert every == want
+
+
 def assert_same_enumerations(C, D):
     """The functors C -> D and the transformations between every pair of
     them come out as the recursive searches give them, in the same
