@@ -19,11 +19,11 @@ ReferenceError.
 run() executes one command against a workspace, and main() wraps run()
 for the console: the report goes to stdout as canonical JSON and the exit
 code is 0 for pass, 1 for fail, 2 for undecided and 3 for error.  An
-input that cannot be read or used -- malformed JSON, a bad spec, a
-dangling name, an unknown command, a law violation, an unreadable --input
-file -- gives an "error" report naming the exception in data, not a
-traceback.  So does a fault inside fin2cat, under its own exception type
-(KeyError, say), never as ParseError.
+input that cannot be read or used -- a usage error, malformed JSON, a
+bad spec, a dangling name, an unknown command, a law violation, an
+unreadable --input file -- gives an "error" report naming the exception
+in data, not a traceback.  So does a fault inside fin2cat, under its own
+exception type (KeyError, say), never as ParseError.
 """
 
 import argparse
@@ -450,7 +450,16 @@ def _report(command, status, witnesses, data, trace):
     }
 
 
-_PARSER = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as ParseError, for main to
+    report, rather than printed with argparse's exit status 2, which is
+    fin2cat's code for undecided."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+_PARSER = _Parser(
     prog="fin2cat",
     description="finite 2-category checks over a JSON workspace",
 )
@@ -468,10 +477,12 @@ def _error_report(command, e):
 
 
 def main(argv=None):
-    ns = _PARSER.parse_intermixed_args(argv)
-
-    probes = ns.probes.split(",") if ns.probes else None
+    # a usage error is reported with no command and no --out; --help
+    # still exits 0
+    ns = argparse.Namespace(command=None, out=None)
     try:
+        ns = _PARSER.parse_intermixed_args(argv)
+        probes = ns.probes.split(",") if ns.probes else None
         ws = load(ns.input) if ns.input else Workspace()
         report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
     except Exception as e:  # a fault of fin2cat too is a report, not a traceback

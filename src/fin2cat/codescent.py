@@ -10,9 +10,9 @@ automaton, and materializes the quotient as a FinCat.  The table comes
 from the right action of the generators that are normal forms, as a coset
 table does: one normalize of w + g per normal form w and such generator
 g, and every composite m2.m1 by lookup, as the last letter of m2 acting
-on m2'.m1, where m2' is m2 less that letter.  make_generated_fincat
-proves it on generator triples, and each input relation is checked to
-hold in it.
+on m2'.m1, where m2' is m2 less that letter.  make_fincat proves it on
+the triples whose outer factor is the value of a generator, and each
+input relation is checked to hold in it.
 
 Words stay strings, generator i spelled chr(i), from completion to the
 table: one _Rewriter rewrites them, the normal-form automaton reads them
@@ -67,7 +67,6 @@ from .fincat import (
     identity_fun,
     iso_categories,
     make_fincat,
-    make_generated_fincat,
     make_nat,
     whisker_left,
 )
@@ -239,9 +238,10 @@ def quotient_category(P, budget=50000):
     finite.  If so, the table comes from the right action of the
     generators that are normal forms: one normalize per normal form and
     such generator, and every composite m2.m1 by lookup, as the last
-    letter of m2 acting on m2'.m1.  make_generated_fincat proves it, and
-    each original relation is checked to hold in it, folding both sides
-    through the table from the identity."""
+    letter of m2 acting on m2'.m1.  make_fincat proves it with the values
+    of the generators as its generators, and each original relation is
+    checked to hold in it, folding both sides through the table from the
+    identity."""
     trace = [
         "%d objects, %d generators, %d relations"
         % (len(P.objects), len(P.generators), len(P.relations))
@@ -296,7 +296,7 @@ def quotient_category(P, budget=50000):
         # value[g] is the normal form of generator g; the generators that
         # are their own normal form act on the right, one normalize per
         # normal form they follow, and a word that is no normal form keeps
-        # a fresh id for make_generated_fincat to reject
+        # a fresh id for make_fincat to reject
         letters, value = {x: [] for x in P.objects}, {}
         for i, (g, d, _) in enumerate(P.generators):
             if (d, chr(i)) in ids:
@@ -323,7 +323,7 @@ def quotient_category(P, budget=50000):
         return QuotientResult(UNDECIDED, trace, P, rw)
 
     # the values of the generators generate the quotient
-    cat = make_generated_fincat(
+    cat = make_fincat(
         list(P.objects), morphisms, dom, cod, identity, compose, list(value.values())
     )
 

@@ -17,12 +17,11 @@ test_descent_levels_faces_and_carriers_are_lawful,
 test_universe_members_and_T_are_lawful and
 test_codescent_probe_faces_are_lawful.
 
-make_fincat proves the laws by position: the composites h.f for the h out
-of cod f form a row, and associativity compares, for every composable pair
-(g, f), the row of g.f against the entries of the row of f that the row of
-g points at; every composable triple is still compared.  The searches for
-functors, transformations and isomorphisms backtrack with explicit stacks,
-so their depth is not bounded by the interpreter's recursion limit.
+make_fincat proves associativity on generator triples, every morphism
+being a generator unless the caller names fewer.  The searches for
+functors, transformations and isomorphisms backtrack with explicit
+stacks, so their depth is not bounded by the interpreter's recursion
+limit.
 
 Objects and morphisms are identifier strings; a category is its composition
 table.  A functor category (HomCat) holds no table when it is built: its
@@ -35,7 +34,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from operator import itemgetter
 
 from .errors import (
     AxiomViolation,
@@ -121,100 +119,32 @@ class FinCat:
         )
 
 
-def make_fincat(objects, morphisms, dom, cod, identity, compose):
+def make_fincat(objects, morphisms, dom, cod, identity, compose, generators=None):
     """Build a FinCat, checking every category law.
 
     compose maps pairs (g, f) with cod(f) = dom(g) to the composite of f
     followed by g.  The table must cover exactly the composable pairs.
     Raises AxiomViolation naming the first broken law.
 
-    The proof goes by position.  by_dom[x] lists the morphisms out of x,
-    and rows[f] lists the composites h.f for h in by_dom[cod f], looked up
-    in compose; the lookups and a count show that the table covers exactly
-    the composable pairs.  For each g, one itemgetter pick[g] takes from a
-    row over by_dom[dom g] the entries at the places of the h.g, so
-    pick[g](rows[f]) lists (h.g).f and rows[g.f] lists h.(g.f), for every
-    h after g in the same order: one comparison per composable pair (g, f)
-    covers every composable triple.  The first failure named is the one
-    the plain loop over f, then g after f, then h after g meets first.
-    """
-    objects, morphisms = list(objects), list(morphisms)
-    by_dom, pos, rows = _proved_rows(objects, morphisms, dom, cod, identity, compose)
-    pick = {}
-    for f, rf in rows.items():
-        at = tuple(map(pos.__getitem__, rf))
-        # itemgetter of one index gives the entry, not a 1-tuple
-        one = len(at) == 1
-        pick[f] = itemgetter(slice(at[0], at[0] + 1)) if one else itemgetter(*at)
-
-    # h.(g.f) = (h.g).f on every composable triple: pick[g] reads (h.g).f
-    # off rows[f] for every h at once, and rows[g.f] lists h.(g.f) for the
-    # same h in the same order
-    for f in morphisms:
-        rf = rows[f]
-        for g, gf in zip(by_dom[cod[f]], rf):
-            if pick[g](rf) != rows[gf]:
-                h = next(
-                    h
-                    for h, hg, hgf in zip(by_dom[cod[g]], rows[g], rows[gf])
-                    if rf[pos[hg]] != hgf
-                )
-                raise AxiomViolation(
-                    "associativity fails on (%r, %r, %r)" % (h, g, f)
-                )
-
-    return FinCat(objects, morphisms, dom, cod, identity, compose)
-
-
-def make_generated_fincat(objects, morphisms, dom, cod, identity, compose, generators):
-    """Build a FinCat that the generators reach, proving associativity on
-    generator triples only.
-
-    The coverage, boundary and identity checks are make_fincat's.  Then
-    closing the identities under h.m, for h among the generators, must
-    reach every morphism, and h.(g.f) = (h.g).f must hold for every
-    generator h and composable pair (g, f).  That gives every triple, by
-    induction on how m is reached: (m.g).f = m.(g.f) holds for an identity
-    m by the identity laws, and for m = h.m' with h a generator
+    by_dom[x] lists the morphisms out of x, and rows[f] lists the
+    composites h.f for h in by_dom[cod f], looked up in compose; the
+    lookups and a count show that the table covers exactly the composable
+    pairs.  Associativity is proved on generator triples, every morphism
+    being a generator by default.  Closing the identities under h.m, for
+    h among the generators, must reach every morphism, and h.(g.f) =
+    (h.g).f must hold for every generator h and composable pair (g, f).
+    That gives every triple, by induction on how m is reached:
+    (m.g).f = m.(g.f) holds for an identity m by the identity laws, and
+    for m = h.m' with h a generator
         ((h.m').g).f = (h.(m'.g)).f = h.((m'.g).f)
                      = h.(m'.(g.f)) = (h.m').(g.f),
     each step a generator triple or the induction hypothesis.  So the
-    proof makes |generators| comparisons per composable pair, not one per
-    composable triple.  Raises AxiomViolation naming the first broken law;
-    an associativity failure is the first generator triple that
-    make_fincat's loop over f, then g after f, then h after g meets.
+    proof makes |generators| comparisons per composable pair.  An
+    associativity failure names the first generator triple that the loop
+    over f, then g after f, then h after g meets; with every morphism a
+    generator that is the first failing triple.
     """
     objects, morphisms = list(objects), list(morphisms)
-    by_dom, pos, rows = _proved_rows(objects, morphisms, dom, cod, identity, compose)
-    # out[x] lists each generator h out of x with its place in by_dom[x],
-    # so that rows[m][p] is h.m; a name that is no morphism is no generator
-    out = {x: [(h, pos[h]) for h in generators if dom.get(h) == x] for x in objects}
-    reached, level = set(), set(identity.values())
-    while level:
-        reached |= level
-        level = {rows[m][p] for m in level for _, p in out[cod[m]]} - reached
-    for m in morphisms:
-        if m not in reached:
-            raise AxiomViolation("generators do not reach %r" % m)
-
-    # h.(g.f) = (h.g).f for every generator h after g
-    for f in morphisms:
-        rf = rows[f]
-        for g, gf in zip(by_dom[cod[f]], rf):
-            for h, p in out[cod[g]]:
-                if rows[gf][p] != rf[pos[rows[g][p]]]:
-                    raise AxiomViolation(
-                        "associativity fails on (%r, %r, %r)" % (h, g, f)
-                    )
-
-    return FinCat(objects, morphisms, dom, cod, identity, compose)
-
-
-def _proved_rows(objects, morphisms, dom, cod, identity, compose):
-    """The checks make_fincat and make_generated_fincat share: distinct
-    names, boundaries, coverage of exactly the composable pairs, the
-    boundary of every composite, and the identity laws.  Returns by_dom,
-    pos and rows (see make_fincat)."""
     if len(set(objects)) != len(objects):
         raise AxiomViolation("duplicate object identifiers")
     if len(set(morphisms)) != len(morphisms):
@@ -235,11 +165,10 @@ def _proved_rows(objects, morphisms, dom, cod, identity, compose):
             raise AxiomViolation("identity of %r is not an endomorphism: %r" % (x, i))
 
     # pos[m] is the place of m in by_dom[dom m]
-    by_dom, pos = {}, {}
+    by_dom = {x: [] for x in objects}
     for m in morphisms:
-        out = by_dom.setdefault(dom[m], [])
-        pos[m] = len(out)
-        out.append(m)
+        by_dom[dom[m]].append(m)
+    pos = {m: i for ms in by_dom.values() for i, m in enumerate(ms)}
     # the composable pairs (h, f), f by f, and for each f every h in
     # by_dom[cod f]; the composites of f are flat[cuts[k]:cuts[k + 1]]
     # for f = morphisms[k]
@@ -278,7 +207,29 @@ def _proved_rows(objects, morphisms, dom, cod, identity, compose):
         if rows[f][pos[identity[cod[f]]]] != f:
             raise AxiomViolation("left identity law fails at %r" % f)
 
-    return by_dom, pos, rows
+    # out[x] lists each generator h out of x with its place in by_dom[x],
+    # so that rows[m][p] is h.m; a name that is no morphism is no generator
+    gens = morphisms if generators is None else generators
+    out = {x: [(h, pos[h]) for h in gens if dom.get(h) == x] for x in objects}
+    reached, level = set(), set(identity.values())
+    while level:
+        reached |= level
+        level = {rows[m][p] for m in level for _, p in out[cod[m]]} - reached
+    for m in morphisms:
+        if m not in reached:
+            raise AxiomViolation("generators do not reach %r" % m)
+
+    # h.(g.f) = (h.g).f for every generator h after g
+    for f in morphisms:
+        rf = rows[f]
+        for g, gf in zip(by_dom[cod[f]], rf):
+            for h, p in out[cod[g]]:
+                if rows[gf][p] != rf[pos[rows[g][p]]]:
+                    raise AxiomViolation(
+                        "associativity fails on (%r, %r, %r)" % (h, g, f)
+                    )
+
+    return FinCat(objects, morphisms, dom, cod, identity, compose)
 
 
 def _raise_coverage_error(morphisms, by_dom, cod, compose):

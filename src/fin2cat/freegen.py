@@ -376,7 +376,9 @@ def preorder_leq(c, f, g, budget=10000):
 
     Breadth-first search over paths reachable from f by the cells of c.
     Returns YES when g is reached, NO_WITHIN_BUDGET once `budget` distinct
-    paths have been visited (or the reachable set is exhausted).
+    paths have been visited (or the reachable set is exhausted).  When no
+    cell's source is longer than its target, no rewrite shortens a path,
+    so a g shorter than f is unreachable and no search is made.
     """
     if f.graph != c.base or g.graph != c.base:
         raise BoundaryMismatch("paths live on a different graph")
@@ -386,6 +388,8 @@ def preorder_leq(c, f, g, budget=10000):
     if f.edges == target:
         return YES
     shapes, tgt = _cell_shapes(c), c.base.tgt
+    if len(target) < len(f.edges) and all(len(s) <= len(t) for s, _, t in shapes):
+        return NO_WITHIN_BUDGET
     seen = {f.edges}
     queue = deque([f.edges])
     while queue:

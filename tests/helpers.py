@@ -644,10 +644,11 @@ def path_rewrites(c, start, edges):
 
 
 def triple_loop_make_fincat(objects, morphisms, dom, cod, identity, compose):
-    """make_fincat as it was before the proof by position: the coverage
-    check compares two sets of pairs, and associativity is compared a row
-    of a dict-of-dicts at a time.  Same laws, same messages, same first
-    failure.  The oracle for fincat.make_fincat."""
+    """make_fincat as a plain loop: the coverage check compares two sets
+    of pairs, and associativity is compared a row of a dict-of-dicts at a
+    time, over every composable triple.  Same laws, same messages, same
+    first failure.  The oracle for fincat.make_fincat with every morphism
+    a generator."""
     objects = list(objects)
     morphisms = list(morphisms)
     if len(set(objects)) != len(objects):

@@ -347,6 +347,39 @@ def test_malformed_workspace_is_an_error_report(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command, names"),
+        (["--budget", "x", "validate"], "argument --budget: invalid int value: 'x'"),
+        (["validate", "--bogus"], "unrecognized arguments: --bogus"),
+        # a step that starts with a dash reads as an option
+        (
+            ["normalize-2cell", "DeltaDotLax", "1", "d0", "-1:sig00"],
+            "unrecognized arguments: -1:sig00",
+        ),
+    ],
+)
+def test_usage_error_is_an_error_report(argv, message):
+    done = _run_cli(*argv)
+    assert done.returncode == 3
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {
+        "command": None,
+        "status": "error",
+        "witnesses": [],
+        "data": {"error": "ParseError", "message": message},
+        "trace": [],
+    }
+
+
+def test_help_exits_zero_with_usage():
+    done = _run_cli("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fin2cat [-h] [--input INPUT]")
+    assert done.stderr == ""
+
+
 def test_unknown_command_is_an_error_report():
     done = _run_cli("frobnicate", "--input", MONAD_FX)
     assert done.returncode == 3
@@ -367,18 +400,25 @@ def test_main_parses_every_call_alike(capsys):
         out = capsys.readouterr()
         return err.value.code, out.out, out.err
 
+    def misuse(argv):
+        # a usage error is an error report, exit 3, not argparse's exit 2
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
     first = usage(["--help"])
     assert first[0] == 0
     assert first[1].startswith("usage: fin2cat [-h] [--input INPUT]")
     assert "one of: build-tzy, check-algebra," in first[1]
-    missing = usage([])
-    assert missing[0] == 2
-    assert "the following arguments are required: command" in missing[2]
+    missing = misuse([])
+    assert missing[0] == 3
+    message = json.loads(missing[1])["data"]["message"]
+    assert "the following arguments are required: command" in message
     assert main(["validate"]) == 0
     report = capsys.readouterr().out
-    assert usage(["--budget", "x", "validate"])[0] == 2
+    assert misuse(["--budget", "x", "validate"])[0] == 3
     assert usage(["--help"]) == first
-    assert usage([]) == missing
+    assert misuse([]) == missing
     assert main(["validate"]) == 0
     assert capsys.readouterr().out == report
 

@@ -715,7 +715,7 @@ def test_make_fincat_agrees_with_triple_loop_on_drawn_tables(args):
 
 
 # ---------------------------------------------------------------------------
-# make_generated_fincat: associativity on generator triples
+# make_fincat with named generators: associativity on generator triples
 
 
 def test_generated_proof_names_the_first_generator_triple():
@@ -728,7 +728,7 @@ def test_generated_proof_names_the_first_generator_triple():
     args = (["*"], ELS3, ends, ends, {"*": "e"})
     outcomes = []
     for table in single_entry_mutants(Z3, ELS3):
-        got = proof_outcome(fincat.make_generated_fincat, *args, table, ["a"])
+        got = proof_outcome(fincat.make_fincat, *args, table, ["a"])
         full = proof_outcome(fincat.make_fincat, *args, table)
         outcomes.append(got)
         if "identity" in full:
@@ -757,10 +757,10 @@ def test_generated_proof_names_the_first_generator_triple():
     assert len(outcomes) == 18 and all(isinstance(o, str) for o in outcomes)
     assert any(o.startswith("generators do not reach") for o in outcomes)
     assert any(o.startswith("associativity") for o in outcomes)
-    assert fincat.make_generated_fincat(*args, Z3, ["a"]) == fincat.make_fincat(*args, Z3)
+    assert fincat.make_fincat(*args, Z3, ["a"]) == fincat.make_fincat(*args, Z3)
     # a name that is no morphism generates nothing
     with pytest.raises(AxiomViolation, match="generators do not reach 'a'"):
-        fincat.make_generated_fincat(*args, Z3, ["zz"])
+        fincat.make_fincat(*args, Z3, ["zz"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -768,18 +768,21 @@ def test_generated_proof_names_the_first_generator_triple():
 def test_generated_proof_is_sound_on_drawn_tables(args, data):
     morphisms = args[1]
     gens = data.draw(st.lists(st.sampled_from(morphisms), unique=True))
-    got = proof_outcome(fincat.make_generated_fincat, *args, gens)
-    want = proof_outcome(fincat.make_fincat, *args)
+    got = proof_outcome(fincat.make_fincat, *args, gens)
+    want = proof_outcome(triple_loop_make_fincat, *args)
     if isinstance(got, fincat.FinCat):
         assert got == want
     elif not got.startswith(("generators do not reach", "associativity")):
-        # the coverage, boundary and identity checks are shared
+        # the coverage, boundary and identity checks do not depend on the
+        # generators
         assert got == want
-    # with every morphism a generator, the two proofs check the same
-    # triples in the same order, so they give the same outcome
-    every = proof_outcome(fincat.make_generated_fincat, *args, morphisms)
-    assert type(every) is type(want)
-    assert every == want
+    # with every morphism a generator, by default or by name, the proof
+    # checks every triple in the triple loop's order, so it gives the
+    # triple loop's outcome
+    for all_of_them in (None, morphisms):
+        every = proof_outcome(fincat.make_fincat, *args, all_of_them)
+        assert type(every) is type(want)
+        assert every == want
 
 
 def assert_same_enumerations(C, D):

@@ -420,6 +420,40 @@ def test_preorder_rejects_nonparallel():
         preorder_leq(c, f, g)
 
 
+def test_preorder_skips_the_search_for_a_shorter_target(monkeypatch):
+    # no cell of DeltaDotLax has a source longer than its target, so no
+    # rewrite shortens a path: a shorter g is refused without one rewrite
+    # step, whatever the budget
+    c = builtin_computad(DELTA_DOT_LAX)
+    assert all(len(c.src[g].edges) <= len(c.tgt[g].edges) for g in c.cells)
+    calls = []
+    rewrites = freegen._rewrites
+
+    def counted(*args):
+        calls.append(args)
+        # a search toward a shorter target never ends at this budget, so
+        # stop it at its first step
+        assert searching, "searched for a shorter target"
+        return rewrites(*args)
+
+    monkeypatch.setattr(freegen, "_rewrites", counted)
+    searching = False
+    for f, g in (
+        (["d", "d0", "s0", "d0"], ["d", "d0"]),
+        (["d", "d0", "s0", "d1"], ["d", "d1"]),
+        (["d", "d1", "s0"], ["d"]),
+    ):
+        f, g = make_path(c.base, "0", f), make_path(c.base, "0", g)
+        assert preorder_leq(c, f, g, budget=10**9) == NO_WITHIN_BUDGET
+    assert calls == []
+    # a target as long as the start is still searched for
+    searching = True
+    dd1 = make_path(c.base, "0", ["d", "d1"])
+    dd0 = make_path(c.base, "0", ["d", "d0"])
+    assert preorder_leq(c, dd1, dd0) == YES
+    assert len(calls) == 1
+
+
 def test_preorder_budget_counts_visited_words():
     c = loops_computad()
     f = make_path(c.base, "n", ["x"])

@@ -12,6 +12,8 @@ import os
 import sys
 
 import fin2cat.cli  # noqa: F401  (loads every module)
+from fin2cat import codescent, fincat
+from fin2cat.codescent import FINITE, PresentedCategory
 from helpers import code_lines, run_python
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -50,6 +52,32 @@ def test_tracer_wraps_every_listed_name_and_restores_it():
         now = vars(m)
         assert [k for k, v in before[n].items() if now.get(k) is not v] == [], n
     assert [vars(cls)[meth] for cls, meth in owners] == methods
+
+
+def test_traced_quotients_are_proved_through_the_wrapped_make_fincat():
+    # quotient_category proves its table with a seventh argument, the
+    # generators; the tracer counts the call, but its six-argument unpack
+    # skips that call's triple count, and a six-argument call is counted
+    tr = _tracer_module()
+    gens = [("x", "*", "*"), ("y", "*", "*")]
+    rels = [(("x",) * 2, (), "*"), (("y",) * 3, (), "*"), (("x", "y") * 5, (), "*")]
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        Q = codescent.quotient_category(PresentedCategory(["*"], gens, rels))
+        assert (Q.status, len(Q.category.morphisms)) == (FINITE, 60)
+        assert tracer.calls["fincat.make_fincat"] == 1
+        assert tracer.count["fincat.make_fincat.assoc_triples"] == 0
+        C = Q.category
+        again = fincat.make_fincat(
+            C.objects, C.morphisms, C.dom, C.cod, C.identity, C.compose_table
+        )
+    finally:
+        tracer.uninstall()
+    assert again == C
+    assert tracer.calls["fincat.make_fincat"] == 2
+    assert tracer.count["fincat.make_fincat.morphisms"] == 60
+    assert tracer.count["fincat.make_fincat.assoc_triples"] == 60**3
 
 
 def test_importing_the_cli_loads_every_traced_module():
