@@ -31,9 +31,8 @@ Asig cells to the projections.  make_codescent_data checks it against
 deltadiag's shape table read upward.  lax_codescent presents its lax
 codescent category by generators and relations and quotients it.
 
-build_Ay_strict resolves a lax algebra into codescent data, checking the
-triangles of a strict free/underlying adjunction (identity_adjunction
-supplies the canonical one); strictify composes the two.
+build_Ay_strict resolves a lax algebra into codescent data over the
+universe's own 2-monad; strictify composes the two.
 verify_codescent_universal maps the data into each probe category with
 deltadiag.hom_diagram.  kleisli is an independent oracle: the Kleisli
 category of a monad read directly off hom sets of the base.
@@ -54,7 +53,6 @@ from .deltadiag import (
 )
 from .descent import lax_descent
 from .errors import (
-    AdjunctionNotStrict,
     AxiomViolation,
     BoundaryMismatch,
     MalformedWord,
@@ -64,14 +62,13 @@ from .fincat import (
     compose_fun,
     composition_table,
     hom_cat,
+    identity_cell,
     identity_fun,
     iso_categories,
     make_fincat,
-    make_nat,
     whisker_left,
 )
 from .freegen import make_graph, make_path
-from .laxalg import strict_algebra
 
 FINITE = "Finite"
 UNDECIDED = "Undecided"
@@ -510,52 +507,19 @@ def make_codescent_data(**kw):
     return CodescentData(**kw)
 
 
-class StrictAdjunction:
-    """A strict free/underlying adjunction over a universe, given by
-    callables: free(X) is the free algebra on a member X, rho(X) the unit
-    at X, counit(z) the carrier-level counit at an algebra z."""
-
-    def __init__(self, U, free, rho, counit):
-        self.U = U
-        self.free = free
-        self.rho = rho
-        self.counit = counit
-
-    def validate_at(self, X):
-        z = self.free(X)
-        eps = self.counit(z)
-        if compose_fun(eps, self.U.T_fun(self.rho(X))) != identity_fun(z.Z):
-            raise AdjunctionNotStrict(
-                "triangle counit . T(rho) = id fails at %r" % X
-            )
-        if compose_fun(eps, self.rho(z.Z)) != identity_fun(z.Z):
-            raise AdjunctionNotStrict(
-                "triangle counit . rho = id fails at %r" % X
-            )
-        return z
-
-
-def identity_adjunction(U):
-    """The canonical strict adjunction: free algebras with multiplication
-    as the action, units as rho, actions as counits."""
-    return StrictAdjunction(
-        U,
-        free=lambda X: strict_algebra(U, U.T(X), U.m(X)),
-        rho=lambda X: U.eta(X),
-        counit=lambda z: z.a,
-    )
-
-
-def build_Ay_strict(U, y, adj=None):
+def build_Ay_strict(U, y):
     """Resolve a lax algebra y into codescent data.
 
-    Levels are the free iterates T Y, T^2 Y, T^3 Y; the multiplication face meets T of the action, and the
-    algebra's comparison cells become Asig21 and An0 (the other three
-    cells are strict, hence identities)."""
-    if adj is None:
-        adj = identity_adjunction(U)
+    The resolution is built from U's own structure maps (U.m, U.eta, T
+    on functors and cells): the levels are the free iterates T Y, T^2 Y,
+    T^3 Y, the multiplication face meets T of the action, and the
+    algebra's comparison cells become Asig21 and An0.  The other three
+    cells are identities, proved by identity_cell: Asig00 proves
+    associativity of m, Asig20 naturality of m along the action, and An1
+    the right unit law m.T(eta) = id; the left unit law m.eta_T = id is
+    proved first, as U.iota(Y)."""
     Y = y.Z
-    adj.validate_at(Y)
+    U.iota(Y)
     TY = U.T(Y)
     Ad0, Ap0 = U.m(Y), U.m(TY)
     A1 = Ad0.tgt
@@ -574,7 +538,7 @@ def build_Ay_strict(U, y, adj=None):
     }
     for name in ("Asig00", "Asig20", "An1"):
         F, G = (face_composite(kw, p, A1) for p in _CELLS[name])
-        kw[name] = make_nat(F, G, {v: A1.identity[F.ob(v)] for v in F.src.objects})
+        kw[name] = identity_cell(F, G)
     return make_codescent_data(**kw)
 
 
@@ -637,10 +601,10 @@ def lax_codescent(A, budget=50000):
     return quotient_category(P, budget)
 
 
-def strictify(U, z, budget=50000, adj=None):
+def strictify(U, z, budget=50000):
     """Strictification of a lax algebra: the lax codescent category of
     its free resolution."""
-    return lax_codescent(build_Ay_strict(U, z, adj), budget)
+    return lax_codescent(build_Ay_strict(U, z), budget)
 
 
 def verify_codescent_universal(A, Q, probes):

@@ -34,10 +34,6 @@ class CoherenceViolation(ValueError):
     """A lax-morphism coherence equation fails."""
 
 
-class AdjunctionNotStrict(ValueError):
-    """Adjunction data carries non-identity comparison cells."""
-
-
 class MonadLawViolation(ValueError):
     """Monad data breaks a unit or associativity law."""
 

@@ -18,7 +18,11 @@ test_universe_members_and_T_are_lawful and
 test_codescent_probe_faces_are_lawful.
 
 make_fincat proves associativity on generator triples, every morphism
-being a generator unless the caller names fewer.  The searches for
+being a generator unless the caller names fewer.  identity_cell is the
+one proved identity 2-cell, make_nat with identity components: it exists
+exactly when its two functors agree, so the strict comparison cells of
+the 2-monads, strict algebras and free resolutions prove their laws
+through it.  The searches for
 functors, transformations and isomorphisms backtrack with explicit
 stacks, so their depth is not bounded by the interpreter's recursion
 limit.
@@ -430,6 +434,27 @@ def make_nat(F, G, components):
 
 def identity_nat(F):
     return NatT(F, F, {x: F.tgt.identity[F.on_obj[x]] for x in F.src.objects})
+
+
+def identity_cell(F, G):
+    """The identity 2-cell F => G, proved by make_nat: it exists exactly
+    when F and G agree, and is refused otherwise.
+
+    >>> one = make_fincat(["*"], ["e"], {"e": "*"}, {"e": "*"}, {"*": "e"},
+    ...     {("e", "e"): "e"})
+    >>> A = make_fincat(["0", "1"], ["i0", "i1", "a"],
+    ...     {"i0": "0", "i1": "1", "a": "0"}, {"i0": "0", "i1": "1", "a": "1"},
+    ...     {"0": "i0", "1": "i1"}, {("i0", "i0"): "i0", ("i1", "i1"): "i1",
+    ...     ("a", "i0"): "a", ("i1", "a"): "a"})
+    >>> at0 = make_fun(one, A, {"*": "0"}, {"e": "i0"})
+    >>> at1 = make_fun(one, A, {"*": "1"}, {"e": "i1"})
+    >>> identity_cell(at0, make_fun(one, A, {"*": "0"}, {"e": "i0"})).at("*")
+    'i0'
+    >>> identity_cell(at0, at1)
+    Traceback (most recent call last):
+    fin2cat.errors.BoundaryMismatch: component at '*' must be a morphism '0' -> '1', got 'i0'
+    """
+    return make_nat(F, G, identity_nat(F).components)
 
 
 def paste(kind, beta, alpha):

@@ -37,13 +37,13 @@ from .errors import (
     verdict_all,
 )
 from .fincat import (
-    FinCat,
     Fun,
     NatT,
     _fun_key,
     category_over,
     compose_fun,
     hom_cat,
+    identity_cell,
     identity_fun,
     identity_nat,
     make_fincat,
@@ -105,7 +105,7 @@ class MonadUniverse:
 
     What is proved: m and eta by make_fun, since they read the monoid's
     table, and a Monoid(check=False) table may hold anything; mu, iota
-    and tau by make_nat, which is where check_pseudomonad meets a
+    and tau by identity_cell, which is where check_pseudomonad meets a
     non-associative table.  What is lawful by theorem and built without
     proof: the members T(X) = M x X, products of proved categories, and
     T(F) = id x F and T(a) = id x a for a functor F and a cell a.
@@ -222,14 +222,10 @@ class MonadUniverse:
 
         return self._memoised(("m", self.index_of(C)), build)
 
-    def _identity_cell(self, F, G):
-        TC = F.tgt
-        return make_nat(F, G, {x: TC.identity[F.ob(x)] for x in F.src.objects})
-
     def mu(self, C):
         """Associativity cell m.T(m) => m.m_T at member C (identity)."""
         mC = self.m(C)
-        return self._identity_cell(
+        return identity_cell(
             compose_fun(mC, self.T_fun(mC)),
             compose_fun(mC, self.m(self.T(C))),
         )
@@ -237,14 +233,14 @@ class MonadUniverse:
     def iota(self, C):
         """Unit cell m.eta_T => id at member C (identity)."""
         TC = self.T(C)
-        return self._identity_cell(
+        return identity_cell(
             compose_fun(self.m(C), self.eta(TC)), identity_fun(TC)
         )
 
     def tau(self, C):
         """Unit cell m.T(eta) => id at member C (identity)."""
         TC = self.T(C)
-        return self._identity_cell(
+        return identity_cell(
             compose_fun(self.m(C), self.T_fun(self.eta(C))), identity_fun(TC)
         )
 
@@ -450,10 +446,7 @@ class LaxAlgebra:
 def strict_algebra(U, Z, a):
     """Package a strictly associative, strictly unital action as a
     LaxAlgebra with identity comparison cells."""
-    zbar, zbar0 = (
-        make_nat(F, G, identity_nat(F).components)
-        for F, G in cell_boundaries(U, Z, a)
-    )
+    zbar, zbar0 = (identity_cell(F, G) for F, G in cell_boundaries(U, Z, a))
     return LaxAlgebra(U, Z, a, zbar, zbar0)
 
 
@@ -599,51 +592,39 @@ def check_transformation(U, phi, psi, m):
     return verdict_all(_unequal("compatibility", lhs, rhs))
 
 
-class AlgHomCat(FinCat):
+def enumerate_hom_category(U, y, z, cls="lax", levels=None):
     """The category of lax (or pseudo) morphisms y -> z and their
     transformations, over [Y, Z]: objects (F#, n#) are named after the
-    functor and comparison-cell identifiers in the hom categories, and data
-    maps each to its LaxMorphism.  levels, when given, are the already
-    built [Y, Z] and [TY, Z].  Transformations compose, so category_over
-    builds the table without proof."""
+    functor and comparison-cell identifiers in the hom categories.
+    levels, when given, are the already built [Y, Z] and [TY, Z].
+    Transformations compose, so category_over builds the table without
+    proof."""
+    if cls not in ("lax", "pseudo"):
+        raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
+    Y, Z = y.Z, z.Z
+    if levels is None:
+        levels = (hom_cat(Y, Z), hom_cat(U.T(Y), Z))
+    d1, d2 = levels
+    over, data = {}, {}
+    for fid in d1.objects:
+        f = d1.functor_of(fid)
+        src, tgt = fbar_boundary(U, y, z, f)
+        for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
+            phi = LaxMorphism(f, d2.nat_of(nid), src_alg=y, tgt_alg=z)
+            try:
+                k = check_lax_morphism(U, y, z, phi)
+            except CoherenceViolation:
+                continue
+            if cls == "pseudo" and k == "lax":
+                continue
+            o = "(%s,%s)" % (fid, nid)
+            over[o] = fid
+            data[o] = phi
 
-    def __init__(self, U, y, z, cls, levels=None):
-        if cls not in ("lax", "pseudo"):
-            raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
-        Y, Z = y.Z, z.Z
-        if levels is None:
-            levels = (hom_cat(Y, Z), hom_cat(U.T(Y), Z))
-        d1, d2 = levels
-        over, data = {}, {}
-        for fid in d1.objects:
-            f = d1.functor_of(fid)
-            src, tgt = fbar_boundary(U, y, z, f)
-            for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
-                phi = LaxMorphism(f, d2.nat_of(nid), src_alg=y, tgt_alg=z)
-                try:
-                    k = check_lax_morphism(U, y, z, phi)
-                except CoherenceViolation:
-                    continue
-                if cls == "pseudo" and k == "lax":
-                    continue
-                o = "(%s,%s)" % (fid, nid)
-                over[o] = fid
-                data[o] = phi
+    def admits(m, o1, o2):
+        return check_transformation(U, data[o1], data[o2], d1.nat_of(m))
 
-        def admits(m, o1, o2):
-            return check_transformation(U, data[o1], data[o2], d1.nat_of(m))
-
-        C, _ = category_over(d1, over, admits)
-        FinCat.__init__(
-            self, C.objects, C.morphisms, C.dom, C.cod, C.identity, C.compose_table
-        )
-        self.data = data
-
-
-def enumerate_hom_category(U, y, z, cls="lax"):
-    """All valid lax (or pseudo) morphisms y -> z with their
-    transformations, assembled into a finite category."""
-    return AlgHomCat(U, y, z, cls)
+    return category_over(d1, over, admits)[0]
 
 
 def build_Tzy(U, y, z):
@@ -715,7 +696,7 @@ def verify_prop_descent(U, y, z):
     lax = lax_descent(D)
     report = {"status": "pass", "counterexample": None}
     for key, dc in (("lax", lax), ("pseudo", invertible_part(lax))):
-        H = AlgHomCat(U, y, z, key, levels=(D.D1, D.D2))
+        H = enumerate_hom_category(U, y, z, key, levels=(D.D1, D.D2))
         ok, why = _compare_identity(H, dc.carrier)
         report[key] = {
             "hom_objects": len(H.objects),

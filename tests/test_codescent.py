@@ -19,7 +19,6 @@ from fin2cat.codescent import (
     CodescentData,
     PresentedCategory,
     build_Ay_strict,
-    identity_adjunction,
     kleisli,
     lax_codescent,
     make_codescent_data,
@@ -28,7 +27,6 @@ from fin2cat.codescent import (
     verify_codescent_universal,
 )
 from fin2cat.errors import (
-    AdjunctionNotStrict,
     AxiomViolation,
     BoundaryMismatch,
     MalformedWord,
@@ -143,6 +141,44 @@ def presentations(draw, wild=None):
             max_size=3,
         )
     )
+    return objects, gens, rels
+
+
+@st.composite
+def finite_presentations(draw):
+    """A presentation like presentations(wild=False), drawn so that its
+    quotient is finite: every cycle is bounded.  Each generator runs from
+    an object to itself or to a later one, so the only cycles are loops;
+    the loops at an object commute, and each loop g has a relation
+    g^k = g^j with j < k <= 3.  Up to two drawn relations ride along when
+    their sides are parallel."""
+    objects = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    names = draw(st.lists(st.sampled_from("fghk"), min_size=1, max_size=4))
+    names = list(dict.fromkeys(names))
+    gens = []
+    for n in names:
+        i = draw(st.integers(0, len(objects) - 1))
+        gens.append((n, objects[i], objects[draw(st.integers(i, len(objects) - 1))]))
+    loops = [(n, d) for n, d, c in gens if d == c]
+    rels = []
+    for n, d in loops:
+        k = draw(st.integers(1, 3))
+        rels.append(((n,) * k, (n,) * draw(st.integers(0, k - 1)), d))
+    rels += [
+        ((n1, n2), (n2, n1), d1)
+        for i, (n1, d1) in enumerate(loops)
+        for n2, d2 in loops[i + 1 :]
+        if d1 == d2
+    ]
+    extra = st.tuples(_words(names, 0, 3), _words(names, 0, 3), st.sampled_from(objects))
+    for l, r, at in draw(st.lists(extra, max_size=2)):
+        try:
+            if walked_word_boundary(objects, gens, l, at) == walked_word_boundary(
+                objects, gens, r, at
+            ):
+                rels.append((l, r, at))
+        except MalformedWord:
+            pass
     return objects, gens, rels
 
 
@@ -517,7 +553,7 @@ def _outcome(prove, *args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(presentations(wild=False), st.data())
+@given(finite_presentations(), st.data())
 def test_generated_proof_is_sound_on_quotient_tables(case, data):
     Q = _drawn_quotient(case, 2000)
     assume(Q is not None and Q.status == FINITE)
@@ -657,19 +693,35 @@ def test_codescent_data_names_a_missing_field():
         assert str(err.value) == "missing fields: %s" % name
 
 
-def test_broken_adjunction_is_rejected():
+def _zero_table(els, left):
+    return {(x, y): x if left else y for x in els for y in els}
+
+
+# monoid tables that break one law each: associativity ((a.a).b = b but
+# a.(a.b) = e), the left unit (e.a = e) and the right unit (a.e = e)
+BROKEN_TABLES = {
+    "non-associative": (["e", "a", "b"], {
+        ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
+        ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "a",
+        ("b", "e"): "b", ("b", "a"): "b", ("b", "b"): "a",
+    }),
+    "left-zero": (["e", "a"], _zero_table(["e", "a"], left=True)),
+    "right-zero": (["e", "a"], _zero_table(["e", "a"], left=False)),
+}
+
+
+@pytest.mark.parametrize("table", sorted(BROKEN_TABLES))
+@pytest.mark.parametrize("resolve", [build_Ay_strict, strictify])
+def test_resolving_over_a_broken_monoid_is_refused(resolve, table):
+    # the algebra projecting the monoid away is strict over any table;
+    # its resolution reads the broken structure maps, and is refused with
+    # one of fin2cat's ValueErrors, never an internal exception
+    els, bad = BROKEN_TABLES[table]
     C = walking_arrow()
-    U = triv_universe(C)
-    y = monad_algebra(U, C, *const1_monad(C))
-    adj = identity_adjunction(U)
-    bent = codescent.StrictAdjunction(
-        U,
-        free=adj.free,
-        rho=adj.rho,
-        counit=lambda z: constant_fun(U.T(z.Z), z.Z, z.Z.objects[0]),
-    )
-    with pytest.raises(AdjunctionNotStrict):
-        build_Ay_strict(U, y, bent)
+    U = monoid_two_monad(Monoid(els, "e", bad, check=False), [("C", C)], 3)
+    y = laxalg.strict_algebra(U, C, U.T(C).proj2)
+    with pytest.raises(ValueError):
+        resolve(U, y)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ from fin2cat.errors import (
     FunctorialityViolation,
     NaturalityViolation,
 )
-from fin2cat.laxalg import AlgHomCat, build_Tzy, check_lax_algebra, check_pseudomonad
+from fin2cat.laxalg import (
+    build_Tzy,
+    check_lax_algebra,
+    check_pseudomonad,
+    enumerate_hom_category,
+)
 from helpers import (
     SMALL_MONOIDS,
     brute_force_hom_cat,
@@ -1082,8 +1087,8 @@ def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
     )
     for cls in ("lax", "pseudo"):
         assert_lawful(
-            AlgHomCat(U, y, z, cls),
-            AlgHomCat(U, y, z, cls, levels=(D.D1, D.D2)),
+            enumerate_hom_category(U, y, z, cls),
+            enumerate_hom_category(U, y, z, cls, levels=(D.D1, D.D2)),
         )
 
 
@@ -1121,7 +1126,7 @@ def test_descent_and_algebra_carriers_match_their_pins(fixture, y, z):
     U = y.universe
     lax = lax_descent(build_Tzy(U, y, z))
     carriers = [lax.carrier, invertible_part(lax).carrier]
-    carriers += [AlgHomCat(U, y, z, cls) for cls in ("lax", "pseudo")]
+    carriers += [enumerate_hom_category(U, y, z, cls) for cls in ("lax", "pseudo")]
     assert [carrier_digest(C) for C in carriers] == [pin] * 4
 
 

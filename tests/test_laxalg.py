@@ -557,7 +557,8 @@ def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
     # D3 = [T^2 Y, Z] is read only at the comparison cells and the
     # descent equations: a few dozen composites, and never its table.  D1
     # and D2 are read one composite at a time too (lax_descent, the
-    # inverses of invertible_part, AlgHomCat), so no level's table is built
+    # inverses of invertible_part, enumerate_hom_category), so no level's
+    # table is built
     y, z = _descent_pairs()[pair]
     composites = {}
     compose = fincat.HomCat.compose
@@ -616,7 +617,7 @@ def test_verify_prop_descent_reports_a_differing_composite(monkeypatch):
     # one composite only is reported as a mismatch naming that composite
     ws = load(Z2_FX)
     z = ws.algebras["skew"]
-    real = laxalg.AlgHomCat
+    real = laxalg.enumerate_hom_category
     twisted = []
 
     def twisting(*args, **kw):
@@ -624,7 +625,7 @@ def test_verify_prop_descent_reports_a_differing_composite(monkeypatch):
         twisted.append(x)
         return H
 
-    monkeypatch.setattr(laxalg, "AlgHomCat", twisting)
+    monkeypatch.setattr(laxalg, "enumerate_hom_category", twisting)
     report = verify_prop_descent(z.universe, z, z)
     assert report["status"] == "fail"
     assert report["lax"]["match"] is False
