@@ -24,6 +24,14 @@ bad spec, a dangling name, an unknown command, a law violation, an
 unreadable --input file -- gives an "error" report naming the exception
 in data, not a traceback.  So does a fault inside fin2cat, under its own
 exception type (KeyError, say), never as ParseError.
+
+main() parses with one parser, built at import, whose usage line is
+formatted then, as argparse itself would format it on every parse: the
+terminal width is read once per process, and each call gets the namespace,
+or the usage-error message, that a freshly built parser gives.  A negative
+--budget is a usage error.  The built-in computads that normalize-2cell
+and preorder-leq read are built once per process and shared between calls
+as immutable values (freegen.builtin_computad).
 """
 
 import argparse
@@ -32,7 +40,7 @@ import sys
 
 from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
 from .descent import descent, lax_descent
-from .errors import BoundaryMismatch, CoherenceViolation, ParseError, UnknownCommand
+from .errors import BoundaryMismatch, CoherenceViolation, MalformedWord, ParseError, UnknownCommand
 from .fincat import compose_fun, identity_fun, make_fincat, make_fun, make_nat
 from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
@@ -364,15 +372,15 @@ def _cmd_build_tzy(ws, args, budget, probes):
 
 
 def _cmd_normalize_2cell(ws, args, budget, probes):
-    if len(args) < 3:
-        raise ValueError(
-            "usage: normalize-2cell <computad> <start node> <edge,..> [pos:cell ..]"
-        )
-    which, start, edges = args[0], args[1], args[2]
+    usage = "normalize-2cell <computad> <start node> <edge,..> [pos:cell ..]"
+    which, start, edges = _args(args[:3], 3, usage)
     c = builtin_computad(which)
     source = make_path(c.base, start, _csv(edges))
-    steps = [(int(pos), gen) for pos, _, gen in (a.partition(":") for a in args[3:])]
-    n = normalize_2cell(make_word(c, source, steps))
+    steps = [a.partition(":") for a in args[3:]]
+    for a, (pos, colon, _) in zip(args[3:], steps):
+        if not (colon and pos.isdecimal()):
+            raise MalformedWord("step %r is not of the form <position>:<cell>" % (a,))
+    n = normalize_2cell(make_word(c, source, [(int(p), g) for p, _, g in steps]))
     data = {
         "computad": which,
         "start": start,
@@ -459,6 +467,16 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _budget(text):
+    """The --budget type: an int, refused when negative."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must not be negative, got %r" % (text,))
+    return int(text)
+
+
+# argparse names a type by __name__: a non-integer reads "invalid int value"
+_budget.__name__ = "int"
+
 _PARSER = _Parser(
     prog="fin2cat",
     description="finite 2-category checks over a JSON workspace",
@@ -466,9 +484,13 @@ _PARSER = _Parser(
 _PARSER.add_argument("command", help="one of: %s" % ", ".join(sorted(_COMMANDS)))
 _PARSER.add_argument("names", nargs="*", help="command arguments")
 _PARSER.add_argument("--input", help="workspace JSON file")
-_PARSER.add_argument("--budget", type=int, help="search/rewrite budget override")
+_PARSER.add_argument("--budget", type=_budget, help="search/rewrite budget override")
 _PARSER.add_argument("--probes", help="comma-separated category names")
 _PARSER.add_argument("--out", help="also write the report here")
+# parse_intermixed_args formats this usage line on every call, for messages
+# that _Parser.error never prints; it is formatted once here, as argparse
+# itself would, so the terminal width is read when the module is imported
+_PARSER.usage = _PARSER.format_usage()[7:]
 
 
 def _error_report(command, e):

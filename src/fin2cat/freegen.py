@@ -12,6 +12,7 @@ can be commuted to the front with the smallest (position, generator) key.
 [['d'], ['d', 'd0', 's0'], ['d', 'd1', 's0']]
 """
 
+import functools
 from collections import deque
 
 from .errors import BoundaryMismatch, MalformedWord, ParallelismViolation
@@ -203,6 +204,7 @@ _DOT_CELLS = {
 _DOTS = {DELTA_LAX: 0, DELTA_DOT_LAX: 1, DELTA_DOT: 2}
 
 
+@functools.cache
 def builtin_computad(which):
     """The three built-in shape computads.
 
@@ -211,6 +213,11 @@ def builtin_computad(which):
     sig00, sig20, sig21, unit cells n0, n1, and theta: d.d1 => d.d0.
     DeltaLax: the restriction to nodes 1..3 (no d, no theta).
     DeltaDot: DeltaDotLax plus the reverse cell theta_op: d.d0 => d.d1.
+
+    Each is built and validated once per process and then shared by every
+    caller, so the computad, its graph and its paths are immutable values:
+    no caller may change them.  An unknown name raises ValueError on every
+    call.
     """
     if which not in _DOTS:
         raise ValueError("unknown builtin computad %r" % which)

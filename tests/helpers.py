@@ -10,11 +10,15 @@ import tokenize
 from collections import deque
 
 import fin2cat
-from fin2cat import codescent, fincat, laxalg
+from fin2cat import cli, codescent, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import AxiomViolation, MalformedWord, NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
 from fin2cat.freegen import Path
+
+FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
+MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
+Z2_FX = os.path.join(FIXTURES, "z2_action.json")
 
 
 def terminal_cat():
@@ -953,3 +957,70 @@ def code_lines(path):
         if tok.type not in layout:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - docs)
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+# the determinism slate of acceptance check 7
+CLI_SLATE = (
+    ["validate", "--input", MONAD_FX],
+    ["check-pseudomonad", "--input", MONAD_FX, "U"],
+    ["check-algebra", "--input", MONAD_FX, "idalg"],
+    ["check-morphism", "--input", MONAD_FX, "collapse"],
+    ["hom", "--input", MONAD_FX, "idalg", "idalg", "lax"],
+    ["descent", "--input", MONAD_FX, "Did"],
+    ["lax-descent", "--input", MONAD_FX, "Did"],
+    ["verify-prop-descent", "--input", MONAD_FX, "idalg", "idalg"],
+    ["build-tzy", "--input", MONAD_FX, "idalg", "const1"],
+    ["normalize-2cell", "--input", MONAD_FX, "DeltaDotLax", "1", "d0,p0", "0:sig00"],
+    ["preorder-leq", "--input", MONAD_FX, "DeltaDotLax", "0", "d", "d,d0,s0"],
+    ["kleisli", "--input", MONAD_FX, "const1"],
+    ["strictify", "--input", MONAD_FX, "const1"],
+    ["verify-codescent", "--input", MONAD_FX, "const1", "--probes", "1,C2"],
+    ["validate", "--input", Z2_FX],
+    ["check-pseudomonad", "--input", Z2_FX, "U2"],
+    ["check-algebra", "--input", Z2_FX, "swap"],
+    ["check-algebra", "--input", Z2_FX, "skew"],
+    ["check-morphism", "--input", Z2_FX, "ident"],
+    ["hom", "--input", Z2_FX, "swap", "swap", "pseudo"],
+    ["verify-prop-descent", "--input", Z2_FX, "swap", "swap"],
+    ["build-tzy", "--input", Z2_FX, "swap", "swap"],
+)
+
+
+def pinned_slate():
+    """ROADMAP's determinism slate: test_7's commands, then hom (lax and
+    pseudo), verify-prop-descent and build-tzy on every algebra pair of
+    both fixtures, duplicates dropped.  Each argv is keyed by its words
+    with the fixture paths cut to their file names."""
+    argvs = [list(a) for a in CLI_SLATE]
+    for path, algebras in ((MONAD_FX, ("idalg", "const1")), (Z2_FX, ("swap", "skew"))):
+        for y, z in itertools.product(algebras, repeat=2):
+            argvs.append(["hom", "--input", path, y, z, "lax"])
+            argvs.append(["hom", "--input", path, y, z, "pseudo"])
+            argvs.append(["verify-prop-descent", "--input", path, y, z])
+            argvs.append(["build-tzy", "--input", path, y, z])
+    slate = {}
+    for argv in argvs:
+        key = " ".join(os.path.basename(w) if w.startswith(FIXTURES) else w for w in argv)
+        slate.setdefault(key, argv)
+    return slate
+
+
+def fresh_cli_parser():
+    """fin2cat's argument parser built anew, with no usage line preset, so
+    argparse formats the usage on every parse: the oracle for cli._PARSER,
+    whose usage line is formatted once, at import."""
+    p = cli._Parser(
+        prog="fin2cat",
+        description="finite 2-category checks over a JSON workspace",
+    )
+    p.add_argument("command", help="one of: %s" % ", ".join(sorted(cli._COMMANDS)))
+    p.add_argument("names", nargs="*", help="command arguments")
+    p.add_argument("--input", help="workspace JSON file")
+    p.add_argument("--budget", type=cli._budget, help="search/rewrite budget override")
+    p.add_argument("--probes", help="comma-separated category names")
+    p.add_argument("--out", help="also write the report here")
+    return p

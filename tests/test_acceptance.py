@@ -10,7 +10,6 @@ for strictification, and scripted perturbations for the validators.
 import hashlib
 import io
 import itertools
-import os
 import statistics
 import time
 from contextlib import redirect_stdout
@@ -18,7 +17,6 @@ from contextlib import redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fin2cat
 from fin2cat.cli import load, main
 from fin2cat.codescent import FINITE, build_Ay_strict, kleisli, strictify, verify_codescent_universal
 from fin2cat.deltadiag import DeltaDiagram, check_dot_extension, make_dot_extension
@@ -47,18 +45,19 @@ from fin2cat.laxalg import (
 )
 
 from helpers import (
+    CLI_SLATE,
+    MONAD_FX,
+    Z2_FX,
     chain3,
     constant_fun,
     is_associative,
+    pinned_slate,
     terminal_cat,
     unital_associative_tables,
     walking_arrow,
     z2_cat,
 )
 
-FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
-MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
-Z2_FX = os.path.join(FIXTURES, "z2_action.json")
 
 
 def report(num, label, ok, elapsed, bound):
@@ -438,32 +437,6 @@ def test_6_unit_rewrites_orient_the_preorder():
 # 7. reports are byte-identical across reruns, on every fixture
 
 
-CLI_SLATE = (
-    ["validate", "--input", MONAD_FX],
-    ["check-pseudomonad", "--input", MONAD_FX, "U"],
-    ["check-algebra", "--input", MONAD_FX, "idalg"],
-    ["check-morphism", "--input", MONAD_FX, "collapse"],
-    ["hom", "--input", MONAD_FX, "idalg", "idalg", "lax"],
-    ["descent", "--input", MONAD_FX, "Did"],
-    ["lax-descent", "--input", MONAD_FX, "Did"],
-    ["verify-prop-descent", "--input", MONAD_FX, "idalg", "idalg"],
-    ["build-tzy", "--input", MONAD_FX, "idalg", "const1"],
-    ["normalize-2cell", "--input", MONAD_FX, "DeltaDotLax", "1", "d0,p0", "0:sig00"],
-    ["preorder-leq", "--input", MONAD_FX, "DeltaDotLax", "0", "d", "d,d0,s0"],
-    ["kleisli", "--input", MONAD_FX, "const1"],
-    ["strictify", "--input", MONAD_FX, "const1"],
-    ["verify-codescent", "--input", MONAD_FX, "const1", "--probes", "1,C2"],
-    ["validate", "--input", Z2_FX],
-    ["check-pseudomonad", "--input", Z2_FX, "U2"],
-    ["check-algebra", "--input", Z2_FX, "swap"],
-    ["check-algebra", "--input", Z2_FX, "skew"],
-    ["check-morphism", "--input", Z2_FX, "ident"],
-    ["hom", "--input", Z2_FX, "swap", "swap", "pseudo"],
-    ["verify-prop-descent", "--input", Z2_FX, "swap", "swap"],
-    ["build-tzy", "--input", Z2_FX, "swap", "swap"],
-)
-
-
 def test_7_reports_are_deterministic():
     t0 = time.monotonic()
     ok = True
@@ -479,25 +452,6 @@ def test_7_reports_are_deterministic():
         time.monotonic() - t0,
         60,
     )
-
-
-def _pinned_slate():
-    """ROADMAP's determinism slate: test_7's commands, then hom (lax and
-    pseudo), verify-prop-descent and build-tzy on every algebra pair of
-    both fixtures, duplicates dropped.  Each argv is keyed by its words
-    with the fixture paths cut to their file names."""
-    argvs = [list(a) for a in CLI_SLATE]
-    for path, algebras in ((MONAD_FX, ("idalg", "const1")), (Z2_FX, ("swap", "skew"))):
-        for y, z in itertools.product(algebras, repeat=2):
-            argvs.append(["hom", "--input", path, y, z, "lax"])
-            argvs.append(["hom", "--input", path, y, z, "pseudo"])
-            argvs.append(["verify-prop-descent", "--input", path, y, z])
-            argvs.append(["build-tzy", "--input", path, y, z])
-    slate = {}
-    for argv in argvs:
-        key = " ".join(os.path.basename(w) if w.startswith(FIXTURES) else w for w in argv)
-        slate.setdefault(key, argv)
-    return slate
 
 
 # exit code and sha256 of the report of every slate command, as recorded
@@ -604,7 +558,7 @@ SLATE_PINS = (
 
 
 def test_cli_slate_reports_match_their_pins():
-    slate = _pinned_slate()
+    slate = pinned_slate()
     assert list(slate) == [key for key, _, _ in SLATE_PINS]
     for key, code, digest in SLATE_PINS:
         got_code, out = run_cli(slate[key])
@@ -617,7 +571,7 @@ def test_verify_prop_descent_swap_skew_within_its_time_gate():
     # the comparison takes about 15 ms; the gate leaves a tenfold margin
     key = "verify-prop-descent --input z2_action.json swap skew"
     pins = {k: (code, digest) for k, code, digest in SLATE_PINS}
-    argv = _pinned_slate()[key]
+    argv = pinned_slate()[key]
     times = []
     for _ in range(3):
         t0 = time.perf_counter()

@@ -13,14 +13,14 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fin2cat
 from fin2cat import cli, laxalg
 from fin2cat.cli import load, main, run
-from fin2cat.errors import AxiomViolation, ParseError, UnknownCommand
+from fin2cat.errors import AxiomViolation, MalformedWord, ParseError, UnknownCommand
 from fin2cat.fincat import make_fincat
-from helpers import run_python
+from helpers import fresh_cli_parser, run_python
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -371,6 +371,111 @@ def test_usage_error_is_an_error_report(argv, message):
         "data": {"error": "ParseError", "message": message},
         "trace": [],
     }
+
+
+def _main(argv):
+    # main in-process: its exit code and its report
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["strictify", "--input", MONAD_FX, "const1", "--budget", "-1"], "-1"),
+        (["preorder-leq", "DeltaDotLax", "1", "d0,p0", "d0,p1", "--budget", "-5"], "-5"),
+        (["--budget=-1", "validate"], "-1"),
+    ],
+)
+def test_a_negative_budget_is_a_usage_error(argv, value):
+    # a negative budget once ran: strictify exited 2 undecided and
+    # preorder-leq 0 Yes
+    assert _main(argv) == (
+        3,
+        {
+            "command": None,
+            "status": "error",
+            "witnesses": [],
+            "data": {
+                "error": "ParseError",
+                "message": "argument --budget: must not be negative, got %r" % value,
+            },
+            "trace": [],
+        },
+    )
+    # a budget of 0 is a budget
+    code, report = _main(["validate", "--budget", "0"])
+    assert (code, report["status"]) == (0, "pass")
+
+
+@pytest.mark.parametrize("step", ["0sig00", "x:sig00", "0", "-1:sig00", ":sig00"])
+def test_a_malformed_normalize_step_names_the_step_and_its_form(step):
+    # "0sig00" once reported int()'s "invalid literal for int() with base
+    # 10"; "-1:sig00" is reached after "--"
+    argv = ["normalize-2cell", "DeltaDotLax", "1", "d0,p0", "--", step]
+    code, report = _main(argv)
+    assert code == 3
+    assert report["command"] == "normalize-2cell"
+    assert report["data"] == {
+        "error": "MalformedWord",
+        "message": "step %r is not of the form <position>:<cell>" % (step,),
+    }
+    with pytest.raises(MalformedWord):
+        run(cli.Workspace(), "normalize-2cell", argv[1:4] + [step])
+
+
+def _parsed(parser, argv):
+    """The namespace a parser gives for argv, or its usage error."""
+    try:
+        return "namespace", vars(parser.parse_intermixed_args(argv))
+    except ParseError as e:
+        return "ParseError", str(e)
+
+
+# argv pieces: a word is a command or a name, dash-led words included; an
+# option comes with its value, joined by "=", or with none
+_WORDS = st.sampled_from(
+    ["validate", "normalize-2cell", "preorder-leq", "frobnicate", "DeltaDotLax",
+     "1", "d0,p0", "0:sig00", "-1:sig00", "-5", "-x", "--", "", "a b"]
+)
+_VALUES = st.sampled_from(["0", "7", "-1", "x", "1.5", "", "ws.json", "1,C2", "-1:sig00"])
+_OPTIONS = st.sampled_from(["--input", "--budget", "--probes", "--out", "--bud", "--bogus"])
+_PIECES = st.one_of(
+    _WORDS.map(lambda w: [w]),
+    st.tuples(_OPTIONS, _VALUES).map(list),
+    st.tuples(_OPTIONS, _VALUES).map(lambda ov: ["=".join(ov)]),
+    _OPTIONS.map(lambda o: [o]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=8).map(lambda ps: [w for p in ps for w in p]))
+@example([])  # a missing command
+@example(["--budget", "3", "--input", "ws.json"])  # options only
+@example(["--budget", "1", "preorder-leq", "--budget", "2", "a", "--out", "o", "b"])
+@example(["normalize-2cell", "DeltaDotLax", "1", "d0", "-1:sig00"])
+@example(["normalize-2cell", "DeltaDotLax", "--", "-1:sig00", "--budget", "2"])
+def test_the_parser_parses_as_a_fresh_parser_does(argv):
+    # cli._PARSER formats its usage line once, at import; a fresh parser
+    # formats it on every parse: same namespaces, same usage errors, and
+    # the parser is left as it was
+    want = _parsed(fresh_cli_parser(), argv)
+    assert _parsed(cli._PARSER, argv) == want
+    assert _parsed(cli._PARSER, argv) == want
+    if want[0] == "ParseError":
+        # main reports it with no command; a parsed argv would run
+        data = {"error": "ParseError", "message": want[1]}
+        report = {"command": None, "status": "error", "witnesses": [], "data": data,
+                  "trace": []}
+        assert _main(argv) == (3, report)
+
+
+def test_the_help_is_argparse_own():
+    oracle = fresh_cli_parser()
+    assert cli._PARSER.format_help() == oracle.format_help()
+    assert cli._PARSER.format_usage() == oracle.format_usage()
 
 
 def test_help_exits_zero_with_usage():

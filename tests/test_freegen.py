@@ -272,8 +272,12 @@ def test_builtin_computads_match_their_pins_in_order(which):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(ValueError):
-        builtin_computad("NoSuchShape")
+    # a built-in computad is shared once built; an unknown name is refused
+    # on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            builtin_computad("NoSuchShape")
+    assert builtin_computad(DELTA_DOT) is builtin_computad(DELTA_DOT)
 
 
 def test_validate_computad_rejects_nonparallel_cell():

@@ -1,5 +1,5 @@
-"""The bench harness's tracer against the library it wraps, and the code
-line count.
+"""The bench harness's tracer against the library it wraps, the code
+line count, and the fixed work of a command-line call.
 
 perfbench/tracer.py names the fin2cat functions and methods it wraps; a
 renamed or removed one would break only traced bench runs.  These tests
@@ -7,14 +7,16 @@ load the tracer from the checkout and change nothing under perfbench/.
 """
 
 import importlib.util
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 
 import fin2cat.cli  # noqa: F401  (loads every module)
-from fin2cat import codescent, fincat
+from fin2cat import cli, codescent, fincat, freegen
 from fin2cat.codescent import FINITE, PresentedCategory
-from helpers import code_lines, run_python
+from helpers import code_lines, pinned_slate, run_python
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -126,3 +128,43 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     p = tmp_path / "sample.py"
     p.write_text(_SOURCE)
     assert code_lines(str(p)) == 9
+
+
+# one call per built-in computad and command; DeltaLax has no node 0
+_SHORT_CALLS = (
+    ["normalize-2cell", "DeltaDotLax", "1", "d0,p0", "0:sig00"],
+    ["normalize-2cell", "DeltaLax", "1", "d0,p0", "0:sig00", "--budget", "5"],
+    ["preorder-leq", "DeltaDotLax", "0", "d", "d,d0,s0"],
+    ["preorder-leq", "DeltaDot", "0", "d,d0", "d,d1"],
+)
+
+
+def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
+    # the usage line is formatted once, at import, and each built-in
+    # computad once per process; counts, not timings
+    formatted = []
+    format_usage = cli._PARSER.format_usage
+
+    def counted():
+        formatted.append(1)
+        return format_usage()
+
+    monkeypatch.setattr(cli._PARSER, "format_usage", counted)
+    misses = freegen.builtin_computad.cache_info().misses
+    for _ in range(50):
+        for argv in _SHORT_CALLS:
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0, out.getvalue()
+    assert formatted == []
+    names = {argv[1] for argv in _SHORT_CALLS}
+    assert freegen.builtin_computad.cache_info().misses - misses <= len(names)
+
+    # the shared computads come out of the whole slate as they went in
+    for argv in pinned_slate().values():
+        with redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    assert formatted == []
+    for name in sorted(freegen._DOTS):
+        shared, fresh = freegen.builtin_computad(name), freegen.builtin_computad.__wrapped__(name)
+        assert shared is not fresh
+        assert shared == fresh and shared.cell_index == fresh.cell_index, name
