@@ -625,9 +625,7 @@ def verify_codescent_universal(A, Q, probes):
         alpha = getattr(A, _up(_CROSS.get(c, c)))
         cells[c] = lambda F, alpha=alpha: whisker_left(F, alpha)
     for name, X in probes:
-        D = hom_diagram(
-            hom_cat(A.A1, X), hom_cat(A.A2, X), hom_cat(A.A3, X), faces, cells
-        )
+        D = hom_diagram(hom_cat(A.A1, X), hom_cat(A.A2, X), (A.A3, X), faces, cells)
         DC = lax_descent(D)
         H = hom_cat(L, X)
         pair = iso_categories(H, DC.carrier)

@@ -16,11 +16,14 @@ The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and CELLS:
 make_delta_diagram checks against them, codescent reads them upward, and
 hom_diagram builds the diagram on three functor categories from the
 faces' actions (precompose for precomposition) and the cells at each
-functor of D1, as build_Tzy and the codescent probes do.
+functor of D1, as build_Tzy and the codescent probes do.  D1 and D2 are
+enumerated HomCats; D3 is a fincat.FunctorView, since the descent
+equations read the top level only at the faces Dp_i(fbar) and the cells
+Dsig_f, and enumerating it would cost |obj D|^|obj C| functors and more.
 """
 
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import Fun, compose_fun, identity_fun, make_nat, whisker_right
+from .fincat import Fun, FunctorView, compose_fun, identity_fun, make_nat, whisker_right
 from .freegen import SHAPE_CELLS, SHAPE_EDGES
 
 # freegen's three-level shape with every name prefixed by D.  FACES gives
@@ -97,14 +100,17 @@ def precompose(G):
 
 
 def hom_diagram(D1, D2, D3, faces, cells):
-    """The three-level diagram on functor categories D1, D2, D3 (HomCats).
+    """The three-level diagram on functor categories: D1 and D2 are
+    HomCats, and D3 is the (source, target) pair of the top level, which
+    is built here as a FunctorView and so is never enumerated.
 
-    faces maps each face to its pair of actions (on functors, on cells)
-    between the functors and cells that its levels enumerate; a face so
-    given is a functor by theorem and is built without proof.  cells maps
-    each comparison cell to its transformation at a functor of D1; each
-    cell is proved by make_nat."""
-    kw = {"D1": D1, "D2": D2, "D3": D3}
+    faces maps each face to its pair of actions (on functors, on cells);
+    a face out of D1 or D2 acts on every functor and cell its source
+    enumerates, and the view interns the images of the faces into D3.  A
+    face so given is a functor by theorem and is built without proof.
+    cells maps each comparison cell to its transformation at a functor of
+    D1; each cell is proved by make_nat."""
+    kw = {"D1": D1, "D2": D2, "D3": FunctorView(*D3)}
     for name, (src, tgt) in FACES.items():
         on_fun, on_nat = faces[name]
         S, T = kw[src], kw[tgt]

@@ -46,6 +46,10 @@ class UnknownCommand(ValueError):
     """The CLI was asked to run a command it does not define."""
 
 
+class NotEnumerated(ValueError):
+    """A reader asked for the whole of a category that is only a view."""
+
+
 class Verdict:
     """Boolean check result that can carry failure witnesses.
 

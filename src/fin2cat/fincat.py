@@ -31,7 +31,12 @@ Objects and morphisms are identifier strings; a category is its composition
 table.  A functor category (HomCat) holds no table when it is built: its
 composites are computed on demand, componentwise in the target's table,
 and the table itself is assembled only for a reader that takes it whole
-(see HomCat).
+(see HomCat).  A FunctorView of [C, D] enumerates nothing at all: it
+interns the functors and transformations it is handed, keyed by their
+components, composes them componentwise as HomCat does, and refuses
+every reader of the whole category with NotEnumerated.  It is the top
+level of the hom-dual three-level diagrams (deltadiag.hom_diagram),
+which the descent equations read only at a few faces and cells.
 """
 
 import functools
@@ -44,6 +49,7 @@ from .errors import (
     BoundaryMismatch,
     FunctorialityViolation,
     NaturalityViolation,
+    NotEnumerated,
 )
 
 
@@ -712,7 +718,8 @@ class HomCat(FinCat):
     objects, make_fun and functor enumeration with a HomCat source or
     target, and products and pastes over a HomCat.  Callers that take one
     composite at a time (make_nat, FinCat.inverse, the descent equations,
-    category_over) go through compose and never force it.
+    category_over) go through compose and never force it.  Where only a
+    few functors are ever read, FunctorView skips the enumeration too.
     """
 
     def __init__(self, C, D):
@@ -802,6 +809,67 @@ class HomCat(FinCat):
 def hom_cat(C, D):
     """The functor category [C, D] with lookup indexes attached."""
     return HomCat(C, D)
+
+
+class FunctorView:
+    """The functor category [C, D], read only where it is asked.
+
+    Nothing is enumerated and no table is held.  obj_id interns a
+    functor by its key (_fun_key) under the next free number, mor_id
+    interns a transformation under its _nat_key on those numbers, and
+    compose interns each vertical composite, its components looked up in
+    D's table; functors, dom and cod hold what has been interned.  So an
+    id depends on the order things came in, and is good only within the
+    view: D3's ids never reach a report.  A functor category is a
+    category, so nothing is proved.
+
+    A reader that takes the whole category (objects, morphisms,
+    identity, compose_table, hom, inverse, equality with another
+    category, and through them make_fun, iso_categories, functor
+    enumeration and products) raises NotEnumerated rather than answer
+    from the part interned so far.
+    """
+
+    def __init__(self, C, D):
+        self.source, self.target = C, D
+        self.functors, self.dom, self.cod, self._ids = {}, {}, {}, {}
+        self._component_of = D.compose_table.__getitem__
+
+    def _whole(self, *args):
+        raise NotEnumerated(
+            "%r is a view: it reads only the functors and transformations"
+            " asked for, never the whole category" % (self,)
+        )
+
+    objects = morphisms = identity = compose_table = property(_whole)
+    hom = inverse = _whole
+
+    def __eq__(self, other):
+        return other is self or self._whole()
+
+    def obj_id(self, F):
+        i = self._ids.setdefault(_fun_key(F), len(self._ids))
+        self.functors.setdefault(i, F)
+        return i
+
+    def mor_id(self, a):
+        return self._intern(_nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt)))
+
+    def _intern(self, key):
+        self.dom[key], self.cod[key] = key[0], key[1]
+        return key
+
+    def compose(self, g, f):
+        """Vertical composite of f followed by g, taken componentwise in
+        the target category, and interned."""
+        x = self.cod.get(f)
+        if x is None or x != self.dom.get(g):
+            raise FinCat._not_composable(self, g, f)
+        pairs = zip(g[2], f[2])
+        return self._intern((f[0], g[1], tuple(map(self._component_of, pairs))))
+
+    def __repr__(self):
+        return "FunctorView(%r -> %r)" % (self.source, self.target)
 
 
 def _obj_profile(C):

@@ -634,7 +634,9 @@ def build_Tzy(U, y, z):
     Levels are the hom categories out of Y, TY, T^2 Y into Z; the faces
     precompose with the action/multiplication or apply a_z.T(-), and the
     comparison cells whisker zbar/zbar0 of the two algebras.  hom_diagram
-    builds the faces without proof and proves the cells."""
+    builds the faces without proof and proves the cells.  [Y, Z] and
+    [TY, Z] are enumerated, as enumerate_hom_category reads them too;
+    [T^2 Y, Z] is a view that holds only what the faces and cells reach."""
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
     T2Y = U.T(TY)
@@ -646,7 +648,7 @@ def build_Tzy(U, y, z):
     return hom_diagram(
         hom_cat(Y, Z),
         hom_cat(TY, Z),
-        hom_cat(T2Y, Z),
+        (T2Y, Z),
         faces={
             "Dd0": precompose(y.a),
             "Dd1": acting,

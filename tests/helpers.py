@@ -8,9 +8,10 @@ import subprocess
 import sys
 import tokenize
 from collections import deque
+from unittest import mock
 
 import fin2cat
-from fin2cat import cli, codescent, fincat, laxalg
+from fin2cat import cli, codescent, deltadiag, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import AxiomViolation, MalformedWord, NaturalityViolation
 from fin2cat.fincat import make_fincat, make_fun, make_nat
@@ -19,6 +20,7 @@ from fin2cat.freegen import Path
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
 Z2_FX = os.path.join(FIXTURES, "z2_action.json")
+Z2_ON_THREE_FX = os.path.join(FIXTURES, "z2_on_three.json")
 
 
 def terminal_cat():
@@ -327,6 +329,51 @@ def proved_fun(F):
 def proved_nat(a):
     """a's components proved again by make_nat."""
     return make_nat(a.src, a.tgt, a.components)
+
+
+def materialised(build, *args):
+    """build(*args) with the top level of every hom_diagram enumerated as
+    a HomCat, the route before deltadiag built it as a FunctorView: the
+    oracle for the view.  HomCat answers obj_id, mor_id, compose,
+    functor_of and nat_of as the view does, under F#/n# names."""
+    with mock.patch.object(deltadiag, "FunctorView", fincat.HomCat):
+        return build(*args)
+
+
+def view_in_oracle(V):
+    """Map what the FunctorView V has interned into its oracle, the
+    enumerated H = hom_cat(V.source, V.target).  Every interned functor
+    and transformation must be one of H's (a KeyError otherwise), and
+    every composite of two interned transformations must map to H's
+    composite.  Returns H and the maps of object and morphism ids."""
+    H = fincat.hom_cat(V.source, V.target)
+    obj = {i: H.obj_id(F) for i, F in V.functors.items()}
+    assert all(H.functor_of(obj[i]) == F for i, F in V.functors.items())
+    assert all(V.obj_id(F) == i for i, F in V.functors.items())
+
+    def mor(m):
+        assert (V.dom[m], V.cod[m]) == m[:2]
+        return H._nat_ids[(obj[m[0]], obj[m[1]], m[2])]
+
+    assert all(mor(m) in H.dom for m in V.dom)
+    into = {}
+    for f in V.dom:
+        into.setdefault(V.cod[f], []).append(f)
+    for g in list(V.dom):
+        for f in into.get(V.dom[g], ()):
+            assert mor(V.compose(g, f)) == H.compose(mor(g), mor(f))
+    return H, obj, mor
+
+
+def face_in_oracle(F, obj, mor, H):
+    """A face F into a FunctorView, carried into the view's oracle H by
+    the id maps of view_in_oracle."""
+    return fincat.Fun(
+        F.src,
+        H,
+        {o: obj[k] for o, k in F.on_obj.items()},
+        {m: mor(k) for m, k in F.on_mor.items()},
+    )
 
 
 class UncachedUniverse(laxalg.MonadUniverse):
@@ -993,8 +1040,11 @@ CLI_SLATE = (
 def pinned_slate():
     """ROADMAP's determinism slate: test_7's commands, then hom (lax and
     pseudo), verify-prop-descent and build-tzy on every algebra pair of
-    both fixtures, duplicates dropped.  Each argv is keyed by its words
-    with the fixture paths cut to their file names."""
+    the first two fixtures, duplicates dropped, then descent and
+    lax-descent on the diagram of z2_on_three.json.  Each argv is keyed
+    by its words with the fixture paths cut to their file names.
+    build-tzy on z2_on_three.json is left out: it counts the 531,441
+    functors of [T^2 P3, P3]."""
     argvs = [list(a) for a in CLI_SLATE]
     for path, algebras in ((MONAD_FX, ("idalg", "const1")), (Z2_FX, ("swap", "skew"))):
         for y, z in itertools.product(algebras, repeat=2):
@@ -1002,6 +1052,8 @@ def pinned_slate():
             argvs.append(["hom", "--input", path, y, z, "pseudo"])
             argvs.append(["verify-prop-descent", "--input", path, y, z])
             argvs.append(["build-tzy", "--input", path, y, z])
+    for command in ("descent", "lax-descent"):
+        argvs.append([command, "--input", Z2_ON_THREE_FX, "Dswapfix"])
     slate = {}
     for argv in argvs:
         key = " ".join(os.path.basename(w) if w.startswith(FIXTURES) else w for w in argv)

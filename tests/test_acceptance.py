@@ -10,6 +10,7 @@ for strictification, and scripted perturbations for the validators.
 import hashlib
 import io
 import itertools
+import json
 import statistics
 import time
 from contextlib import redirect_stdout
@@ -48,10 +49,12 @@ from helpers import (
     CLI_SLATE,
     MONAD_FX,
     Z2_FX,
+    Z2_ON_THREE_FX,
     chain3,
     constant_fun,
     is_associative,
     pinned_slate,
+    run_python,
     terminal_cat,
     unital_associative_tables,
     walking_arrow,
@@ -554,6 +557,12 @@ SLATE_PINS = (
      "71167adfb04dba1134c5ee2a1bec68d8263b8a44830e09f2fcd7941ea3b4a830"),
     ("build-tzy --input z2_action.json skew skew", 0,
      "8cad7d90d3e444f5ff4acb6eace76a002444bd622858f8edea75bfec2013b8e8"),
+    # pinned when z2_on_three.json shipped; verify-prop-descent swap fix
+    # finds the same 9 lax morphisms by enumerate_hom_category
+    ("descent --input z2_on_three.json Dswapfix", 0,
+     "9b2e414cf0caa31eee03ab65bda3a17c853b27d3875a47ddaf05557d23b9bba5"),
+    ("lax-descent --input z2_on_three.json Dswapfix", 0,
+     "2801a578af80e9a74cdcaf7f820df692d56212f0775e7f188ac444df671ffb77"),
 )
 
 
@@ -579,6 +588,54 @@ def test_verify_prop_descent_swap_skew_within_its_time_gate():
         times.append(time.perf_counter() - t0)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == pins[key]
     assert statistics.median(times) <= 0.2, times
+
+
+# verify_prop_descent on one algebra pair of z2_on_three.json, in a fresh
+# interpreter: its seconds and its peak RSS in MiB (ru_maxrss is in KiB
+# on Linux), as JSON
+_THREE_POINTS = """
+import json, resource, sys, time
+from fin2cat.cli import load
+from fin2cat.laxalg import verify_prop_descent
+ws = load(sys.argv[1])
+y, z = ws.algebras[sys.argv[2]], ws.algebras[sys.argv[3]]
+t0 = time.perf_counter()
+rep = verify_prop_descent(y.universe, y, z)
+print(json.dumps({
+    "seconds": time.perf_counter() - t0,
+    "rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "report": rep,
+}))
+"""
+
+
+def test_verify_prop_descent_on_three_points_within_its_gates():
+    # Z/2 swapping two of three points: [T^2 P3, P3] has 531,441
+    # functors, which the top level of the diagram, a view, never
+    # enumerates.  On a discrete carrier a lax morphism is an equivariant
+    # map, so each count is checked against a direct count of those
+    ws = load(Z2_ON_THREE_FX)
+    points = ws.categories["P3"].objects
+    action = {
+        name: {x: alg.a.ob("(s,%s)" % x) for x in points}
+        for name, alg in ws.algebras.items()
+    }
+    assert sorted(action) == ["fix", "swap"]
+    for y, z in itertools.product(sorted(action), repeat=2):
+        done = run_python("-c", _THREE_POINTS, Z2_ON_THREE_FX, y, z)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        equivariant = sum(
+            all(f[action[y][x]] == action[z][f[x]] for x in points)
+            for f in (dict(zip(points, im)) for im in itertools.product(points, repeat=3))
+        )
+        rep = got["report"]
+        assert rep["status"] == "pass", (y, z, rep)
+        for key in ("lax", "pseudo"):
+            assert rep[key]["hom_objects"] == rep[key]["descent_objects"] == equivariant
+            assert rep[key]["match"] is True
+        assert got["seconds"] <= 2, (y, z, got)
+        assert got["rss_mib"] <= 200, (y, z, got)
 
 
 # ---------------------------------------------------------------------------

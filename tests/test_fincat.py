@@ -15,6 +15,7 @@ from fin2cat.errors import (
     BoundaryMismatch,
     FunctorialityViolation,
     NaturalityViolation,
+    NotEnumerated,
 )
 from fin2cat.laxalg import (
     build_Tzy,
@@ -29,7 +30,9 @@ from helpers import (
     constant_fun,
     discrete,
     identity_fun_on,
+    face_in_oracle,
     layered_cat,
+    materialised,
     one_object_cat,
     proved_cat,
     proved_fun,
@@ -40,6 +43,7 @@ from helpers import (
     terminal_cat,
     triple_loop_make_fincat,
     walking_arrow,
+    view_in_oracle,
     walking_iso,
     z2_cat,
 )
@@ -825,13 +829,99 @@ def test_enumerations_match_recursive_searches_on_named_categories():
 
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
+    # the top level is a view of [T^2 Y, Z], so the level checked there
+    # is its oracle, hom_cat(T^2 Y, Z)
     ws = load(os.path.join(FIXTURES, fixture))
     y, z = ws.algebras[y], ws.algebras[z]
     U = y.universe
     D = build_Tzy(U, y, z)
     Y = y.Z
-    for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (D.D3, U.T(U.T(Y)))):
+    T2Y = U.T(U.T(Y))
+    assert D.D3.source is T2Y and D.D3.target is z.Z
+    top = fincat.hom_cat(T2Y, z.Z)
+    for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (top, T2Y)):
         assert_same_hom_cat(level, source, z.Z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_categories(), small_categories(), st.data())
+def test_functor_view_matches_hom_cat(C, D, data):
+    # a view handed some of [C, D]'s functors and transformations gives
+    # equal ones equal ids, and composes them as hom_cat does
+    H = fincat.hom_cat(C, D)
+    V = fincat.FunctorView(C, D)
+    funs = data.draw(st.lists(st.sampled_from(H.objects), max_size=3))
+    nats = data.draw(st.lists(st.sampled_from(H.morphisms), max_size=6))
+    for o in funs:
+        F = H.functor_of(o)
+        assert V.obj_id(F) == V.obj_id(fincat.Fun(C, D, F.on_obj, F.on_mor))
+    ids = [V.mor_id(H.nat_of(n)) for n in nats]
+    assert len(set(ids)) == len(set(nats))
+    _, obj, mor = view_in_oracle(V)
+    assert [mor(m) for m in ids] == nats
+    assert all(obj[V.obj_id(H.functor_of(o))] == o for o in funs)
+    for g in ids:
+        for f in ids:
+            if V.cod[f] != V.dom[g]:
+                with pytest.raises(BoundaryMismatch):
+                    V.compose(g, f)
+    for g, f in [(ids[0], "nope"), ("nope", ids[0])] if ids else []:
+        with pytest.raises(BoundaryMismatch):
+            V.compose(g, f)
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_top_level_view_matches_the_materialised_route(fixture, y, z):
+    # everything the descent comparison interns in [T^2 Y, Z] is in the
+    # enumerated functor category, composites included, and the
+    # materialised route gives the same carriers under the same names
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U = y.universe
+    D = build_Tzy(U, y, z)
+    lax = lax_descent(D)
+    strict = invertible_part(lax)
+    assert isinstance(D.D3, fincat.FunctorView)
+    view_in_oracle(D.D3)
+    old = materialised(build_Tzy, U, y, z)
+    assert isinstance(old.D3, fincat.HomCat)
+    old_lax = lax_descent(old)
+    assert old_lax.carrier == lax.carrier
+    assert invertible_part(old_lax).carrier == strict.carrier
+
+
+def test_whole_category_reads_on_a_view_raise_not_enumerated():
+    ws = load(os.path.join(FIXTURES, "z2_action.json"))
+    y, z = ws.algebras["swap"], ws.algebras["skew"]
+    D = build_Tzy(y.universe, y, z)
+    lax_descent(D)
+    V = D.D3
+    key = next(iter(V.functors))
+    m = next(iter(V.dom))
+    reads = {
+        "objects": lambda: V.objects,
+        "morphisms": lambda: V.morphisms,
+        "identity": lambda: V.identity,
+        "compose_table": lambda: V.compose_table,
+        "hom": lambda: V.hom(key, key),
+        "inverse": lambda: V.inverse(m),
+        "equality": lambda: V == D.D2,
+        "reflected equality": lambda: D.D2 == V,
+        "inequality": lambda: V != V.source,
+        "make_fun from": lambda: fincat.make_fun(V, D.D2, {}, {}),
+        "make_fun into": lambda: fincat.make_fun(D.D2, V, D.Dp0.on_obj, D.Dp0.on_mor),
+        "iso_categories from": lambda: fincat.iso_categories(V, D.D2),
+        "iso_categories into": lambda: fincat.iso_categories(D.D2, V),
+        "hom_cat from": lambda: fincat.hom_cat(V, V.target),
+        "hom_cat into": lambda: fincat.hom_cat(V.target, V),
+        "product": lambda: fincat.product_cat(V, V.target),
+        "identity cell": lambda: fincat.identity_nat(D.Dp0),
+    }
+    for name, read in reads.items():
+        with pytest.raises(NotEnumerated):
+            read()
+    assert V == V and not V != V
+    assert repr(V).startswith("FunctorView(")
 
 
 def test_hom_cat_non_composable_pair_matches_fincat_message():
@@ -1076,9 +1166,12 @@ def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
     y, z = ws.algebras[y], ws.algebras[z]
     U = y.universe
     D = build_Tzy(U, y, z)
-    faces = [D.Dd0, D.Dd1, D.Ds0, D.Dp0, D.Dp1, D.Dp2]
-    assert_lawful(D.D1, D.D2, D.D3, funs=faces)
+    assert_lawful(D.D1, D.D2, funs=[D.Dd0, D.Dd1, D.Ds0])
     lax = lax_descent(D)
+    # the top level is a view, so its oracle is proved, and the faces
+    # into it are proved in the oracle
+    H, obj, mor = view_in_oracle(D.D3)
+    assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in (D.Dp0, D.Dp1, D.Dp2)])
     strict = invertible_part(lax)
     assert_lawful(
         lax.carrier,
@@ -1166,7 +1259,8 @@ def test_codescent_probe_faces_are_lawful(monkeypatch):
     assert report["status"] == "pass"
     assert len(diagrams) == 2
     for kw in diagrams:
-        assert_lawful(
-            kw["D1"], kw["D2"], kw["D3"],
-            funs=[kw[f] for f in ("Dd0", "Dd1", "Ds0", "Dp0", "Dp1", "Dp2")],
-        )
+        assert_lawful(kw["D1"], kw["D2"], funs=[kw[f] for f in ("Dd0", "Dd1", "Ds0")])
+        assert kw["D3"].source is A.A3
+        H, obj, mor = view_in_oracle(kw["D3"])
+        faces = [face_in_oracle(kw[f], obj, mor, H) for f in ("Dp0", "Dp1", "Dp2")]
+        assert_lawful(H, funs=faces)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fin2cat
-from fin2cat import descent, fincat, laxalg
+from fin2cat import deltadiag, descent, fincat, laxalg
 from fin2cat.cli import load
 from fin2cat.errors import (
     AxiomViolation,
@@ -475,7 +475,11 @@ def test_build_tzy_shape():
     D = build_Tzy(U, y, y)
     assert len(D.D1.objects) == 3 and len(D.D1.morphisms) == 6
     assert len(D.D2.objects) == 3 and len(D.D2.morphisms) == 6
-    assert len(D.D3.objects) == 3 and len(D.D3.morphisms) == 6
+    # the top level is a view of [T^2 C, C]; the faces reach all of it
+    assert D.D3.source is U.T(U.T(C)) and D.D3.target is C
+    D3 = fincat.hom_cat(D.D3.source, D.D3.target)
+    assert len(D3.objects) == 3 and len(D3.morphisms) == 6
+    assert len(D.D3.functors) == 3 and len(D.D3.dom) == 6
 
 
 def test_verify_prop_descent_identity_monad():
@@ -514,11 +518,11 @@ def test_verify_prop_descent_mixed_algebras():
 
 
 def test_verify_prop_descent_builds_each_level_once(monkeypatch):
-    # [Y, Z], [TY, Z] and [T^2 Y, Z] once each, and one lax descent
-    # category that the strict one is cut out of
+    # [Y, Z] and [TY, Z] once each, one view of [T^2 Y, Z], and one lax
+    # descent category that the strict one is cut out of
     ws = load(Z2_FX)
     y = ws.algebras["swap"]
-    calls = {"hom_cat": 0, "lax_descent": 0}
+    calls = {"hom_cat": 0, "lax_descent": 0, "FunctorView": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -533,9 +537,11 @@ def test_verify_prop_descent_builds_each_level_once(monkeypatch):
         monkeypatch.setattr(module, "hom_cat", hom)
     for module in (descent, laxalg):
         monkeypatch.setattr(module, "lax_descent", lax)
+    view = counting("FunctorView", fincat.FunctorView)
+    monkeypatch.setattr(deltadiag, "FunctorView", view)
     report = verify_prop_descent(y.universe, y, y)
     assert report["status"] == "pass"
-    assert calls == {"hom_cat": 3, "lax_descent": 1}
+    assert calls == {"hom_cat": 2, "lax_descent": 1, "FunctorView": 1}
 
 
 def _descent_pairs():
@@ -555,19 +561,30 @@ def _descent_pairs():
 @pytest.mark.parametrize("pair", ["swap-skew", "dense"])
 def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
     # D3 = [T^2 Y, Z] is read only at the comparison cells and the
-    # descent equations: a few dozen composites, and never its table.  D1
-    # and D2 are read one composite at a time too (lax_descent, the
-    # inverses of invertible_part, enumerate_hom_category), so no level's
-    # table is built
+    # descent equations: a few dozen composites, and never its table or
+    # its functors, as D3 is a view that enumerates nothing.  D1 and D2
+    # are read one composite at a time too (lax_descent, the inverses of
+    # invertible_part, enumerate_hom_category), so no level's table is
+    # built
     y, z = _descent_pairs()[pair]
     composites = {}
-    compose = fincat.HomCat.compose
+    sources = []
 
-    def counting(self, g, f):
-        composites[id(self)] = composites.get(id(self), 0) + 1
-        return compose(self, g, f)
+    def counting(compose):
+        def wrapper(self, g, f):
+            composites[id(self)] = composites.get(id(self), 0) + 1
+            return compose(self, g, f)
 
-    monkeypatch.setattr(fincat.HomCat, "compose", counting)
+        return wrapper
+
+    for cls in (fincat.HomCat, fincat.FunctorView):
+        monkeypatch.setattr(cls, "compose", counting(cls.compose))
+    enumerate_functors = fincat._enumerate_functors
+    monkeypatch.setattr(
+        fincat,
+        "_enumerate_functors",
+        lambda C, D: sources.append(C) or enumerate_functors(C, D),
+    )
     diagrams = []
     build = laxalg.build_Tzy
 
@@ -576,19 +593,22 @@ def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
         return diagrams[-1]
 
     D = build_Tzy(y.universe, y, z)
-    assert "compose_table" not in vars(D.D3)
-    assert composites.get(id(D.D3), 0) < 100
+    T2Y = D.D3.source
+    assert 0 < composites.get(id(D.D3), 0) < 100
     descent.lax_descent(D)
-    assert "compose_table" not in vars(D.D3)
-    assert composites.get(id(D.D3), 0) < 100
+    assert 0 < composites.get(id(D.D3), 0) < 100
 
     monkeypatch.setattr(laxalg, "build_Tzy", recording)
     assert verify_prop_descent(y.universe, y, z)["status"] == "pass"
     (D,) = diagrams
-    assert len(D.D3.morphisms) == 256
-    assert composites.get(id(D.D3), 0) < 100
-    for level in (D.D1, D.D2, D.D3):
+    assert 0 < composites.get(id(D.D3), 0) < 100
+    for level in (D.D1, D.D2):
         assert "compose_table" not in vars(level)
+    assert isinstance(D.D3, fincat.FunctorView)
+    assert not any(C == T2Y for C in sources)
+    # the whole top level has 256 transformations; the view read fewer
+    assert len(fincat.hom_cat(T2Y, D.D3.target).morphisms) == 256
+    assert len(D.D3.dom) < 100
 
 
 def _twist_z2(C):

@@ -168,3 +168,47 @@ def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
         shared, fresh = freegen.builtin_computad(name), freegen.builtin_computad.__wrapped__(name)
         assert shared is not fresh
         assert shared == fresh and shared.cell_index == fresh.cell_index, name
+
+
+# the commands that build a three-level diagram, and the source of its top
+# level, given the loaded workspace and the command's names: T^2 Y for
+# the descent comparison, A3 = T^3 Z for the codescent probes
+def _top_level_source(ws, command, names):
+    if command in ("descent", "lax-descent"):
+        y, _ = ws.diagrams[names[0]]
+        depth = 2
+    else:
+        y = ws.algebras[names[0]]
+        depth = 3 if command == "verify-codescent" else 2
+    C = y.Z
+    for _ in range(depth):
+        C = y.universe.T(C)
+    return C
+
+
+def test_the_slate_enumerates_no_top_level(monkeypatch):
+    # counts, not timings: across the slate, descent, lax-descent,
+    # verify-prop-descent and verify-codescent enumerate the functors of
+    # their two lower levels and never those out of the top level's
+    # source, which is a view
+    sources = []
+    enumerate_functors = fincat._enumerate_functors
+    monkeypatch.setattr(
+        fincat,
+        "_enumerate_functors",
+        lambda C, D: sources.append(C) or enumerate_functors(C, D),
+    )
+    commands = ("descent", "lax-descent", "verify-prop-descent", "verify-codescent")
+    seen = []
+    for argv in pinned_slate().values():
+        if argv[0] not in commands:
+            continue
+        top = _top_level_source(cli.load(argv[2]), argv[0], argv[3:])
+        del sources[:]
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, out.getvalue()
+        assert len(sources) >= 2, argv
+        assert not any(C == top for C in sources), argv
+        seen.append(argv[0])
+    assert set(seen) == set(commands)
+    assert seen.count("descent") == seen.count("lax-descent") == 2
