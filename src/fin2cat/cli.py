@@ -48,7 +48,6 @@ from .laxalg import (
     LaxMorphism,
     Monoid,
     build_Tzy,
-    cell_boundaries,
     check_lax_algebra,
     check_lax_morphism,
     check_pseudomonad,
@@ -226,9 +225,7 @@ def _load_algebra(ws, spec):
     if kind == "strict":
         return strict_algebra(U, Z, _fun(U.T(Z), Z, spec["action"]))
     a = _fun(U.T(Z), Z, spec["a"])  # kind lax
-    mult, unit = cell_boundaries(U, Z, a)
-    zbar, zbar0 = make_nat(*mult, spec["zbar"]), make_nat(*unit, spec["zbar0"])
-    return LaxAlgebra(U, Z, a, zbar, zbar0)
+    return LaxAlgebra(U, Z, a, spec["zbar"], spec["zbar0"])
 
 
 def _load_morphism(ws, spec):

@@ -15,7 +15,11 @@ test_products_and_functor_categories_are_categories,
 test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
 test_universe_members_and_T_are_lawful and
-test_codescent_probe_faces_are_lawful.
+test_codescent_probe_faces_are_lawful.  The lax-morphism checks of
+laxalg compare components alone, as the two sides of each of their
+pastings share a boundary; tests/test_laxalg.py proves that once, in
+test_componentwise_checks_match_pastings_on_fixture_pairs and
+test_componentwise_checks_match_pastings_on_drawn_families.
 
 make_fincat proves associativity on generator triples, every morphism
 being a generator unless the caller names fewer.  identity_cell is the
@@ -286,6 +290,8 @@ class Fun:
     def __eq__(self, other):
         if not isinstance(other, Fun):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.src == other.src
             and self.tgt == other.tgt
@@ -404,6 +410,8 @@ class NatT:
     def __eq__(self, other):
         if not isinstance(other, NatT):
             return NotImplemented
+        if self is other:
+            return True
         return (
             self.src == other.src
             and self.tgt == other.tgt

@@ -10,13 +10,20 @@ depth is an error rather than silent growth, and a universe of more than
 UNIVERSE_LIMIT morphisms is refused before any member is built.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
-a.eta_Z); check_lax_algebra evaluates its three pasted coherence equations.
-A lax morphism (f, fbar: a_z.T(f) => f.a_y) is checked by
-check_lax_morphism, which classifies it as strict / pseudo / lax.  The
-boundaries of zbar, zbar0 and fbar live in cell_boundaries and
-fbar_boundary; every pasted equation is reported by _unequal, a law that
-cannot be assembled is recorded by _recorded, and a law needing k
-T-iterates of C runs when MonadUniverse.height(C) >= k.
+a.eta_Z); check_lax_algebra pastes its three coherence equations as NatTs,
+once per algebra, as check_pseudomonad does once per member.  A lax
+morphism (f, fbar: a_z.T(f) => f.a_y) is checked by check_lax_morphism,
+which classifies it as strict / pseudo / lax, and a transformation of lax
+morphisms by check_transformation.  These two run on every candidate of
+enumerate_hom_category, so they build no composite functor and no NatT:
+after the typing checks, _componentwise reads each side of a pasting as
+a component dict off the target's table, the boundaries being equal by
+theorem.  The boundaries of zbar and zbar0 are computed once per algebra
+(cell_boundaries, in LaxAlgebra), and that of fbar once per functor f
+(fbar_boundary).  Every equation, pasted or componentwise, is reported
+by _unequal, which names the first differing component in sorted order;
+a law that cannot be assembled is recorded by _recorded, and a law
+needing k T-iterates of C runs when MonadUniverse.height(C) >= k.
 
 verify_prop_descent compares two independently computed categories: the
 hom category of lax morphisms (direct evaluation of the axioms) and the
@@ -291,14 +298,17 @@ def _vv(*nats):
 
 
 def _unequal(what, lhs, rhs, at=""):
-    """[] when the pasted cells lhs and rhs agree, else the one failure
-    "<what> fails at <at><first differing component>"."""
+    """[] when the cells lhs and rhs agree, else the one failure
+    "<what> fails at <at><first differing component>".  lhs and rhs are
+    two pasted NatTs, equal only if their boundaries are too, or the
+    component dicts of two pastings whose boundaries agree by theorem."""
     if lhs == rhs:
         return []
+    lhs, rhs = getattr(lhs, "components", lhs), getattr(rhs, "components", rhs)
     diff = "boundaries differ"
-    for x in sorted(lhs.components):
-        if lhs.components[x] != rhs.components.get(x):
-            diff = "%r (%r vs %r)" % (x, lhs.components[x], rhs.components.get(x))
+    for x in sorted(lhs):
+        if lhs[x] != rhs.get(x):
+            diff = "%r (%r vs %r)" % (x, lhs[x], rhs.get(x))
             break
     return ["%s fails at %s%s" % (what, at, diff)]
 
@@ -418,26 +428,34 @@ def fbar_boundary(U, y, z, f):
     return compose_fun(z.a, U.T_fun(f)), compose_fun(f, y.a)
 
 
+def _cell_on(cell, boundary, message):
+    """cell, refused with message unless it runs on boundary.  A dict of
+    components is proved on boundary by make_nat, and None stands for the
+    identity cell, proved by identity_cell."""
+    if cell is None:
+        return identity_cell(*boundary)
+    if isinstance(cell, dict):
+        return make_nat(*boundary, cell)
+    if (cell.src, cell.tgt) != boundary:
+        raise BoundaryMismatch(message)
+    return cell
+
+
 class LaxAlgebra:
     """A lax algebra (Z, a, zbar, zbar0) over a universe.
 
-    Boundaries are validated at construction; the coherence equations are
-    the job of check_lax_algebra.
+    Boundaries are validated at construction, where cell_boundaries runs
+    once: zbar and zbar0 are cells on them, component dicts or None (see
+    _cell_on).  The coherence equations are the job of check_lax_algebra.
     """
 
     def __init__(self, universe, Z, a, zbar, zbar0):
-        self.universe = universe
-        self.Z = Z
-        self.a = a
-        self.zbar = zbar
-        self.zbar0 = zbar0
+        self.universe, self.Z, self.a = universe, Z, a
         if a.src != universe.T(Z) or a.tgt != Z:
             raise BoundaryMismatch("action must be a functor T(Z) -> Z")
         mult, unit = cell_boundaries(universe, Z, a)
-        if (zbar.src, zbar.tgt) != mult:
-            raise BoundaryMismatch("zbar must run a.T(a) => a.m")
-        if (zbar0.src, zbar0.tgt) != unit:
-            raise BoundaryMismatch("zbar0 must run id => a.eta")
+        self.zbar = _cell_on(zbar, mult, "zbar must run a.T(a) => a.m")
+        self.zbar0 = _cell_on(zbar0, unit, "zbar0 must run id => a.eta")
 
     def __repr__(self):
         return "LaxAlgebra(Z=%r)" % (self.Z,)
@@ -446,8 +464,7 @@ class LaxAlgebra:
 def strict_algebra(U, Z, a):
     """Package a strictly associative, strictly unital action as a
     LaxAlgebra with identity comparison cells."""
-    zbar, zbar0 = (identity_cell(F, G) for F, G in cell_boundaries(U, Z, a))
-    return LaxAlgebra(U, Z, a, zbar, zbar0)
+    return LaxAlgebra(U, Z, a, None, None)
 
 
 def monad_algebra(U, Z, t, mu, eta):
@@ -466,10 +483,7 @@ def monad_algebra(U, Z, t, mu, eta):
         _, o2 = T2Z.obj_pair[o]
         _, x = TZ.obj_pair[o2]
         zbar_comps[o] = mu.at(x)
-    mult, unit = cell_boundaries(U, Z, a)
-    zbar = make_nat(*mult, zbar_comps)
-    zbar0 = make_nat(*unit, {x: eta.at(x) for x in Z.objects})
-    return LaxAlgebra(U, Z, a, zbar, zbar0)
+    return LaxAlgebra(U, Z, a, zbar_comps, {x: eta.at(x) for x in Z.objects})
 
 
 class LaxMorphism:
@@ -537,82 +551,117 @@ def check_lax_algebra(U, z):
     return verdict_all(failures)
 
 
+def _typed(U, y, z, phi):
+    """Refuse a candidate y -> z whose fbar does not run a_z.T(f) => f.a_y."""
+    if (phi.fbar.src, phi.fbar.tgt) != fbar_boundary(U, y, z, phi.f):
+        raise BoundaryMismatch("fbar must run a_z.T(f) => f.a_y")
+
+
+def _componentwise(U, y, z):
+    """The equations of the lax morphisms y -> z and of their
+    transformations, on the components of each pasting read off Z's table:
+    F * alpha at x is F(alpha_x), alpha * G at x is alpha_G(x), and a
+    vertical paste is one composite.  For typed fbar, zbar and zbar0 and a
+    strict T the two sides of each pasting share their boundary, by
+    theorem (tests/helpers.pasted_lax_morphism checks it), so the
+    components decide.  Returns laws(f), the check of the fbar over f that
+    raises CoherenceViolation or gives the class, and the transformation
+    square(phi, psi, m), a Verdict."""
+    Y, TY, TZ, Zc = y.Z, U.T(y.Z), U.T(z.Z), z.Z.compose_table
+    az, ay, yb, zb = z.a.on_mor, y.a.on_obj, y.zbar.components, z.zbar.components
+
+    def laws(f):
+        T2Y, fo, fm = U.T(TY), f.on_obj, f.on_mor
+        T2f, m, Ta = U.T_fun(U.T_fun(f)).on_obj, U.m(Y).on_obj, U.T_fun(y.a).on_obj
+        eta, yb0, zb0 = U.eta(Y).on_obj, y.zbar0.components, z.zbar0.components
+
+        def check(phi):
+            c = phi.fbar.components
+            # f * ybar, then fbar * T(a_y), then a_z * T(fbar)
+            rhs = {
+                x: Zc[fm[yb[x]], Zc[c[Ta[x]], az[TZ.pair_mor(g, c[w])]]]
+                for x, (g, w) in T2Y.obj_pair.items()
+            }
+            failed = _unequal(
+                "multiplication compatibility",
+                {x: Zc[c[m[x]], zb[T2f[x]]] for x in T2Y.objects},
+                rhs,
+            ) or _unequal(
+                "unit compatibility",
+                {x: Zc[c[eta[x]], zb0[fo[x]]] for x in Y.objects},
+                {x: fm[yb0[x]] for x in Y.objects},
+            )
+            if failed:
+                raise CoherenceViolation(*failed)
+            phi.src_alg, phi.tgt_alg = y, z
+            return phi.cls
+
+        return check
+
+    def square(phi, psi, m):
+        p, q, c = phi.fbar.components, psi.fbar.components, m.components
+        lhs = {
+            o: Zc[q[o], az[TZ.pair_mor(g, c[x])]] for o, (g, x) in TY.obj_pair.items()
+        }
+        rhs = {o: Zc[c[ay[o]], p[o]] for o in TY.objects}
+        return verdict_all(_unequal("compatibility", lhs, rhs))
+
+    return laws, square
+
+
 def check_lax_morphism(U, y, z, phi):
-    """Check the two coherence equations of a lax morphism y -> z.
+    """Check the two coherence equations of a lax morphism y -> z, after
+    the typing of f and fbar, componentwise (see _componentwise).
 
     Returns the morphism's class ("strict", "pseudo" or "lax") on
     success; raises CoherenceViolation naming the failing equation.
     """
-    f, fbar = phi.f, phi.fbar
-    Y, Z = y.Z, z.Z
-    if f.src != Y or f.tgt != Z:
+    if phi.f.src != y.Z or phi.f.tgt != z.Z:
         raise BoundaryMismatch("underlying functor must run Y -> Z")
-    if (fbar.src, fbar.tgt) != fbar_boundary(U, y, z, f):
-        raise BoundaryMismatch("fbar must run a_z.T(f) => f.a_y")
-
-    lhs = _vv(
-        whisker_right(fbar, U.m(Y)),
-        whisker_right(z.zbar, U.T_fun(U.T_fun(f))),
-    )
-    rhs = _vv(
-        whisker_left(f, y.zbar),
-        whisker_right(fbar, U.T_fun(y.a)),
-        whisker_left(z.a, U.T_nat(fbar)),
-    )
-    failed = _unequal("multiplication compatibility", lhs, rhs)
-    if failed:
-        raise CoherenceViolation(*failed)
-
-    lhs = _vv(
-        whisker_right(fbar, U.eta(Y)),
-        whisker_right(z.zbar0, f),
-    )
-    rhs = whisker_left(f, y.zbar0)
-    failed = _unequal("unit compatibility", lhs, rhs)
-    if failed:
-        raise CoherenceViolation(*failed)
-
-    phi.src_alg, phi.tgt_alg = y, z
-    return phi.cls
+    _typed(U, y, z, phi)
+    return _componentwise(U, y, z)[0](phi.f)(phi)
 
 
 def check_transformation(U, phi, psi, m):
     """Check the compatibility square of a transformation phi => psi:
-    psi.fbar . (a_z * T(m)) = (m * a_y) . phi.fbar."""
+    psi.fbar . (a_z * T(m)) = (m * a_y) . phi.fbar, componentwise (see
+    _componentwise), after the typing of m and of both fbars."""
     if phi.src_alg is None or phi.tgt_alg is None:
-        raise BoundaryMismatch(
-            "morphisms must carry their algebras (src_alg/tgt_alg)"
-        )
+        raise BoundaryMismatch("morphisms must carry their algebras (src_alg/tgt_alg)")
     if m.src != phi.f or m.tgt != psi.f:
         raise BoundaryMismatch("cell must run between the underlying functors")
-    a_y = phi.src_alg.a
-    a_z = phi.tgt_alg.a
-    lhs = paste("vertical", psi.fbar, whisker_left(a_z, U.T_nat(m)))
-    rhs = paste("vertical", whisker_right(m, a_y), phi.fbar)
-    return verdict_all(_unequal("compatibility", lhs, rhs))
+    y, z = phi.src_alg, phi.tgt_alg
+    _typed(U, y, z, phi)
+    _typed(U, y, z, psi)
+    return _componentwise(U, y, z)[1](phi, psi, m)
 
 
 def enumerate_hom_category(U, y, z, cls="lax", levels=None):
     """The category of lax (or pseudo) morphisms y -> z and their
     transformations, over [Y, Z]: objects (F#, n#) are named after the
     functor and comparison-cell identifiers in the hom categories.
-    levels, when given, are the already built [Y, Z] and [TY, Z].
-    Transformations compose, so category_over builds the table without
-    proof."""
+    levels, when given, are the already built [Y, Z] and [TY, Z].  The
+    candidates fbar are [TY, Z]'s cells on fbar_boundary, typed by
+    construction, so they go to _componentwise's checks directly, built
+    once for each f that has a candidate.  Transformations compose, so
+    category_over builds the table without proof."""
     if cls not in ("lax", "pseudo"):
         raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
     Y, Z = y.Z, z.Z
     if levels is None:
         levels = (hom_cat(Y, Z), hom_cat(U.T(Y), Z))
     d1, d2 = levels
+    laws, square = _componentwise(U, y, z)
     over, data = {}, {}
     for fid in d1.objects:
         f = d1.functor_of(fid)
         src, tgt = fbar_boundary(U, y, z, f)
-        for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
+        nids = d2.hom(d2.obj_id(src), d2.obj_id(tgt))
+        check = laws(f) if nids else None
+        for nid in nids:
             phi = LaxMorphism(f, d2.nat_of(nid), src_alg=y, tgt_alg=z)
             try:
-                k = check_lax_morphism(U, y, z, phi)
+                k = check(phi)
             except CoherenceViolation:
                 continue
             if cls == "pseudo" and k == "lax":
@@ -622,7 +671,7 @@ def enumerate_hom_category(U, y, z, cls="lax", levels=None):
             data[o] = phi
 
     def admits(m, o1, o2):
-        return check_transformation(U, data[o1], data[o2], d1.nat_of(m))
+        return square(data[o1], data[o2], d1.nat_of(m))
 
     return category_over(d1, over, admits)[0]
 

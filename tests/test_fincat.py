@@ -24,6 +24,7 @@ from fin2cat.laxalg import (
     enumerate_hom_category,
 )
 from helpers import (
+    FIXTURE_PAIRS,
     SMALL_MONOIDS,
     brute_force_hom_cat,
     chain3,
@@ -49,15 +50,6 @@ from helpers import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
-# algebra pairs whose three functor-category levels build in under a second
-FIXTURE_PAIRS = [
-    ("z2_action.json", "swap", "swap"),
-    ("z2_action.json", "skew", "skew"),
-    ("z2_action.json", "skew", "swap"),
-    ("monad_on_2.json", "idalg", "idalg"),
-    ("monad_on_2.json", "const1", "const1"),
-    ("monad_on_2.json", "idalg", "const1"),
-]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import random
@@ -13,6 +14,7 @@ from fin2cat.errors import (
     AxiomViolation,
     BoundaryMismatch,
     CoherenceViolation,
+    Verdict,
 )
 from fin2cat.laxalg import (
     LaxMorphism,
@@ -27,11 +29,15 @@ from fin2cat.laxalg import (
     verify_prop_descent,
 )
 from helpers import (
+    FIXTURE_PAIRS,
+    FIXTURES,
     UncachedUniverse,
     constant_fun,
     discrete,
     nonassociative_mutants,
     one_object_cat,
+    pasted_lax_morphism,
+    pasted_transformation,
     terminal_cat,
     triple_loop_monoid_check,
     unital_associative_tables,
@@ -412,6 +418,151 @@ def test_check_transformation_detects_mismatch():
     verdict = check_transformation(U, phi, psi, m)
     assert not verdict
     assert verdict.failures == ["compatibility fails at '(e,*)' ('s' vs 'e')"]
+
+
+def test_check_transformation_refuses_mistyped_fbars():
+    # the identity algebra on the walking arrow: a morphism over the
+    # identity functor that carries the fbar of the functor constant at 1
+    # is refused at entry, as phi and as psi, with no square read
+    C = walking_arrow()
+    U = triv_universe(C)
+    y = identity_algebra(U, C)
+    i, c1 = fincat.identity_fun(C), constant_fun(C, C, "1")
+
+    def strict_fbar(f):
+        return fincat.identity_nat(fincat.compose_fun(y.a, U.T_fun(f)))
+
+    good = LaxMorphism(i, strict_fbar(i), src_alg=y, tgt_alg=y)
+    bad = LaxMorphism(i, strict_fbar(c1), src_alg=y, tgt_alg=y)
+    for phi, psi in ((bad, good), (good, bad)):
+        with pytest.raises(BoundaryMismatch):
+            check_transformation(U, phi, psi, fincat.identity_nat(i))
+
+
+def _outcome(check, *args):
+    """What a check gives: a morphism's class, a Verdict's ok and
+    failures, or the text of the CoherenceViolation it raises."""
+    try:
+        got = check(*args)
+    except CoherenceViolation as e:
+        return "CoherenceViolation", str(e)
+    return (got.ok, got.failures) if isinstance(got, Verdict) else got
+
+
+def _same_outcomes(U, y, z, candidates, cells):
+    """Both routes agree on each candidate (f, fbar) y -> z, and on the
+    square of each (phi, psi, m) with m drawn from cells(f, g); returns
+    the candidates' outcomes."""
+    got = []
+    for f, fbar in candidates:
+        out = _outcome(check_lax_morphism, U, y, z, LaxMorphism(f, fbar))
+        assert out == _outcome(pasted_lax_morphism, U, y, z, LaxMorphism(f, fbar))
+        got.append(out)
+    for f, fbar in candidates:
+        for g, gbar in candidates:
+            phi, psi = LaxMorphism(f, fbar, y, z), LaxMorphism(g, gbar, y, z)
+            for m in cells(f, g):
+                want = _outcome(pasted_transformation, U, phi, psi, m)
+                assert _outcome(check_transformation, U, phi, psi, m) == want
+    return got
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_componentwise_checks_match_pastings_on_fixture_pairs(fixture, y, z):
+    # every candidate (f, fbar) in [Y, Z] x [TY, Z], and every cell of
+    # [Y, Z] between two of them: the componentwise checks give what the
+    # pasted oracle gives, and the oracle finds the two sides of each
+    # pasting on one boundary, the theorem the componentwise route rests
+    # on.  enumerate_hom_category is the hom category the oracle cuts out
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    U = y.universe
+    d1, d2 = fincat.hom_cat(y.Z, z.Z), fincat.hom_cat(U.T(y.Z), z.Z)
+    ids = {}
+    for fid in d1.objects:
+        f = d1.functor_of(fid)
+        src, tgt = laxalg.fbar_boundary(U, y, z, f)
+        for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
+            ids["(%s,%s)" % (fid, nid)] = (f, d2.nat_of(nid))
+
+    def cells(f, g):
+        return [d1.nat_of(m) for m in d1.hom(d1.obj_id(f), d1.obj_id(g))]
+
+    classes = dict(zip(ids, _same_outcomes(U, y, z, list(ids.values()), cells)))
+    for cls, kept in (("lax", ("strict", "pseudo", "lax")), ("pseudo", ("strict", "pseudo"))):
+        over = {o: d1.obj_id(ids[o][0]) for o, k in classes.items() if k in kept}
+
+        def admits(m, o1, o2):
+            phi, psi = (LaxMorphism(*ids[o], y, z) for o in (o1, o2))
+            return pasted_transformation(U, phi, psi, d1.nat_of(m))
+
+        want, _ = fincat.category_over(d1, over, admits)
+        assert enumerate_hom_category(U, y, z, cls) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pairs():
+    """(U, y, z, the functors Y -> Z with a typed fbar) for each
+    FIXTURE_PAIRS pair that has such a functor, and the trivial actions
+    of Z/2 on the one-object categories of Z/2 and of {e, a, b} with
+    x.y = x for x, y in {a, b}: every cell of these is any element, and
+    the second composes its elements in a non-commuting way."""
+    pairs = []
+    for fixture, y, z in FIXTURE_PAIRS:
+        ws = load(os.path.join(FIXTURES, fixture))
+        pairs.append((ws.algebras[y], ws.algebras[z]))
+    left_zero = {(x, y): y if x == "e" else x for x in "eab" for y in "eab"}
+    for G in (z2_cat(), one_object_cat(["e", "a", "b"], "e", left_zero)):
+        U = monoid_two_monad(z2_monoid(), [("G", G)], 3)
+        pairs.append((laxalg.strict_algebra(U, G, U.T(G).proj2),) * 2)
+    out = []
+    for y, z in pairs:
+        U, Z = y.universe, z.Z
+        funs = [
+            f
+            for f in map(fincat.hom_cat(y.Z, Z).functor_of, fincat.hom_cat(y.Z, Z).objects)
+            if _homs(*laxalg.fbar_boundary(U, y, z, f))
+        ]
+        if funs:
+            out.append((U, y, z, funs))
+    return out
+
+
+def _homs(F, G):
+    """The hom-sets a cell F => G picks its components from, object by
+    object, or None when one is empty."""
+    homs = {x: F.tgt.hom(F.ob(x), G.ob(x)) for x in F.src.objects}
+    return homs if all(homs.values()) else None
+
+
+def _family(draw, F, G):
+    """A cell F => G with components drawn from their hom-sets: typed, and
+    natural or not."""
+    return fincat.NatT(F, G, {x: draw(st.sampled_from(h)) for x, h in _homs(F, G).items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_componentwise_checks_match_pastings_on_drawn_families(data):
+    # typed component families, natural or not: the comparison cells of
+    # both algebras (redrawn or kept), two candidates y -> z and a cell
+    # between their functors; the routes agree on each check, failing ones
+    # included
+    draw = data.draw
+    U, y, z, funs = draw(st.sampled_from(_oracle_pairs()))
+    y, z = (
+        laxalg.LaxAlgebra(
+            U, w.Z, w.a, *(_family(draw, *b) for b in laxalg.cell_boundaries(U, w.Z, w.a))
+        )
+        if draw(st.booleans())
+        else w
+        for w in (y, z)
+    )
+    f = draw(st.sampled_from(funs))
+    g = draw(st.sampled_from([g for g in funs if _homs(f, g)]))
+    candidates = [(h, _family(draw, *laxalg.fbar_boundary(U, y, z, h))) for h in (f, g)]
+    m = _family(draw, f, g)
+    _same_outcomes(U, y, z, candidates, lambda h, k: [m] if (h, k) == (f, g) else [])
 
 
 # ---------------------------------------------------------------------------

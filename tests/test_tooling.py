@@ -14,7 +14,7 @@ import sys
 from contextlib import redirect_stdout
 
 import fin2cat.cli  # noqa: F401  (loads every module)
-from fin2cat import cli, codescent, fincat, freegen
+from fin2cat import cli, codescent, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
 from helpers import code_lines, pinned_slate, run_python
 
@@ -212,3 +212,61 @@ def test_the_slate_enumerates_no_top_level(monkeypatch):
         seen.append(argv[0])
     assert set(seen) == set(commands)
     assert seen.count("descent") == seen.count("lax-descent") == 2
+
+
+def _laxalg_frames():
+    """The names of the fin2cat.laxalg functions on the caller's stack."""
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        if frame.f_globals.get("__name__") == "fin2cat.laxalg":
+            names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+def test_lax_morphism_checks_paste_nothing(monkeypatch):
+    # counts, not timings: for hom and verify-prop-descent across the
+    # slate, no fincat.paste call comes from the lax-morphism or
+    # transformation checks, and enumerate_hom_category's compose_fun
+    # calls are the two of fbar_boundary for each functor of [Y, Z],
+    # however many fbar candidates there are
+    calls = {"paste": [], "compose_fun": []}
+    for name, stacks in calls.items():
+        real = getattr(fincat, name)
+
+        def counted(*args, _real=real, _stacks=stacks):
+            _stacks.append(_laxalg_frames())
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("fin2cat") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted)
+    candidates = []
+    morphism = laxalg.LaxMorphism
+    monkeypatch.setattr(
+        laxalg,
+        "LaxMorphism",
+        lambda *args, **kw: candidates.append(1) or morphism(*args, **kw),
+    )
+    checks = {"check_lax_morphism", "check_transformation", "enumerate_hom_category"}
+    functors = fbars = 0
+    for argv in pinned_slate().values():
+        if argv[0] not in ("hom", "verify-prop-descent"):
+            continue
+        ws = cli.load(argv[2])
+        y, z = ws.algebras[argv[3]], ws.algebras[argv[4]]
+        enumerations = 1 if argv[0] == "hom" else 2
+        n = len(fincat.hom_cat(y.Z, z.Z).objects) * enumerations
+        for stacks in calls.values():
+            del stacks[:]
+        del candidates[:]
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, out.getvalue()
+        assert not any(names & checks for names in calls["paste"]), argv
+        if argv[0] == "hom":
+            assert calls["paste"] == [], argv
+        composed = [names for names in calls["compose_fun"] if "enumerate_hom_category" in names]
+        assert len(composed) == 2 * n, argv
+        functors, fbars = functors + n, fbars + len(candidates)
+    # the slate tries more candidates than it has functors
+    assert fbars > functors > 0
