@@ -15,7 +15,6 @@ builds both carriers over D1, with that square as the admitted morphisms.
 
 from .deltadiag import descent_equations
 from .fincat import Fun, category_over
-from .errors import BoundaryMismatch
 
 
 class DescentDatum:
@@ -88,10 +87,3 @@ def invertible_part(lax):
         {m: m for m in carrier.morphisms},
     )
     return DescentCategory(D, carrier, projection, data, inclusion=inclusion)
-
-
-def descent_projection(DC):
-    """The forgetful functor from a descent category to D1."""
-    if not isinstance(DC, DescentCategory):
-        raise BoundaryMismatch("descent_projection expects a DescentCategory")
-    return DC.projection

@@ -20,6 +20,11 @@ laxalg compare components alone, as the two sides of each of their
 pastings share a boundary; tests/test_laxalg.py proves that once, in
 test_componentwise_checks_match_pastings_on_fixture_pairs and
 test_componentwise_checks_match_pastings_on_drawn_families.
+check_pseudomonad builds the identity cells of the 2-monad's coherence
+pastings but not the pastings, and checks neither the strictness of T
+nor the naturality of its structure maps: for a discrete monoid these
+hold whatever the table, and test_pseudomonad_check_matches_the_pasted_check
+proves that once.
 
 make_fincat proves associativity on generator triples, every morphism
 being a generator unless the caller names fewer.  identity_cell is the

@@ -21,7 +21,15 @@ from fin2cat.errors import (
     NaturalityViolation,
     verdict_all,
 )
-from fin2cat.fincat import make_fincat, make_fun, make_nat, whisker_left, whisker_right
+from fin2cat.fincat import (
+    compose_fun,
+    identity_fun,
+    make_fincat,
+    make_fun,
+    make_nat,
+    whisker_left,
+    whisker_right,
+)
 from fin2cat.freegen import Path
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
@@ -470,6 +478,102 @@ def pasted_transformation(U, phi, psi, m):
     lhs = fincat.paste("vertical", psi.fbar, whisker_left(a_z, U.T_nat(m)))
     rhs = fincat.paste("vertical", whisker_right(m, a_y), phi.fbar)
     return verdict_all(_shared_boundary_unequal("compatibility", lhs, rhs))
+
+
+def _unequal_at(what, lhs, rhs, at):
+    """laxalg._unequal with the failing member named: "<what> fails at
+    <at><first differing component>"."""
+    return [
+        f.replace(" fails at ", " fails at " + at, 1)
+        for f in laxalg._unequal(what, lhs, rhs)
+    ]
+
+
+def pasted_check_pseudomonad(U):
+    """check_pseudomonad as it was before it left to theorem what no
+    table can break: after the unit and associativity laws, it checks
+    that T is strict on identities and on composable structure functors
+    and that eta and m are natural along each structure functor, then
+    assembles each coherence pasting from whiskered cells and compares
+    its two sides.  The oracle for the check that builds only the cells."""
+    failures = []
+    h = U.height
+    members = [(C, name, h(C)) for C, name in zip(U.members, U.names)]
+    for C, name, k in members:
+        if k >= 2:
+            TC = U.T(C)
+            with laxalg._recorded(failures, "unit laws at %s" % name):
+                if compose_fun(U.m(C), U.eta(TC)) != identity_fun(TC):
+                    failures.append("left unit law fails at %s" % name)
+                if compose_fun(U.m(C), U.T_fun(U.eta(C))) != identity_fun(TC):
+                    failures.append("right unit law fails at %s" % name)
+        if k >= 3:
+            with laxalg._recorded(failures, "associativity at %s" % name):
+                if compose_fun(U.m(C), U.T_fun(U.m(C))) != compose_fun(
+                    U.m(C), U.m(TC)
+                ):
+                    failures.append("associativity law fails at %s" % name)
+
+    # strict functoriality of T and naturality of the structure maps
+    structural = []
+    for C, name, k in members:
+        if k >= 1:
+            with laxalg._recorded(failures, "T on identity at %s" % name):
+                if U.T_fun(identity_fun(C)) != identity_fun(U.T(C)):
+                    failures.append("T(id) != id at %s" % name)
+            structural.append(("eta at %s" % name, U.eta(C)))
+            if k >= 2:
+                structural.append(("m at %s" % name, U.m(C)))
+    for label, F in structural:
+        if min(h(F.src), h(F.tgt)) >= 1:
+            with laxalg._recorded(failures, "eta naturality (%s)" % label):
+                if compose_fun(U.eta(F.tgt), F) != compose_fun(
+                    U.T_fun(F), U.eta(F.src)
+                ):
+                    failures.append("eta not natural along %s" % label)
+        if min(h(F.src), h(F.tgt)) >= 2:
+            with laxalg._recorded(failures, "m naturality (%s)" % label):
+                if compose_fun(U.m(F.tgt), U.T_fun(U.T_fun(F))) != compose_fun(
+                    U.T_fun(F), U.m(F.src)
+                ):
+                    failures.append("m not natural along %s" % label)
+    for label1, F in structural:
+        for label2, G in structural:
+            if F.tgt == G.src and min(h(F.src), h(F.tgt), h(G.tgt)) >= 1:
+                with laxalg._recorded(failures, "T strictness"):
+                    if U.T_fun(compose_fun(G, F)) != compose_fun(
+                        U.T_fun(G), U.T_fun(F)
+                    ):
+                        failures.append(
+                            "T not strict on %s after %s" % (label2, label1)
+                        )
+
+    # coherence pastings, where enough iterates exist
+    for C, name, k in members:
+        if k >= 4:
+            with laxalg._recorded(failures, "associativity pasting at %s" % name):
+                TC = U.T(C)
+                lhs = laxalg._vv(
+                    whisker_left(U.m(C), U.mu(TC)),
+                    whisker_right(U.mu(C), U.T_fun(U.m(TC))),
+                    whisker_left(U.m(C), U.T_nat(U.mu(C))),
+                )
+                rhs = laxalg._vv(
+                    whisker_right(U.mu(C), U.m(U.T(TC))),
+                    whisker_right(U.mu(C), U.T_fun(U.T_fun(U.m(C)))),
+                )
+                failures += _unequal_at("associativity pasting", lhs, rhs, name + ": ")
+        if k >= 3:
+            with laxalg._recorded(failures, "triangle pasting at %s" % name):
+                TC = U.T(C)
+                lhs = laxalg._vv(
+                    whisker_left(U.m(C), U.tau(TC)),
+                    whisker_right(U.mu(C), U.T_fun(U.eta(TC))),
+                )
+                rhs = whisker_left(U.m(C), U.T_nat(U.iota(C)))
+                failures += _unequal_at("triangle pasting", lhs, rhs, name + ": ")
+
+    return verdict_all(failures)
 
 
 def triple_loop_monoid_check(elements, unit, table):

@@ -1,5 +1,5 @@
 from fin2cat import fincat
-from fin2cat.descent import descent, descent_projection, lax_descent
+from fin2cat.descent import descent, lax_descent
 from helpers import (
     chain3,
     idem_cat,
@@ -27,7 +27,7 @@ def test_identity_diagram_recovers_base():
 def test_projection_recovers_underlying_object():
     C = walking_arrow()
     DC = lax_descent(identity_diagram(C))
-    p = descent_projection(DC)
+    p = DC.projection
     assert p.src == DC.carrier and p.tgt == C
     for o in DC.carrier.objects:
         assert p.ob(o) == DC.data[o].f
@@ -89,6 +89,6 @@ def test_descent_morphism_compatibility_condition():
     DC = lax_descent(D)
     # morphism condition m . fbar = fbar . m holds for all of Z/2
     assert len(DC.carrier.morphisms) == 2
-    p = descent_projection(DC)
+    p = DC.projection
     for m in DC.carrier.morphisms:
         assert p.mor(m) in ("e", "s")

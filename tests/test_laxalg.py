@@ -36,6 +36,7 @@ from helpers import (
     discrete,
     nonassociative_mutants,
     one_object_cat,
+    pasted_check_pseudomonad,
     pasted_lax_morphism,
     pasted_transformation,
     terminal_cat,
@@ -893,29 +894,53 @@ def test_pseudomonad_laws_run_where_their_iterates_exist():
         assert check_pseudomonad(U).failures == want
 
 
-def _pseudomonad_outcome(universe, M, seeds):
+def _pseudomonad_outcome(check, U):
     try:
-        v = check_pseudomonad(universe(M, seeds, 3))
+        v = check(U)
     except ValueError as e:
         return type(e).__name__, str(e)
     return v.ok, v.failures
 
 
-def test_pseudomonad_failures_match_uncached_universe():
+def _pseudomonad_mutants():
+    """The 6 non-associative mutants of the order-2 monoids, then 40 of
+    the order-3 ones drawn with a fixed seed."""
     cases = []
     for els, unit, table in _small_monoids():
         for bad in nonassociative_mutants(els, unit, table):
             cases.append((els, unit, bad))
     small = [c for c in cases if len(c[0]) <= 2]
     assert len(small) == 6
-    sample = random.Random(3).sample([c for c in cases if len(c[0]) == 3], 40)
-    for els, unit, bad in small + sample:
+    return small + random.Random(3).sample([c for c in cases if len(c[0]) == 3], 40)
+
+
+def test_pseudomonad_failures_match_uncached_universe():
+    for els, unit, bad in _pseudomonad_mutants():
         M = Monoid(els, unit, bad, check=False)
         for seeds in ([("1", terminal_cat())], [("A", walking_arrow())]):
-            fast = _pseudomonad_outcome(laxalg.MonadUniverse, M, seeds)
-            slow = _pseudomonad_outcome(UncachedUniverse, M, seeds)
+            fast = _pseudomonad_outcome(check_pseudomonad, monoid_two_monad(M, seeds, 3))
+            slow = _pseudomonad_outcome(check_pseudomonad, UncachedUniverse(M, seeds, 3))
             assert fast == slow
             assert fast[0] is False
+
+
+def test_pseudomonad_check_matches_the_pasted_check():
+    # the theorem check_pseudomonad rests on, checked once: T's strictness,
+    # the naturality of m and eta and the assembled coherence pastings add
+    # no failure, and change no exception, beyond those of the identity
+    # cells the pastings are built from
+    lawful = [(els, unit, table, True) for els, unit, table in _small_monoids()]
+    assert len(lawful) == 38
+    mutants = [(els, unit, bad, False) for els, unit, bad in _pseudomonad_mutants()]
+    for els, unit, table, lawful_table in lawful + mutants:
+        for depth in (3, 4):
+            M = Monoid(els, unit, table, check=lawful_table)
+            cells, pasted = (
+                _pseudomonad_outcome(check, monoid_two_monad(M, _seeds(), depth))
+                for check in (check_pseudomonad, pasted_check_pseudomonad)
+            )
+            assert cells == pasted, (table, depth)
+            assert cells[0] is lawful_table, (table, depth)
 
 
 def _make_fun_calls(monkeypatch, universe):

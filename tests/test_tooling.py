@@ -16,7 +16,7 @@ from contextlib import redirect_stdout
 import fin2cat.cli  # noqa: F401  (loads every module)
 from fin2cat import cli, codescent, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
-from helpers import code_lines, pinned_slate, run_python
+from helpers import code_lines, pinned_slate, run_python, walking_arrow
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -224,23 +224,36 @@ def _laxalg_frames():
     return names
 
 
+def _stacks_of(monkeypatch, owners, name):
+    """Wrap owner.name, on every owner that holds the same function, so
+    that each call appends the laxalg functions on its stack to the list
+    returned."""
+    stacks = []
+    real = getattr(owners[0], name)
+
+    def counted(*args, **kw):
+        stacks.append(_laxalg_frames())
+        return real(*args, **kw)
+
+    for owner in owners:
+        if vars(owner).get(name) is real:
+            monkeypatch.setattr(owner, name, counted)
+    return stacks
+
+
+def _fincat_stacks(monkeypatch, name):
+    """_stacks_of fincat.name, wherever a fin2cat module imported it."""
+    modules = [m for m in list(sys.modules.values()) if m.__name__.startswith("fin2cat")]
+    return _stacks_of(monkeypatch, [fincat] + modules, name)
+
+
 def test_lax_morphism_checks_paste_nothing(monkeypatch):
     # counts, not timings: for hom and verify-prop-descent across the
     # slate, no fincat.paste call comes from the lax-morphism or
     # transformation checks, and enumerate_hom_category's compose_fun
     # calls are the two of fbar_boundary for each functor of [Y, Z],
     # however many fbar candidates there are
-    calls = {"paste": [], "compose_fun": []}
-    for name, stacks in calls.items():
-        real = getattr(fincat, name)
-
-        def counted(*args, _real=real, _stacks=stacks):
-            _stacks.append(_laxalg_frames())
-            return _real(*args)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("fin2cat") and vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, counted)
+    calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun")}
     candidates = []
     morphism = laxalg.LaxMorphism
     monkeypatch.setattr(
@@ -270,3 +283,34 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
         functors, fbars = functors + n, fbars + len(candidates)
     # the slate tries more candidates than it has functors
     assert fbars > functors > 0
+
+
+def test_check_pseudomonad_pastes_nothing(monkeypatch):
+    # counts, not timings: check-pseudomonad on every universe of the
+    # slate's workspaces, and check_pseudomonad for Z/2 over the walking
+    # arrow at depth 4, where both coherence pastings run, make no
+    # fincat.paste call (so no whisker) and no T_nat call; the identity
+    # cells of the pastings are still built
+    pastes = _fincat_stacks(monkeypatch, "paste")
+    T_nats = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "T_nat")
+    mus = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "mu")
+    universes = 0
+    for path in sorted({argv[2] for argv in pinned_slate().values()}):
+        for name in cli.load(path).universes:
+            argv = ["check-pseudomonad", "--input", path, name]
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0, out.getvalue()
+            universes += 1
+    z2 = laxalg.Monoid(
+        ["e", "s"],
+        "e",
+        {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"},
+    )
+    U = laxalg.monoid_two_monad(z2, [("A", walking_arrow())], 4)
+    assert laxalg.check_pseudomonad(U)
+    assert universes == 3  # U, U2 and U3
+    for stacks in (pastes, T_nats):
+        assert not any("check_pseudomonad" in names for names in stacks)
+    # the triangle pasting's mu at each of A and T(A), the associativity
+    # pasting's two at A
+    assert sum("check_pseudomonad" in names for names in mus) >= 4
