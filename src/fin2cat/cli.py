@@ -41,7 +41,7 @@ import sys
 from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
 from .descent import descent, lax_descent
 from .errors import BoundaryMismatch, CoherenceViolation, MalformedWord, ParseError, UnknownCommand
-from .fincat import compose_fun, hom_cat, identity_fun, make_fincat, make_fun, make_nat
+from .fincat import compose_fun, identity_fun, make_fincat, make_fun, make_nat
 from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
     LaxAlgebra,
@@ -361,13 +361,14 @@ def _cmd_build_tzy(ws, args, budget, probes):
     yname, zname = _args(args, 2, "build-tzy <source> <target>")
     y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
     D = build_Tzy(y.universe, y, z)
-    # D3 is a view that enumerates nothing; its size is that of the
-    # functor category it views
-    D3 = hom_cat(D.D3.source, D.D3.target)
+    # D3 is a view that enumerates nothing.  T^2 Y = M x (M x Y) with M
+    # discrete is |M|^2 copies of Y, so D3 = [T^2 Y, Z] is the product of
+    # |M|^2 copies of D1 = [Y, Z], and its sizes are D1's to that power
+    copies = len(y.universe.monoid.elements) ** 2
     data = {}
-    for level, C in (("D1", D.D1), ("D2", D.D2), ("D3", D3)):
-        data["%s_objects" % level] = len(C.objects)
-        data["%s_morphisms" % level] = len(C.morphisms)
+    for level, C, k in (("D1", D.D1, 1), ("D2", D.D2, 1), ("D3", D.D1, copies)):
+        data["%s_objects" % level] = len(C.objects) ** k
+        data["%s_morphisms" % level] = len(C.morphisms) ** k
     return "pass", [], data, []
 
 

@@ -20,10 +20,13 @@ functor of D1, as build_Tzy and the codescent probes do.  D1 and D2 are
 enumerated HomCats; D3 is a fincat.FunctorView, since the descent
 equations read the top level only at the faces Dp_i(fbar) and the cells
 Dsig_f, and enumerating it would cost |obj D|^|obj C| functors and more.
+For the same reason the faces out of D2 (Dp0, Dp1, Dp2 and Ds0) are
+fincat.OnDemandFuns: each image is computed on its first read, so the
+view interns only what the equations and the cells reach.
 """
 
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import Fun, FunctorView, compose_fun, identity_fun, make_nat, whisker_right
+from .fincat import Fun, FunctorView, OnDemandFun, compose_fun, identity_fun, make_nat, whisker_right
 from .freegen import SHAPE_CELLS, SHAPE_EDGES
 
 # freegen's three-level shape with every name prefixed by D.  FACES gives
@@ -104,28 +107,38 @@ def hom_diagram(D1, D2, D3, faces, cells):
     HomCats, and D3 is the (source, target) pair of the top level, which
     is built here as a FunctorView and so is never enumerated.
 
-    faces maps each face to its pair of actions (on functors, on cells);
-    a face out of D1 or D2 acts on every functor and cell its source
-    enumerates, and the view interns the images of the faces into D3.  A
-    face so given is a functor by theorem and is built without proof.
-    cells maps each comparison cell to its transformation at a functor of
-    D1; each cell is proved by make_nat."""
+    faces maps each face to its pair of actions (on functors, on cells).
+    A face out of D1 (Dd0, Dd1) acts on every functor and cell of D1 at
+    once, as the boundaries of the cells take it as their inner functor,
+    which compose_fun reads whole.  A face out of D2 (Ds0, Dp0, Dp1,
+    Dp2) is an OnDemandFun: it acts on a functor or cell of D2 when that
+    image is first read, so the view interns only the images the cells
+    and the descent equations reach.  A face so given is a functor by
+    theorem and is built without proof.  cells maps each comparison cell
+    to its transformation at a functor of D1; each cell is proved by
+    make_nat."""
     kw = {"D1": D1, "D2": D2, "D3": FunctorView(*D3)}
     for name, (src, tgt) in FACES.items():
-        on_fun, on_nat = faces[name]
         S, T = kw[src], kw[tgt]
-        kw[name] = Fun(
-            S,
-            T,
-            {o: T.obj_id(on_fun(S.functor_of(o))) for o in S.objects},
-            {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
-        )
+        ob, mor = _images(S, T, *faces[name])
+        if src == "D2":
+            kw[name] = OnDemandFun(S, T, ob, mor)
+        else:
+            kw[name] = Fun(S, T, {o: ob(o) for o in S.objects}, {m: mor(m) for m in S.morphisms})
     functors = [(o, D1.functor_of(o)) for o in D1.objects]
     for name, (src, tgt) in CELLS.items():
         F, G = face_composite(kw, src, D1), face_composite(kw, tgt, D1)
         at = cells[name]
         kw[name] = make_nat(F, G, {o: F.tgt.mor_id(at(f)) for o, f in functors})
     return make_delta_diagram(**kw)
+
+
+def _images(S, T, on_fun, on_nat):
+    """A face's image of the functor o and of the cell m of S, as ids in T."""
+    return (
+        lambda o: T.obj_id(on_fun(S.functor_of(o))),
+        lambda m: T.mor_id(on_nat(S.nat_of(m))),
+    )
 
 
 class DotExtension:

@@ -14,10 +14,14 @@ tests/test_fincat.py proves each theorem once:
 test_products_and_functor_categories_are_categories,
 test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
-test_universe_members_and_T_are_lawful and
-test_codescent_probe_faces_are_lawful.  The lax-morphism checks of
-laxalg compare components alone, as the two sides of each of their
-pastings share a boundary; tests/test_laxalg.py proves that once, in
+test_universe_members_and_T_are_lawful,
+test_codescent_probe_faces_are_lawful and, for the sizes build-tzy
+reports for [T^2 Y, Z] without enumerating it,
+test_top_level_sizes_are_powers_of_the_bottom_level and
+test_top_level_sizes_are_powers_of_the_bottom_level_on_drawn_carriers.
+The lax-morphism checks of laxalg compare components alone, as the two
+sides of each of their pastings share a boundary; tests/test_laxalg.py
+proves that once, in
 test_componentwise_checks_match_pastings_on_fixture_pairs and
 test_componentwise_checks_match_pastings_on_drawn_families.
 check_pseudomonad builds the identity cells of the 2-monad's coherence
@@ -45,7 +49,10 @@ interns the functors and transformations it is handed, keyed by their
 components, composes them componentwise as HomCat does, and refuses
 every reader of the whole category with NotEnumerated.  It is the top
 level of the hom-dual three-level diagrams (deltadiag.hom_diagram),
-which the descent equations read only at a few faces and cells.
+which the descent equations read only at a few faces and cells.  The
+faces of those diagrams out of their middle level are OnDemandFuns: each
+image is computed on its first read, and a reader of the whole functor
+raises NotEnumerated too.
 """
 
 import functools
@@ -306,6 +313,39 @@ class Fun:
 
     def __repr__(self):
         return "Fun(%r -> %r)" % (self.src, self.tgt)
+
+
+class _OnDemand(dict):
+    """A functor's map that computes each image, image(key), on its first
+    lookup and keeps it.  A reader of the whole map (iteration, length,
+    membership, keys, items, values, get, copy, equality) raises
+    NotEnumerated rather than answer from the part computed so far."""
+
+    def __init__(self, image):
+        self.image = image
+
+    def __missing__(self, key):
+        self[key] = value = self.image(key)
+        return value
+
+    def _whole(self, *args):
+        raise NotEnumerated("a map computed on demand is never read whole")
+
+    __iter__ = __len__ = __contains__ = __eq__ = __ne__ = _whole
+    keys = items = values = get = copy = _whole
+
+
+class OnDemandFun(Fun):
+    """A functor whose images ob(x) and mor(m) are computed on their first
+    read and kept (see _OnDemand).  ob and mor and the outer functor of
+    compose_fun read it one image at a time.  Equality with another
+    functor between the same categories, make_fun on its maps and use as
+    the inner functor of compose_fun take it whole, and raise
+    NotEnumerated."""
+
+    def __init__(self, src, tgt, ob, mor):
+        self.src, self.tgt = src, tgt
+        self.on_obj, self.on_mor = _OnDemand(ob), _OnDemand(mor)
 
 
 def make_fun(src, tgt, on_obj, on_mor):

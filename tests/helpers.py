@@ -389,6 +389,41 @@ def view_in_oracle(V):
     return H, obj, mor
 
 
+def eager_face(S, T, on_fun, on_nat):
+    """A face of hom_diagram from S to T with the actions on_fun and
+    on_nat, applied to every functor and cell S enumerates: the route
+    before the faces out of D2 acted on demand, and their oracle."""
+    return fincat.Fun(
+        S,
+        T,
+        {o: T.obj_id(on_fun(S.functor_of(o))) for o in S.objects},
+        {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
+    )
+
+
+def forced(F):
+    """F read at every object and morphism of its source, one image at a
+    time, as a functor with its maps held whole."""
+    return fincat.Fun(
+        F.src,
+        F.tgt,
+        {x: F.ob(x) for x in F.src.objects},
+        {m: F.mor(m) for m in F.src.morphisms},
+    )
+
+
+def enumerated_level_sizes(y, z):
+    """build-tzy's sizes read off the enumerated levels [T^k Y, Z] for
+    k = 0, 1, 2, the route before D3 was sized by theorem, and its
+    oracle."""
+    U, Y, data = y.universe, y.Z, {}
+    for level, C in zip(("D1", "D2", "D3"), (Y, U.T(Y), U.T(U.T(Y)))):
+        H = fincat.hom_cat(C, z.Z)
+        data["%s_objects" % level] = len(H.objects)
+        data["%s_morphisms" % level] = len(H.morphisms)
+    return data
+
+
 def face_in_oracle(F, obj, mor, H):
     """A face F into a FunctorView, carried into the view's oracle H by
     the id maps of view_in_oracle."""
@@ -1214,10 +1249,10 @@ def pinned_slate():
     """ROADMAP's determinism slate: test_7's commands, then hom (lax and
     pseudo), verify-prop-descent and build-tzy on every algebra pair of
     the first two fixtures, duplicates dropped, then descent and
-    lax-descent on the diagram of z2_on_three.json.  Each argv is keyed
-    by its words with the fixture paths cut to their file names.
-    build-tzy on z2_on_three.json is left out: it counts the 531,441
-    functors of [T^2 P3, P3]."""
+    lax-descent on the diagram of z2_on_three.json and build-tzy on its
+    pair swap -> fix, whose top level [T^2 P3, P3] has 531,441 functors
+    and is sized without enumerating them.  Each argv is keyed by its
+    words with the fixture paths cut to their file names."""
     argvs = [list(a) for a in CLI_SLATE]
     for path, algebras in ((MONAD_FX, ("idalg", "const1")), (Z2_FX, ("swap", "skew"))):
         for y, z in itertools.product(algebras, repeat=2):
@@ -1227,6 +1262,7 @@ def pinned_slate():
             argvs.append(["build-tzy", "--input", path, y, z])
     for command in ("descent", "lax-descent"):
         argvs.append([command, "--input", Z2_ON_THREE_FX, "Dswapfix"])
+    argvs.append(["build-tzy", "--input", Z2_ON_THREE_FX, "swap", "fix"])
     slate = {}
     for argv in argvs:
         key = " ".join(os.path.basename(w) if w.startswith(FIXTURES) else w for w in argv)

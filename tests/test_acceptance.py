@@ -563,6 +563,10 @@ SLATE_PINS = (
      "9b2e414cf0caa31eee03ab65bda3a17c853b27d3875a47ddaf05557d23b9bba5"),
     ("lax-descent --input z2_on_three.json Dswapfix", 0,
      "2801a578af80e9a74cdcaf7f820df692d56212f0775e7f188ac444df671ffb77"),
+    # D1 27/27, D2 729/729, D3 531,441/531,441: checked by direct counts
+    # in test_build_tzy_on_three_points_within_its_gates
+    ("build-tzy --input z2_on_three.json swap fix", 0,
+     "dd30e5fbea21e8a17d99c9b50de0049fb224136f4ced51df97eb8b222356c72a"),
 )
 
 
@@ -636,6 +640,50 @@ def test_verify_prop_descent_on_three_points_within_its_gates():
             assert rep[key]["match"] is True
         assert got["seconds"] <= 2, (y, z, got)
         assert got["rss_mib"] <= 200, (y, z, got)
+
+
+# build-tzy on one algebra pair of z2_on_three.json, in a fresh
+# interpreter: its exit code, its report, its seconds and its peak RSS in
+# MiB, as JSON
+_THREE_POINTS_TZY = """
+import io, json, resource, sys, time
+from contextlib import redirect_stdout
+from fin2cat.cli import main
+t0 = time.perf_counter()
+with redirect_stdout(io.StringIO()) as out:
+    code = main(["build-tzy", "--input"] + sys.argv[1:])
+print(json.dumps({
+    "seconds": time.perf_counter() - t0,
+    "rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "code": code,
+    "report": json.loads(out.getvalue()),
+}))
+"""
+
+
+def test_build_tzy_on_three_points_within_its_gates():
+    # P3 is discrete, so a functor into it from a discrete category is a
+    # map of objects, and its only transformations are identities: each
+    # level [T^k P3, P3] has 3^|obj T^k P3| functors and as many
+    # morphisms, counted here without building a functor category
+    ws = load(Z2_ON_THREE_FX)
+    y = ws.algebras["swap"]
+    P3, U = y.Z, y.universe
+    assert ws.algebras["fix"].Z is P3
+    sources = [P3, U.T(P3), U.T(U.T(P3))]
+    assert all(C.is_identity(m) for C in sources for m in C.morphisms)
+    want = {}
+    for level, C in zip(("D1", "D2", "D3"), sources):
+        n = len(P3.objects) ** len(C.objects)
+        want["%s_objects" % level] = want["%s_morphisms" % level] = n
+    assert [want["D%d_objects" % k] for k in (1, 2, 3)] == [27, 729, 531441]
+    done = run_python("-c", _THREE_POINTS_TZY, Z2_ON_THREE_FX, "swap", "fix")
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["code"] == 0 and got["report"]["status"] == "pass", got
+    assert got["report"]["data"] == want
+    assert got["seconds"] <= 2, got
+    assert got["rss_mib"] <= 200, got
 
 
 # ---------------------------------------------------------------------------

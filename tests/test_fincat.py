@@ -1,11 +1,12 @@
 import hashlib
 import os
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fin2cat
-from fin2cat import codescent, deltadiag, fincat
+from fin2cat import cli, codescent, deltadiag, fincat, laxalg
 from fin2cat.cli import load
 from fin2cat.codescent import build_Ay_strict, lax_codescent
 from fin2cat.deltadiag import make_delta_diagram
@@ -30,8 +31,11 @@ from helpers import (
     chain3,
     constant_fun,
     discrete,
-    identity_fun_on,
+    eager_face,
+    enumerated_level_sizes,
     face_in_oracle,
+    forced,
+    identity_fun_on,
     layered_cat,
     materialised,
     one_object_cat,
@@ -916,6 +920,148 @@ def test_whole_category_reads_on_a_view_raise_not_enumerated():
     assert repr(V).startswith("FunctorView(")
 
 
+def _recorded_hom_diagrams(monkeypatch):
+    """The list of (diagram, the actions of its faces) that each
+    hom_diagram call from laxalg or codescent appends to."""
+    built = []
+    real = deltadiag.hom_diagram
+
+    def recording(D1, D2, D3, faces, cells):
+        built.append((real(D1, D2, D3, faces, cells), faces))
+        return built[-1][0]
+
+    for module in (laxalg, codescent):
+        monkeypatch.setattr(module, "hom_diagram", recording)
+    return built
+
+
+def _probe_descent(ws):
+    """verify_codescent_universal on const1 with the probes 1 and C2."""
+    z = ws.algebras["const1"]
+    A = build_Ay_strict(z.universe, z)
+    probes = [("1", ws.categories["1"]), ("C2", ws.categories["C2"])]
+    return codescent.verify_codescent_universal(A, lax_codescent(A), probes)
+
+
+@pytest.mark.parametrize(
+    "case", FIXTURE_PAIRS + ["probes"], ids=lambda c: c if c == "probes" else "-".join(c)
+)
+def test_on_demand_faces_match_the_eager_faces(monkeypatch, case):
+    # after the descent equations have read each diagram, every face out
+    # of D2, forced at every functor and cell of D2, equals the face built
+    # eagerly into the same levels; the faces out of D1 are eager already
+    built = _recorded_hom_diagrams(monkeypatch)
+    if case == "probes":
+        assert _probe_descent(load(os.path.join(FIXTURES, "monad_on_2.json")))["status"] == "pass"
+        assert len(built) == 2
+    else:
+        fixture, y, z = case
+        ws = load(os.path.join(FIXTURES, fixture))
+        y, z = ws.algebras[y], ws.algebras[z]
+        lax_descent(build_Tzy(y.universe, y, z))
+        assert len(built) == 1
+    for D, faces in built:
+        for name, (src, tgt) in deltadiag.FACES.items():
+            F = getattr(D, name)
+            assert isinstance(F, fincat.OnDemandFun) == (src == "D2"), name
+            want = eager_face(getattr(D, src), getattr(D, tgt), *faces[name])
+            assert forced(F) == want, name
+
+
+def test_whole_reads_of_an_on_demand_face_raise_not_enumerated():
+    # before and after the face is forced, so neither from a part of its
+    # maps nor from all of them; lookups keep working
+    ws = load(os.path.join(FIXTURES, "z2_action.json"))
+    y, z = ws.algebras["swap"], ws.algebras["skew"]
+    D = build_Tzy(y.universe, y, z)
+    lax_descent(D)
+    V = D.D3
+    out_of_view = fincat.Fun(V, V, {}, {})
+    for F, other, outer in (
+        (D.Ds0, None, D.Dd0),
+        (D.Dp0, D.Dp1, out_of_view),
+        (D.Dp1, D.Dp2, out_of_view),
+        (D.Dp2, D.Dp0, out_of_view),
+    ):
+        for _ in range(2):
+            whole = forced(F)
+            reads = {
+                "equality": lambda: F == whole,
+                "reflected equality": lambda: whole == F,
+                "inequality": lambda: F != whole,
+                "reflected inequality": lambda: whole != F,
+                "make_fun": lambda: fincat.make_fun(F.src, F.tgt, F.on_obj, F.on_mor),
+                "inner functor of compose_fun": lambda: fincat.compose_fun(outer, F),
+                "map equality": lambda: whole.on_obj == F.on_obj,
+                "map inequality": lambda: F.on_mor != whole.on_mor,
+                "len": lambda: len(F.on_obj),
+                "iteration": lambda: list(F.on_mor),
+                "dict": lambda: dict(F.on_obj),
+                "membership": lambda: next(iter(whole.on_obj)) in F.on_obj,
+                "get": lambda: F.on_mor.get(next(iter(whole.on_mor))),
+                "keys": lambda: F.on_obj.keys(),
+                "items": lambda: F.on_mor.items(),
+                "values": lambda: F.on_obj.values(),
+                "copy": lambda: F.on_mor.copy(),
+            }
+            if other is not None:
+                reads["another face"] = lambda: F == other
+            for name, read in reads.items():
+                with pytest.raises(NotEnumerated):
+                    read()
+            assert all(F.ob(x) == fx for x, fx in whole.on_obj.items())
+            assert all(F.mor(m) == fm for m, fm in whole.on_mor.items())
+    assert D.Ds0 == D.Ds0 and not D.Dp0 != D.Dp0
+    # _unpreserved takes a face's map one image at a time: through the
+    # view, whose table it reads, it is refused, and into D1 it forces
+    # what it reads and answers as the eager face does
+    with pytest.raises(NotEnumerated):
+        fincat._unpreserved(D.D2, V, D.Dp0.on_mor)
+    assert fincat._unpreserved(D.D2, D.D1, D.Ds0.on_mor) is None
+
+
+def _build_tzy_sizes(y, z):
+    """build-tzy's report data for the algebras y and z."""
+    ws = types.SimpleNamespace(algebras={"y": y, "z": z})
+    status, _, data, _ = cli._cmd_build_tzy(ws, ["y", "z"], None, None)
+    assert status == "pass"
+    return data
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_top_level_sizes_are_powers_of_the_bottom_level(fixture, y, z):
+    # T^2 Y is |M|^2 copies of Y, so [T^2 Y, Z] is [Y, Z]^(|M|^2)
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    assert _build_tzy_sizes(y, z) == enumerated_level_sizes(y, z)
+
+
+@st.composite
+def trivial_action_pairs(draw):
+    """Two carriers of at most two objects and at most one non-identity
+    arrow each, and the trivial actions on them of Z/2 or of the
+    idempotent monoid {e, a}."""
+
+    def carrier():
+        n = draw(st.integers(1, 2))
+        if n == 2 and draw(st.booleans()):
+            return walking_arrow()
+        endos = ["1"] * n
+        endos[draw(st.integers(0, n - 1))] = draw(st.sampled_from(sorted(SMALL_MONOIDS)))
+        return layered_cat(n, [], endos)
+
+    Y, Z = carrier(), carrier()
+    els, table = SMALL_MONOIDS[draw(st.sampled_from(["z2", "idem"]))]
+    U = laxalg.monoid_two_monad(laxalg.Monoid(els, "e", table), [("Y", Y), ("Z", Z)], 2)
+    return tuple(laxalg.strict_algebra(U, C, U.T(C).proj2) for C in (Y, Z))
+
+
+@settings(max_examples=30, deadline=None)
+@given(trivial_action_pairs())
+def test_top_level_sizes_are_powers_of_the_bottom_level_on_drawn_carriers(pair):
+    assert _build_tzy_sizes(*pair) == enumerated_level_sizes(*pair)
+
+
 def test_hom_cat_non_composable_pair_matches_fincat_message():
     # [G, G] for the one-object Z/2 category G: the identity functor and
     # the trivial one have the same object image, so a cell on one and a
@@ -1158,12 +1304,15 @@ def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
     y, z = ws.algebras[y], ws.algebras[z]
     U = y.universe
     D = build_Tzy(U, y, z)
-    assert_lawful(D.D1, D.D2, funs=[D.Dd0, D.Dd1, D.Ds0])
+    # the faces out of D2 act on demand, so each is forced at every
+    # functor and cell of D2 before it is proved
+    assert_lawful(D.D1, D.D2, funs=[D.Dd0, D.Dd1, forced(D.Ds0)])
     lax = lax_descent(D)
     # the top level is a view, so its oracle is proved, and the faces
     # into it are proved in the oracle
+    faces = [forced(F) for F in (D.Dp0, D.Dp1, D.Dp2)]
     H, obj, mor = view_in_oracle(D.D3)
-    assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in (D.Dp0, D.Dp1, D.Dp2)])
+    assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in faces])
     strict = invertible_part(lax)
     assert_lawful(
         lax.carrier,
@@ -1251,8 +1400,8 @@ def test_codescent_probe_faces_are_lawful(monkeypatch):
     assert report["status"] == "pass"
     assert len(diagrams) == 2
     for kw in diagrams:
-        assert_lawful(kw["D1"], kw["D2"], funs=[kw[f] for f in ("Dd0", "Dd1", "Ds0")])
+        assert_lawful(kw["D1"], kw["D2"], funs=[kw["Dd0"], kw["Dd1"], forced(kw["Ds0"])])
         assert kw["D3"].source is A.A3
+        faces = [forced(kw[f]) for f in ("Dp0", "Dp1", "Dp2")]
         H, obj, mor = view_in_oracle(kw["D3"])
-        faces = [face_in_oracle(kw[f], obj, mor, H) for f in ("Dp0", "Dp1", "Dp2")]
-        assert_lawful(H, funs=faces)
+        assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in faces])

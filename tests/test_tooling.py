@@ -16,7 +16,8 @@ from contextlib import redirect_stdout
 import fin2cat.cli  # noqa: F401  (loads every module)
 from fin2cat import cli, codescent, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
-from helpers import code_lines, pinned_slate, run_python, walking_arrow
+from fin2cat.descent import lax_descent
+from helpers import Z2_ON_THREE_FX, code_lines, pinned_slate, run_python, walking_arrow
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -172,7 +173,8 @@ def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
 
 # the commands that build a three-level diagram, and the source of its top
 # level, given the loaded workspace and the command's names: T^2 Y for
-# the descent comparison, A3 = T^3 Z for the codescent probes
+# the descent comparison and build-tzy, A3 = T^3 Z for the codescent
+# probes
 def _top_level_source(ws, command, names):
     if command in ("descent", "lax-descent"):
         y, _ = ws.diagrams[names[0]]
@@ -188,9 +190,9 @@ def _top_level_source(ws, command, names):
 
 def test_the_slate_enumerates_no_top_level(monkeypatch):
     # counts, not timings: across the slate, descent, lax-descent,
-    # verify-prop-descent and verify-codescent enumerate the functors of
-    # their two lower levels and never those out of the top level's
-    # source, which is a view
+    # verify-prop-descent, verify-codescent and build-tzy enumerate the
+    # functors of their two lower levels and never those out of the top
+    # level's source, which is a view and is sized by theorem
     sources = []
     enumerate_functors = fincat._enumerate_functors
     monkeypatch.setattr(
@@ -198,7 +200,7 @@ def test_the_slate_enumerates_no_top_level(monkeypatch):
         "_enumerate_functors",
         lambda C, D: sources.append(C) or enumerate_functors(C, D),
     )
-    commands = ("descent", "lax-descent", "verify-prop-descent", "verify-codescent")
+    commands = ("descent", "lax-descent", "verify-prop-descent", "verify-codescent", "build-tzy")
     seen = []
     for argv in pinned_slate().values():
         if argv[0] not in commands:
@@ -212,6 +214,20 @@ def test_the_slate_enumerates_no_top_level(monkeypatch):
         seen.append(argv[0])
     assert set(seen) == set(commands)
     assert seen.count("descent") == seen.count("lax-descent") == 2
+    assert seen.count("build-tzy") == 9  # z2_on_three.json swap -> fix among them
+
+
+def test_the_descent_equations_intern_few_top_level_functors():
+    # counts, not timings: on z2_on_three.json swap -> swap, [T^2 P3, P3]
+    # has 531,441 functors and D2 has 729; the faces out of D2 act on
+    # demand, so the view interns only what the cells and lax_descent's
+    # candidates reach (2,109 functors when the faces acted on all of D2)
+    ws = cli.load(Z2_ON_THREE_FX)
+    y = ws.algebras["swap"]
+    D = laxalg.build_Tzy(y.universe, y, y)
+    assert len(D.D2.objects) == 729
+    lax_descent(D)
+    assert len(D.D3.functors) < 100
 
 
 def _laxalg_frames():
