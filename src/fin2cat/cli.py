@@ -360,15 +360,15 @@ def _cmd_verify_prop_descent(ws, args, budget, probes):
 def _cmd_build_tzy(ws, args, budget, probes):
     yname, zname = _args(args, 2, "build-tzy <source> <target>")
     y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
-    D = build_Tzy(y.universe, y, z)
-    # D3 is a view that enumerates nothing.  T^2 Y = M x (M x Y) with M
-    # discrete is |M|^2 copies of Y, so D3 = [T^2 Y, Z] is the product of
-    # |M|^2 copies of D1 = [Y, Z], and its sizes are D1's to that power
-    copies = len(y.universe.monoid.elements) ** 2
+    D1 = build_Tzy(y.universe, y, z).D1
+    # D2 and D3 are views that enumerate nothing.  T^k Y = M x ... x M x Y
+    # with M discrete is |M|^k copies of Y, so [T^k Y, Z] is the product
+    # of |M|^k copies of D1 = [Y, Z], and its sizes are D1's to that power
+    copies = len(y.universe.monoid.elements)
     data = {}
-    for level, C, k in (("D1", D.D1, 1), ("D2", D.D2, 1), ("D3", D.D1, copies)):
-        data["%s_objects" % level] = len(C.objects) ** k
-        data["%s_morphisms" % level] = len(C.morphisms) ** k
+    for level, k in (("D1", 1), ("D2", copies), ("D3", copies**2)):
+        data["%s_objects" % level] = len(D1.objects) ** k
+        data["%s_morphisms" % level] = len(D1.morphisms) ** k
     return "pass", [], data, []
 
 

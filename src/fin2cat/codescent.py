@@ -59,6 +59,7 @@ from .errors import (
     MonadLawViolation,
 )
 from .fincat import (
+    PowerView,
     compose_fun,
     composition_table,
     hom_cat,
@@ -613,7 +614,10 @@ def verify_codescent_universal(A, Q, probes):
     probes are (name, category) pairs.  For each probe X, maps the codescent data into X (hom-dual of the
     levels, with n-cells crossing: Dn0 comes from An1 and vice versa),
     takes lax descent, and compares against the hom category out of the
-    quotient by isomorphism search."""
+    quotient by isomorphism search.  A is a free resolution
+    (build_Ay_strict): A2 = M x A1 and A3 = M x A2 are |M| and |M|^2
+    copies of A1, so [A2, X] and [A3, X] are PowerViews over the
+    enumerated [A1, X]."""
     report = {"status": "pass", "probes": {}}
     if Q.status != FINITE:
         report["status"] = "undecided"
@@ -624,8 +628,10 @@ def verify_codescent_universal(A, Q, probes):
     for c in CELLS:
         alpha = getattr(A, _up(_CROSS.get(c, c)))
         cells[c] = lambda F, alpha=alpha: whisker_left(F, alpha)
+    k = len(A.A2.factors[0].objects)
     for name, X in probes:
-        D = hom_diagram(hom_cat(A.A1, X), hom_cat(A.A2, X), (A.A3, X), faces, cells)
+        D1 = hom_cat(A.A1, X)
+        D = hom_diagram(D1, PowerView(D1, A.A2, k), PowerView(D1, A.A3, k * k), faces, cells)
         DC = lax_descent(D)
         H = hom_cat(L, X)
         pair = iso_categories(H, DC.carrier)

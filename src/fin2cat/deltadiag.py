@@ -16,17 +16,18 @@ The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and CELLS:
 make_delta_diagram checks against them, codescent reads them upward, and
 hom_diagram builds the diagram on three functor categories from the
 faces' actions (precompose for precomposition) and the cells at each
-functor of D1, as build_Tzy and the codescent probes do.  D1 and D2 are
-enumerated HomCats; D3 is a fincat.FunctorView, since the descent
-equations read the top level only at the faces Dp_i(fbar) and the cells
-Dsig_f, and enumerating it would cost |obj D|^|obj C| functors and more.
-For the same reason the faces out of D2 (Dp0, Dp1, Dp2 and Ds0) are
-fincat.OnDemandFuns: each image is computed on its first read, so the
-view interns only what the equations and the cells reach.
+functor of D1, as build_Tzy and the codescent probes do.  D1 is an
+enumerated HomCat; D2 and D3 are fincat.PowerViews over it, as their
+sources are |M| and |M|^2 copies of D1's, and enumerating them would
+cost |obj D|^|obj C| functors and more, while the descent equations
+read them only at the candidates fbar, the faces Dp_i(fbar) and the
+cells Dsig_f.  For the same reason every face is a fincat.OnDemandFun
+and every cell a fincat.OnDemandNat: each image or component is computed
+on its first read, so the views name only what the equations reach.
 """
 
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import Fun, FunctorView, OnDemandFun, compose_fun, identity_fun, make_nat, whisker_right
+from .fincat import OnDemandFun, OnDemandNat, compose_fun, identity_fun, whisker_right
 from .freegen import SHAPE_CELLS, SHAPE_EDGES
 
 # freegen's three-level shape with every name prefixed by D.  FACES gives
@@ -63,11 +64,15 @@ def _require_nat(name, a, src_fun, tgt_fun):
 
 def face_composite(fields, path, base):
     """The composite functor of a path of two faces named in fields, or the
-    identity of the category base for the empty path."""
+    identity of the category base for the empty path.  After an
+    OnDemandFun the composite is on demand too, read one image at a
+    time."""
     if not path:
         return identity_fun(base)
-    first, then = path
-    return compose_fun(fields[then], fields[first])
+    F, G = (fields[face] for face in path)
+    if isinstance(F, OnDemandFun):
+        return OnDemandFun(F.src, G.tgt, lambda x: G.ob(F.ob(x)), lambda m: G.mor(F.mor(m)))
+    return compose_fun(G, F)
 
 
 def check_shape(kw, fields, faces, cells):
@@ -103,34 +108,28 @@ def precompose(G):
 
 
 def hom_diagram(D1, D2, D3, faces, cells):
-    """The three-level diagram on functor categories: D1 and D2 are
-    HomCats, and D3 is the (source, target) pair of the top level, which
-    is built here as a FunctorView and so is never enumerated.
+    """The three-level diagram on the functor categories D1, D2 and D3,
+    read only where it is asked: D1 is an enumerated HomCat, and D2 and
+    D3 are fincat.PowerViews over it.
 
-    faces maps each face to its pair of actions (on functors, on cells).
-    A face out of D1 (Dd0, Dd1) acts on every functor and cell of D1 at
-    once, as the boundaries of the cells take it as their inner functor,
-    which compose_fun reads whole.  A face out of D2 (Ds0, Dp0, Dp1,
-    Dp2) is an OnDemandFun: it acts on a functor or cell of D2 when that
-    image is first read, so the view interns only the images the cells
-    and the descent equations reach.  A face so given is a functor by
-    theorem and is built without proof.  cells maps each comparison cell
-    to its transformation at a functor of D1; each cell is proved by
-    make_nat."""
-    kw = {"D1": D1, "D2": D2, "D3": FunctorView(*D3)}
+    faces maps each face to its pair of actions (on functors, on cells),
+    and cells maps each comparison cell to its transformation at a
+    functor of D1.  Every face is an OnDemandFun, acting on a functor or
+    cell when that image is first read, and every cell an OnDemandNat,
+    computed at a functor of D1 when first read, between the composites
+    of its faces (face_composite, on demand too).  So the views hold only
+    the images the descent equations reach.  Faces and cells so given
+    are functors and transformations by theorem (a face pre- or
+    postcomposes, and a cell whiskers proved cells), and are built
+    without proof; tests/test_fincat.py proves them once."""
+    kw = {"D1": D1, "D2": D2, "D3": D3}
     for name, (src, tgt) in FACES.items():
-        S, T = kw[src], kw[tgt]
-        ob, mor = _images(S, T, *faces[name])
-        if src == "D2":
-            kw[name] = OnDemandFun(S, T, ob, mor)
-        else:
-            kw[name] = Fun(S, T, {o: ob(o) for o in S.objects}, {m: mor(m) for m in S.morphisms})
-    functors = [(o, D1.functor_of(o)) for o in D1.objects]
+        kw[name] = OnDemandFun(kw[src], kw[tgt], *_images(kw[src], kw[tgt], *faces[name]))
     for name, (src, tgt) in CELLS.items():
         F, G = face_composite(kw, src, D1), face_composite(kw, tgt, D1)
         at = cells[name]
-        kw[name] = make_nat(F, G, {o: F.tgt.mor_id(at(f)) for o, f in functors})
-    return make_delta_diagram(**kw)
+        kw[name] = OnDemandNat(F, G, lambda o, at=at, T=G.tgt: T.mor_id(at(D1.functor_of(o))))
+    return DeltaDiagram(**kw)
 
 
 def _images(S, T, on_fun, on_nat):

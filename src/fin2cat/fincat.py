@@ -9,16 +9,20 @@ are lawful by theorem build them directly from proved structures:
 products, functor categories, composites, pasting and category_over (the
 lax and strict descent carriers and the algebra hom categories) here; T
 on functors and cells and universe members in laxalg; the pre- and
-postcomposition faces of the three-level diagrams.  A test in
-tests/test_fincat.py proves each theorem once:
+postcomposition faces and the comparison cells of the three-level
+diagrams.  A test in tests/test_fincat.py proves each theorem once:
 test_products_and_functor_categories_are_categories,
 test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
 test_universe_members_and_T_are_lawful,
-test_codescent_probe_faces_are_lawful and, for the sizes build-tzy
-reports for [T^2 Y, Z] without enumerating it,
-test_top_level_sizes_are_powers_of_the_bottom_level and
+test_codescent_probe_faces_are_lawful (the faces and cells of the
+three-level diagrams too, which are built without proof) and, for the
+sizes build-tzy reports for [T Y, Z] and [T^2 Y, Z] without enumerating
+them, test_top_level_sizes_are_powers_of_the_bottom_level and
 test_top_level_sizes_are_powers_of_the_bottom_level_on_drawn_carriers.
+A PowerView names every functor and transformation as the enumerated
+functor category does: test_functor_view_matches_hom_cat and the tests
+after it prove that against HomCat.
 The lax-morphism checks of laxalg compare components alone, as the two
 sides of each of their pastings share a boundary; tests/test_laxalg.py
 proves that once, in
@@ -44,17 +48,21 @@ Objects and morphisms are identifier strings; a category is its composition
 table.  A functor category (HomCat) holds no table when it is built: its
 composites are computed on demand, componentwise in the target's table,
 and the table itself is assembled only for a reader that takes it whole
-(see HomCat).  A FunctorView of [C, D] enumerates nothing at all: it
-interns the functors and transformations it is handed, keyed by their
-components, composes them componentwise as HomCat does, and refuses
-every reader of the whole category with NotEnumerated.  It is the top
-level of the hom-dual three-level diagrams (deltadiag.hom_diagram),
-which the descent equations read only at a few faces and cells.  The
-faces of those diagrams out of their middle level are OnDemandFuns: each
-image is computed on its first read, and a reader of the whole functor
-raises NotEnumerated too.
+(see HomCat).  A PowerView of [C, D], for C the k-fold copy of B,
+enumerates nothing at all: [C, D] is [B, D]^k, so it reads everything
+off the enumerated [B, D], names functors and transformations by their
+rank in HomCat(C, D)'s order, composes and inverts them copy by copy
+in [B, D], and refuses every reader of the whole category with
+NotEnumerated.  The levels [T Y, Z] and [T^2 Y, Z] of the hom-dual
+three-level diagrams (deltadiag.hom_diagram) are PowerViews over
+[Y, Z], which the descent equations read only at a few faces and cells.
+The faces of those diagrams are OnDemandFuns and their cells
+OnDemandNats: each image or component is computed on its first read,
+and a reader of the whole functor or transformation raises
+NotEnumerated too.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -467,6 +475,19 @@ class NatT:
         return "NatT(%d components)" % len(self.components)
 
 
+class OnDemandNat(NatT):
+    """A natural transformation whose components at(x) are computed on
+    their first read and kept (see _OnDemand): at reads it one component
+    at a time, and a reader of all its components, equality included,
+    raises NotEnumerated."""
+
+    def __init__(self, src, tgt, at):
+        self.src, self.tgt, self.components = src, tgt, _OnDemand(at)
+
+    def __repr__(self):
+        return "OnDemandNat(%r => %r)" % (self.src, self.tgt)
+
+
 def make_nat(F, G, components):
     """Build a natural transformation F => G, checking every square."""
     if F.src != G.src or F.tgt != G.tgt:
@@ -772,10 +793,11 @@ class HomCat(FinCat):
     target, and products and pastes over a HomCat.  Callers that take one
     composite at a time (make_nat, FinCat.inverse, the descent equations,
     category_over) go through compose and never force it.  Where only a
-    few functors are ever read, FunctorView skips the enumeration too.
+    few functors are ever read, PowerView skips the enumeration too.
     """
 
     def __init__(self, C, D):
+        self.source, self.target = C, D
         keyed = sorted(
             ((_fun_key(F), F) for F in _enumerate_functors(C, D)), key=lambda t: t[0]
         )
@@ -864,65 +886,208 @@ def hom_cat(C, D):
     return HomCat(C, D)
 
 
-class FunctorView:
-    """The functor category [C, D], read only where it is asked.
+class PowerView:
+    """The functor category [C, D] for C the k-fold copy of B, read off
+    base = [B, D], an enumerated HomCat, and never enumerated itself.
 
-    Nothing is enumerated and no table is held.  obj_id interns a
-    functor by its key (_fun_key) under the next free number, mor_id
-    interns a transformation under its _nat_key on those numbers, and
-    compose interns each vertical composite, its components looked up in
-    D's table; functors, dom and cod hold what has been interned.  So an
-    id depends on the order things came in, and is good only within the
-    view: D3's ids never reach a report.  A functor category is a
-    category, so nothing is proved.
+    C lists its objects and morphisms in k blocks, each in B's order, as
+    M x B does for a discrete M; so T^j Y is |M|^j copies of Y.  A
+    functor C -> D is a k-tuple of functors B -> D and a transformation
+    a k-tuple of transformations: [C, D] is base^k (Street 1976), and
+    hom, compose and inverse go copy by copy through base.  A functor
+    category is a category, so nothing is proved.
 
-    A reader that takes the whole category (objects, morphisms,
-    identity, compose_table, hom, inverse, equality with another
-    category, and through them make_fun, iso_categories, functor
-    enumeration and products) raises NotEnumerated rather than answer
-    from the part interned so far.
+    Ids are HomCat(C, D)'s, found by ranking (Kreher and Stinson 1999).
+    HomCat sorts functors by _fun_key, here the concatenation of the
+    copies' keys, and base lists the functors of one object image
+    together: so a functor's rank counts the tuples with a smaller
+    object image, then reads the copies' places within their runs in
+    mixed radix (_weigh), and _unrank inverts that.  HomCat sorts
+    transformations by their source and target ids as strings ("F10"
+    before "F2"), then by components.  So the transformations out of F
+    come after the out-degrees of the functors whose decimal rank sorts
+    before F's, summed over one interval of ranks per digit count
+    (_before); among them, those into G come after the hom-set sizes
+    from F of the targets whose id sorts before G's (_targets); and
+    within hom(F, G) the copies' places in base's hom-sets read in
+    mixed radix.
+
+    Any functor id reads back (functor_of).  A transformation is known
+    once the view has named it (mor_id, hom, compose, inverse), and dom,
+    cod and nat_of read what is known.  A reader that takes the whole
+    category (objects, morphisms, identity, compose_table, equality with
+    another category, and through them make_fun, iso_categories, functor
+    enumeration and products) raises NotEnumerated.
     """
 
-    def __init__(self, C, D):
-        self.source, self.target = C, D
-        self.functors, self.dom, self.cod, self._ids = {}, {}, {}, {}
-        self._component_of = D.compose_table.__getitem__
+    def __init__(self, base, C, k):
+        self.source, self.target, self._base, self._k = C, base.target, base, k
+        self._rank = {f: r for r, f in enumerate(base.objects)}
+        # each base functor's key and the run of base ranks that share its
+        # object image, and each base transformation's place in its
+        # hom-set with the size of the hom-set
+        self._key = {f: key for key, f in base._fun_ids.items()}
+        images = [image for image, _ in base._fun_ids]
+        self._run = [(bisect.bisect_left(images, i), bisect.bisect_right(images, i)) for i in images]
+        self._place = {m: (i, len(ms)) for ms in base._hom.values() for i, m in enumerate(ms)}
+        self._n, self._count = len(images), len(images) ** k
+        self._into, degrees = {}, [0] * self._n
+        for f, g in base._hom:
+            self._into.setdefault(f, []).append(g)
+            degrees[self._rank[f]] += len(base._hom[f, g])
+        self._degrees = list(itertools.accumulate(degrees, initial=0)).__getitem__
+        self._below = {self._count: self._degrees(self._n) ** k}
+        self._obj_ids, self._fids, self._tuples, self._funs, self._from = {}, {}, {}, {}, {}
+        self._mor_ids, self._ids, self._keys, self._composites = {}, {}, {}, {}
+        self.dom, self.cod = {}, {}
 
     def _whole(self, *args):
-        raise NotEnumerated(
-            "%r is a view: it reads only the functors and transformations"
-            " asked for, never the whole category" % (self,)
-        )
+        raise NotEnumerated("%r is a view, never read whole" % (self,))
 
     objects = morphisms = identity = compose_table = property(_whole)
-    hom = inverse = _whole
 
     def __eq__(self, other):
         return other is self or self._whole()
 
+    def _weigh(self, t, P=int):
+        """The weight of the functors before the tuple t of base functors
+        in HomCat's order, a functor weighing the product of its copies'
+        weights; P(r) weighs the base ranks below r (each weighs 1 by
+        default)."""
+        smaller = same = 0
+        total = run = 1
+        for f in reversed(t):
+            r = self._rank[f]
+            (s, e), at = self._run[r], P(r)
+            lo, hi = P(s), P(e)
+            smaller = lo * total + (hi - lo) * smaller
+            same = (at - lo) * run + (P(r + 1) - at) * same
+            total, run = total * P(self._n), run * (hi - lo)
+        return smaller + same
+
+    def _unrank(self, R):
+        """The tuple of base functors of rank R: each copy's object image
+        is the run that holds R // A, for A the tuples per base functor
+        there, and then come the places within the runs."""
+        runs, size = [], 1
+        for p in range(self._k - 1, -1, -1):
+            A = size * self._n**p
+            s, e = self._run[R // A]
+            R, size = R - s * A, size * (e - s)
+            runs.append((s, e))
+        t = []
+        for s, e in reversed(runs):
+            R, w = divmod(R, e - s)
+            t.insert(0, self._base.objects[s + w])
+        return tuple(t)
+
+    def _before(self, v):
+        """The out-degrees of the functors whose decimal rank sorts
+        before str(v), summed: for each digit count d, of the d-digit
+        ranks up to v's first d digits (d shorter than v), below v (as
+        long) or below v followed by zeros (longer)."""
+        s, out, c = str(v), 0, self._count
+        for d in range(1, len(str(c - 1)) + 1):
+            lo = 10 ** (d - 1) if d > 1 else 0
+            hi = int(s[:d]) + 1 if d < len(s) else v * 10 ** (d - len(s))
+            # the d-digit ranks from lo up to hi, none from c on
+            for sign, R in ((1, min(max(hi, lo), c)), (-1, min(lo, c))):
+                if R not in self._below:  # the out-degrees below rank R, summed
+                    self._below[R] = self._weigh(self._unrank(R), self._degrees)
+                out += sign * self._below[R]
+        return out
+
+    def _targets(self, x):
+        """The rank of the first transformation out of x, and the place
+        among those of the first transformation x => y, for each target
+        y of x."""
+        if x not in self._from:
+            t, rows = self._tuple(x), []
+            for G in itertools.product(*map(self._into.__getitem__, t)):
+                rows.append((self._fid(G), math.prod(len(self._base._hom[fg]) for fg in zip(t, G))))
+            ys, sizes = zip(*sorted(rows))
+            self._from[x] = (self._before(int(x[1:])), dict(zip(ys, itertools.accumulate(sizes, initial=0))))
+        return self._from[x]
+
+    def _fid(self, t):
+        """The id of the functor whose copies are the base functors t."""
+        if t not in self._fids:
+            self._fids[t] = fid = "F%d" % self._weigh(t)
+            self._tuples[fid] = t
+        return self._fids[t]
+
+    def _tuple(self, fid):
+        """The base functors of the copies of the functor fid."""
+        if fid not in self._tuples:
+            R = int(fid[1:]) if fid[1:].isdecimal() else self._count
+            if fid != "F%d" % R or R >= self._count:
+                raise KeyError(fid)
+            self._tuples[fid] = self._unrank(R)
+        return self._tuples[fid]
+
+    def _copies(self, names):
+        """names cut into the k blocks of the copies."""
+        n = len(names) // self._k
+        return [names[i * n : (i + 1) * n] for i in range(self._k)]
+
+    def _nat_id(self, x, y, ms):
+        """The id of the transformation x => y whose copies are the base
+        transformations ms."""
+        if ms not in self._ids:
+            at = 0
+            for i, size in map(self._place.__getitem__, ms):
+                at = at * size + i
+            first, places = self._targets(x)
+            self._ids[ms] = nid = "n%d" % (first + places[y] + at)
+            self._keys[nid], self.dom[nid], self.cod[nid] = ms, x, y
+        return self._ids[ms]
+
     def obj_id(self, F):
-        i = self._ids.setdefault(_fun_key(F), len(self._ids))
-        self.functors.setdefault(i, F)
-        return i
+        key = _fun_key(F)
+        if key not in self._obj_ids:
+            keys = zip(*map(self._copies, key))
+            self._obj_ids[key] = self._fid(tuple(map(self._base._fun_ids.__getitem__, keys)))
+        return self._obj_ids[key]
 
     def mor_id(self, a):
-        return self._intern(_nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt)))
+        key = x, y, comps = _nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt))
+        if key not in self._mor_ids:
+            keys = zip(self._tuple(x), self._tuple(y), self._copies(comps))
+            self._mor_ids[key] = self._nat_id(x, y, tuple(map(self._base._nat_ids.__getitem__, keys)))
+        return self._mor_ids[key]
 
-    def _intern(self, key):
-        self.dom[key], self.cod[key] = key[0], key[1]
-        return key
+    def functor_of(self, fid):
+        if fid not in self._funs:
+            C, keys = self.source, map(self._key.__getitem__, self._tuple(fid))
+            objs, mors = (itertools.chain(*part) for part in zip(*keys))
+            self._funs[fid] = Fun(C, self.target, zip(C.objects, objs), zip(C.morphisms, mors))
+        return self._funs[fid]
+
+    def nat_of(self, nid):
+        comps = itertools.chain(*map(self._base._comps.__getitem__, self._keys[nid]))
+        F, G = self.functor_of(self.dom[nid]), self.functor_of(self.cod[nid])
+        return NatT(F, G, zip(self.source.objects, comps))
+
+    def hom(self, x, y):
+        homs = map(self._base.hom, self._tuple(x), self._tuple(y))
+        return tuple(self._nat_id(x, y, ms) for ms in itertools.product(*homs))
 
     def compose(self, g, f):
-        """Vertical composite of f followed by g, taken componentwise in
-        the target category, and interned."""
-        x = self.cod.get(f)
-        if x is None or x != self.dom.get(g):
-            raise FinCat._not_composable(self, g, f)
-        pairs = zip(g[2], f[2])
-        return self._intern((f[0], g[1], tuple(map(self._component_of, pairs))))
+        """Vertical composite of f followed by g, copy by copy in base."""
+        if (g, f) not in self._composites:
+            if f not in self.cod or self.cod[f] != self.dom.get(g):
+                raise FinCat._not_composable(self, g, f)
+            copies = map(self._base.compose, self._keys[g], self._keys[f])
+            self._composites[g, f] = self._nat_id(self.dom[f], self.cod[g], tuple(copies))
+        return self._composites[g, f]
+
+    def inverse(self, m):
+        """The two-sided inverse of m, copy by copy in base, or None."""
+        inverses = tuple(map(self._base.inverse, self._keys[m]))
+        return None if None in inverses else self._nat_id(self.cod[m], self.dom[m], inverses)
 
     def __repr__(self):
-        return "FunctorView(%r -> %r)" % (self.source, self.target)
+        return "PowerView(%r -> %r)" % (self.source, self.target)
 
 
 def _obj_profile(C):

@@ -50,6 +50,7 @@ from .errors import (
 from .fincat import (
     Fun,
     NatT,
+    PowerView,
     _fun_key,
     category_over,
     compose_fun,
@@ -106,13 +107,13 @@ class MonadUniverse:
     AxiomViolation.  m, eta give the structure functors at a member,
     mu/iota/tau their (identity) comparison cells.
 
-    m, eta and T on functors are memoised on the universe: each distinct
-    structure functor (m or eta at a member, T(F) for each functor F
-    between members) is built once, the first time it is asked for, and
-    every later call returns that same object.  The memo lives as long as
-    the universe does; a failed build is not remembered and fails again
-    on the next call.  Members are found by identity first, so index_of
-    on a member compares no tables.
+    m, eta, mu and T on functors are memoised on the universe: each
+    distinct structure functor or cell (m, eta or mu at a member, T(F)
+    for each functor F between members) is built once, the first time it
+    is asked for, and every later call returns that same object.  The
+    memo lives as long as the universe does; a failed build is not
+    remembered and fails again on the next call.  Members are found by
+    identity first, so index_of on a member compares no tables.
 
     What is proved: m and eta by make_fun, since they read the monoid's
     table, and a Monoid(check=False) table may hold anything; mu, iota
@@ -242,9 +243,12 @@ class MonadUniverse:
     def mu(self, C):
         """Associativity cell m.T(m) => m.m_T at member C (identity)."""
         mC = self.m(C)
-        return identity_cell(
-            compose_fun(mC, self.T_fun(mC)),
-            compose_fun(mC, self.m(self.T(C))),
+        return self._memoised(
+            ("mu", self.index_of(C)),
+            lambda: identity_cell(
+                compose_fun(mC, self.T_fun(mC)),
+                compose_fun(mC, self.m(self.T(C))),
+            ),
         )
 
     def iota(self, C):
@@ -607,16 +611,20 @@ def enumerate_hom_category(U, y, z, cls="lax", levels=None):
     """The category of lax (or pseudo) morphisms y -> z and their
     transformations, over [Y, Z]: objects (F#, n#) are named after the
     functor and comparison-cell identifiers in the hom categories.
-    levels, when given, are the already built [Y, Z] and [TY, Z].  The
-    candidates fbar are [TY, Z]'s cells on fbar_boundary, typed by
-    construction, so they go to _componentwise's checks directly, built
-    once for each f that has a candidate.  Transformations compose, so
-    category_over builds the table without proof."""
+    levels, when given, are the already built [Y, Z] and [TY, Z]; by
+    default [Y, Z] is enumerated and [TY, Z] is a PowerView over it, as
+    TY is |M| copies of Y, which names its cells as the enumerated
+    [TY, Z] would.  The candidates fbar are [TY, Z]'s cells on
+    fbar_boundary, typed by construction, so they go to _componentwise's
+    checks directly, built once for each f that has a candidate.
+    Transformations compose, so category_over builds the table without
+    proof."""
     if cls not in ("lax", "pseudo"):
         raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
     Y, Z = y.Z, z.Z
     if levels is None:
-        levels = (hom_cat(Y, Z), hom_cat(U.T(Y), Z))
+        d1 = hom_cat(Y, Z)
+        levels = (d1, PowerView(d1, U.T(Y), len(U.monoid.elements)))
     d1, d2 = levels
     laws, square = _componentwise(U, y, z)
     over, data = {}, {}
@@ -650,9 +658,11 @@ def build_Tzy(U, y, z):
     Levels are the hom categories out of Y, TY, T^2 Y into Z; the faces
     precompose with the action/multiplication or apply a_z.T(-), and the
     comparison cells whisker zbar/zbar0 of the two algebras.  hom_diagram
-    builds the faces without proof and proves the cells.  [Y, Z] and
-    [TY, Z] are enumerated, as enumerate_hom_category reads them too;
-    [T^2 Y, Z] is a view that holds only what the faces and cells reach."""
+    builds the faces and cells without proof, each acting where it is
+    read.  [Y, Z] is enumerated; TY and T^2 Y are |M| and |M|^2 copies
+    of Y, so [TY, Z] and [T^2 Y, Z] are PowerViews over [Y, Z], which
+    name only what the descent equations and enumerate_hom_category
+    reach."""
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
     T2Y = U.T(TY)
@@ -661,10 +671,11 @@ def build_Tzy(U, y, z):
         return compose_fun(z.a, U.T_fun(F))
 
     acting = (act, lambda n: whisker_left(z.a, U.T_nat(n)))
+    D1, k = hom_cat(Y, Z), len(U.monoid.elements)
     return hom_diagram(
-        hom_cat(Y, Z),
-        hom_cat(TY, Z),
-        (T2Y, Z),
+        D1,
+        PowerView(D1, TY, k),
+        PowerView(D1, T2Y, k * k),
         faces={
             "Dd0": precompose(y.a),
             "Dd1": acting,

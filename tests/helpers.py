@@ -11,7 +11,7 @@ from collections import deque
 from unittest import mock
 
 import fin2cat
-from fin2cat import cli, codescent, deltadiag, fincat, laxalg
+from fin2cat import cli, codescent, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import (
     AxiomViolation,
@@ -356,43 +356,40 @@ def proved_nat(a):
 
 
 def materialised(build, *args):
-    """build(*args) with the top level of every hom_diagram enumerated as
-    a HomCat, the route before deltadiag built it as a FunctorView: the
-    oracle for the view.  HomCat answers obj_id, mor_id, compose,
-    functor_of and nat_of as the view does, under F#/n# names."""
-    with mock.patch.object(deltadiag, "FunctorView", fincat.HomCat):
+    """build(*args) with every level above the bottom of every
+    hom_diagram enumerated as a HomCat, the route before those levels
+    were PowerViews: the oracle for the views.  HomCat answers obj_id,
+    mor_id, hom, compose, inverse, functor_of and nat_of as a view does,
+    under the same F#/n# names."""
+    def enumerated(base, C, k):
+        return fincat.hom_cat(C, base.target)
+
+    with mock.patch.object(laxalg, "PowerView", enumerated), mock.patch.object(
+        codescent, "PowerView", enumerated
+    ):
         return build(*args)
 
 
 def view_in_oracle(V):
-    """Map what the FunctorView V has interned into its oracle, the
-    enumerated H = hom_cat(V.source, V.target).  Every interned functor
-    and transformation must be one of H's (a KeyError otherwise), and
-    every composite of two interned transformations must map to H's
-    composite.  Returns H and the maps of object and morphism ids."""
+    """The enumerated oracle H = hom_cat(V.source, V.target) of the
+    PowerView V, after checking that every functor and transformation V
+    has named is H's under the same id, and that V composes every
+    composable pair of the transformations it has named as H does."""
     H = fincat.hom_cat(V.source, V.target)
-    obj = {i: H.obj_id(F) for i, F in V.functors.items()}
-    assert all(H.functor_of(obj[i]) == F for i, F in V.functors.items())
-    assert all(V.obj_id(F) == i for i, F in V.functors.items())
-
-    def mor(m):
-        assert (V.dom[m], V.cod[m]) == m[:2]
-        return H._nat_ids[(obj[m[0]], obj[m[1]], m[2])]
-
-    assert all(mor(m) in H.dom for m in V.dom)
-    into = {}
-    for f in V.dom:
-        into.setdefault(V.cod[f], []).append(f)
-    for g in list(V.dom):
-        for f in into.get(V.dom[g], ()):
-            assert mor(V.compose(g, f)) == H.compose(mor(g), mor(f))
-    return H, obj, mor
+    assert all(V.functor_of(x) == H.functor_of(x) for x in list(V._tuples))
+    named = list(V._keys)
+    assert all(V.nat_of(m) == H.nat_of(m) for m in named)
+    for g in named:
+        for f in named:
+            if H.cod[f] == H.dom[g]:
+                assert V.compose(g, f) == H.compose(g, f)
+    return H
 
 
 def eager_face(S, T, on_fun, on_nat):
     """A face of hom_diagram from S to T with the actions on_fun and
     on_nat, applied to every functor and cell S enumerates: the route
-    before the faces out of D2 acted on demand, and their oracle."""
+    before the faces acted on demand, and their oracle."""
     return fincat.Fun(
         S,
         T,
@@ -401,14 +398,29 @@ def eager_face(S, T, on_fun, on_nat):
     )
 
 
-def forced(F):
-    """F read at every object and morphism of its source, one image at a
-    time, as a functor with its maps held whole."""
+def forced(F, src=None, tgt=None):
+    """F read at every object and morphism of src (F's source unless
+    given, such as the oracle of a view), one image at a time, as a
+    functor src -> tgt (F's target unless given) with its maps held
+    whole."""
+    src, tgt = src or F.src, tgt or F.tgt
     return fincat.Fun(
-        F.src,
-        F.tgt,
-        {x: F.ob(x) for x in F.src.objects},
-        {m: F.mor(m) for m in F.src.morphisms},
+        src,
+        tgt,
+        {x: F.ob(x) for x in src.objects},
+        {m: F.mor(m) for m in src.morphisms},
+    )
+
+
+def forced_cell(a, tgt):
+    """The cell a of a diagram built by hom_diagram, read at every functor
+    of its source D1, between its boundary functors forced into tgt (the
+    oracle of the level a lands in)."""
+    D1 = a.src.src
+    return fincat.NatT(
+        forced(a.src, D1, tgt),
+        forced(a.tgt, D1, tgt),
+        {x: a.at(x) for x in D1.objects},
     )
 
 
@@ -422,17 +434,6 @@ def enumerated_level_sizes(y, z):
         data["%s_objects" % level] = len(H.objects)
         data["%s_morphisms" % level] = len(H.morphisms)
     return data
-
-
-def face_in_oracle(F, obj, mor, H):
-    """A face F into a FunctorView, carried into the view's oracle H by
-    the id maps of view_in_oracle."""
-    return fincat.Fun(
-        F.src,
-        H,
-        {o: obj[k] for o, k in F.on_obj.items()},
-        {m: mor(k) for m, k in F.on_mor.items()},
-    )
 
 
 class UncachedUniverse(laxalg.MonadUniverse):
@@ -1163,6 +1164,49 @@ def recursive_enumerate_paths(G, a, b, max_len):
     walk(a, [])
     found.sort(key=lambda es: (len(es), es))
     return [Path(G, a, es) for es in found]
+
+
+def z2_swap_workspace(n):
+    """A workspace in which Z/2 acts on the discrete category P on the
+    first n of the points a, b, c, ... by swapping a and b: the strict
+    algebra swap, in a universe of depth 3, declared as z2_on_three.json
+    declares its swap for n = 3."""
+    points = "abcdefgh"[:n]
+    moved = {"a": "b", "b": "a"}
+
+    def act(g, x):
+        return moved.get(x, x) if g == "s" else x
+
+    pairs = [(g, x) for g in "es" for x in points]
+    return {
+        "categories": {
+            "P": {
+                "objects": list(points),
+                "morphisms": {"id" + x: [x, x] for x in points},
+                "identities": {x: "id" + x for x in points},
+                "compose": [["id" + x] * 3 for x in points],
+            }
+        },
+        "monoids": {
+            "z2": {
+                "elements": ["e", "s"],
+                "unit": "e",
+                "table": [["e", "e", "e"], ["e", "s", "s"], ["s", "e", "s"], ["s", "s", "e"]],
+            }
+        },
+        "universes": {"U": {"monoid": "z2", "seeds": ["P"], "depth": 3}},
+        "algebras": {
+            "swap": {
+                "universe": "U",
+                "carrier": "P",
+                "kind": "strict",
+                "action": {
+                    "on_objects": {"(%s,%s)" % (g, x): act(g, x) for g, x in pairs},
+                    "on_morphisms": {"(%s,id%s)" % (g, x): "id" + act(g, x) for g, x in pairs},
+                },
+            }
+        },
+    }
 
 
 def run_python(*args):

@@ -3,13 +3,12 @@ import os
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fin2cat
 from fin2cat import cli, codescent, deltadiag, fincat, laxalg
 from fin2cat.cli import load
 from fin2cat.codescent import build_Ay_strict, lax_codescent
-from fin2cat.deltadiag import make_delta_diagram
 from fin2cat.descent import invertible_part, lax_descent
 from fin2cat.errors import (
     AxiomViolation,
@@ -25,6 +24,7 @@ from fin2cat.laxalg import (
     enumerate_hom_category,
 )
 from helpers import (
+    Z2_ON_THREE_FX,
     FIXTURE_PAIRS,
     SMALL_MONOIDS,
     brute_force_hom_cat,
@@ -33,8 +33,8 @@ from helpers import (
     discrete,
     eager_face,
     enumerated_level_sizes,
-    face_in_oracle,
     forced,
+    forced_cell,
     identity_fun_on,
     layered_cat,
     materialised,
@@ -825,62 +825,130 @@ def test_enumerations_match_recursive_searches_on_named_categories():
 
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
-    # the top level is a view of [T^2 Y, Z], so the level checked there
-    # is its oracle, hom_cat(T^2 Y, Z)
+    # the levels above the bottom are views of [T Y, Z] and [T^2 Y, Z],
+    # so the levels checked there are their oracles, and the views over
+    # the bottom level answer as those oracles do
     ws = load(os.path.join(FIXTURES, fixture))
     y, z = ws.algebras[y], ws.algebras[z]
-    U = y.universe
+    U, k = y.universe, len(y.universe.monoid.elements)
     D = build_Tzy(U, y, z)
     Y = y.Z
-    T2Y = U.T(U.T(Y))
-    assert D.D3.source is T2Y and D.D3.target is z.Z
-    top = fincat.hom_cat(T2Y, z.Z)
-    for level, source in ((D.D1, Y), (D.D2, U.T(Y)), (top, T2Y)):
-        assert_same_hom_cat(level, source, z.Z)
+    TY, T2Y = U.T(Y), U.T(U.T(Y))
+    assert D.D2.source is TY and D.D3.source is T2Y
+    assert D.D2.target is D.D3.target is z.Z
+    assert_same_hom_cat(D.D1, Y, z.Z)
+    for source, copies in ((TY, k), (T2Y, k * k)):
+        assert_same_hom_cat(fincat.hom_cat(source, z.Z), source, z.Z)
+        assert_view_matches_oracle(D.D1, source, copies)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_categories(), small_categories(), st.data())
-def test_functor_view_matches_hom_cat(C, D, data):
-    # a view handed some of [C, D]'s functors and transformations gives
-    # equal ones equal ids, and composes them as hom_cat does
-    H = fincat.hom_cat(C, D)
-    V = fincat.FunctorView(C, D)
-    funs = data.draw(st.lists(st.sampled_from(H.objects), max_size=3))
-    nats = data.draw(st.lists(st.sampled_from(H.morphisms), max_size=6))
-    for o in funs:
-        F = H.functor_of(o)
-        assert V.obj_id(F) == V.obj_id(fincat.Fun(C, D, F.on_obj, F.on_mor))
-    ids = [V.mor_id(H.nat_of(n)) for n in nats]
-    assert len(set(ids)) == len(set(nats))
-    _, obj, mor = view_in_oracle(V)
-    assert [mor(m) for m in ids] == nats
-    assert all(obj[V.obj_id(H.functor_of(o))] == o for o in funs)
-    for g in ids:
-        for f in ids:
-            if V.cod[f] != V.dom[g]:
-                with pytest.raises(BoundaryMismatch):
-                    V.compose(g, f)
-    for g, f in [(ids[0], "nope"), ("nope", ids[0])] if ids else []:
-        with pytest.raises(BoundaryMismatch):
+def assert_view_matches_oracle(base, C, k, pairs=None):
+    """The PowerView of [C, D] over base = [B, D], for C the k-fold copy
+    of B, answers as its oracle H = hom_cat(C, D): the ids obj_id and
+    mor_id name, functor_of at every id, the hom-sets (on pairs, if
+    given, else on every pair of functors), and, at the transformations
+    those hom-sets name, nat_of, dom and cod, composites, inverses and
+    refusals.  Each reader starts from a fresh view.  Returns H."""
+    H = fincat.hom_cat(C, base.target)
+    V = fincat.PowerView(base, C, k)
+    assert [V.obj_id(H.functor_of(x)) for x in H.objects] == list(H.objects)
+    assert [V.mor_id(H.nat_of(m)) for m in H.morphisms] == list(H.morphisms)
+    V = fincat.PowerView(base, C, k)
+    assert all(V.functor_of(x) == H.functor_of(x) for x in H.objects)
+    V = fincat.PowerView(base, C, k)
+    if pairs is None:
+        pairs = [(x, y) for x in H.objects for y in H.objects]
+    assert all(V.hom(x, y) == H.hom(x, y) for x, y in pairs)
+    named = [m for m in H.morphisms if m in V.dom]
+    assert len(named) == len({m for x, y in pairs for m in H.hom(x, y)})
+    for m in named:
+        assert V.nat_of(m) == H.nat_of(m)
+        assert (V.dom[m], V.cod[m]) == (H.dom[m], H.cod[m])
+        assert V.inverse(m) == H.inverse(m)
+    for (g, f), gf in H.compose_table.items():
+        if g in V.dom and f in V.dom:
+            assert V.compose(g, f) == gf
+    # refusals: a pair that is not composable, with FinCat.compose's
+    # message, and names that are no functor or transformation
+    mors = named[:6]
+    stray = [(g, f) for g in mors for f in mors if (g, f) not in H.compose_table]
+    last = "n%d" % len(H.morphisms)
+    for g, f in stray + [(mors[0], last), ("n01", mors[0]), ("nope", mors[0])]:
+        with pytest.raises(BoundaryMismatch) as want:
+            H.compose(g, f)
+        with pytest.raises(BoundaryMismatch) as got:
             V.compose(g, f)
+        assert str(got.value) == str(want.value)
+    for name in (last, "n01", "F0", "nope"):
+        assert name not in V.dom and V.cod.get(name) is None
+        with pytest.raises(KeyError):
+            V.nat_of(name)
+    for name in ("F%d" % len(H.objects), "F01", "n0", "nope"):
+        with pytest.raises(KeyError):
+            V.functor_of(name)
+    return H
+
+
+@st.composite
+def power_cases(draw):
+    """A category B of at most two objects, a target D (small_categories,
+    so with non-identity arrows) and a number of copies k from 1 to 3,
+    lowered until [B, D]^k has at most 64 functors and 256
+    transformations."""
+    B = draw(small_categories().filter(lambda B: len(B.objects) <= 2))
+    D = draw(small_categories())
+    H = fincat.hom_cat(B, D)
+    k = draw(st.integers(1, 3))
+    while k > 0 and (len(H.objects) ** k > 64 or len(H.morphisms) ** k > 256):
+        k -= 1
+    assume(k > 0)
+    return B, D, k
+
+
+@settings(max_examples=30, deadline=None)
+# 3^3 = 27 functors and 4^2 = 16, so that "F10" sorts before "F2"
+@example((walking_arrow(), walking_arrow(), 3))
+@example((discrete(["p", "q"]), layered_cat(2, [(0, 1)], ["1", "idem"]), 2))
+@given(power_cases())
+def test_functor_view_matches_hom_cat(case):
+    B, D, k = case
+    C = fincat.product_cat(discrete(["c%d" % i for i in range(k)]), B)
+    H = assert_view_matches_oracle(fincat.hom_cat(B, D), C, k)
+    assert len(H.objects) == len(fincat.hom_cat(B, D).objects) ** k
+
+
+def test_power_view_matches_hom_cat_on_three_points():
+    # D2 = [T P3, P3] over [P3, P3], as swap -> fix on z2_on_three.json
+    # reads it: 729 functors, whose ids from F100 on sort before F11 and
+    # so on, and 729 transformations; the hom-sets are compared at every
+    # inhabited pair and at every pair out of the first 40 functors
+    ws = load(Z2_ON_THREE_FX)
+    y = ws.algebras["swap"]
+    U, P3 = y.universe, ws.algebras["fix"].Z
+    H = fincat.hom_cat(U.T(P3), P3)
+    pairs = {(H.dom[m], H.cod[m]) for m in H.morphisms}
+    pairs |= {(x, y) for x in H.objects[:40] for y in H.objects}
+    H = assert_view_matches_oracle(fincat.hom_cat(P3, P3), U.T(P3), 2, sorted(pairs))
+    assert len(H.objects) == len(H.morphisms) == 729
 
 
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_top_level_view_matches_the_materialised_route(fixture, y, z):
-    # everything the descent comparison interns in [T^2 Y, Z] is in the
-    # enumerated functor category, composites included, and the
-    # materialised route gives the same carriers under the same names
+    # everything the descent comparison names in [T Y, Z] and [T^2 Y, Z]
+    # is in the enumerated functor categories under the same ids,
+    # composites included, and the materialised route gives the same
+    # carriers under the same names
     ws = load(os.path.join(FIXTURES, fixture))
     y, z = ws.algebras[y], ws.algebras[z]
     U = y.universe
     D = build_Tzy(U, y, z)
     lax = lax_descent(D)
     strict = invertible_part(lax)
-    assert isinstance(D.D3, fincat.FunctorView)
-    view_in_oracle(D.D3)
+    for level in (D.D2, D.D3):
+        assert isinstance(level, fincat.PowerView)
+        view_in_oracle(level)
     old = materialised(build_Tzy, U, y, z)
-    assert isinstance(old.D3, fincat.HomCat)
+    assert isinstance(old.D2, fincat.HomCat) and isinstance(old.D3, fincat.HomCat)
     old_lax = lax_descent(old)
     assert old_lax.carrier == lax.carrier
     assert invertible_part(old_lax).carrier == strict.carrier
@@ -892,22 +960,20 @@ def test_whole_category_reads_on_a_view_raise_not_enumerated():
     D = build_Tzy(y.universe, y, z)
     lax_descent(D)
     V = D.D3
-    key = next(iter(V.functors))
-    m = next(iter(V.dom))
     reads = {
         "objects": lambda: V.objects,
         "morphisms": lambda: V.morphisms,
         "identity": lambda: V.identity,
         "compose_table": lambda: V.compose_table,
-        "hom": lambda: V.hom(key, key),
-        "inverse": lambda: V.inverse(m),
         "equality": lambda: V == D.D2,
         "reflected equality": lambda: D.D2 == V,
         "inequality": lambda: V != V.source,
         "make_fun from": lambda: fincat.make_fun(V, D.D2, {}, {}),
-        "make_fun into": lambda: fincat.make_fun(D.D2, V, D.Dp0.on_obj, D.Dp0.on_mor),
-        "iso_categories from": lambda: fincat.iso_categories(V, D.D2),
-        "iso_categories into": lambda: fincat.iso_categories(D.D2, V),
+        "make_fun into": lambda: fincat.make_fun(
+            D.D1, V, dict.fromkeys(D.D1.objects, "F0"), dict.fromkeys(D.D1.morphisms, "n0")
+        ),
+        "iso_categories from": lambda: fincat.iso_categories(V, D.D1),
+        "iso_categories into": lambda: fincat.iso_categories(D.D1, V),
         "hom_cat from": lambda: fincat.hom_cat(V, V.target),
         "hom_cat into": lambda: fincat.hom_cat(V.target, V),
         "product": lambda: fincat.product_cat(V, V.target),
@@ -917,7 +983,7 @@ def test_whole_category_reads_on_a_view_raise_not_enumerated():
         with pytest.raises(NotEnumerated):
             read()
     assert V == V and not V != V
-    assert repr(V).startswith("FunctorView(")
+    assert repr(V).startswith("PowerView(")
 
 
 def _recorded_hom_diagrams(monkeypatch):
@@ -943,13 +1009,25 @@ def _probe_descent(ws):
     return codescent.verify_codescent_universal(A, lax_codescent(A), probes)
 
 
+def _levels(D):
+    """The levels of D as enumerated categories: D1, and the oracles of
+    the views D2 and D3, after which each view has named every
+    transformation through its hom-sets, so that the faces out of it can
+    be read at every one."""
+    levels = {"D1": D.D1, "D2": view_in_oracle(D.D2), "D3": view_in_oracle(D.D3)}
+    for V, H in ((D.D2, levels["D2"]), (D.D3, levels["D3"])):
+        for x, y in {(H.dom[m], H.cod[m]) for m in H.morphisms}:
+            assert V.hom(x, y) == H.hom(x, y)
+    return levels
+
+
 @pytest.mark.parametrize(
     "case", FIXTURE_PAIRS + ["probes"], ids=lambda c: c if c == "probes" else "-".join(c)
 )
 def test_on_demand_faces_match_the_eager_faces(monkeypatch, case):
-    # after the descent equations have read each diagram, every face out
-    # of D2, forced at every functor and cell of D2, equals the face built
-    # eagerly into the same levels; the faces out of D1 are eager already
+    # after the descent equations have read each diagram, every face,
+    # forced at every functor and cell of its source, equals the face
+    # built eagerly on the enumerated levels
     built = _recorded_hom_diagrams(monkeypatch)
     if case == "probes":
         assert _probe_descent(load(os.path.join(FIXTURES, "monad_on_2.json")))["status"] == "pass"
@@ -961,11 +1039,12 @@ def test_on_demand_faces_match_the_eager_faces(monkeypatch, case):
         lax_descent(build_Tzy(y.universe, y, z))
         assert len(built) == 1
     for D, faces in built:
+        levels = _levels(D)
         for name, (src, tgt) in deltadiag.FACES.items():
             F = getattr(D, name)
-            assert isinstance(F, fincat.OnDemandFun) == (src == "D2"), name
-            want = eager_face(getattr(D, src), getattr(D, tgt), *faces[name])
-            assert forced(F) == want, name
+            assert isinstance(F, fincat.OnDemandFun), name
+            want = eager_face(levels[src], levels[tgt], *faces[name])
+            assert forced(F, levels[src], levels[tgt]) == want, name
 
 
 def test_whole_reads_of_an_on_demand_face_raise_not_enumerated():
@@ -975,16 +1054,18 @@ def test_whole_reads_of_an_on_demand_face_raise_not_enumerated():
     y, z = ws.algebras["swap"], ws.algebras["skew"]
     D = build_Tzy(y.universe, y, z)
     lax_descent(D)
-    V = D.D3
-    out_of_view = fincat.Fun(V, V, {}, {})
-    for F, other, outer in (
-        (D.Ds0, None, D.Dd0),
-        (D.Dp0, D.Dp1, out_of_view),
-        (D.Dp1, D.Dp2, out_of_view),
-        (D.Dp2, D.Dp0, out_of_view),
+    levels = _levels(D)
+    out_of_top = fincat.Fun(D.D3, D.D3, {}, {})
+    for name, other, outer in (
+        ("Dd0", D.Dd1, D.Ds0),
+        ("Ds0", None, D.Dd0),
+        ("Dp0", D.Dp1, out_of_top),
+        ("Dp1", D.Dp2, out_of_top),
+        ("Dp2", D.Dp0, out_of_top),
     ):
+        F, src = getattr(D, name), levels[deltadiag.FACES[name][0]]
         for _ in range(2):
-            whole = forced(F)
+            whole = forced(F, src)
             reads = {
                 "equality": lambda: F == whole,
                 "reflected equality": lambda: whole == F,
@@ -1012,12 +1093,19 @@ def test_whole_reads_of_an_on_demand_face_raise_not_enumerated():
             assert all(F.ob(x) == fx for x, fx in whole.on_obj.items())
             assert all(F.mor(m) == fm for m, fm in whole.on_mor.items())
     assert D.Ds0 == D.Ds0 and not D.Dp0 != D.Dp0
-    # _unpreserved takes a face's map one image at a time: through the
-    # view, whose table it reads, it is refused, and into D1 it forces
-    # what it reads and answers as the eager face does
+    # a cell reads one component at a time too
+    cell = D.Dsig00
+    f = D.D1.objects[0]
+    for read in (lambda: cell == D.Dsig20, lambda: dict(cell.components), lambda: len(cell.components)):
+        with pytest.raises(NotEnumerated):
+            read()
+    assert cell.at(f) == cell.components[f] and repr(cell).startswith("OnDemandNat(")
+    # _unpreserved takes a face's map one image at a time: through a
+    # view, whose table it reads, it is refused, and between enumerated
+    # levels it forces what it reads and answers as the eager face does
     with pytest.raises(NotEnumerated):
-        fincat._unpreserved(D.D2, V, D.Dp0.on_mor)
-    assert fincat._unpreserved(D.D2, D.D1, D.Ds0.on_mor) is None
+        fincat._unpreserved(levels["D2"], D.D3, D.Dp0.on_mor)
+    assert fincat._unpreserved(levels["D2"], D.D1, D.Ds0.on_mor) is None
 
 
 def _build_tzy_sizes(y, z):
@@ -1298,21 +1386,25 @@ def test_categories_over_a_base_are_categories(B, data):
                 assert [p.mor(m) for m in C.hom(o1, o2)] == admitted
 
 
+def assert_diagram_lawful(D):
+    """The levels of a diagram built by hom_diagram are categories (the
+    views through their oracles), and its faces and cells, which act on
+    demand, are functors and transformations once forced at every
+    functor and cell of their sources into those oracles."""
+    levels = _levels(D)
+    funs = [forced(getattr(D, f), levels[s], levels[t]) for f, (s, t) in deltadiag.FACES.items()]
+    nats = [forced_cell(getattr(D, c), levels["D1" if c in ("Dn0", "Dn1") else "D3"]) for c in deltadiag.CELLS]
+    assert_lawful(*levels.values(), funs=funs, nats=nats)
+
+
 @pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
 def test_descent_levels_faces_and_carriers_are_lawful(fixture, y, z):
     ws = load(os.path.join(FIXTURES, fixture))
     y, z = ws.algebras[y], ws.algebras[z]
     U = y.universe
     D = build_Tzy(U, y, z)
-    # the faces out of D2 act on demand, so each is forced at every
-    # functor and cell of D2 before it is proved
-    assert_lawful(D.D1, D.D2, funs=[D.Dd0, D.Dd1, forced(D.Ds0)])
     lax = lax_descent(D)
-    # the top level is a view, so its oracle is proved, and the faces
-    # into it are proved in the oracle
-    faces = [forced(F) for F in (D.Dp0, D.Dp1, D.Dp2)]
-    H, obj, mor = view_in_oracle(D.D3)
-    assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in faces])
+    assert_diagram_lawful(D)
     strict = invertible_part(lax)
     assert_lawful(
         lax.carrier,
@@ -1377,7 +1469,7 @@ def test_universe_members_and_T_are_lawful(fixture):
     for y in ws.algebras.values():
         for z in ws.algebras.values():
             if y.universe is z.universe:
-                build_Tzy(y.universe, y, z)
+                lax_descent(build_Tzy(y.universe, y, z))
     for U in ws.universes.values():
         Ts = [F for key, F in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10
@@ -1385,23 +1477,9 @@ def test_universe_members_and_T_are_lawful(fixture):
 
 
 def test_codescent_probe_faces_are_lawful(monkeypatch):
-    ws = load(os.path.join(FIXTURES, "monad_on_2.json"))
-    z = ws.algebras["const1"]
-    A = build_Ay_strict(z.universe, z)
-    diagrams = []
-
-    def keep(**kw):
-        diagrams.append(kw)
-        return make_delta_diagram(**kw)
-
-    monkeypatch.setattr(deltadiag, "make_delta_diagram", keep)
-    probes = [("1", ws.categories["1"]), ("C2", ws.categories["C2"])]
-    report = codescent.verify_codescent_universal(A, lax_codescent(A), probes)
-    assert report["status"] == "pass"
-    assert len(diagrams) == 2
-    for kw in diagrams:
-        assert_lawful(kw["D1"], kw["D2"], funs=[kw["Dd0"], kw["Dd1"], forced(kw["Ds0"])])
-        assert kw["D3"].source is A.A3
-        faces = [forced(kw[f]) for f in ("Dp0", "Dp1", "Dp2")]
-        H, obj, mor = view_in_oracle(kw["D3"])
-        assert_lawful(H, funs=[face_in_oracle(F, obj, mor, H) for F in faces])
+    built = _recorded_hom_diagrams(monkeypatch)
+    assert _probe_descent(load(os.path.join(FIXTURES, "monad_on_2.json")))["status"] == "pass"
+    assert len(built) == 2
+    for D, _ in built:
+        assert D.D3.source.factors[1] is D.D2.source
+        assert_diagram_lawful(D)

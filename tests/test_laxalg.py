@@ -2,6 +2,7 @@ import functools
 import gc
 import os
 import random
+import sys
 import weakref
 
 import pytest
@@ -626,12 +627,52 @@ def test_build_tzy_shape():
     y = identity_algebra(U, C)
     D = build_Tzy(U, y, y)
     assert len(D.D1.objects) == 3 and len(D.D1.morphisms) == 6
-    assert len(D.D2.objects) == 3 and len(D.D2.morphisms) == 6
-    # the top level is a view of [T^2 C, C]; the faces reach all of it
-    assert D.D3.source is U.T(U.T(C)) and D.D3.target is C
-    D3 = fincat.hom_cat(D.D3.source, D.D3.target)
-    assert len(D3.objects) == 3 and len(D3.morphisms) == 6
-    assert len(D.D3.functors) == 3 and len(D.D3.dom) == 6
+    # the upper levels are views of [T C, C] and [T^2 C, C] over D1, with
+    # the hom-sets of their enumerated oracles
+    for level, source in ((D.D2, U.T(C)), (D.D3, U.T(U.T(C)))):
+        assert isinstance(level, fincat.PowerView)
+        assert level.source is source and level.target is C
+        H = fincat.hom_cat(source, C)
+        assert len(H.objects) == 3 and len(H.morphisms) == 6
+        assert all(level.hom(f, g) == H.hom(f, g) for f in H.objects for g in H.objects)
+
+
+@pytest.mark.parametrize("fixture, y, z", FIXTURE_PAIRS)
+def test_build_tzy_composes_each_cell_boundary_once(monkeypatch, fixture, y, z):
+    # counts, not timings: hom_diagram composes the faces on each of the
+    # ten sides of the five cells once, on demand, and checks no boundary
+    # again, so each build_Tzy makes 10 face_composite calls
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    paths = []
+    compose = deltadiag.face_composite
+    monkeypatch.setattr(deltadiag, "face_composite", lambda kw, path, base: paths.append(path) or compose(kw, path, base))
+    monkeypatch.setattr(deltadiag, "check_shape", None)
+    D = build_Tzy(y.universe, y, z)
+    assert sorted(paths) == sorted(p for sides in deltadiag.CELLS.values() for p in sides)
+    assert len(paths) == 10
+    descent.lax_descent(D)
+    assert len(paths) == 10
+
+
+def test_mu_is_built_once_per_member(monkeypatch):
+    # check_pseudomonad for Z/2 over the walking arrow at depth 4 asks for
+    # mu at A twice (associativity and triangle pastings) and at T(A)
+    # twice; the universe builds each once, and the same cell comes back
+    built = []
+    identity_cell = laxalg.identity_cell
+
+    def counted(F, G):
+        built.append(sys._getframe(1).f_code.co_qualname)
+        return identity_cell(F, G)
+
+    monkeypatch.setattr(laxalg, "identity_cell", counted)
+    U = monoid_two_monad(z2_monoid(), [("A", walking_arrow())], 4)
+    assert check_pseudomonad(U)
+    assert built.count("MonadUniverse.mu.<locals>.<lambda>") == 2
+    A = U.members[0]
+    assert U.mu(A) is U.mu(A) and U.mu(U.T(A)) is U.mu(U.T(A))
+    assert built.count("MonadUniverse.mu.<locals>.<lambda>") == 2
 
 
 def test_verify_prop_descent_identity_monad():
@@ -670,11 +711,11 @@ def test_verify_prop_descent_mixed_algebras():
 
 
 def test_verify_prop_descent_builds_each_level_once(monkeypatch):
-    # [Y, Z] and [TY, Z] once each, one view of [T^2 Y, Z], and one lax
+    # [Y, Z] once, one view each of [TY, Z] and [T^2 Y, Z], and one lax
     # descent category that the strict one is cut out of
     ws = load(Z2_FX)
     y = ws.algebras["swap"]
-    calls = {"hom_cat": 0, "lax_descent": 0, "FunctorView": 0}
+    calls = {"hom_cat": 0, "lax_descent": 0, "PowerView": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -689,11 +730,10 @@ def test_verify_prop_descent_builds_each_level_once(monkeypatch):
         monkeypatch.setattr(module, "hom_cat", hom)
     for module in (descent, laxalg):
         monkeypatch.setattr(module, "lax_descent", lax)
-    view = counting("FunctorView", fincat.FunctorView)
-    monkeypatch.setattr(deltadiag, "FunctorView", view)
+    monkeypatch.setattr(laxalg, "PowerView", counting("PowerView", fincat.PowerView))
     report = verify_prop_descent(y.universe, y, y)
     assert report["status"] == "pass"
-    assert calls == {"hom_cat": 2, "lax_descent": 1, "FunctorView": 1}
+    assert calls == {"hom_cat": 1, "lax_descent": 1, "PowerView": 2}
 
 
 def _descent_pairs():
@@ -712,12 +752,12 @@ def _descent_pairs():
 
 @pytest.mark.parametrize("pair", ["swap-skew", "dense"])
 def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
-    # D3 = [T^2 Y, Z] is read only at the comparison cells and the
-    # descent equations: a few dozen composites, and never its table or
-    # its functors, as D3 is a view that enumerates nothing.  D1 and D2
-    # are read one composite at a time too (lax_descent, the inverses of
-    # invertible_part, enumerate_hom_category), so no level's table is
-    # built
+    # the diagram computes nothing when it is built, and D3 = [T^2 Y, Z]
+    # is then read only at the comparison cells and the descent
+    # equations: a few dozen composites, and never its table or its
+    # functors, as D2 and D3 are views that enumerate nothing.  D1 is
+    # read one composite at a time too (lax_descent, the inverses of
+    # invertible_part, enumerate_hom_category), so its table is not built
     y, z = _descent_pairs()[pair]
     composites = {}
     sources = []
@@ -729,7 +769,7 @@ def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
 
         return wrapper
 
-    for cls in (fincat.HomCat, fincat.FunctorView):
+    for cls in (fincat.HomCat, fincat.PowerView):
         monkeypatch.setattr(cls, "compose", counting(cls.compose))
     enumerate_functors = fincat._enumerate_functors
     monkeypatch.setattr(
@@ -745,8 +785,8 @@ def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
         return diagrams[-1]
 
     D = build_Tzy(y.universe, y, z)
-    T2Y = D.D3.source
-    assert 0 < composites.get(id(D.D3), 0) < 100
+    TY, T2Y = D.D2.source, D.D3.source
+    assert composites == {}
     descent.lax_descent(D)
     assert 0 < composites.get(id(D.D3), 0) < 100
 
@@ -754,13 +794,12 @@ def test_descent_reads_the_top_level_without_its_table(monkeypatch, pair):
     assert verify_prop_descent(y.universe, y, z)["status"] == "pass"
     (D,) = diagrams
     assert 0 < composites.get(id(D.D3), 0) < 100
-    for level in (D.D1, D.D2):
-        assert "compose_table" not in vars(level)
-    assert isinstance(D.D3, fincat.FunctorView)
-    assert not any(C == T2Y for C in sources)
-    # the whole top level has 256 transformations; the view read fewer
+    assert "compose_table" not in vars(D.D1)
+    assert isinstance(D.D2, fincat.PowerView) and isinstance(D.D3, fincat.PowerView)
+    assert not any(C == TY or C == T2Y for C in sources)
+    # the whole top level has 256 transformations; the view named fewer
     assert len(fincat.hom_cat(T2Y, D.D3.target).morphisms) == 256
-    assert len(D.D3.dom) < 100
+    assert len(D.D3._keys) < 100
 
 
 def _twist_z2(C):

@@ -8,6 +8,7 @@ load the tracer from the checkout and change nothing under perfbench/.
 
 import importlib.util
 import io
+import itertools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import fin2cat.cli  # noqa: F401  (loads every module)
 from fin2cat import cli, codescent, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
 from fin2cat.descent import lax_descent
-from helpers import Z2_ON_THREE_FX, code_lines, pinned_slate, run_python, walking_arrow
+from helpers import Z2_ON_THREE_FX, code_lines, pinned_slate, run_python, walking_arrow, z2_swap_workspace
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -171,28 +172,27 @@ def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
         assert shared == fresh and shared.cell_index == fresh.cell_index, name
 
 
-# the commands that build a three-level diagram, and the source of its top
-# level, given the loaded workspace and the command's names: T^2 Y for
-# the descent comparison and build-tzy, A3 = T^3 Z for the codescent
-# probes
-def _top_level_source(ws, command, names):
+# the commands that read functor categories out of T-iterates, and the
+# sources of the levels above the bottom one, which are views over it,
+# given the loaded workspace and the command's names: TY and T^2 Y for
+# hom, the descent comparison and build-tzy, A2 = T^2 Z and A3 = T^3 Z for
+# the codescent probes (whose bottom level is [A1, X], A1 = T Z)
+def _upper_level_sources(ws, command, names):
     if command in ("descent", "lax-descent"):
         y, _ = ws.diagrams[names[0]]
-        depth = 2
     else:
         y = ws.algebras[names[0]]
-        depth = 3 if command == "verify-codescent" else 2
-    C = y.Z
-    for _ in range(depth):
-        C = y.universe.T(C)
-    return C
+    T = y.universe.T
+    C = T(T(y.Z)) if command == "verify-codescent" else T(y.Z)
+    return C, T(C)
 
 
 def test_the_slate_enumerates_no_top_level(monkeypatch):
-    # counts, not timings: across the slate, descent, lax-descent,
+    # counts, not timings: across the slate, hom, descent, lax-descent,
     # verify-prop-descent, verify-codescent and build-tzy enumerate the
-    # functors of their two lower levels and never those out of the top
-    # level's source, which is a view and is sized by theorem
+    # functors of their bottom level and never those out of the sources
+    # of the levels above it, which are views and are sized by theorem;
+    # so no command but verify-codescent enumerates functors out of TY
     sources = []
     enumerate_functors = fincat._enumerate_functors
     monkeypatch.setattr(
@@ -200,34 +200,91 @@ def test_the_slate_enumerates_no_top_level(monkeypatch):
         "_enumerate_functors",
         lambda C, D: sources.append(C) or enumerate_functors(C, D),
     )
-    commands = ("descent", "lax-descent", "verify-prop-descent", "verify-codescent", "build-tzy")
+    commands = ("hom", "descent", "lax-descent", "verify-prop-descent", "verify-codescent", "build-tzy")
     seen = []
     for argv in pinned_slate().values():
         if argv[0] not in commands:
             continue
-        top = _top_level_source(cli.load(argv[2]), argv[0], argv[3:])
+        upper = _upper_level_sources(cli.load(argv[2]), argv[0], argv[3:])
         del sources[:]
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0, out.getvalue()
-        assert len(sources) >= 2, argv
-        assert not any(C == top for C in sources), argv
+        assert len(sources) >= 1, argv
+        assert not any(C == U for C in sources for U in upper), argv
         seen.append(argv[0])
     assert set(seen) == set(commands)
     assert seen.count("descent") == seen.count("lax-descent") == 2
     assert seen.count("build-tzy") == 9  # z2_on_three.json swap -> fix among them
+    assert seen.count("hom") >= 6
 
 
 def test_the_descent_equations_intern_few_top_level_functors():
-    # counts, not timings: on z2_on_three.json swap -> swap, [T^2 P3, P3]
-    # has 531,441 functors and D2 has 729; the faces out of D2 act on
-    # demand, so the view interns only what the cells and lax_descent's
-    # candidates reach (2,109 functors when the faces acted on all of D2)
+    # counts, not timings: on z2_on_three.json swap -> swap, D1 = [P3, P3]
+    # has 27 functors, so D2 = [T P3, P3] has 27^2 = 729 (as its
+    # enumerated oracle confirms) and D3 = [T^2 P3, P3] has 27^4 =
+    # 531,441.  Both are views, and name only what the cells and
+    # lax_descent's candidates reach (2,109 functors of D3 when the
+    # faces acted on all of an enumerated D2)
     ws = cli.load(Z2_ON_THREE_FX)
     y = ws.algebras["swap"]
     D = laxalg.build_Tzy(y.universe, y, y)
-    assert len(D.D2.objects) == 729
+    assert len(D.D1.objects) == 27
+    assert len(fincat.hom_cat(D.D2.source, D.D2.target).objects) == 27**2
     lax_descent(D)
-    assert len(D.D3.functors) < 100
+    assert len(D.D2._tuples) < 100 and len(D.D3._tuples) < 100
+
+
+# verify-prop-descent swap swap on a workspace file, in a fresh
+# interpreter: its seconds of CPU time (so that other load on the host
+# does not count), its peak RSS in MiB, its exit code and its report, as
+# JSON.  The peak is VmHWM of /proc/self/status, in KiB, which counts the
+# interpreter's own pages only: ru_maxrss also counts the parent's
+# pages that the child had before it ran the interpreter
+_SWAP_SWAP = """
+import io, json, sys, time
+from contextlib import redirect_stdout
+from fin2cat.cli import main
+t0 = time.process_time()
+with redirect_stdout(io.StringIO()) as out:
+    code = main(["verify-prop-descent", "--input", sys.argv[1], "swap", "swap"])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({
+    "seconds": time.process_time() - t0,
+    "rss_mib": peak / 1024,
+    "code": code,
+    "report": json.loads(out.getvalue()),
+}))
+"""
+
+
+def test_verify_prop_descent_on_five_points_within_its_gates(tmp_path):
+    # Z/2 swapping two of five points: D1 = [P5, P5] has 5^5 = 3,125
+    # functors, D2 = [T P5, P5] 5^10 and D3 = [T^2 P5, P5] 5^20.  Only D1
+    # is enumerated: D2 and D3 are views, and the diagram's faces and
+    # cells act where the descent equations read them.  On a discrete
+    # carrier a lax morphism is an equivariant map, and its only
+    # transformation the identity, so each count is checked against a
+    # direct count of those
+    path = tmp_path / "z2_on_five.json"
+    path.write_text(json.dumps(z2_swap_workspace(5)))
+    points = "abcde"
+    swap = {x: {"a": "b", "b": "a"}.get(x, x) for x in points}
+    equivariant = sum(
+        all(f[swap[x]] == swap[f[x]] for x in points)
+        for f in (dict(zip(points, im)) for im in itertools.product(points, repeat=5))
+    )
+    done = run_python("-c", _SWAP_SWAP, str(path))
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["code"] == 0 and got["report"]["status"] == "pass", got
+    for key in ("lax", "pseudo"):
+        data = got["report"]["data"][key]
+        assert data["hom_objects"] == data["descent_objects"] == equivariant, got
+        assert data["hom_morphisms"] == data["descent_morphisms"] == equivariant, got
+        assert data["match"] is True
+    assert got["seconds"] <= 2, got
+    assert got["rss_mib"] <= 200, got
 
 
 def _laxalg_frames():
