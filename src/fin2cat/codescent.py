@@ -22,7 +22,10 @@ strategy is fixed: rewrite the leftmost redex, by the first rule in list
 order that matches there, until no redex is left.  The budget is charged
 once per rewrite, so the count of rewrite applications depends only on
 that strategy, not on how redexes are found; it is also charged once per
-normal form listed and once per action step, never per composite.
+rule pair that completion examines for overlaps, so that completion
+ends within its budget even where every critical pair is already
+joinable, once per normal form listed and once per action step, never
+per composite.  The completion trace line counts the rewrites alone.
 
 A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
@@ -46,6 +49,7 @@ from .deltadiag import (
     CELLS,
     FACES,
     DeltaDiagram,
+    after,
     check_shape,
     face_composite,
     hom_diagram,
@@ -67,7 +71,6 @@ from .fincat import (
     identity_fun,
     iso_categories,
     make_fincat,
-    whisker_left,
 )
 from .freegen import make_graph, make_path
 
@@ -246,6 +249,7 @@ def quotient_category(P, budget=50000):
     ]
     meter = _Meter(budget)
     spend = meter.spend
+    overlaps = 0  # the rule pairs completion examined, charged with the rewrites
     rw = _Rewriter([])
     pending = deque((P.encode(l), P.encode(r)) for l, r, _ in P.relations)
     try:
@@ -266,6 +270,8 @@ def quotient_category(P, budget=50000):
             survivors.append(new)
             rw = _Rewriter(survivors)
             for other in rw.rules:
+                spend()
+                overlaps += 1
                 for pair in _critical_pairs(new, other):
                     pending.append(pair)
                 if other != new:
@@ -273,7 +279,7 @@ def quotient_category(P, budget=50000):
                         pending.append(pair)
         trace.append(
             "completed with %d rules after %d rewrite applications"
-            % (len(rw.rules), meter.used)
+            % (len(rw.rules), meter.used - overlaps)
         )
 
         words = _enumerate_normal_forms(P, [l for l, _ in rw.rules], meter, trace)
@@ -611,23 +617,28 @@ def strictify(U, z, budget=50000):
 def verify_codescent_universal(A, Q, probes):
     """Probe the universal property of a computed codescent category.
 
-    probes are (name, category) pairs.  For each probe X, maps the codescent data into X (hom-dual of the
-    levels, with n-cells crossing: Dn0 comes from An1 and vice versa),
-    takes lax descent, and compares against the hom category out of the
-    quotient by isomorphism search.  A is a free resolution
-    (build_Ay_strict): A2 = M x A1 and A3 = M x A2 are |M| and |M|^2
-    copies of A1, so [A2, X] and [A3, X] are PowerViews over the
-    enumerated [A1, X]."""
+    probes are (name, category) pairs.  For each probe X, maps the
+    codescent data into X (hom-dual of the levels, with n-cells crossing:
+    Dn0 comes from An1 and vice versa), takes lax descent, and compares
+    against the hom category out of the quotient by isomorphism search.
+    A is a free resolution (build_Ay_strict): A2 = M x A1 and A3 = M x A2
+    are |M| and |M|^2 copies of A1, so [A2, X] and [A3, X] are
+    PowerViews over the enumerated [A1, X].  The faces precompose with
+    A's faces and the cells whisker A's cells, copy by copy on [A1, X]'s
+    ids (deltadiag.hom_diagram), T(eta) reading each copy of A1 off
+    every copy of A2; no functor or transformation over A2 or A3 is
+    built.  The report is keyed by probe name, so a name given twice
+    raises ValueError."""
+    names = [name for name, _ in probes]
+    if len(set(names)) < len(names):
+        raise ValueError("probe %r is named twice" % next(n for n in names if names.count(n) > 1))
     report = {"status": "pass", "probes": {}}
     if Q.status != FINITE:
         report["status"] = "undecided"
         return report
     L = Q.category
     faces = {f: precompose(getattr(A, _up(f))) for f in FACES}
-    cells = {}
-    for c in CELLS:
-        alpha = getattr(A, _up(_CROSS.get(c, c)))
-        cells[c] = lambda F, alpha=alpha: whisker_left(F, alpha)
+    cells = {c: after(getattr(A, _up(_CROSS.get(c, c)))) for c in CELLS}
     k = len(A.A2.factors[0].objects)
     for name, X in probes:
         D1 = hom_cat(A.A1, X)

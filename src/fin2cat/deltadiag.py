@@ -14,20 +14,27 @@ th = Dtheta_x, the two pasting equations
 
 The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and CELLS:
 make_delta_diagram checks against them, codescent reads them upward, and
-hom_diagram builds the diagram on three functor categories from the
-faces' actions (precompose for precomposition) and the cells at each
-functor of D1, as build_Tzy and the codescent probes do.  D1 is an
-enumerated HomCat; D2 and D3 are fincat.PowerViews over it, as their
-sources are |M| and |M|^2 copies of D1's, and enumerating them would
-cost |obj D|^|obj C| functors and more, while the descent equations
-read them only at the candidates fbar, the faces Dp_i(fbar) and the
-cells Dsig_f.  For the same reason every face is a fincat.OnDemandFun
-and every cell a fincat.OnDemandNat: each image or component is computed
-on its first read, so the views name only what the equations reach.
+hom_diagram builds the diagram on three functor categories from faces
+that precompose with a functor or apply a.T(-) (precompose, acting) and
+cells that whisker a given cell (after, along), as build_Tzy and the
+codescent probes do.  D1 is an enumerated HomCat; D2 and D3 are
+fincat.PowerViews over it, as their sources are |M| and |M|^2 copies of
+D1's, and enumerating them would cost |obj D|^|obj C| functors and
+more, while the descent equations read them only at the candidates
+fbar, the faces Dp_i(fbar) and the cells Dsig_f.  For the same reason
+every face is a fincat.OnDemandFun and every cell a fincat.OnDemandNat:
+each image or component is computed on its first read, so the views
+name only what the equations reach.  Faces and cells act copy by copy:
+an image is assembled from D1's keys of the copies it reads and named
+by the view, and no functor or transformation over the source of D2 or
+D3 is ever built.  The whole-functor route they replace is
+tests/helpers.whole_hom_diagram, their oracle.
 """
 
+from itertools import chain
+
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import OnDemandFun, OnDemandNat, compose_fun, identity_fun, whisker_right
+from .fincat import OnDemandFun, OnDemandNat, compose_fun, identity_fun
 from .freegen import SHAPE_CELLS, SHAPE_EDGES
 
 # freegen's three-level shape with every name prefixed by D.  FACES gives
@@ -102,42 +109,153 @@ def make_delta_diagram(**kw):
 
 
 def precompose(G):
-    """The face action of precomposition with G, for hom_diagram: a functor
-    F goes to F.G, a cell a to a whiskered by G."""
-    return (lambda F: compose_fun(F, G), lambda a: whisker_right(a, G))
+    """The face F -> F.G of hom_diagram, for G a functor between the
+    sources of its levels."""
+    return G, None
+
+
+def acting(a):
+    """The face F -> a.T(F) of hom_diagram, for an action a: TZ -> Z."""
+    return None, a
+
+
+def after(alpha):
+    """The cell F -> F * alpha of hom_diagram: F applied after alpha."""
+    return "after", alpha
+
+
+def along(beta):
+    """The cell F -> beta * T^j(F) of hom_diagram, for beta between
+    functors T^j Z -> Z: beta restricted along T^j(F)."""
+    return "along", beta
 
 
 def hom_diagram(D1, D2, D3, faces, cells):
     """The three-level diagram on the functor categories D1, D2 and D3,
-    read only where it is asked: D1 is an enumerated HomCat, and D2 and
-    D3 are fincat.PowerViews over it.
+    read only where it is asked: D1 = [B, Z] is an enumerated HomCat, and
+    D2 and D3 are fincat.PowerViews over it, whose sources are copies of
+    B.
 
-    faces maps each face to its pair of actions (on functors, on cells),
-    and cells maps each comparison cell to its transformation at a
-    functor of D1.  Every face is an OnDemandFun, acting on a functor or
-    cell when that image is first read, and every cell an OnDemandNat,
-    computed at a functor of D1 when first read, between the composites
-    of its faces (face_composite, on demand too).  So the views hold only
-    the images the descent equations reach.  Faces and cells so given
-    are functors and transformations by theorem (a face pre- or
-    postcomposes, and a cell whiskers proved cells), and are built
-    without proof; tests/test_fincat.py proves them once."""
+    faces maps each face to precompose(G) or acting(a), and cells maps
+    each comparison cell to after(alpha), along(beta) or None for the
+    identity.  Faces and cells act copy by copy on ids: each face reads a
+    plan off its functor once, on its first read, which gives, for each
+    copy of its target level's source, the copy and the place in it that
+    the image reads at each object and morphism of B (see _plan); a cell
+    reads its components off alpha or beta at each copy (see _rows).  An
+    image is assembled from D1's keys of the copies it reads and named by
+    the level's _fid or _nat_id, and no functor or transformation over an
+    upper level's source is ever built.  Every face is an OnDemandFun and
+    every cell an OnDemandNat between the composites of its faces
+    (face_composite, on demand too), so the views hold only the images
+    the descent equations reach.  Faces and cells so given are functors
+    and transformations by theorem (a face pre- or postcomposes, and a
+    cell whiskers proved cells), and are built without proof;
+    tests/test_fincat.py proves them once, and checks them against the
+    whole-functor route of tests/helpers.py."""
     kw = {"D1": D1, "D2": D2, "D3": D3}
     for name, (src, tgt) in FACES.items():
-        kw[name] = OnDemandFun(kw[src], kw[tgt], *_images(kw[src], kw[tgt], *faces[name]))
+        kw[name] = _face(kw[src], kw[tgt], *faces[name])
     for name, (src, tgt) in CELLS.items():
         F, G = face_composite(kw, src, D1), face_composite(kw, tgt, D1)
-        at = cells[name]
-        kw[name] = OnDemandNat(F, G, lambda o, at=at, T=G.tgt: T.mor_id(at(D1.functor_of(o))))
+        kw[name] = OnDemandNat(F, G, _cell(D1, G.tgt, F.ob, G.ob, cells[name]))
     return DeltaDiagram(**kw)
 
 
-def _images(S, T, on_fun, on_nat):
-    """A face's image of the functor o and of the cell m of S, as ids in T."""
-    return (
-        lambda o: T.obj_id(on_fun(S.functor_of(o))),
-        lambda m: T.mor_id(on_nat(S.nat_of(m))),
-    )
+def _face(S, T, G, a):
+    """The face from level S to level T that precomposes with G, or
+    applies a.T(-), reading F's images off the keys of its copies in D1
+    at the places _plan gives, computed on the face's first read, and
+    naming the copies in D1 and the whole in T."""
+    base, plan = T._base, []
+
+    def ob(x):
+        if not plan:
+            plan.extend(_plan(S, T, G, a))
+        keys = [base._key[f] for f in S._tuple(x)]
+        objs, mors = (tuple(chain.from_iterable(key[i] for key in keys)) for i in (0, 1))
+        copies = ((_read(objs, p, bo), _read(mors, q, bm)) for p, q, bo, bm in plan)
+        return T._fid(tuple(map(base._fun_ids.__getitem__, copies)))
+
+    def mor(m):
+        x, y = obs[S.dom[m]], obs[S.cod[m]]
+        comps = tuple(chain.from_iterable(map(base._comps.__getitem__, S._ntuple(m))))
+        copies = zip(T._tuple(x), T._tuple(y), (_read(comps, p, bm) for p, _, _, bm in plan))
+        return T._nat_id(x, y, tuple(map(base._nat_ids.__getitem__, copies)))
+
+    # mor reads the object images through the face's map, not the face,
+    # so that no reference cycle keeps a diagram alive after its last use
+    face = OnDemandFun(S, T, ob, mor)
+    obs = face.on_obj
+    return face
+
+
+def _plan(S, T, G, a):
+    """For each copy c of T's source, the places in S's source that F.G
+    or a.T(F) reads at B's objects and morphisms, and the maps to send
+    them through: where G sends them, or the same places of copy c mod
+    |S's copies|, as copy (g, i) of a.T(F) is b_g.F_i, and then the maps
+    of b_g, a on copy g of TZ."""
+    k, B = S._k, T._base.source
+    n, nm = len(B.objects), len(B.morphisms)
+    if G is None:
+        # TZ lists Z's objects and morphisms once for each element g
+        Z, TZ = a.tgt, a.src
+        bo = _copies(Z.objects, map(a.on_obj.__getitem__, TZ.objects))
+        bm = _copies(Z.morphisms, map(a.on_mor.__getitem__, TZ.morphisms))
+        at = [(range(i * n, i * n + n), range(i * nm, i * nm + nm)) for i in range(k)]
+        return [(*at[c % k], bo[c // k], bm[c // k]) for c in range(T._k)]
+    at_obj, at_mor = (dict(zip(xs, range(len(xs)))) for xs in (S.source.objects, S.source.morphisms))
+    objs = list(map(at_obj.__getitem__, map(G.on_obj.__getitem__, T.source.objects)))
+    mors = list(map(at_mor.__getitem__, map(G.on_mor.__getitem__, T.source.morphisms)))
+    return [(objs[c * n : c * n + n], mors[c * nm : c * nm + nm], None, None) for c in range(T._k)]
+
+
+def _copies(names, images):
+    """The maps names -> images of the copies, images holding one block
+    of len(names) for each copy in turn."""
+    images, n = list(images), len(names)
+    return [dict(zip(names, images[i : i + n])) for i in range(0, len(images), n)]
+
+
+def _read(images, places, post):
+    """The images at places, each sent through the map post if given."""
+    got = map(images.__getitem__, places)
+    return tuple(got if post is None else map(post.__getitem__, got))
+
+
+def _cell(D1, L, src, tgt, cell):
+    """The component at the functor f of D1 of a comparison cell from
+    src(f) to tgt(f) in the level L, copy by copy: an identity for None,
+    and otherwise read off f's key in D1 at the places _rows gives,
+    computed on the first read."""
+    rows = []
+
+    def at(f):
+        x, y = src(f), tgt(f)
+        if cell is None:
+            return L._nat_id(x, y, tuple(map(D1.identity.__getitem__, L._tuple(x))))
+        if not rows:
+            rows.extend(_rows(D1, L, *cell))
+        reads = (_read(D1._key[f][i], p, post) for i, p, post in rows)
+        return L._nat_id(x, y, tuple(map(D1._nat_ids.__getitem__, zip(L._tuple(x), L._tuple(y), reads))))
+
+    return at
+
+
+def _rows(D1, L, side, alpha):
+    """For each copy c of L's source, the part of f's key (0 objects, 1
+    morphisms), the places in it and the map to send them through that
+    give copy c of the cell at f, at the places p of B: f * alpha reads f
+    at alpha's component at the p-th object of copy c, and
+    beta * T^j(f) reads beta at f(p) in copy c of T^j Z."""
+    comps = map(alpha.components.__getitem__, alpha.src.src.objects)
+    if side == "along":
+        return [(0, range(len(D1.source.objects)), b) for b in _copies(D1.target.objects, comps)]
+    at_mor = dict(zip(D1.source.morphisms, range(len(D1.source.morphisms))))
+    places = list(map(at_mor.__getitem__, comps))
+    n = len(places) // L._k
+    return [(1, places[c * n : c * n + n], None) for c in range(L._k)]
 
 
 class DotExtension:

@@ -58,7 +58,9 @@ three-level diagrams (deltadiag.hom_diagram) are PowerViews over
 [Y, Z], which the descent equations read only at a few faces and cells.
 The faces of those diagrams are OnDemandFuns and their cells
 OnDemandNats: each image or component is computed on its first read,
-and a reader of the whole functor or transformation raises
+copy by copy on [Y, Z]'s ids (the view's _tuple, _ntuple, _fid and
+_nat_id), so no functor or transformation over T Y or T^2 Y is ever
+built, and a reader of the whole functor or transformation raises
 NotEnumerated too.
 """
 
@@ -809,6 +811,7 @@ class HomCat(FinCat):
             self._funs[fid] = F
             self._fun_ids[key] = fid
             by_image.setdefault(key[0], []).append((fid, F))
+        self._key = {fid: key for key, fid in self._fun_ids.items()}
 
         reach = {a: {b for b in D.objects if D.hom(a, b)} for a in D.objects}
         nats = []
@@ -880,6 +883,14 @@ class HomCat(FinCat):
             _nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt))
         ]
 
+    # the one-copy case of PowerView's copy readers (_tuple, _ntuple) and
+    # namers (_fid, _nat_id), so that the faces and cells of
+    # deltadiag.hom_diagram read D1 as they read the views over it
+    _k, _base = 1, property(lambda self: self)
+    _tuple = _ntuple = staticmethod(lambda x: (x,))
+    _fid = staticmethod(lambda t: t[0])
+    _nat_id = staticmethod(lambda x, y, ms: ms[0])
+
 
 def hom_cat(C, D):
     """The functor category [C, D] with lookup indexes attached."""
@@ -912,9 +923,15 @@ class PowerView:
     within hom(F, G) the copies' places in base's hom-sets read in
     mixed radix.
 
-    Any functor id reads back (functor_of).  A transformation is known
-    once the view has named it (mor_id, hom, compose, inverse), and dom,
-    cod and nat_of read what is known.  A reader that takes the whole
+    Copy by copy, _tuple and _ntuple read a functor or a transformation
+    the view has named as the tuple of its copies' ids in base, and _fid
+    and _nat_id name a tuple; HomCat answers them as the one-copy case.
+    The faces and cells of deltadiag.hom_diagram act through these
+    alone, on base's keys, and so build no functor or transformation
+    over C.  A whole functor is named by obj_id.  Any functor id reads
+    back (functor_of).  A transformation is known once the view has
+    named it (hom, compose, inverse, or a face or cell), and dom, cod
+    and nat_of read what is known.  A reader that takes the whole
     category (objects, morphisms, identity, compose_table, equality with
     another category, and through them make_fun, iso_categories, functor
     enumeration and products) raises NotEnumerated.
@@ -923,10 +940,9 @@ class PowerView:
     def __init__(self, base, C, k):
         self.source, self.target, self._base, self._k = C, base.target, base, k
         self._rank = {f: r for r, f in enumerate(base.objects)}
-        # each base functor's key and the run of base ranks that share its
-        # object image, and each base transformation's place in its
-        # hom-set with the size of the hom-set
-        self._key = {f: key for key, f in base._fun_ids.items()}
+        # the run of base ranks that share each base functor's object
+        # image, and each base transformation's place in its hom-set with
+        # the size of the hom-set
         images = [image for image, _ in base._fun_ids]
         self._run = [(bisect.bisect_left(images, i), bisect.bisect_right(images, i)) for i in images]
         self._place = {m: (i, len(ms)) for ms in base._hom.values() for i, m in enumerate(ms)}
@@ -938,7 +954,7 @@ class PowerView:
         self._degrees = list(itertools.accumulate(degrees, initial=0)).__getitem__
         self._below = {self._count: self._degrees(self._n) ** k}
         self._obj_ids, self._fids, self._tuples, self._funs, self._from = {}, {}, {}, {}, {}
-        self._mor_ids, self._ids, self._keys, self._composites = {}, {}, {}, {}
+        self._ids, self._keys, self._composites = {}, {}, {}
         self.dom, self.cod = {}, {}
 
     def _whole(self, *args):
@@ -1025,6 +1041,11 @@ class PowerView:
             self._tuples[fid] = self._unrank(R)
         return self._tuples[fid]
 
+    def _ntuple(self, nid):
+        """The base transformations of the copies of the transformation
+        nid, which the view has named."""
+        return self._keys[nid]
+
     def _copies(self, names):
         """names cut into the k blocks of the copies."""
         n = len(names) // self._k
@@ -1049,16 +1070,9 @@ class PowerView:
             self._obj_ids[key] = self._fid(tuple(map(self._base._fun_ids.__getitem__, keys)))
         return self._obj_ids[key]
 
-    def mor_id(self, a):
-        key = x, y, comps = _nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt))
-        if key not in self._mor_ids:
-            keys = zip(self._tuple(x), self._tuple(y), self._copies(comps))
-            self._mor_ids[key] = self._nat_id(x, y, tuple(map(self._base._nat_ids.__getitem__, keys)))
-        return self._mor_ids[key]
-
     def functor_of(self, fid):
         if fid not in self._funs:
-            C, keys = self.source, map(self._key.__getitem__, self._tuple(fid))
+            C, keys = self.source, map(self._base._key.__getitem__, self._tuple(fid))
             objs, mors = (itertools.chain(*part) for part in zip(*keys))
             self._funs[fid] = Fun(C, self.target, zip(C.objects, objs), zip(C.morphisms, mors))
         return self._funs[fid]

@@ -38,7 +38,7 @@ an identity isomorphism, checked functor-by-functor.
 
 from contextlib import contextmanager
 
-from .deltadiag import hom_diagram, precompose
+from .deltadiag import acting, after, along, hom_diagram, precompose
 from .descent import invertible_part, lax_descent
 from .errors import (
     AxiomViolation,
@@ -657,39 +657,36 @@ def build_Tzy(U, y, z):
 
     Levels are the hom categories out of Y, TY, T^2 Y into Z; the faces
     precompose with the action/multiplication or apply a_z.T(-), and the
-    comparison cells whisker zbar/zbar0 of the two algebras.  hom_diagram
-    builds the faces and cells without proof, each acting where it is
-    read.  [Y, Z] is enumerated; TY and T^2 Y are |M| and |M|^2 copies
-    of Y, so [TY, Z] and [T^2 Y, Z] are PowerViews over [Y, Z], which
-    name only what the descent equations and enumerate_hom_category
-    reach."""
+    comparison cells whisker zbar/zbar0 of the two algebras.  [Y, Z] is
+    enumerated; TY and T^2 Y are |M| and |M|^2 copies of Y, so [TY, Z]
+    and [T^2 Y, Z] are PowerViews over [Y, Z], which name only what the
+    descent equations and enumerate_hom_category reach.  hom_diagram
+    builds the faces and cells without proof, and they act copy by copy
+    on [Y, Z]'s ids: copy (g, h) of a_z.T(F) is a_z on copy g of TZ
+    after copy h of F, and the components of f * ybar and zbar * T^2(f)
+    at copy c are read off ybar at copy c of T^2 Y and zbar at copy c of
+    T^2 Z.  No functor or transformation over TY or T^2 Y is built."""
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
-    T2Y = U.T(TY)
-
-    def act(F):
-        return compose_fun(z.a, U.T_fun(F))
-
-    acting = (act, lambda n: whisker_left(z.a, U.T_nat(n)))
     D1, k = hom_cat(Y, Z), len(U.monoid.elements)
     return hom_diagram(
         D1,
         PowerView(D1, TY, k),
-        PowerView(D1, T2Y, k * k),
+        PowerView(D1, U.T(TY), k * k),
         faces={
             "Dd0": precompose(y.a),
-            "Dd1": acting,
+            "Dd1": acting(z.a),
             "Ds0": precompose(U.eta(Y)),
             "Dp0": precompose(U.T_fun(y.a)),
             "Dp1": precompose(U.m(Y)),
-            "Dp2": acting,
+            "Dp2": acting(z.a),
         },
         cells={
-            "Dsig00": lambda f: whisker_left(f, y.zbar),
-            "Dsig20": lambda f: identity_nat(act(compose_fun(f, y.a))),
-            "Dsig21": lambda f: whisker_right(z.zbar, U.T_fun(U.T_fun(f))),
-            "Dn0": lambda f: whisker_left(f, y.zbar0),
-            "Dn1": lambda f: whisker_right(z.zbar0, f),
+            "Dsig00": after(y.zbar),
+            "Dsig20": None,
+            "Dsig21": along(z.zbar),
+            "Dn0": after(y.zbar0),
+            "Dn1": along(z.zbar0),
         },
     )
 

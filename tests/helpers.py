@@ -1,6 +1,7 @@
 """Shared small categories and builders used across the test suite."""
 
 import ast
+import contextlib
 import io
 import itertools
 import os
@@ -11,7 +12,7 @@ from collections import deque
 from unittest import mock
 
 import fin2cat
-from fin2cat import cli, codescent, fincat, laxalg
+from fin2cat import cli, codescent, deltadiag, fincat, laxalg
 from fin2cat.deltadiag import make_delta_diagram, make_dot_extension
 from fin2cat.errors import (
     AxiomViolation,
@@ -357,17 +358,108 @@ def proved_nat(a):
 
 def materialised(build, *args):
     """build(*args) with every level above the bottom of every
-    hom_diagram enumerated as a HomCat, the route before those levels
-    were PowerViews: the oracle for the views.  HomCat answers obj_id,
-    mor_id, hom, compose, inverse, functor_of and nat_of as a view does,
-    under the same F#/n# names."""
+    hom_diagram enumerated as a HomCat and every face and cell acting by
+    the whole-functor route (whole_hom_diagram): the route before those
+    levels were PowerViews, and the oracle for the views.  HomCat answers
+    obj_id, mor_id, hom, compose, inverse, functor_of and nat_of as a
+    view does, under the same F#/n# names."""
     def enumerated(base, C, k):
         return fincat.hom_cat(C, base.target)
 
-    with mock.patch.object(laxalg, "PowerView", enumerated), mock.patch.object(
-        codescent, "PowerView", enumerated
-    ):
+    with contextlib.ExitStack() as stack:
+        for module in (laxalg, codescent):
+            stack.enter_context(mock.patch.object(module, "PowerView", enumerated))
+            stack.enter_context(mock.patch.object(module, "hom_diagram", whole_hom_diagram))
         return build(*args)
+
+
+def powered(F, C, E):
+    """T^j(F) from C = T^j(F.src) to E = T^j(F.tgt), for T = M x (-) and
+    j >= 0, read off the pairs of the products: F itself when C is F's
+    source."""
+    if C is F.src:
+        return F
+    inner = powered(F, C.factors[1], E.factors[1])
+    return fincat.Fun(
+        C,
+        E,
+        {o: E.pair_obj(g, inner.ob(x)) for o, (g, x) in C.obj_pair.items()},
+        {m: E.pair_mor(g, inner.mor(f)) for m, (g, f) in C.mor_pair.items()},
+    )
+
+
+def powered_cell(a, C, E):
+    """T^j(a) between powered's T^j of a's functors."""
+    if C is a.src.src:
+        return a
+    inner = powered_cell(a, C.factors[1], E.factors[1])
+    return fincat.NatT(
+        powered(a.src, C, E),
+        powered(a.tgt, C, E),
+        {o: E.pair_mor(g, inner.at(x)) for o, (g, x) in C.obj_pair.items()},
+    )
+
+
+def whole_face(T, face):
+    """The actions (on functors, on cells) of a face of hom_diagram into
+    the level T, each image built whole: F.G and a * G for
+    deltadiag.precompose(G), a.T(F) and a * T(alpha) for
+    deltadiag.acting(a).  The route before the faces acted copy by copy
+    on ids, and their oracle."""
+    G, a = face
+    if a is None:
+        return (lambda F: compose_fun(F, G), lambda n: whisker_right(n, G))
+    return (
+        lambda F: compose_fun(a, powered(F, T.source, a.src)),
+        lambda n: whisker_left(a, powered_cell(n, T.source, a.src)),
+    )
+
+
+def whole_cell(D1, L, cell, F):
+    """A comparison cell of hom_diagram landing in the level L, at the
+    functor o of D1, built whole: f * alpha for deltadiag.after(alpha),
+    beta * T^j(f) for deltadiag.along(beta), f being o's functor, and
+    for None the identity on F(o), F being the cell's source boundary.
+    The oracle of the cells."""
+    if cell is None:
+        return lambda o: fincat.identity_nat(L.functor_of(F.ob(o)))
+    side, alpha = cell
+    if side == "after":
+        return lambda o: whisker_left(D1.functor_of(o), alpha)
+    return lambda o: whisker_right(alpha, powered(D1.functor_of(o), L.source, alpha.src.src))
+
+
+def whole_hom_diagram(D1, D2, D3, faces, cells):
+    """deltadiag.hom_diagram by the whole-functor route: each face image
+    and cell component built whole by whole_face and whole_cell, and
+    named by its level's obj_id and named_cell, on demand."""
+    kw = {"D1": D1, "D2": D2, "D3": D3}
+    for name, (src, tgt) in deltadiag.FACES.items():
+        S, T = kw[src], kw[tgt]
+        on_fun, on_nat = whole_face(T, faces[name])
+        kw[name] = fincat.OnDemandFun(
+            S,
+            T,
+            lambda o, S=S, T=T, on_fun=on_fun: T.obj_id(on_fun(S.functor_of(o))),
+            lambda m, S=S, T=T, on_nat=on_nat: named_cell(T, on_nat(S.nat_of(m))),
+        )
+    for name, (src, tgt) in deltadiag.CELLS.items():
+        F, G = (deltadiag.face_composite(kw, p, D1) for p in (src, tgt))
+        at = whole_cell(D1, G.tgt, cells[name], F)
+        kw[name] = fincat.OnDemandNat(F, G, lambda o, L=G.tgt, at=at: named_cell(L, at(o)))
+    return deltadiag.DeltaDiagram(**kw)
+
+
+def named_cell(L, a):
+    """L's id of the whole transformation a: L.mor_id for an enumerated
+    level, and for a PowerView the route its mor_id took before the faces
+    and cells acted copy by copy: a's components cut into the copies,
+    each copy named in base by its key, and the tuple by _nat_id."""
+    if isinstance(L, fincat.HomCat):
+        return L.mor_id(a)
+    x, y, comps = fincat._nat_key(a, L.obj_id(a.src), L.obj_id(a.tgt))
+    keys = zip(L._tuple(x), L._tuple(y), L._copies(comps))
+    return L._nat_id(x, y, tuple(map(L._base._nat_ids.__getitem__, keys)))
 
 
 def view_in_oracle(V):
@@ -386,16 +478,24 @@ def view_in_oracle(V):
     return H
 
 
-def eager_face(S, T, on_fun, on_nat):
-    """A face of hom_diagram from S to T with the actions on_fun and
-    on_nat, applied to every functor and cell S enumerates: the route
-    before the faces acted on demand, and their oracle."""
+def eager_face(S, T, face):
+    """A face of hom_diagram from S to T, acting by whole_face on every
+    functor and cell S enumerates: the route before the faces acted on
+    demand and copy by copy, and their oracle."""
+    on_fun, on_nat = whole_face(T, face)
     return fincat.Fun(
         S,
         T,
         {o: T.obj_id(on_fun(S.functor_of(o))) for o in S.objects},
         {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
     )
+
+
+def eager_cell(D1, L, cell, F, G):
+    """A comparison cell of hom_diagram from F to G landing in the
+    enumerated level L, built by whole_cell at every functor of D1."""
+    at = whole_cell(D1, L, cell, F)
+    return fincat.NatT(F, G, {o: L.mor_id(at(o)) for o in D1.objects})
 
 
 def forced(F, src=None, tgt=None):
@@ -788,8 +888,10 @@ def slicing_quotient(P, budget=50000):
     table from an all-pairs loop, uncharged.  The budget is charged as
     quotient_category's table charges it: once per normal form w and
     generator g that is itself a normal form, with dom g = cod w, plus the
-    rewrites of w + (g,), and the rewrites of every other generator alone.
-    Only the total shows: an exhausted budget always reads budget + 1.
+    rewrites of w + (g,), and the rewrites of every other generator alone;
+    completion charges every rewrite and every rule pair it examines for
+    overlaps, and its trace line counts the rewrites.  Only the total
+    shows: an exhausted budget always reads budget + 1.
     Returns (status, trace, rules, morphisms, compose table); the last two
     are None unless the status is Finite."""
     trace = [
@@ -811,6 +913,7 @@ def slicing_quotient(P, budget=50000):
         return codescent.UNDECIDED, trace, list(rules), None, None
 
     pending = deque((l, r) for l, r, _ in P.relations)
+    overlaps = 0
     try:
         while pending:
             l, r = pending.popleft()
@@ -832,6 +935,8 @@ def slicing_quotient(P, budget=50000):
             rules = survivors
             rules.append(new)
             for other in list(rules):
+                meter.spend()
+                overlaps += 1
                 for pair in codescent._critical_pairs(new, other):
                     pending.append(pair)
                 if other != new:
@@ -845,7 +950,7 @@ def slicing_quotient(P, budget=50000):
 
     trace.append(
         "completed with %d rules after %d rewrite applications"
-        % (len(rules), meter.used)
+        % (len(rules), meter.used - overlaps)
     )
 
     words = tuple_normal_forms(P, [l for l, _ in rules], meter, trace)

@@ -220,6 +220,15 @@ def test_verify_codescent_command():
         run(ws, "verify-codescent", ["const1"])
 
 
+def test_a_repeated_probe_name_is_an_error(capsys):
+    # the report is keyed by probe name, so "1,1" would run probe 1 twice
+    # and report it once
+    code = main(["verify-codescent", "--input", MONAD_FX, "const1", "--probes", "1,C2,1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["status"] == "error"
+    assert report["data"] == {"error": "ValueError", "message": "probe '1' is named twice"}
+
+
 def test_main_report_is_byte_stable(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import itertools
 import os
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -31,13 +34,16 @@ from helpers import (
     chain3,
     constant_fun,
     discrete,
+    eager_cell,
     eager_face,
     enumerated_level_sizes,
     forced,
     forced_cell,
+    idem_cat,
     identity_fun_on,
     layered_cat,
     materialised,
+    named_cell,
     one_object_cat,
     proved_cat,
     proved_fun,
@@ -50,6 +56,8 @@ from helpers import (
     walking_arrow,
     view_in_oracle,
     walking_iso,
+    whole_cell,
+    whole_face,
     z2_cat,
 )
 
@@ -845,14 +853,14 @@ def test_hom_cat_matches_all_pairs_on_fixture_levels(fixture, y, z):
 def assert_view_matches_oracle(base, C, k, pairs=None):
     """The PowerView of [C, D] over base = [B, D], for C the k-fold copy
     of B, answers as its oracle H = hom_cat(C, D): the ids obj_id and
-    mor_id name, functor_of at every id, the hom-sets (on pairs, if
+    helpers.named_cell name, functor_of at every id, the hom-sets (on pairs, if
     given, else on every pair of functors), and, at the transformations
     those hom-sets name, nat_of, dom and cod, composites, inverses and
     refusals.  Each reader starts from a fresh view.  Returns H."""
     H = fincat.hom_cat(C, base.target)
     V = fincat.PowerView(base, C, k)
     assert [V.obj_id(H.functor_of(x)) for x in H.objects] == list(H.objects)
-    assert [V.mor_id(H.nat_of(m)) for m in H.morphisms] == list(H.morphisms)
+    assert [named_cell(V, H.nat_of(m)) for m in H.morphisms] == list(H.morphisms)
     V = fincat.PowerView(base, C, k)
     assert all(V.functor_of(x) == H.functor_of(x) for x in H.objects)
     V = fincat.PowerView(base, C, k)
@@ -987,13 +995,14 @@ def test_whole_category_reads_on_a_view_raise_not_enumerated():
 
 
 def _recorded_hom_diagrams(monkeypatch):
-    """The list of (diagram, the actions of its faces) that each
-    hom_diagram call from laxalg or codescent appends to."""
+    """The list of (diagram, its faces, its cells), as hom_diagram takes
+    them, that each hom_diagram call from laxalg or codescent appends
+    to."""
     built = []
     real = deltadiag.hom_diagram
 
     def recording(D1, D2, D3, faces, cells):
-        built.append((real(D1, D2, D3, faces, cells), faces))
+        built.append((real(D1, D2, D3, faces, cells), faces, cells))
         return built[-1][0]
 
     for module in (laxalg, codescent):
@@ -1021,13 +1030,32 @@ def _levels(D):
     return levels
 
 
+def assert_copy_wise_route_matches_the_whole_route(D, faces, cells, levels):
+    """Every face of D, forced at every functor and cell of its source in
+    levels (enumerated categories, or oracles of the views), equals the
+    face built by the whole-functor route (helpers.eager_face), and every
+    cell, read at every functor of D1, equals the cell that route builds
+    (helpers.eager_cell)."""
+    for name, (src, tgt) in deltadiag.FACES.items():
+        F = getattr(D, name)
+        assert isinstance(F, fincat.OnDemandFun), name
+        want = eager_face(levels[src], levels[tgt], faces[name])
+        assert forced(F, levels[src], levels[tgt]) == want, name
+    for name, (src, tgt) in deltadiag.CELLS.items():
+        a, L = getattr(D, name), levels[deltadiag.FACES[tgt[-1]][1]]
+        got = forced_cell(a, L)
+        assert got == eager_cell(D.D1, L, cells[name], got.src, got.tgt), name
+
+
 @pytest.mark.parametrize(
     "case", FIXTURE_PAIRS + ["probes"], ids=lambda c: c if c == "probes" else "-".join(c)
 )
 def test_on_demand_faces_match_the_eager_faces(monkeypatch, case):
-    # after the descent equations have read each diagram, every face,
-    # forced at every functor and cell of its source, equals the face
-    # built eagerly on the enumerated levels
+    # after the descent equations have read each diagram, every face and
+    # cell, which act copy by copy on ids, forced at every functor and
+    # cell of its source, equals the one built by the whole-functor
+    # route on the enumerated levels.  On z2_action.json skew -> skew,
+    # Dsig00 and Dsig21 are not identities
     built = _recorded_hom_diagrams(monkeypatch)
     if case == "probes":
         assert _probe_descent(load(os.path.join(FIXTURES, "monad_on_2.json")))["status"] == "pass"
@@ -1038,13 +1066,102 @@ def test_on_demand_faces_match_the_eager_faces(monkeypatch, case):
         y, z = ws.algebras[y], ws.algebras[z]
         lax_descent(build_Tzy(y.universe, y, z))
         assert len(built) == 1
-    for D, faces in built:
+    identities = 0
+    for D, faces, cells in built:
         levels = _levels(D)
-        for name, (src, tgt) in deltadiag.FACES.items():
-            F = getattr(D, name)
-            assert isinstance(F, fincat.OnDemandFun), name
-            want = eager_face(levels[src], levels[tgt], *faces[name])
-            assert forced(F, levels[src], levels[tgt]) == want, name
+        assert_copy_wise_route_matches_the_whole_route(D, faces, cells, levels)
+        for name in ("Dsig00", "Dsig21"):
+            L = levels["D3"]
+            identities += all(map(L.is_identity, forced_cell(getattr(D, name), L).components.values()))
+    if case == ("z2_action.json", "skew", "skew"):
+        assert identities == 0
+
+
+# the monoids M of the drawn lax algebras, k = |M| from 1 to 3 (the
+# left-zero monoid {e, a, b}: x.y = x for x, y in {a, b}), each with the
+# carriers drawn over it
+LAX_MONOIDS = {
+    "1": (SMALL_MONOIDS["1"], ("arrow", "G")),
+    "z2": (SMALL_MONOIDS["z2"], ("arrow", "I", "G")),
+    "idem": (SMALL_MONOIDS["idem"], ("arrow", "I", "G")),
+    "left-zero": (
+        (["e", "a", "b"], {(x, y): y if x == "e" else x for x in "eab" for y in "eab"}),
+        ("arrow", "G"),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _non_strict_lax_algebras(monoid):
+    """The universe of the monoid over the walking arrow, the idempotent
+    monoid I and Z/2 as G, and for each carrier its lax algebras whose
+    cells are not all identities: the action a: TC -> C runs through the
+    families of endofunctors, one for each copy of C (an action or not),
+    and zbar and zbar0 through the transformations on their boundaries,
+    kept when check_lax_algebra passes."""
+    (els, table), names = LAX_MONOIDS[monoid]
+    carriers = {"arrow": walking_arrow(), "I": idem_cat(), "G": z2_cat()}
+    U = laxalg.monoid_two_monad(laxalg.Monoid(els, "e", table), [(c, carriers[c]) for c in names], 3)
+    found = {}
+    for c in names:
+        C = carriers[c]
+        TC, ends = U.T(C), fincat.hom_cat(C, C)
+        found[c] = []
+        for bs in itertools.product(map(ends.functor_of, ends.objects), repeat=len(els)):
+            b = dict(zip(els, bs))
+            a = fincat.Fun(
+                TC,
+                C,
+                {o: b[g].ob(x) for o, (g, x) in TC.obj_pair.items()},
+                {m: b[g].mor(f) for m, (g, f) in TC.mor_pair.items()},
+            )
+            mult, unit = laxalg.cell_boundaries(U, C, a)
+            for zbar, zbar0 in itertools.product(fincat._enumerate_nats(*mult), fincat._enumerate_nats(*unit)):
+                comps = list(zbar.components.values()) + list(zbar0.components.values())
+                z = laxalg.LaxAlgebra(U, C, a, zbar, zbar0)
+                if not all(map(C.is_identity, comps)) and check_lax_algebra(U, z):
+                    found[c].append(z)
+    return U, found
+
+
+def _every(V):
+    """The functors of a level and the transformations between them: a
+    view's by rank, and then through the hom-sets out of each functor."""
+    if isinstance(V, fincat.HomCat):
+        return V.objects, V.morphisms
+    functors = ["F%d" % r for r in range(V._count)]
+    return functors, [m for x in functors for y in V._targets(x)[1] for m in V.hom(x, y)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_copy_wise_faces_and_cells_match_the_whole_route_on_drawn_carriers(data):
+    # lax algebras y and z with cells that are not identities, over
+    # monoids of 1 to 3 elements, so D2 and D3 are views of 1 to 3 and 1
+    # to 9 copies of D1, and the copies of an action differ: after the
+    # descent equations have read build_Tzy's diagram, every face at
+    # every functor and transformation of its source, and every cell at
+    # every functor of D1, is what the whole-functor route gives, named
+    # by the level's obj_id and helpers.named_cell
+    U, algebras = _non_strict_lax_algebras(data.draw(st.sampled_from(sorted(LAX_MONOIDS))))
+    y, z = (data.draw(st.sampled_from(algebras[data.draw(st.sampled_from(sorted(algebras)))])) for _ in "yz")
+    built = []
+    real = deltadiag.hom_diagram
+    with mock.patch.object(laxalg, "hom_diagram", lambda *args, **kw: built.append(kw) or real(*args, **kw)):
+        D = build_Tzy(U, y, z)
+    ((faces, cells),), k = [(kw["faces"], kw["cells"]) for kw in built], len(U.monoid.elements)
+    assume(len(D.D1.objects) ** k <= 64)
+    lax_descent(D)
+    for name, (src, tgt) in deltadiag.FACES.items():
+        F, S, T = getattr(D, name), getattr(D, src), getattr(D, tgt)
+        on_fun, on_nat = whole_face(T, faces[name])
+        functors, cells_of_S = _every(S)
+        assert [F.ob(x) for x in functors] == [T.obj_id(on_fun(S.functor_of(x))) for x in functors], name
+        assert [F.mor(m) for m in cells_of_S] == [named_cell(T, on_nat(S.nat_of(m))) for m in cells_of_S], name
+    for name in deltadiag.CELLS:
+        a = getattr(D, name)
+        at = whole_cell(D.D1, a.tgt.tgt, cells[name], a.src)
+        assert [a.at(f) for f in D.D1.objects] == [named_cell(a.tgt.tgt, at(f)) for f in D.D1.objects], name
 
 
 def test_whole_reads_of_an_on_demand_face_raise_not_enumerated():
@@ -1470,6 +1587,7 @@ def test_universe_members_and_T_are_lawful(fixture):
         for z in ws.algebras.values():
             if y.universe is z.universe:
                 lax_descent(build_Tzy(y.universe, y, z))
+                enumerate_hom_category(y.universe, y, z)
     for U in ws.universes.values():
         Ts = [F for key, F in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10
@@ -1480,6 +1598,6 @@ def test_codescent_probe_faces_are_lawful(monkeypatch):
     built = _recorded_hom_diagrams(monkeypatch)
     assert _probe_descent(load(os.path.join(FIXTURES, "monad_on_2.json")))["status"] == "pass"
     assert len(built) == 2
-    for D, _ in built:
+    for D, _, _ in built:
         assert D.D3.source.factors[1] is D.D2.source
         assert_diagram_lawful(D)

@@ -6,12 +6,14 @@ renamed or removed one would break only traced bench runs.  These tests
 load the tracer from the checkout and change nothing under perfbench/.
 """
 
+import gc
 import importlib.util
 import io
 import itertools
 import json
 import os
 import sys
+import weakref
 from contextlib import redirect_stdout
 
 import fin2cat.cli  # noqa: F401  (loads every module)
@@ -297,15 +299,15 @@ def _laxalg_frames():
     return names
 
 
-def _stacks_of(monkeypatch, owners, name):
+def _stacks_of(monkeypatch, owners, name, record=None):
     """Wrap owner.name, on every owner that holds the same function, so
     that each call appends the laxalg functions on its stack to the list
-    returned."""
+    returned, or record(*args) when given."""
     stacks = []
     real = getattr(owners[0], name)
 
     def counted(*args, **kw):
-        stacks.append(_laxalg_frames())
+        stacks.append(_laxalg_frames() if record is None else record(*args))
         return real(*args, **kw)
 
     for owner in owners:
@@ -314,10 +316,78 @@ def _stacks_of(monkeypatch, owners, name):
     return stacks
 
 
-def _fincat_stacks(monkeypatch, name):
+def _fincat_stacks(monkeypatch, name, record=None):
     """_stacks_of fincat.name, wherever a fin2cat module imported it."""
-    modules = [m for m in list(sys.modules.values()) if m.__name__.startswith("fin2cat")]
-    return _stacks_of(monkeypatch, [fincat] + modules, name)
+    return _stacks_of(monkeypatch, [fincat] + _fin2cat_modules(), name, record)
+
+
+def _fin2cat_modules():
+    return [m for m in list(sys.modules.values()) if m.__name__.startswith("fin2cat")]
+
+
+def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
+    # counts, not timings: while lax_descent reads each slate diagram
+    # (build_Tzy's, for verify-prop-descent, and each probe's, for
+    # verify-codescent), no compose_fun, paste, whisker or _fun_key call
+    # takes a functor or cell whose source is D2's or D3's source (TY and
+    # T^2 Y, or A2 and A3): the faces and cells act copy by copy on D1's
+    # ids
+    reading = []
+
+    def upper(*args):
+        """Whether a functor or cell among args runs out of an upper
+        level's source of the diagram being read; None outside
+        lax_descent."""
+        if not reading:
+            return None
+        D = reading[-1]
+        cells = [a.src for a in args if isinstance(a, fincat.NatT)]
+        sources = [F.src for F in cells + [a for a in args if isinstance(a, fincat.Fun)]]
+        return any(C is D.D2.source or C is D.D3.source for C in sources)
+
+    names = ("compose_fun", "paste", "whisker_left", "whisker_right", "_fun_key")
+    calls = {name: _fincat_stacks(monkeypatch, name, upper) for name in names}
+    diagrams = []
+
+    def reading_descent(D):
+        diagrams.append(D)
+        reading.append(D)
+        try:
+            return lax_descent(D)
+        finally:
+            reading.pop()
+
+    for module in _fin2cat_modules():
+        if vars(module).get("lax_descent") is lax_descent:
+            monkeypatch.setattr(module, "lax_descent", reading_descent)
+    read = 0
+    for argv in pinned_slate().values():
+        if argv[0] in ("verify-prop-descent", "verify-codescent"):
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0, out.getvalue()
+            read += 1 if argv[0] == "verify-prop-descent" else len(argv[-1].split(","))
+    assert len(diagrams) == read >= 4
+    assert all(isinstance(D.D3, fincat.PowerView) for D in diagrams)
+    for name, made in calls.items():
+        assert not any(made), (name, made.count(True))
+
+
+def test_a_read_diagram_is_freed_without_the_cycle_collector():
+    # counts, not timings: the faces and cells of a diagram hold no
+    # reference cycle, so once lax_descent has read it, the diagram and
+    # its views go with their last reference, the cyclic collector off
+    ws = cli.load(Z2_ON_THREE_FX)
+    y = ws.algebras["swap"]
+    gc.collect()
+    gc.disable()
+    try:
+        D = laxalg.build_Tzy(y.universe, y, y)
+        lax_descent(D)
+        views = [weakref.ref(D.D2), weakref.ref(D.D3)]
+        del D
+        assert [view() for view in views] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_lax_morphism_checks_paste_nothing(monkeypatch):
