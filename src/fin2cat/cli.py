@@ -41,7 +41,7 @@ import sys
 from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
 from .descent import descent, lax_descent
 from .errors import BoundaryMismatch, CoherenceViolation, MalformedWord, ParseError, UnknownCommand
-from .fincat import compose_fun, identity_fun, make_fincat, make_fun, make_nat
+from .fincat import compose_fun, hom_cat, identity_fun, make_fincat, make_fun, make_nat
 from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
     LaxAlgebra,
@@ -360,10 +360,10 @@ def _cmd_verify_prop_descent(ws, args, budget, probes):
 def _cmd_build_tzy(ws, args, budget, probes):
     yname, zname = _args(args, 2, "build-tzy <source> <target>")
     y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
-    D1 = build_Tzy(y.universe, y, z).D1
-    # D2 and D3 are views that enumerate nothing.  T^k Y = M x ... x M x Y
-    # with M discrete is |M|^k copies of Y, so [T^k Y, Z] is the product
-    # of |M|^k copies of D1 = [Y, Z], and its sizes are D1's to that power
+    # only D1 = [Y, Z] is enumerated.  T^k Y = M x ... x M x Y with M
+    # discrete is |M|^k copies of Y, so [T^k Y, Z] is the product of |M|^k
+    # copies of D1, and its sizes are D1's to that power
+    D1 = hom_cat(y.Z, z.Z)
     copies = len(y.universe.monoid.elements)
     data = {}
     for level, k in (("D1", 1), ("D2", copies), ("D3", copies**2)):

@@ -8,13 +8,15 @@ broken law.  FinCat, Fun and NatT trust their input.  Constructions that
 are lawful by theorem build them directly from proved structures:
 products, functor categories, composites, pasting and category_over (the
 lax and strict descent carriers and the algebra hom categories) here; T
-on functors and cells and universe members in laxalg; the pre- and
-postcomposition faces and the comparison cells of the three-level
-diagrams.  A test in tests/test_fincat.py proves each theorem once:
+on functors and cells, its structure functors m and eta and universe
+members in laxalg; the pre- and postcomposition faces and the
+comparison cells of the three-level diagrams.  A test in tests/test_fincat.py proves each theorem once:
 test_products_and_functor_categories_are_categories,
 test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
-test_universe_members_and_T_are_lawful,
+test_universe_members_and_T_are_lawful (m and eta of laxalg too, on the
+fixtures' universes), test_monad_structure_functors_are_functors (m and
+eta on tables that need not be associative or unital),
 test_codescent_probe_faces_are_lawful (the faces and cells of the
 three-level diagrams too, which are built without proof) and, for the
 sizes build-tzy reports for [T Y, Z] and [T^2 Y, Z] without enumerating
@@ -23,9 +25,10 @@ test_top_level_sizes_are_powers_of_the_bottom_level_on_drawn_carriers.
 A PowerView names every functor and transformation as the enumerated
 functor category does: test_functor_view_matches_hom_cat and the tests
 after it prove that against HomCat.
-The lax-morphism checks of laxalg compare components alone, as the two
-sides of each of their pastings share a boundary; tests/test_laxalg.py
-proves that once, in
+The lax-algebra and lax-morphism checks of laxalg compare components
+alone, as the two sides of each of their pastings share a boundary;
+tests/test_laxalg.py proves that once, in
+test_algebra_check_matches_the_pasted_check_on_fixtures,
 test_componentwise_checks_match_pastings_on_fixture_pairs and
 test_componentwise_checks_match_pastings_on_drawn_families.
 check_pseudomonad builds the identity cells of the 2-monad's coherence
@@ -670,20 +673,17 @@ def _enumerate_functors(C, D):
     objs = list(C.objects)
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
     at = {m: i for i, m in enumerate(non_id)}
-    # early pruning: checks[i] lists the composites g.f of non_id[i] with
-    # an earlier non_id[j], either way round, whose value is known once
-    # non_id[i] has its image: an identity (given by the object x) or
-    # non_id[k] for k <= i
+    # each composite g.f of two non-identity morphisms is checked where it
+    # closes: at the last of g, f and g.f to get its image, an identity
+    # g.f being given by the object x.  Pairs with an identity hold for
+    # any images, so these checks are the whole of functoriality
     checks = [[] for _ in non_id]
-    for i, m in enumerate(non_id):
-        for n in non_id[:i]:
-            for g, f in ((m, n), (n, m)):
-                if C.cod[f] == C.dom[g]:
-                    gf = C.compose_table[(g, f)]
-                    if C.is_identity(gf):
-                        checks[i].append((at[g], at[f], None, C.dom[f]))
-                    elif at[gf] <= i:
-                        checks[i].append((at[g], at[f], at[gf], None))
+    for (g, f), gf in C.compose_table.items():
+        if g in at and f in at:
+            if C.is_identity(gf):
+                checks[max(at[g], at[f])].append((at[g], at[f], None, C.dom[f]))
+            else:
+                checks[max(at[g], at[f], at[gf])].append((at[g], at[f], at[gf], None))
     Dc = D.compose_table
 
     def fits(i, ims, on_obj):
@@ -706,9 +706,7 @@ def _enumerate_functors(C, D):
                 full = dict(zip(non_id, ims))
                 for x in objs:
                     full[C.identity[x]] = D.identity[on_obj[x]]
-                # final functoriality check over the whole table
-                if _unpreserved(C, D, full) is None:
-                    out.append(Fun(C, D, on_obj, full))
+                out.append(Fun(C, D, on_obj, full))
             # the deepest morphism takes its next image that passes its
             # checks; a morphism whose images run out is dropped
             while stack:

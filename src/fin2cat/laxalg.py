@@ -10,24 +10,23 @@ depth is an error rather than silent growth, and a universe of more than
 UNIVERSE_LIMIT morphisms is refused before any member is built.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
-a.eta_Z); check_lax_algebra pastes its three coherence equations as NatTs,
-once per algebra.  check_pseudomonad pastes nothing: it checks the unit
-and associativity laws as functor equalities and builds the identity
-cells mu, iota and tau that its coherence pastings are made of.  The rest
-holds by theorem for a discrete M (see MonadUniverse).  A lax
-morphism (f, fbar: a_z.T(f) => f.a_y) is checked by check_lax_morphism,
-which classifies it as strict / pseudo / lax, and a transformation of lax
-morphisms by check_transformation.  These two run on every candidate of
-enumerate_hom_category, so they build no composite functor and no NatT:
-after the typing checks, _componentwise reads each side of a pasting as
-a component dict off the target's table, the boundaries being equal by
-theorem.  The boundaries of zbar and zbar0 are computed once per algebra
-(cell_boundaries, in LaxAlgebra), and that of fbar once per functor f
-(fbar_boundary).  Every equation of an algebra or a morphism, pasted or
-componentwise, is reported by _unequal, which names the first differing
-component in sorted order; a 2-monad law or cell that cannot be built is
-recorded by _recorded, and a law needing k T-iterates of C runs when
-MonadUniverse.height(C) >= k.
+a.eta_Z).  check_pseudomonad pastes nothing: it checks the unit and
+associativity laws as functor equalities and builds the identity cells
+mu, iota and tau that its coherence pastings are made of.  The rest
+holds by theorem for a discrete M (see MonadUniverse).  A lax morphism
+(f, fbar: a_z.T(f) => f.a_y) is checked by check_lax_morphism, which
+classifies it as strict / pseudo / lax, and a transformation of lax
+morphisms by check_transformation.  Neither these two nor
+check_lax_algebra builds a composite functor or a NatT: after the typing
+checks (made once per algebra, by LaxAlgebra), each side of a pasting is
+read as a component dict off the target's table, the boundaries being
+equal by theorem (check_lax_algebra, _componentwise).  The boundaries of
+zbar and zbar0 are computed once per algebra (cell_boundaries, in
+LaxAlgebra), and that of fbar once per functor f (fbar_boundary).  Every
+equation of an algebra or a morphism is reported by _unequal, which
+names the first differing component in sorted order; a 2-monad law or
+cell that cannot be built is recorded by _recorded, and a law needing k
+T-iterates of C runs when MonadUniverse.height(C) >= k.
 
 verify_prop_descent compares two independently computed categories: the
 hom category of lax morphisms (direct evaluation of the axioms) and the
@@ -57,14 +56,10 @@ from .fincat import (
     hom_cat,
     identity_cell,
     identity_fun,
-    identity_nat,
     make_fincat,
     make_fun,
     make_nat,
-    paste,
     product_cat,
-    whisker_left,
-    whisker_right,
 )
 
 
@@ -107,26 +102,32 @@ class MonadUniverse:
     AxiomViolation.  m, eta give the structure functors at a member,
     mu/iota/tau their (identity) comparison cells.
 
-    m, eta, mu and T on functors are memoised on the universe: each
-    distinct structure functor or cell (m, eta or mu at a member, T(F)
-    for each functor F between members) is built once, the first time it
-    is asked for, and every later call returns that same object.  The
-    memo lives as long as the universe does; a failed build is not
-    remembered and fails again on the next call.  Members are found by
-    identity first, so index_of on a member compares no tables.
+    m, eta, mu, iota, tau and T on functors are memoised on the
+    universe: each distinct structure functor or cell (m, eta, mu, iota
+    or tau at a member, T(F) for each functor F between members) is
+    built once, the first time it is asked for, and every later call
+    returns that same object.  The memo lives as long as the universe
+    does; a failed build is not remembered and fails again on the next
+    call.  Members are found by identity first, so index_of on a member
+    compares no tables.
 
-    What is proved: m and eta by make_fun, since they read the monoid's
-    table, and a Monoid(check=False) table may hold anything; mu, iota
-    and tau by identity_cell, which is where check_pseudomonad meets a
-    non-associative or non-unital table.  What is lawful by theorem and
-    built without proof: the members T(X) = M x X, products of proved
-    categories, and T(F) = id x F and T(a) = id x a for a functor F and a
-    cell a.  As M is discrete, T is then a strict 2-functor and m and eta
-    are 2-natural whatever the table, and once mu, iota and tau exist
-    the coherence pastings made of them are identities between equal
-    boundaries.  check_pseudomonad checks none of that; the test
-    test_pseudomonad_check_matches_the_pasted_check does, once, against
-    tests/helpers.pasted_check_pseudomonad.
+    What is proved: the monoid's table, by monoid_two_monad, only as far
+    as m and eta need it: mul must send every pair of elements to an
+    element, and the unit must be one (a Monoid(check=False) table may
+    hold anything).  Then m: (g, (h, x)) -> (gh, x) and eta: x -> (e, x)
+    are functors by theorem, as M is discrete, and are built without
+    proof; test_monad_structure_functors_are_functors in
+    tests/test_fincat.py proves them once, on non-associative tables
+    too.  mu, iota and tau are proved by identity_cell, which is where
+    check_pseudomonad meets a non-associative or non-unital table.  Also
+    lawful by theorem and built without proof: the members T(X) = M x X,
+    products of proved categories, and T(F) = id x F and T(a) = id x a
+    for a functor F and a cell a.  As M is discrete, T is then a strict
+    2-functor and m and eta are 2-natural whatever the table, and once
+    mu, iota and tau exist the coherence pastings made of them are
+    identities between equal boundaries.  check_pseudomonad checks none
+    of that; the test test_pseudomonad_check_matches_the_pasted_check
+    does, once, against tests/helpers.pasted_check_pseudomonad.
     """
 
     def __init__(self, monoid, seeds, depth):
@@ -216,7 +217,7 @@ class MonadUniverse:
         e = self.monoid.unit
         return self._memoised(
             ("eta", self.index_of(C)),
-            lambda: make_fun(
+            lambda: Fun(
                 C,
                 TC,
                 {x: TC.pair_obj(e, x) for x in C.objects},
@@ -236,7 +237,7 @@ class MonadUniverse:
             for m, (g, m2) in T2C.mor_pair.items():
                 h, f = TC.mor_pair[m2]
                 on_mor[m] = TC.pair_mor(self.monoid.mul(g, h), f)
-            return make_fun(T2C, TC, on_obj, on_mor)
+            return Fun(T2C, TC, on_obj, on_mor)
 
         return self._memoised(("m", self.index_of(C)), build)
 
@@ -253,16 +254,18 @@ class MonadUniverse:
 
     def iota(self, C):
         """Unit cell m.eta_T => id at member C (identity)."""
-        TC = self.T(C)
-        return identity_cell(
-            compose_fun(self.m(C), self.eta(TC)), identity_fun(TC)
-        )
+        return self._unit_cell("iota", C, self.eta(self.T(C)))
 
     def tau(self, C):
         """Unit cell m.T(eta) => id at member C (identity)."""
+        return self._unit_cell("tau", C, self.T_fun(self.eta(C)))
+
+    def _unit_cell(self, name, C, F):
+        """The identity cell m.F => id at member C, memoised under name."""
         TC = self.T(C)
-        return identity_cell(
-            compose_fun(self.m(C), self.T_fun(self.eta(C))), identity_fun(TC)
+        return self._memoised(
+            (name, self.index_of(C)),
+            lambda: identity_cell(compose_fun(self.m(C), F), identity_fun(TC)),
         )
 
     def __repr__(self):
@@ -292,9 +295,17 @@ def universe_size(M, seeds, depth):
 
 def monoid_two_monad(M, seeds, depth):
     """Build the universe for T = M x (-) over the given (name, category)
-    seeds."""
+    seeds.  M's table is refused unless mul sends every pair of elements
+    to an element and the unit is one, which is all that m and eta need
+    to be functors (see MonadUniverse)."""
     if depth < 1:
         raise AxiomViolation("depth must be at least 1")
+    els = set(M.elements)
+    if M.unit not in els:
+        raise AxiomViolation("monoid unit %r is not an element" % (M.unit,))
+    for pair in ((g, h) for g in M.elements for h in M.elements):
+        if M.table.get(pair) not in els:
+            raise AxiomViolation("monoid table sends %r to no element" % (pair,))
     if universe_size(M, seeds, depth) > UNIVERSE_LIMIT:
         raise AxiomViolation(
             "depth %d makes a universe of more than %d morphisms"
@@ -303,28 +314,15 @@ def monoid_two_monad(M, seeds, depth):
     return MonadUniverse(M, seeds, depth)
 
 
-def _vv(*nats):
-    """Vertical paste, read right to left like written composition."""
-    out = nats[-1]
-    for n in reversed(nats[:-1]):
-        out = paste("vertical", n, out)
-    return out
-
-
 def _unequal(what, lhs, rhs):
-    """[] when the cells lhs and rhs agree, else the one failure
-    "<what> fails at <first differing component>".  lhs and rhs are
-    two pasted NatTs, equal only if their boundaries are too, or the
-    component dicts of two pastings whose boundaries agree by theorem."""
+    """[] when lhs and rhs agree, else the one failure "<what> fails at
+    <first differing component>".  lhs and rhs are the component dicts,
+    on the same objects, of the two sides of a pasting whose boundaries
+    agree by theorem."""
     if lhs == rhs:
         return []
-    lhs, rhs = getattr(lhs, "components", lhs), getattr(rhs, "components", rhs)
-    diff = "boundaries differ"
-    for x in sorted(lhs):
-        if lhs[x] != rhs.get(x):
-            diff = "%r (%r vs %r)" % (x, lhs[x], rhs.get(x))
-            break
-    return ["%s fails at %s" % (what, diff)]
+    x = next(x for x in sorted(lhs) if lhs[x] != rhs[x])
+    return ["%s fails at %r (%r vs %r)" % (what, x, lhs[x], rhs[x])]
 
 
 @contextmanager
@@ -486,39 +484,50 @@ class LaxMorphism:
 
 
 def check_lax_algebra(U, z):
-    """Evaluate the three pasted coherence equations of a lax algebra.
+    """Evaluate the three coherence equations of a lax algebra, on the
+    components of each side read off Z's table, as _componentwise does:
+    at x = (g, w) in T^3 Z, zbar at T(m)(x) after a(g, zbar_w) against
+    zbar at m_TZ(x) after zbar at T^2(a)(x) (multiplication); at x in TZ,
+    zbar at eta_TZ(x) after zbar0 at a(x), and at x = (g, w) zbar at
+    T(eta)(x) after a(g, zbar0_w), each against the identity at a(x)
+    (unit).  The cells mu, iota and tau contribute identities, so they
+    are only built, which raises BoundaryMismatch on a table that breaks
+    them.  For typed zbar and zbar0 the two sides of each pasting share a
+    boundary, by theorem (tests/helpers.pasted_check_lax_algebra checks
+    it), so the components decide.
 
     Equations needing deeper T-iterates than the universe provides are
     skipped.  Returns a Verdict naming the failing pasting and a witness
     object.
     """
     failures = []
-    a, Z = z.a, z.Z
-    TZ = U.T(Z)
+    Z, Zc, TZ = z.Z, z.Z.compose_table, U.T(z.Z)
+    ao, am, zb, zb0 = z.a.on_obj, z.a.on_mor, z.zbar.components, z.zbar0.components
     if U.height(Z) >= 3:
-        lhs = _vv(
-            whisker_left(a, U.mu(Z)),
-            whisker_right(z.zbar, U.T_fun(U.m(Z))),
-            whisker_left(a, U.T_nat(z.zbar)),
+        U.mu(Z)
+        Tm, mT = U.T_fun(U.m(Z)).on_obj, U.m(TZ)
+        T2a = U.T_fun(U.T_fun(z.a)).on_obj
+        failures += _unequal(
+            "multiplication pasting",
+            {
+                x: Zc[zb[Tm[x]], am[TZ.pair_mor(g, zb[w])]]
+                for x, (g, w) in mT.src.obj_pair.items()
+            },
+            {x: Zc[zb[mT.on_obj[x]], zb[T2a[x]]] for x in mT.src.objects},
         )
-        rhs = _vv(
-            whisker_right(z.zbar, U.m(TZ)),
-            whisker_right(z.zbar, U.T_fun(U.T_fun(a))),
-        )
-        failures += _unequal("multiplication pasting", lhs, rhs)
     if U.height(Z) >= 2:
-        lhs = _vv(
-            whisker_left(a, U.iota(Z)),
-            whisker_right(z.zbar, U.eta(TZ)),
-            whisker_right(z.zbar0, a),
-        )
-        failures += _unequal("unit pasting (eta)", lhs, identity_nat(a))
-        lhs = _vv(
-            whisker_left(a, U.tau(Z)),
-            whisker_right(z.zbar, U.T_fun(U.eta(Z))),
-            whisker_left(a, U.T_nat(z.zbar0)),
-        )
-        failures += _unequal("unit pasting (T eta)", lhs, identity_nat(a))
+        U.iota(Z)
+        ident = {x: Z.identity[ao[x]] for x in TZ.objects}
+        eta = U.eta(TZ).on_obj
+        lhs = {x: Zc[zb[eta[x]], zb0[ao[x]]] for x in TZ.objects}
+        failures += _unequal("unit pasting (eta)", lhs, ident)
+        U.tau(Z)
+        Teta = U.T_fun(U.eta(Z)).on_obj
+        lhs = {
+            x: Zc[zb[Teta[x]], am[TZ.pair_mor(g, zb0[w])]]
+            for x, (g, w) in TZ.obj_pair.items()
+        }
+        failures += _unequal("unit pasting (T eta)", lhs, ident)
     return verdict_all(failures)
 
 

@@ -25,9 +25,11 @@ from fin2cat.errors import (
 from fin2cat.fincat import (
     compose_fun,
     identity_fun,
+    identity_nat,
     make_fincat,
     make_fun,
     make_nat,
+    paste,
     whisker_left,
     whisker_right,
 )
@@ -541,8 +543,8 @@ class UncachedUniverse(laxalg.MonadUniverse):
     the universe builds as lawful by theorem: every member is proved by
     make_fincat as it joins, every m, eta and T_fun call builds its
     functor anew and T_fun proves it by make_fun, T_nat proves its cell by
-    make_nat, and index_of scans the members by equality.  The oracle for
-    the memoised universe."""
+    make_nat, m and eta are proved by make_fun too, and index_of scans
+    the members by equality.  The oracle for the memoised universe."""
 
     def _add(self, name, cat):
         proved_cat(cat)
@@ -555,20 +557,69 @@ class UncachedUniverse(laxalg.MonadUniverse):
         return self._scan(C)
 
     def T_fun(self, F):
-        TF = super().T_fun(F)
-        return laxalg.make_fun(TF.src, TF.tgt, TF.on_obj, TF.on_mor)
+        return proved_fun(super().T_fun(F))
+
+    def m(self, C):
+        return proved_fun(super().m(C))
+
+    def eta(self, C):
+        return proved_fun(super().eta(C))
 
     def T_nat(self, a):
         Ta = super().T_nat(a)
         return laxalg.make_nat(Ta.src, Ta.tgt, Ta.components)
 
 
+def _vv(*nats):
+    """Vertical paste, read right to left like written composition."""
+    out = nats[-1]
+    for n in reversed(nats[:-1]):
+        out = paste("vertical", n, out)
+    return out
+
+
 def _shared_boundary_unequal(what, lhs, rhs):
-    """laxalg._unequal on two pasted NatTs, once their sources and their
-    targets are asserted equal: for typed cells and a strict T this holds
-    by theorem, and the componentwise checks rest on it."""
+    """laxalg._unequal on the components of two pasted NatTs, once their
+    sources and their targets are asserted equal: for typed cells and a
+    strict T this holds by theorem, and the componentwise checks rest on
+    it."""
     assert (lhs.src, lhs.tgt) == (rhs.src, rhs.tgt), what
-    return laxalg._unequal(what, lhs, rhs)
+    return laxalg._unequal(what, lhs.components, rhs.components)
+
+
+def pasted_check_lax_algebra(U, z):
+    """check_lax_algebra as it was before its equations were read off
+    components: the three coherence equations pasted as NatTs from
+    whiskered cells, mu, iota and tau included, and compared whole.  The
+    oracle for the componentwise route."""
+    failures = []
+    a, Z = z.a, z.Z
+    TZ = U.T(Z)
+    if U.height(Z) >= 3:
+        lhs = _vv(
+            whisker_left(a, U.mu(Z)),
+            whisker_right(z.zbar, U.T_fun(U.m(Z))),
+            whisker_left(a, U.T_nat(z.zbar)),
+        )
+        rhs = _vv(
+            whisker_right(z.zbar, U.m(TZ)),
+            whisker_right(z.zbar, U.T_fun(U.T_fun(a))),
+        )
+        failures += _shared_boundary_unequal("multiplication pasting", lhs, rhs)
+    if U.height(Z) >= 2:
+        lhs = _vv(
+            whisker_left(a, U.iota(Z)),
+            whisker_right(z.zbar, U.eta(TZ)),
+            whisker_right(z.zbar0, a),
+        )
+        failures += _shared_boundary_unequal("unit pasting (eta)", lhs, identity_nat(a))
+        lhs = _vv(
+            whisker_left(a, U.tau(Z)),
+            whisker_right(z.zbar, U.T_fun(U.eta(Z))),
+            whisker_left(a, U.T_nat(z.zbar0)),
+        )
+        failures += _shared_boundary_unequal("unit pasting (T eta)", lhs, identity_nat(a))
+    return verdict_all(failures)
 
 
 def pasted_lax_morphism(U, y, z, phi):
@@ -582,11 +633,11 @@ def pasted_lax_morphism(U, y, z, phi):
         raise BoundaryMismatch("underlying functor must run Y -> Z")
     if (fbar.src, fbar.tgt) != laxalg.fbar_boundary(U, y, z, f):
         raise BoundaryMismatch("fbar must run a_z.T(f) => f.a_y")
-    lhs = laxalg._vv(
+    lhs = _vv(
         whisker_right(fbar, U.m(Y)),
         whisker_right(z.zbar, U.T_fun(U.T_fun(f))),
     )
-    rhs = laxalg._vv(
+    rhs = _vv(
         whisker_left(f, y.zbar),
         whisker_right(fbar, U.T_fun(y.a)),
         whisker_left(z.a, U.T_nat(fbar)),
@@ -594,7 +645,7 @@ def pasted_lax_morphism(U, y, z, phi):
     failed = _shared_boundary_unequal("multiplication compatibility", lhs, rhs)
     if failed:
         raise CoherenceViolation(*failed)
-    lhs = laxalg._vv(whisker_right(fbar, U.eta(Y)), whisker_right(z.zbar0, f))
+    lhs = _vv(whisker_right(fbar, U.eta(Y)), whisker_right(z.zbar0, f))
     failed = _shared_boundary_unequal("unit compatibility", lhs, whisker_left(f, y.zbar0))
     if failed:
         raise CoherenceViolation(*failed)
@@ -617,11 +668,11 @@ def pasted_transformation(U, phi, psi, m):
 
 
 def _unequal_at(what, lhs, rhs, at):
-    """laxalg._unequal with the failing member named: "<what> fails at
-    <at><first differing component>"."""
+    """_shared_boundary_unequal with the failing member named: "<what>
+    fails at <at><first differing component>"."""
     return [
         f.replace(" fails at ", " fails at " + at, 1)
-        for f in laxalg._unequal(what, lhs, rhs)
+        for f in _shared_boundary_unequal(what, lhs, rhs)
     ]
 
 
@@ -689,12 +740,12 @@ def pasted_check_pseudomonad(U):
         if k >= 4:
             with laxalg._recorded(failures, "associativity pasting at %s" % name):
                 TC = U.T(C)
-                lhs = laxalg._vv(
+                lhs = _vv(
                     whisker_left(U.m(C), U.mu(TC)),
                     whisker_right(U.mu(C), U.T_fun(U.m(TC))),
                     whisker_left(U.m(C), U.T_nat(U.mu(C))),
                 )
-                rhs = laxalg._vv(
+                rhs = _vv(
                     whisker_right(U.mu(C), U.m(U.T(TC))),
                     whisker_right(U.mu(C), U.T_fun(U.T_fun(U.m(C)))),
                 )
@@ -702,7 +753,7 @@ def pasted_check_pseudomonad(U):
         if k >= 3:
             with laxalg._recorded(failures, "triangle pasting at %s" % name):
                 TC = U.T(C)
-                lhs = laxalg._vv(
+                lhs = _vv(
                     whisker_left(U.m(C), U.tau(TC)),
                     whisker_right(U.mu(C), U.T_fun(U.eta(TC))),
                 )

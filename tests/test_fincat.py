@@ -44,6 +44,7 @@ from helpers import (
     layered_cat,
     materialised,
     named_cell,
+    nonassociative_mutants,
     one_object_cat,
     proved_cat,
     proved_fun,
@@ -1573,11 +1574,20 @@ def test_descent_and_algebra_carriers_match_their_pins(fixture, y, z):
     assert [carrier_digest(C) for C in carriers] == [pin] * 4
 
 
+def assert_structure_functors_lawful(U):
+    for C in U.members:
+        if U.height(C) >= 1:
+            assert_lawful(funs=(U.eta(C),))
+        if U.height(C) >= 2:
+            assert_lawful(funs=(U.m(C),))
+
+
 @pytest.mark.parametrize("fixture", ["monad_on_2.json", "z2_action.json"])
 def test_universe_members_and_T_are_lawful(fixture):
     ws = load(os.path.join(FIXTURES, fixture))
     for U in ws.universes.values():
         assert check_pseudomonad(U)
+        assert_structure_functors_lawful(U)
     # fill each universe's memo with the T(F) that the commands build
     for z in ws.algebras.values():
         U = z.universe
@@ -1592,6 +1602,36 @@ def test_universe_members_and_T_are_lawful(fixture):
         Ts = [F for key, F in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10
         assert_lawful(*U.members, funs=Ts)
+
+
+@st.composite
+def closed_tables(draw):
+    """A unit and a table on 1-3 elements whose values are all elements: a
+    small lawful monoid, one of its non-associative mutants, or any closed
+    table with any element as its unit."""
+    kind = draw(st.sampled_from(["lawful", "mutant", "any"]))
+    if kind == "any":
+        els = ["e", "a", "b"][: draw(st.integers(1, 3))]
+        pairs = [(g, h) for g in els for h in els]
+        values = draw(st.lists(st.sampled_from(els), min_size=len(pairs), max_size=len(pairs)))
+        return els, draw(st.sampled_from(els)), dict(zip(pairs, values))
+    els, table = SMALL_MONOIDS[draw(st.sampled_from(sorted(SMALL_MONOIDS)))]
+    if kind == "mutant":
+        table = draw(st.sampled_from(list(nonassociative_mutants(els, "e", table)) or [table]))
+    return els, "e", table
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_tables())
+def test_monad_structure_functors_are_functors(case):
+    # m: (g, (h, x)) -> (gh, x) and eta: x -> (e, x) are functors for any
+    # table that sends every pair of elements to an element, associative or
+    # not, and any unit that is an element; so the universe builds them
+    # without proof once monoid_two_monad has checked that much
+    els, unit, table = case
+    M = laxalg.Monoid(els, unit, table, check=False)
+    seeds = [("1", terminal_cat()), ("A", walking_arrow()), ("D", discrete("pq"))]
+    assert_structure_functors_lawful(laxalg.monoid_two_monad(M, seeds, 2))
 
 
 def test_codescent_probe_faces_are_lawful(monkeypatch):

@@ -37,6 +37,7 @@ from helpers import (
     discrete,
     nonassociative_mutants,
     one_object_cat,
+    pasted_check_lax_algebra,
     pasted_check_pseudomonad,
     pasted_lax_morphism,
     pasted_transformation,
@@ -549,7 +550,7 @@ def test_componentwise_checks_match_pastings_on_drawn_families(data):
     # typed component families, natural or not: the comparison cells of
     # both algebras (redrawn or kept), two candidates y -> z and a cell
     # between their functors; the routes agree on each check, failing ones
-    # included
+    # included, and on the algebra check of y and of z
     draw = data.draw
     U, y, z, funs = draw(st.sampled_from(_oracle_pairs()))
     y, z = (
@@ -560,11 +561,60 @@ def test_componentwise_checks_match_pastings_on_drawn_families(data):
         else w
         for w in (y, z)
     )
+    for w in (y, z):
+        want = _outcome(pasted_check_lax_algebra, U, w)
+        assert _outcome(check_lax_algebra, U, w) == want
     f = draw(st.sampled_from(funs))
     g = draw(st.sampled_from([g for g in funs if _homs(f, g)]))
     candidates = [(h, _family(draw, *laxalg.fbar_boundary(U, y, z, h))) for h in (f, g)]
     m = _family(draw, f, g)
     _same_outcomes(U, y, z, candidates, lambda h, k: [m] if (h, k) == (f, g) else [])
+
+
+FIXTURE_ALGEBRAS = [
+    ("monad_on_2.json", "idalg"),
+    ("monad_on_2.json", "const1"),
+    ("z2_action.json", "swap"),
+    ("z2_action.json", "skew"),
+    ("z2_on_three.json", "swap"),
+    ("z2_on_three.json", "fix"),
+]
+
+
+@pytest.mark.parametrize("fixture, name", FIXTURE_ALGEBRAS)
+def test_algebra_check_matches_the_pasted_check_on_fixtures(fixture, name):
+    # the componentwise check gives the pasted oracle's Verdict, failure
+    # strings included, and the oracle finds the two sides of each pasting
+    # on one boundary; skew's unit pastings fail
+    z = load(os.path.join(FIXTURES, fixture)).algebras[name]
+    got = _outcome(check_lax_algebra, z.universe, z)
+    assert got == _outcome(pasted_check_lax_algebra, z.universe, z)
+    assert got[0] is (name != "skew")
+
+
+@pytest.mark.parametrize("fixture", sorted({f for f, _ in FIXTURE_ALGEBRAS}))
+def test_algebra_check_pastes_nothing(monkeypatch, fixture):
+    # once the universe's identity cells mu, iota and tau exist (each is
+    # built once, by compose_fun, and memoised), check_lax_algebra reads
+    # components only: no paste, whisker or composite functor
+    for name in ("paste", "whisker_left", "whisker_right", "identity_nat", "_vv"):
+        assert not hasattr(laxalg, name)
+    ws = load(os.path.join(FIXTURES, fixture))
+    for z in ws.algebras.values():
+        U, Z = z.universe, z.Z
+        if U.height(Z) >= 3:
+            U.mu(Z)
+        U.iota(Z)
+        U.tau(Z)
+
+    def refused(*args):
+        raise AssertionError("check_lax_algebra composed or pasted a cell")
+
+    for name in ("paste", "whisker_left", "whisker_right", "compose_fun"):
+        for module in (fincat, laxalg):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    for name, z in ws.algebras.items():
+        assert bool(check_lax_algebra(z.universe, z)) is (name != "skew")
 
 
 # ---------------------------------------------------------------------------
@@ -982,39 +1032,81 @@ def test_pseudomonad_check_matches_the_pasted_check():
             assert cells[0] is lawful_table, (table, depth)
 
 
-def _make_fun_calls(monkeypatch, universe):
-    """Run one check_pseudomonad for Z/2 over the walking arrow at depth 3
-    and return the universe plus the functors laxalg built, in order."""
-    made = []
-    real = fincat.make_fun
+def _structure_built(monkeypatch, universe):
+    """Run one check_pseudomonad for Z/2 over the walking arrow at depth 4
+    and return the universe, the functors laxalg built as Funs, the
+    identity cells it built and the make_fun calls it made, in order."""
+    built, cells, proved = [], [], []
+    real_cell, real_fun = fincat.identity_cell, fincat.make_fun
 
-    def counting(src, tgt, on_obj, on_mor):
-        F = real(src, tgt, on_obj, on_mor)
-        made.append(F)
-        return F
+    class Counted(fincat.Fun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(laxalg, "make_fun", counting)
-    U = universe(z2_monoid(), [("A", walking_arrow())], 3)
+    def counted_cell(F, G):
+        cells.append(real_cell(F, G))
+        return cells[-1]
+
+    def counted_fun(*args):
+        proved.append(args)
+        return real_fun(*args)
+
+    monkeypatch.setattr(laxalg, "Fun", Counted)
+    monkeypatch.setattr(laxalg, "identity_cell", counted_cell)
+    monkeypatch.setattr(laxalg, "make_fun", counted_fun)
+    U = universe(z2_monoid(), [("A", walking_arrow())], 4)
     assert check_pseudomonad(U)
-    return U, made
+    return U, built, cells, proved
 
 
 def test_pseudomonad_proves_each_structure_functor_once(monkeypatch):
-    U, made = _make_fun_calls(monkeypatch, laxalg.MonadUniverse)
-    keys = [(U.index_of(F.src), U.index_of(F.tgt), fincat._fun_key(F)) for F in made]
+    # m and eta are functors by theorem once monoid_two_monad has checked
+    # the table (test_monad_structure_functors_are_functors proves them):
+    # each is built once, through the memo, and none is proved by make_fun.
+    # mu is built once although both pastings at the seed read it
+    U, built, cells, proved = _structure_built(monkeypatch, laxalg.MonadUniverse)
+    assert proved == []
+    keys = [(U.index_of(F.src), U.index_of(F.tgt), fincat._fun_key(F)) for F in built]
     assert len(keys) == len(set(keys))
-    built = {id(F) for F in made}
+    made = {id(F) for F in built}
+    for C in U.members[:4]:
+        assert id(U.eta(C)) in made
     for C in U.members[:3]:
-        assert id(U.eta(C)) in built
+        assert id(U.m(C)) in made
+        # T on a functor is lawful by theorem, memoised too
+        assert U.T_fun(U.eta(C)) is U.T_fun(U.eta(C))
+    # mu at A and T(A), iota at A and T(A), tau at T(A) and T^2(A)
+    assert len(cells) == 6
     for C in U.members[:2]:
-        assert id(U.m(C)) in built
-        # T on a functor is lawful by theorem: memoised, and not proved
-        T_eta = U.T_fun(U.eta(C))
-        assert U.T_fun(U.eta(C)) is T_eta
-        assert id(T_eta) not in built
-    # the same check without the memo proves the same functors many times
-    _, again = _make_fun_calls(monkeypatch, UncachedUniverse)
-    assert len(again) > 3 * len(made)
+        assert any(U.mu(C) is c for c in cells)
+    # the same check without the memo builds the same structure many
+    # times, and mu at A and at T(A) twice each
+    _, again, again_cells, _ = _structure_built(monkeypatch, UncachedUniverse)
+    assert len(again) > 3 * len(built)
+    assert len(again_cells) == 8
+
+
+def test_two_monad_refuses_a_table_its_structure_functors_cannot_read():
+    # m reads mul at every pair of elements and eta reads the unit; a
+    # table that leaves either without an element is refused here, where
+    # it would otherwise escape check_pseudomonad as a KeyError or a
+    # FunctorialityViolation
+    z2 = z2_monoid().table
+    missing = {k: v for k, v in z2.items() if k != ("s", "e")}
+    outside = dict(z2)
+    outside[("s", "e")] = "z"
+    no_element = "monoid table sends ('s', 'e') to no element"
+    cases = [
+        ("e", missing, no_element),
+        ("e", outside, no_element),
+        ("u", z2, "monoid unit 'u' is not an element"),
+    ]
+    for unit, table, message in cases:
+        M = Monoid(["e", "s"], unit, table, check=False)
+        with pytest.raises(AxiomViolation) as refused:
+            monoid_two_monad(M, [("A", walking_arrow())], 3)
+        assert str(refused.value) == message
 
 
 def test_index_of_a_member_compares_no_tables(monkeypatch):
