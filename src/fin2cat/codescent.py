@@ -521,10 +521,11 @@ def build_Ay_strict(U, y):
     on functors and cells): the levels are the free iterates T Y, T^2 Y,
     T^3 Y, the multiplication face meets T of the action, and the
     algebra's comparison cells become Asig21 and An0.  The other three
-    cells are identities, proved by identity_cell: Asig00 proves
-    associativity of m, Asig20 naturality of m along the action, and An1
-    the right unit law m.T(eta) = id; the left unit law m.eta_T = id is
-    proved first, as U.iota(Y)."""
+    cells are identities: Asig00 is U.mu(Y), which proves associativity
+    of m, Asig20 proves naturality of m along the action by
+    identity_cell, and An1 is U.tau(Y), which proves the right unit law
+    m.T(eta) = id; the left unit law m.eta_T = id is proved first, as
+    U.iota(Y)."""
     Y = y.Z
     U.iota(Y)
     TY = U.T(Y)
@@ -543,9 +544,9 @@ def build_Ay_strict(U, y):
         "Asig21": U.T_nat(y.zbar),
         "An0": U.T_nat(y.zbar0),
     }
-    for name in ("Asig00", "Asig20", "An1"):
-        F, G = (face_composite(kw, p, A1) for p in _CELLS[name])
-        kw[name] = identity_cell(F, G)
+    kw["Asig00"] = U.mu(Y)
+    kw["Asig20"] = identity_cell(*(face_composite(kw, p, A1) for p in _CELLS["Asig20"]))
+    kw["An1"] = U.tau(Y)
     return make_codescent_data(**kw)
 
 

@@ -17,7 +17,9 @@ make_delta_diagram checks against them, codescent reads them upward, and
 hom_diagram builds the diagram on three functor categories from faces
 that precompose with a functor or apply a.T(-) (precompose, acting) and
 cells that whisker a given cell (after, along), as build_Tzy and the
-codescent probes do.  D1 is an enumerated HomCat; D2 and D3 are
+codescent probes do.  laxalg.enumerate_hom_category reads the faces Dd1
+and Dd0 too, to name its candidates fbar, and builds them alone (face)
+when no diagram is given.  D1 is an enumerated HomCat; D2 and D3 are
 fincat.PowerViews over it, as their sources are |M| and |M|^2 copies of
 D1's, and enumerating them would cost |obj D|^|obj C| functors and
 more, while the descent equations read them only at the candidates
@@ -155,18 +157,21 @@ def hom_diagram(D1, D2, D3, faces, cells):
     whole-functor route of tests/helpers.py."""
     kw = {"D1": D1, "D2": D2, "D3": D3}
     for name, (src, tgt) in FACES.items():
-        kw[name] = _face(kw[src], kw[tgt], *faces[name])
+        kw[name] = face(kw[src], kw[tgt], *faces[name])
     for name, (src, tgt) in CELLS.items():
         F, G = face_composite(kw, src, D1), face_composite(kw, tgt, D1)
         kw[name] = OnDemandNat(F, G, _cell(D1, G.tgt, F.ob, G.ob, cells[name]))
     return DeltaDiagram(**kw)
 
 
-def _face(S, T, G, a):
+def face(S, T, G, a):
     """The face from level S to level T that precomposes with G, or
     applies a.T(-), reading F's images off the keys of its copies in D1
     at the places _plan gives, computed on the face's first read, and
-    naming the copies in D1 and the whole in T."""
+    naming the copies in D1 and the whole in T.  S and T are levels of
+    hom_diagram, and face(S, T, *precompose(G)) or face(S, T,
+    *acting(a)) is the face hom_diagram builds from precompose(G) or
+    acting(a)."""
     base, plan = T._base, []
 
     def ob(x):

@@ -926,13 +926,13 @@ class PowerView:
     and _nat_id name a tuple; HomCat answers them as the one-copy case.
     The faces and cells of deltadiag.hom_diagram act through these
     alone, on base's keys, and so build no functor or transformation
-    over C.  A whole functor is named by obj_id.  Any functor id reads
-    back (functor_of).  A transformation is known once the view has
-    named it (hom, compose, inverse, or a face or cell), and dom, cod
-    and nat_of read what is known.  A reader that takes the whole
-    category (objects, morphisms, identity, compose_table, equality with
-    another category, and through them make_fun, iso_categories, functor
-    enumeration and products) raises NotEnumerated.
+    over C.  Any functor id reads back (functor_of).  A transformation
+    is known once the view has named it (hom, compose, inverse, or a
+    face or cell), and dom, cod and nat_of read what is known.  A reader
+    that takes the whole category (objects, morphisms, identity,
+    compose_table, equality with another category, and through them
+    make_fun, iso_categories, functor enumeration and products) raises
+    NotEnumerated.
     """
 
     def __init__(self, base, C, k):
@@ -951,7 +951,7 @@ class PowerView:
             degrees[self._rank[f]] += len(base._hom[f, g])
         self._degrees = list(itertools.accumulate(degrees, initial=0)).__getitem__
         self._below = {self._count: self._degrees(self._n) ** k}
-        self._obj_ids, self._fids, self._tuples, self._funs, self._from = {}, {}, {}, {}, {}
+        self._fids, self._tuples, self._funs, self._from = {}, {}, {}, {}
         self._ids, self._keys, self._composites = {}, {}, {}
         self.dom, self.cod = {}, {}
 
@@ -1044,11 +1044,6 @@ class PowerView:
         nid, which the view has named."""
         return self._keys[nid]
 
-    def _copies(self, names):
-        """names cut into the k blocks of the copies."""
-        n = len(names) // self._k
-        return [names[i * n : (i + 1) * n] for i in range(self._k)]
-
     def _nat_id(self, x, y, ms):
         """The id of the transformation x => y whose copies are the base
         transformations ms."""
@@ -1060,13 +1055,6 @@ class PowerView:
             self._ids[ms] = nid = "n%d" % (first + places[y] + at)
             self._keys[nid], self.dom[nid], self.cod[nid] = ms, x, y
         return self._ids[ms]
-
-    def obj_id(self, F):
-        key = _fun_key(F)
-        if key not in self._obj_ids:
-            keys = zip(*map(self._copies, key))
-            self._obj_ids[key] = self._fid(tuple(map(self._base._fun_ids.__getitem__, keys)))
-        return self._obj_ids[key]
 
     def functor_of(self, fid):
         if fid not in self._funs:

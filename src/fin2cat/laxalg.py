@@ -22,22 +22,27 @@ checks (made once per algebra, by LaxAlgebra), each side of a pasting is
 read as a component dict off the target's table, the boundaries being
 equal by theorem (check_lax_algebra, _componentwise).  The boundaries of
 zbar and zbar0 are computed once per algebra (cell_boundaries, in
-LaxAlgebra), and that of fbar once per functor f (fbar_boundary).  Every
+LaxAlgebra), and that of an fbar given from outside once per morphism
+(fbar_boundary); enumerate_hom_category types its candidates fbar by
+reading them off the faces Dd1 and Dd0 of the induced diagram.  Every
 equation of an algebra or a morphism is reported by _unequal, which
 names the first differing component in sorted order; a 2-monad law or
 cell that cannot be built is recorded by _recorded, and a law needing k
 T-iterates of C runs when MonadUniverse.height(C) >= k.
 
-verify_prop_descent compares two independently computed categories: the
-hom category of lax morphisms (direct evaluation of the axioms) and the
-lax descent category of the induced three-level diagram built by
-build_Tzy.  Both use the same object naming, so a successful comparison is
-an identity isomorphism, checked functor-by-functor.
+verify_prop_descent compares two categories cut out of one candidate
+set, the hom-sets D2(Dd1(f), Dd0(f)) of the induced three-level diagram
+built by build_Tzy, by independent judges: the hom category of lax
+morphisms (direct evaluation of the axioms) and the lax descent category
+of the diagram (the descent equations).  Both use the same object naming,
+so a successful comparison is an identity isomorphism, checked
+functor-by-functor.
 """
 
+import math
 from contextlib import contextmanager
 
-from .deltadiag import acting, after, along, hom_diagram, precompose
+from .deltadiag import acting, after, along, face, hom_diagram, precompose
 from .descent import invertible_part, lax_descent
 from .errors import (
     AxiomViolation,
@@ -47,6 +52,7 @@ from .errors import (
     verdict_all,
 )
 from .fincat import (
+    FinCat,
     Fun,
     NatT,
     PowerView,
@@ -109,7 +115,8 @@ class MonadUniverse:
     returns that same object.  The memo lives as long as the universe
     does; a failed build is not remembered and fails again on the next
     call.  Members are found by identity first, so index_of on a member
-    compares no tables.
+    compares no tables, and each member's height is settled when the
+    universe is built.
 
     What is proved: the monoid's table, by monoid_two_monad, only as far
     as m and eta need it: mul must send every pair of elements to an
@@ -138,15 +145,10 @@ class MonadUniverse:
         self._succ = {}
         self._index = {}
         self._memo = {}
-        els = list(monoid.elements)
-        self._mdisc = make_fincat(
-            objects=els,
-            morphisms=els,
-            dom={g: g for g in els},
-            cod={g: g for g in els},
-            identity={g: g for g in els},
-            compose={(g, g): g for g in els},
-        )
+        # the discrete category on the elements, which monoid_two_monad
+        # has found distinct
+        ids = {g: g for g in monoid.elements}
+        self._mdisc = FinCat(ids, ids, ids, ids, ids, {(g, g): g for g in ids})
         for name, cat in seeds:
             idx = self._add(name, cat)
             for _ in range(depth):
@@ -155,6 +157,15 @@ class MonadUniverse:
                 self._succ[idx] = j
                 idx = j
             self._succ[idx] = None
+        # T(C) is the member after C's first equal, so a walk may leave
+        # C's own chain; it never ends round a cycle, as T(X) = X for an
+        # empty X, and no walk that ends is longer than the members
+        self._heights = []
+        for C in self.members:
+            n, j = 0, self._succ[self.index_of(C)]
+            while j is not None and n < len(self.members):
+                n, j = n + 1, self._succ[self.index_of(self.members[j])]
+            self._heights.append(math.inf if j is not None else n)
 
     def _add(self, name, cat):
         self.members.append(cat)
@@ -180,11 +191,9 @@ class MonadUniverse:
         return F
 
     def height(self, C):
-        """How many times T applies to the member C before the depth ends."""
-        n, j = 0, self._succ[self.index_of(C)]
-        while j is not None:
-            n, j = n + 1, self._succ[self.index_of(self.members[j])]
-        return n
+        """How many times T applies to the member C before the depth ends:
+        math.inf for an empty C, as T(C) is C."""
+        return self._heights[self.index_of(C)]
 
     def T(self, C):
         j = self._succ[self.index_of(C)]
@@ -301,6 +310,8 @@ def monoid_two_monad(M, seeds, depth):
     if depth < 1:
         raise AxiomViolation("depth must be at least 1")
     els = set(M.elements)
+    if len(els) != len(M.elements):
+        raise AxiomViolation("monoid elements repeat")
     if M.unit not in els:
         raise AxiomViolation("monoid unit %r is not an element" % (M.unit,))
     for pair in ((g, h) for g in M.elements for h in M.elements):
@@ -549,11 +560,11 @@ def _componentwise(U, y, z):
     square(phi, psi, m), a Verdict."""
     Y, TY, TZ, Zc = y.Z, U.T(y.Z), U.T(z.Z), z.Z.compose_table
     az, ay, yb, zb = z.a.on_mor, y.a.on_obj, y.zbar.components, z.zbar.components
+    T2Y, m, Ta = U.T(TY), U.m(Y).on_obj, U.T_fun(y.a).on_obj
+    eta, yb0, zb0 = U.eta(Y).on_obj, y.zbar0.components, z.zbar0.components
 
     def laws(f):
-        T2Y, fo, fm = U.T(TY), f.on_obj, f.on_mor
-        T2f, m, Ta = U.T_fun(U.T_fun(f)).on_obj, U.m(Y).on_obj, U.T_fun(y.a).on_obj
-        eta, yb0, zb0 = U.eta(Y).on_obj, y.zbar0.components, z.zbar0.components
+        fo, fm, T2f = f.on_obj, f.on_mor, U.T_fun(U.T_fun(f)).on_obj
 
         def check(phi):
             c = phi.fbar.components
@@ -616,34 +627,34 @@ def check_transformation(U, phi, psi, m):
     return _componentwise(U, y, z)[1](phi, psi, m)
 
 
-def enumerate_hom_category(U, y, z, cls="lax", levels=None):
+def enumerate_hom_category(U, y, z, cls="lax", D=None):
     """The category of lax (or pseudo) morphisms y -> z and their
     transformations, over [Y, Z]: objects (F#, n#) are named after the
     functor and comparison-cell identifiers in the hom categories.
-    levels, when given, are the already built [Y, Z] and [TY, Z]; by
-    default [Y, Z] is enumerated and [TY, Z] is a PowerView over it, as
-    TY is |M| copies of Y, which names its cells as the enumerated
-    [TY, Z] would.  The candidates fbar are [TY, Z]'s cells on
-    fbar_boundary, typed by construction, so they go to _componentwise's
-    checks directly, built once for each f that has a candidate.
-    Transformations compose, so category_over builds the table without
-    proof."""
+    The candidates fbar over f are D2's hom-set from Dd1(f) = a_z.T(f) to
+    Dd0(f) = f.a_y, read through the faces of D, build_Tzy's diagram, as
+    lax_descent reads them.  By default only D1 = [Y, Z], D2 = [TY, Z] (a
+    PowerView over D1, as TY is |M| copies of Y) and those two faces are
+    built.  The faces act copy by copy on D1's ids, so no functor over
+    TY is built, and the candidates are typed by construction: they go to
+    _componentwise's checks directly, built once for each f that has a
+    candidate.  Transformations compose, so category_over builds the
+    table without proof."""
     if cls not in ("lax", "pseudo"):
         raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
-    Y, Z = y.Z, z.Z
-    if levels is None:
-        d1 = hom_cat(Y, Z)
-        levels = (d1, PowerView(d1, U.T(Y), len(U.monoid.elements)))
-    d1, d2 = levels
+    if D is None:
+        D1 = hom_cat(y.Z, z.Z)
+        D2 = PowerView(D1, U.T(y.Z), len(U.monoid.elements))
+        Dd0, Dd1 = face(D1, D2, *precompose(y.a)), face(D1, D2, *acting(z.a))
+    else:
+        D1, D2, Dd0, Dd1 = D.D1, D.D2, D.Dd0, D.Dd1
     laws, square = _componentwise(U, y, z)
     over, data = {}, {}
-    for fid in d1.objects:
-        f = d1.functor_of(fid)
-        src, tgt = fbar_boundary(U, y, z, f)
-        nids = d2.hom(d2.obj_id(src), d2.obj_id(tgt))
+    for fid in D1.objects:
+        f, nids = D1.functor_of(fid), D2.hom(Dd1.ob(fid), Dd0.ob(fid))
         check = laws(f) if nids else None
         for nid in nids:
-            phi = LaxMorphism(f, d2.nat_of(nid), src_alg=y, tgt_alg=z)
+            phi = LaxMorphism(f, D2.nat_of(nid), src_alg=y, tgt_alg=z)
             try:
                 k = check(phi)
             except CoherenceViolation:
@@ -655,9 +666,9 @@ def enumerate_hom_category(U, y, z, cls="lax", levels=None):
             data[o] = phi
 
     def admits(m, o1, o2):
-        return square(data[o1], data[o2], d1.nat_of(m))
+        return square(data[o1], data[o2], D1.nat_of(m))
 
-    return category_over(d1, over, admits)[0]
+    return category_over(D1, over, admits)[0]
 
 
 def build_Tzy(U, y, z):
@@ -724,14 +735,16 @@ def verify_prop_descent(U, y, z):
 
     Does this for the lax morphisms against lax descent, and for the
     pseudo morphisms against descent.  Each hom category is built once:
-    both direct enumerations read the levels [Y, Z] and [TY, Z] of the
-    diagram, and the descent category is cut out of the one lax descent
-    category.  Returns a report dict."""
+    both direct enumerations read the candidates fbar off the diagram's
+    faces Dd1 and Dd0, where lax_descent has already named them, and judge
+    them by the algebra axioms instead of the descent equations; the
+    descent category is cut out of the one lax descent category.  Returns
+    a report dict."""
     D = build_Tzy(U, y, z)
     lax = lax_descent(D)
     report = {"status": "pass", "counterexample": None}
     for key, dc in (("lax", lax), ("pseudo", invertible_part(lax))):
-        H = enumerate_hom_category(U, y, z, key, levels=(D.D1, D.D2))
+        H = enumerate_hom_category(U, y, z, key, D)
         ok, why = _compare_identity(H, dc.carrier)
         report[key] = {
             "hom_objects": len(H.objects),

@@ -363,8 +363,9 @@ def materialised(build, *args):
     hom_diagram enumerated as a HomCat and every face and cell acting by
     the whole-functor route (whole_hom_diagram): the route before those
     levels were PowerViews, and the oracle for the views.  HomCat answers
-    obj_id, mor_id, hom, compose, inverse, functor_of and nat_of as a
-    view does, under the same F#/n# names."""
+    hom, compose, inverse, functor_of and nat_of as a view does, and
+    names whole functors and cells (named_fun, named_cell) as a view
+    would, under the same F#/n# names."""
     def enumerated(base, C, k):
         return fincat.hom_cat(C, base.target)
 
@@ -434,7 +435,7 @@ def whole_cell(D1, L, cell, F):
 def whole_hom_diagram(D1, D2, D3, faces, cells):
     """deltadiag.hom_diagram by the whole-functor route: each face image
     and cell component built whole by whole_face and whole_cell, and
-    named by its level's obj_id and named_cell, on demand."""
+    named by named_fun and named_cell in its level, on demand."""
     kw = {"D1": D1, "D2": D2, "D3": D3}
     for name, (src, tgt) in deltadiag.FACES.items():
         S, T = kw[src], kw[tgt]
@@ -442,7 +443,7 @@ def whole_hom_diagram(D1, D2, D3, faces, cells):
         kw[name] = fincat.OnDemandFun(
             S,
             T,
-            lambda o, S=S, T=T, on_fun=on_fun: T.obj_id(on_fun(S.functor_of(o))),
+            lambda o, S=S, T=T, on_fun=on_fun: named_fun(T, on_fun(S.functor_of(o))),
             lambda m, S=S, T=T, on_nat=on_nat: named_cell(T, on_nat(S.nat_of(m))),
         )
     for name, (src, tgt) in deltadiag.CELLS.items():
@@ -452,6 +453,24 @@ def whole_hom_diagram(D1, D2, D3, faces, cells):
     return deltadiag.DeltaDiagram(**kw)
 
 
+def _cut(L, names):
+    """names cut into the blocks of the copies of the PowerView L's
+    source."""
+    n = len(names) // L._k
+    return [names[i * n : (i + 1) * n] for i in range(L._k)]
+
+
+def named_fun(L, F):
+    """L's id of the whole functor F: L.obj_id for an enumerated level,
+    and for a PowerView the route its faces took before they acted copy
+    by copy: F's key cut into the copies, each copy named in base by its
+    key, and the tuple by _fid."""
+    if isinstance(L, fincat.HomCat):
+        return L.obj_id(F)
+    keys = zip(*(_cut(L, part) for part in fincat._fun_key(F)))
+    return L._fid(tuple(map(L._base._fun_ids.__getitem__, keys)))
+
+
 def named_cell(L, a):
     """L's id of the whole transformation a: L.mor_id for an enumerated
     level, and for a PowerView the route its mor_id took before the faces
@@ -459,8 +478,8 @@ def named_cell(L, a):
     each copy named in base by its key, and the tuple by _nat_id."""
     if isinstance(L, fincat.HomCat):
         return L.mor_id(a)
-    x, y, comps = fincat._nat_key(a, L.obj_id(a.src), L.obj_id(a.tgt))
-    keys = zip(L._tuple(x), L._tuple(y), L._copies(comps))
+    x, y, comps = fincat._nat_key(a, named_fun(L, a.src), named_fun(L, a.tgt))
+    keys = zip(L._tuple(x), L._tuple(y), _cut(L, comps))
     return L._nat_id(x, y, tuple(map(L._base._nat_ids.__getitem__, keys)))
 
 
@@ -488,7 +507,7 @@ def eager_face(S, T, face):
     return fincat.Fun(
         S,
         T,
-        {o: T.obj_id(on_fun(S.functor_of(o))) for o in S.objects},
+        {o: named_fun(T, on_fun(S.functor_of(o))) for o in S.objects},
         {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
     )
 

@@ -1,5 +1,6 @@
 import functools
 import gc
+import math
 import os
 import random
 import sys
@@ -949,6 +950,17 @@ def test_height_counts_the_applications_of_T():
             pass
         assert U.height(X) == n
     assert [U.height(C) for C in U.members] == [3, 2, 1, 0] * 2 + [2, 1, 0, 0]
+
+
+def test_an_empty_member_has_unbounded_height():
+    # T(X) = M x X is X again for an empty X, so T applies to it without
+    # end: its height, settled when the universe is built, is unbounded,
+    # and check_pseudomonad runs every law there
+    E = discrete("")
+    U = monoid_two_monad(z2_monoid(), [("E", E), ("1", terminal_cat())], 2)
+    assert U.T(U.T(U.T(E))) == E
+    assert [U.height(C) for C in U.members] == [math.inf] * 3 + [2, 1, 0]
+    assert check_pseudomonad(U)
 
 
 def test_pseudomonad_laws_run_where_their_iterates_exist():

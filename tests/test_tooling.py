@@ -393,10 +393,14 @@ def test_a_read_diagram_is_freed_without_the_cycle_collector():
 def test_lax_morphism_checks_paste_nothing(monkeypatch):
     # counts, not timings: for hom and verify-prop-descent across the
     # slate, no fincat.paste call comes from the lax-morphism or
-    # transformation checks, and enumerate_hom_category's compose_fun
-    # calls are the two of fbar_boundary for each functor of [Y, Z],
-    # however many fbar candidates there are
-    calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun")}
+    # transformation checks, and enumerate_hom_category makes no
+    # compose_fun call: it reads its candidates fbar through the faces
+    # Dd1 and Dd0, which act copy by copy on [Y, Z]'s ids.  Its T_fun
+    # calls, and its _fun_key calls but those of enumerating [Y, Z], are
+    # the checks' (_componentwise and its laws, which read T^2(f) at each
+    # functor f that has a candidate); none names a candidate
+    calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun", "_fun_key")}
+    calls["T_fun"] = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "T_fun")
     candidates = []
     morphism = laxalg.LaxMorphism
     monkeypatch.setattr(
@@ -421,8 +425,16 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
         assert not any(names & checks for names in calls["paste"]), argv
         if argv[0] == "hom":
             assert calls["paste"] == [], argv
-        composed = [names for names in calls["compose_fun"] if "enumerate_hom_category" in names]
-        assert len(composed) == 2 * n, argv
+        enumerating = {
+            name: [names for names in stacks if "enumerate_hom_category" in names]
+            for name, stacks in calls.items()
+        }
+        assert enumerating["compose_fun"] == [], argv
+        checking = {"_componentwise", "laws"}
+        assert all(names & checking for names in enumerating["T_fun"]), argv
+        # hom enumerates [Y, Z] itself, keying each of its n functors once
+        named = [names for names in enumerating["_fun_key"] if not names & checking]
+        assert len(named) == (n if argv[0] == "hom" else 0), argv
         functors, fbars = functors + n, fbars + len(candidates)
     # the slate tries more candidates than it has functors
     assert fbars > functors > 0
