@@ -40,7 +40,7 @@ import sys
 
 from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
 from .descent import descent, lax_descent
-from .errors import BoundaryMismatch, CoherenceViolation, MalformedWord, ParseError, UnknownCommand
+from .errors import CoherenceViolation, MalformedWord, ParseError, UnknownCommand
 from .fincat import compose_fun, hom_cat, identity_fun, make_fincat, make_fun, make_nat
 from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
@@ -50,6 +50,7 @@ from .laxalg import (
     build_Tzy,
     check_lax_algebra,
     check_lax_morphism,
+    check_pair,
     check_pseudomonad,
     enumerate_hom_category,
     fbar_boundary,
@@ -237,14 +238,10 @@ def _load_morphism(ws, spec):
 
 def _load_diagram(ws, spec):
     # keeps the pair (source, target) of a diagram of kind tzy; _diagram
-    # builds T_zy when a command reads it.  T_zy needs T^2 of both carriers
-    # in the source's universe (the source's own is there, as its zbar runs
-    # over it), and the target's action must start at T of its carrier there
+    # builds T_zy when a command reads it, and check_pair refuses a pair
+    # over different 2-monads as build_Tzy would
     y, z = [_ref(ws, "algebras", spec[k]) for k in ("source", "target")]
-    TZ = y.universe.T(z.Z)
-    if TZ != z.a.src:
-        raise BoundaryMismatch("functors not composable")
-    y.universe.T(TZ)
+    check_pair(y.universe, y, z)
     return y, z
 
 

@@ -206,8 +206,9 @@ def _plan(S, T, G, a):
     if G is None:
         # TZ lists Z's objects and morphisms once for each element g
         Z, TZ = a.tgt, a.src
-        bo = _copies(Z.objects, map(a.on_obj.__getitem__, TZ.objects))
-        bm = _copies(Z.morphisms, map(a.on_mor.__getitem__, TZ.morphisms))
+        copies = T._k // k
+        bo = _copies(Z.objects, map(a.on_obj.__getitem__, TZ.objects), copies)
+        bm = _copies(Z.morphisms, map(a.on_mor.__getitem__, TZ.morphisms), copies)
         at = [(range(i * n, i * n + n), range(i * nm, i * nm + nm)) for i in range(k)]
         return [(*at[c % k], bo[c // k], bm[c // k]) for c in range(T._k)]
     at_obj, at_mor = (dict(zip(xs, range(len(xs)))) for xs in (S.source.objects, S.source.morphisms))
@@ -216,11 +217,12 @@ def _plan(S, T, G, a):
     return [(objs[c * n : c * n + n], mors[c * nm : c * nm + nm], None, None) for c in range(T._k)]
 
 
-def _copies(names, images):
-    """The maps names -> images of the copies, images holding one block
-    of len(names) for each copy in turn."""
+def _copies(names, images, count):
+    """The maps names -> images of the count copies, images holding one
+    block of len(names) for each copy in turn (an empty one for each
+    copy of an empty category)."""
     images, n = list(images), len(names)
-    return [dict(zip(names, images[i : i + n])) for i in range(0, len(images), n)]
+    return [dict(zip(names, images[i * n : i * n + n])) for i in range(count)]
 
 
 def _read(images, places, post):
@@ -256,7 +258,8 @@ def _rows(D1, L, side, alpha):
     beta * T^j(f) reads beta at f(p) in copy c of T^j Z."""
     comps = map(alpha.components.__getitem__, alpha.src.src.objects)
     if side == "along":
-        return [(0, range(len(D1.source.objects)), b) for b in _copies(D1.target.objects, comps)]
+        copies = _copies(D1.target.objects, comps, L._k)
+        return [(0, range(len(D1.source.objects)), b) for b in copies]
     at_mor = dict(zip(D1.source.morphisms, range(len(D1.source.morphisms))))
     places = list(map(at_mor.__getitem__, comps))
     n = len(places) // L._k

@@ -48,7 +48,12 @@ stacks, so their depth is not bounded by the interpreter's recursion
 limit.
 
 Objects and morphisms are identifier strings; a category is its composition
-table.  A functor category (HomCat) holds no table when it is built: its
+table.  A functor category (HomCat) stores each functor and each
+transformation once, as its key: a functor's images along the objects
+and the morphisms of its source, a transformation's components along the
+objects.  The enumerations give keys, and a Fun or NatT is built only
+when a reader asks for one (functor_of, nat_of), on its first read.  Nor
+does a functor category hold a table when it is built: its
 composites are computed on demand, componentwise in the target's table,
 and the table itself is assembled only for a reader that takes it whole
 (see HomCat).  A PowerView of [C, D], for C the k-fold copy of B,
@@ -660,59 +665,57 @@ def _fun_key(F):
     )
 
 
-def _nat_key(a, src_id, tgt_id):
-    return (src_id, tgt_id, tuple(a.components[x] for x in a.src.src.objects))
-
-
 def _enumerate_functors(C, D):
-    """All functors C -> D, by backtracking over object then morphism
-    images with an explicit stack: object images run through D.objects
-    lexicographically along C.objects, and for each, the non-identity
-    morphisms of C take their images in turn from the matching hom-sets
-    of D."""
-    objs = list(C.objects)
+    """The keys of all functors C -> D, each the pair (object images
+    along C.objects, morphism images along C.morphisms), by backtracking
+    over object then morphism images with an explicit stack: object
+    images run through D.objects lexicographically along C.objects, and
+    for each, the non-identity morphisms of C take their images in turn
+    from the matching hom-sets of D."""
+    at_obj = {x: i for i, x in enumerate(C.objects)}
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
     at = {m: i for i, m in enumerate(non_id)}
+    ends = [(at_obj[C.dom[m]], at_obj[C.cod[m]]) for m in non_id]
+    # a key reads each morphism's image off the non-identity images
+    # followed by the identities of the object images
+    order = [at[m] if m in at else len(non_id) + at_obj[C.dom[m]] for m in C.morphisms]
     # each composite g.f of two non-identity morphisms is checked where it
     # closes: at the last of g, f and g.f to get its image, an identity
-    # g.f being given by the object x.  Pairs with an identity hold for
-    # any images, so these checks are the whole of functoriality
+    # g.f being given by the place of its object.  Pairs with an identity
+    # hold for any images, so these checks are the whole of functoriality
     checks = [[] for _ in non_id]
     for (g, f), gf in C.compose_table.items():
         if g in at and f in at:
             if C.is_identity(gf):
-                checks[max(at[g], at[f])].append((at[g], at[f], None, C.dom[f]))
+                checks[max(at[g], at[f])].append((at[g], at[f], None, at_obj[C.dom[f]]))
             else:
                 checks[max(at[g], at[f], at[gf])].append((at[g], at[f], at[gf], None))
     Dc = D.compose_table
 
-    def fits(i, ims, on_obj):
+    def fits(i, ims, ids):
         for g, f, gf, x in checks[i]:
-            want = D.identity[on_obj[x]] if gf is None else ims[gf]
+            want = ids[x] if gf is None else ims[gf]
             if Dc[(ims[g], ims[f])] != want:
                 return False
         return True
 
     out = []
-    for image in itertools.product(D.objects, repeat=len(objs)):
-        on_obj = dict(zip(objs, image))
+    for image in itertools.product(D.objects, repeat=len(at_obj)):
+        ids = [D.identity[d] for d in image]
         ims = [None] * len(non_id)
         stack = []
         while True:
             if len(stack) < len(non_id):
-                m = non_id[len(stack)]
-                stack.append(iter(D.hom(on_obj[C.dom[m]], on_obj[C.cod[m]])))
+                a, b = ends[len(stack)]
+                stack.append(iter(D.hom(image[a], image[b])))
             else:
-                full = dict(zip(non_id, ims))
-                for x in objs:
-                    full[C.identity[x]] = D.identity[on_obj[x]]
-                out.append(Fun(C, D, on_obj, full))
+                out.append((image, tuple(map((ims + ids).__getitem__, order))))
             # the deepest morphism takes its next image that passes its
             # checks; a morphism whose images run out is dropped
             while stack:
                 i = len(stack) - 1
                 for ims[i] in stack[i]:
-                    if fits(i, ims, on_obj):
+                    if fits(i, ims, ids):
                         break
                 else:
                     stack.pop()
@@ -723,26 +726,27 @@ def _enumerate_functors(C, D):
     return out
 
 
-def _enumerate_nats(F, G):
-    """All natural transformations F => G for parallel functors, by
-    backtracking over the components along C.objects with an explicit
-    stack: each component runs through its hom-set of D in order."""
-    C, D = F.src, F.tgt
+def _enumerate_nats(C, D, f, g):
+    """The component tuples, along C.objects, of all natural
+    transformations between the functors C -> D whose keys are f and g
+    (see _enumerate_functors), by backtracking over the components with
+    an explicit stack: each component runs through its hom-set of D in
+    order."""
     objs = C.objects
-    homs = [D.hom(F.on_obj[x], G.on_obj[x]) for x in objs]
+    homs = [D.hom(a, b) for a, b in zip(f[0], g[0])]
     if not all(homs):
         return []
     if not objs:
-        return [NatT(F, G, {})]
+        return [()]
     at = {x: i for i, x in enumerate(objs)}
     # the naturality squares that close once objs[i] has its component;
     # squares at identities hold for any functors
     squares = [[] for _ in objs]
-    ids, Fm, Gm = C._identities, F.on_mor, G.on_mor
-    for m in C.morphisms:
+    ids = C._identities
+    for m, fm, gm in zip(C.morphisms, f[1], g[1]):
         if m not in ids:
             a, b = at[C.dom[m]], at[C.cod[m]]
-            squares[a if a > b else b].append((a, b, Fm[m], Gm[m]))
+            squares[a if a > b else b].append((a, b, fm, gm))
     Dc = D.compose_table
     last = len(objs) - 1
     comps = [None] * len(objs)
@@ -763,17 +767,47 @@ def _enumerate_nats(F, G):
         if i < last:
             stack.append(iter(homs[i + 1]))
         else:
-            out.append(NatT(F, G, dict(zip(objs, comps))))
+            out.append(tuple(comps))
     return out
 
 
-class HomCat(FinCat):
+class _Keyed:
+    """functor_of and nat_of of a functor category (HomCat, PowerView)
+    that stores a functor as the tuple of its copies' ids in _base
+    (_tuple) and a transformation as the tuple of its copies'
+    transformations (_ntuple), _base holding their keys (_key, _comps).
+    A Fun or NatT is built from those keys on its first read and kept,
+    so a later read is one dict lookup."""
+
+    def functor_of(self, fid):
+        F = self._funs.get(fid)
+        if F is None:
+            C, keys = self.source, map(self._base._key.__getitem__, self._tuple(fid))
+            objs, mors = (itertools.chain(*part) for part in zip(*keys))
+            F = self._funs[fid] = Fun(C, self.target, zip(C.objects, objs), zip(C.morphisms, mors))
+        return F
+
+    def nat_of(self, nid):
+        a = self._nats.get(nid)
+        if a is None:
+            comps = itertools.chain(*map(self._base._comps.__getitem__, self._ntuple(nid)))
+            F, G = self.functor_of(self.dom[nid]), self.functor_of(self.cod[nid])
+            a = self._nats[nid] = NatT(F, G, zip(self.source.objects, comps))
+        return a
+
+
+class HomCat(_Keyed, FinCat):
     """The category of functors C -> D and natural transformations.
 
     Objects/morphisms get enumeration identifiers F0, F1, ... and n0, n1,
     ... assigned in a canonical order, so two builds over equal inputs give
-    identical names.  functor_of/nat_of and obj_id/mor_id translate between
-    identifiers and the actual structures.
+    identical names: functors sorted by their keys (see
+    _enumerate_functors), transformations by their source and target ids
+    and then their component tuples along C.objects.  The keys are all
+    that is stored: _key and _fun_ids map each functor id to its key and
+    back, _comps and _nat_ids each transformation id to its components
+    and (source id, target id, components) back.  functor_of and nat_of
+    build the Fun or NatT on first read, and keep it.
 
     Transformations are searched only between functors F, G with
     D.hom(F x, G x) non-empty at every object x: functors are grouped by
@@ -798,18 +832,12 @@ class HomCat(FinCat):
 
     def __init__(self, C, D):
         self.source, self.target = C, D
-        keyed = sorted(
-            ((_fun_key(F), F) for F in _enumerate_functors(C, D)), key=lambda t: t[0]
-        )
-        self._funs = {}
-        self._fun_ids = {}
+        keys = sorted(_enumerate_functors(C, D))
+        self._key = {"F%d" % i: key for i, key in enumerate(keys)}
+        self._fun_ids = {key: fid for fid, key in self._key.items()}
         by_image = {}
-        for i, (key, F) in enumerate(keyed):
-            fid = "F%d" % i
-            self._funs[fid] = F
-            self._fun_ids[key] = fid
-            by_image.setdefault(key[0], []).append((fid, F))
-        self._key = {fid: key for key, fid in self._fun_ids.items()}
+        for fid, key in self._key.items():
+            by_image.setdefault(key[0], []).append((fid, key))
 
         reach = {a: {b for b in D.objects if D.hom(a, b)} for a in D.objects}
         nats = []
@@ -826,30 +854,22 @@ class HomCat(FinCat):
                     if all(b in r for b, r in zip(im, allowed))
                     for t in ts
                 ]
-            for src_id, F in sources:
-                for tgt_id, G in targets:
-                    for a in _enumerate_nats(F, G):
-                        nats.append((_nat_key(a, src_id, tgt_id), a))
-        nats.sort(key=lambda t: t[0])
-        self._nats = {}
-        self._nat_ids = {}
-        dom, cod, comps = {}, {}, {}
-        for i, (key, a) in enumerate(nats):
-            nid = "n%d" % i
-            self._nats[nid] = a
-            self._nat_ids[key] = nid
-            dom[nid], cod[nid], comps[nid] = key
-
-        objs = C.objects
+            for src_id, f in sources:
+                for tgt_id, g in targets:
+                    for comps in _enumerate_nats(C, D, f, g):
+                        nats.append((src_id, tgt_id, comps))
+        nats.sort()
+        self._nat_ids = {key: "n%d" % i for i, key in enumerate(nats)}
+        dom, cod, self._comps = {}, {}, {}
+        for key, nid in self._nat_ids.items():
+            dom[nid], cod[nid], self._comps[nid] = key
         identity = {
-            fid: self._nat_ids[
-                (fid, fid, tuple(D.identity[F.on_obj[x]] for x in objs))
-            ]
-            for fid, F in self._funs.items()
+            fid: self._nat_ids[fid, fid, tuple(map(D.identity.__getitem__, key[0]))]
+            for fid, key in self._key.items()
         }
-        self._set_shape(list(self._funs), list(self._nats), dom, cod, identity)
-        self._comps = comps
+        self._set_shape(list(self._key), list(self._comps), dom, cod, identity)
         self._component_of = D.compose_table.__getitem__
+        self._funs, self._nats = {}, {}
 
     def compose(self, g, f):
         """Vertical composite of f followed by g, taken componentwise in
@@ -867,23 +887,10 @@ class HomCat(FinCat):
         read."""
         return composition_table(self.morphisms, self.dom, self.cod, self.compose)
 
-    def functor_of(self, obj_id):
-        return self._funs[obj_id]
-
-    def nat_of(self, mor_id):
-        return self._nats[mor_id]
-
-    def obj_id(self, F):
-        return self._fun_ids[_fun_key(F)]
-
-    def mor_id(self, a):
-        return self._nat_ids[
-            _nat_key(a, self.obj_id(a.src), self.obj_id(a.tgt))
-        ]
-
     # the one-copy case of PowerView's copy readers (_tuple, _ntuple) and
-    # namers (_fid, _nat_id), so that the faces and cells of
-    # deltadiag.hom_diagram read D1 as they read the views over it
+    # namers (_fid, _nat_id), so that functor_of and nat_of, and the faces
+    # and cells of deltadiag.hom_diagram, read D1 as they read the views
+    # over it
     _k, _base = 1, property(lambda self: self)
     _tuple = _ntuple = staticmethod(lambda x: (x,))
     _fid = staticmethod(lambda t: t[0])
@@ -895,7 +902,7 @@ def hom_cat(C, D):
     return HomCat(C, D)
 
 
-class PowerView:
+class PowerView(_Keyed):
     """The functor category [C, D] for C the k-fold copy of B, read off
     base = [B, D], an enumerated HomCat, and never enumerated itself.
 
@@ -907,7 +914,7 @@ class PowerView:
     category is a category, so nothing is proved.
 
     Ids are HomCat(C, D)'s, found by ranking (Kreher and Stinson 1999).
-    HomCat sorts functors by _fun_key, here the concatenation of the
+    HomCat sorts functors by their keys, here the concatenation of the
     copies' keys, and base lists the functors of one object image
     together: so a functor's rank counts the tuples with a smaller
     object image, then reads the copies' places within their runs in
@@ -928,7 +935,9 @@ class PowerView:
     alone, on base's keys, and so build no functor or transformation
     over C.  Any functor id reads back (functor_of).  A transformation
     is known once the view has named it (hom, compose, inverse, or a
-    face or cell), and dom, cod and nat_of read what is known.  A reader
+    face or cell), and dom, cod and nat_of read what is known.  As in
+    HomCat, functor_of and nat_of build a Fun or NatT from the copies'
+    keys in base on its first read, and keep it.  A reader
     that takes the whole category (objects, morphisms, identity,
     compose_table, equality with another category, and through them
     make_fun, iso_categories, functor enumeration and products) raises
@@ -951,7 +960,7 @@ class PowerView:
             degrees[self._rank[f]] += len(base._hom[f, g])
         self._degrees = list(itertools.accumulate(degrees, initial=0)).__getitem__
         self._below = {self._count: self._degrees(self._n) ** k}
-        self._fids, self._tuples, self._funs, self._from = {}, {}, {}, {}
+        self._fids, self._tuples, self._funs, self._nats, self._from = {}, {}, {}, {}, {}
         self._ids, self._keys, self._composites = {}, {}, {}
         self.dom, self.cod = {}, {}
 
@@ -1055,18 +1064,6 @@ class PowerView:
             self._ids[ms] = nid = "n%d" % (first + places[y] + at)
             self._keys[nid], self.dom[nid], self.cod[nid] = ms, x, y
         return self._ids[ms]
-
-    def functor_of(self, fid):
-        if fid not in self._funs:
-            C, keys = self.source, map(self._base._key.__getitem__, self._tuple(fid))
-            objs, mors = (itertools.chain(*part) for part in zip(*keys))
-            self._funs[fid] = Fun(C, self.target, zip(C.objects, objs), zip(C.morphisms, mors))
-        return self._funs[fid]
-
-    def nat_of(self, nid):
-        comps = itertools.chain(*map(self._base._comps.__getitem__, self._keys[nid]))
-        F, G = self.functor_of(self.dom[nid]), self.functor_of(self.cod[nid])
-        return NatT(F, G, zip(self.source.objects, comps))
 
     def hom(self, x, y):
         homs = map(self._base.hom, self._tuple(x), self._tuple(y))

@@ -555,16 +555,23 @@ def _componentwise(U, y, z):
     vertical paste is one composite.  For typed fbar, zbar and zbar0 and a
     strict T the two sides of each pasting share their boundary, by
     theorem (tests/helpers.pasted_lax_morphism checks it), so the
-    components decide.  Returns laws(f), the check of the fbar over f that
-    raises CoherenceViolation or gives the class, and the transformation
+    components decide.  Everything but f is read once per (y, z), zbar
+    at T^2(f)(x) included, through a table (zt), so laws builds no T(f)
+    or T^2(f).  Returns laws(f), the check of the fbar over f that raises
+    CoherenceViolation or gives the class, and the transformation
     square(phi, psi, m), a Verdict."""
     Y, TY, TZ, Zc = y.Z, U.T(y.Z), U.T(z.Z), z.Z.compose_table
     az, ay, yb, zb = z.a.on_mor, y.a.on_obj, y.zbar.components, z.zbar.components
     T2Y, m, Ta = U.T(TY), U.m(Y).on_obj, U.T_fun(y.a).on_obj
     eta, yb0, zb0 = U.eta(Y).on_obj, y.zbar0.components, z.zbar0.components
+    # zbar at (g, (h, v)) in T^2 Z, keyed by (g, h, v), and each x =
+    # (g, (h, w)) of T^2 Y with its g, h and w: so zbar at T^2(f)(x) is
+    # zt[g, h, f(w)], and no T^2(f) is built
+    zt = {(g, *TZ.obj_pair[o1]): zb[o] for o, (g, o1) in U.T(TZ).obj_pair.items()}
+    at = [(x, g, *TY.obj_pair[o1]) for x, (g, o1) in T2Y.obj_pair.items()]
 
     def laws(f):
-        fo, fm, T2f = f.on_obj, f.on_mor, U.T_fun(U.T_fun(f)).on_obj
+        fo, fm = f.on_obj, f.on_mor
 
         def check(phi):
             c = phi.fbar.components
@@ -575,7 +582,7 @@ def _componentwise(U, y, z):
             }
             failed = _unequal(
                 "multiplication compatibility",
-                {x: Zc[c[m[x]], zb[T2f[x]]] for x in T2Y.objects},
+                {x: Zc[c[m[x]], zt[g, h, fo[w]]] for x, g, h, w in at},
                 rhs,
             ) or _unequal(
                 "unit compatibility",
@@ -627,6 +634,19 @@ def check_transformation(U, phi, psi, m):
     return _componentwise(U, y, z)[1](phi, psi, m)
 
 
+def check_pair(U, y, z):
+    """Refuse algebras y and z, over the universe U of y, that are over
+    different 2-monads: T of Z in U must be the source of z's action
+    (else BoundaryMismatch "functors not composable"), and T^2 of Z must
+    be in U, as the diagram build_Tzy reads it there.  A Z that is no
+    member of U, or a depth that ends too early, raises AxiomViolation
+    first."""
+    TZ = U.T(z.Z)
+    if TZ != z.a.src:
+        raise BoundaryMismatch("functors not composable")
+    U.T(TZ)
+
+
 def enumerate_hom_category(U, y, z, cls="lax", D=None):
     """The category of lax (or pseudo) morphisms y -> z and their
     transformations, over [Y, Z]: objects (F#, n#) are named after the
@@ -639,9 +659,11 @@ def enumerate_hom_category(U, y, z, cls="lax", D=None):
     TY is built, and the candidates are typed by construction: they go to
     _componentwise's checks directly, built once for each f that has a
     candidate.  Transformations compose, so category_over builds the
-    table without proof."""
+    table without proof.  A pair over different 2-monads is refused
+    first, by check_pair."""
     if cls not in ("lax", "pseudo"):
         raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
+    check_pair(U, y, z)
     if D is None:
         D1 = hom_cat(y.Z, z.Z)
         D2 = PowerView(D1, U.T(y.Z), len(U.monoid.elements))
@@ -651,8 +673,11 @@ def enumerate_hom_category(U, y, z, cls="lax", D=None):
     laws, square = _componentwise(U, y, z)
     over, data = {}, {}
     for fid in D1.objects:
-        f, nids = D1.functor_of(fid), D2.hom(Dd1.ob(fid), Dd0.ob(fid))
-        check = laws(f) if nids else None
+        nids = D2.hom(Dd1.ob(fid), Dd0.ob(fid))
+        if not nids:
+            continue
+        f = D1.functor_of(fid)
+        check = laws(f)
         for nid in nids:
             phi = LaxMorphism(f, D2.nat_of(nid), src_alg=y, tgt_alg=z)
             try:
@@ -685,7 +710,9 @@ def build_Tzy(U, y, z):
     on [Y, Z]'s ids: copy (g, h) of a_z.T(F) is a_z on copy g of TZ
     after copy h of F, and the components of f * ybar and zbar * T^2(f)
     at copy c are read off ybar at copy c of T^2 Y and zbar at copy c of
-    T^2 Z.  No functor or transformation over TY or T^2 Y is built."""
+    T^2 Z.  No functor or transformation over TY or T^2 Y is built.  A
+    pair over different 2-monads is refused first, by check_pair."""
+    check_pair(U, y, z)
     Y, Z = y.Z, z.Z
     TY = U.T(Y)
     D1, k = hom_cat(Y, Z), len(U.monoid.elements)

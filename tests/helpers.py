@@ -265,26 +265,30 @@ def brute_force_hom_cat(C, D):
     paste.  Functors, transformations and their F#/n# names follow the
     same canonical order as fincat.HomCat.  Returns (category, functor by
     name, transformation by name)."""
-    funs = sorted(fincat._enumerate_functors(C, D), key=fincat._fun_key)
+    funs = sorted(recursive_enumerate_functors(C, D), key=fincat._fun_key)
     fun_of = {"F%d" % i: F for i, F in enumerate(funs)}
     fun_id = {fincat._fun_key(F): fid for fid, F in fun_of.items()}
+
+    def key(a):
+        """a's source id, target id and components along C.objects."""
+        comps = tuple(a.components[x] for x in C.objects)
+        return fun_id[fincat._fun_key(a.src)], fun_id[fincat._fun_key(a.tgt)], comps
+
     nats = []
-    for src_id, F in fun_of.items():
-        for tgt_id, G in fun_of.items():
+    for F in fun_of.values():
+        for G in fun_of.values():
             homs = [D.hom(F.ob(x), G.ob(x)) for x in C.objects]
             for comps in itertools.product(*homs):
                 try:
-                    a = make_nat(F, G, dict(zip(C.objects, comps)))
+                    nats.append(make_nat(F, G, dict(zip(C.objects, comps))))
                 except NaturalityViolation:
                     continue
-                nats.append((fincat._nat_key(a, src_id, tgt_id), a))
-    nats.sort(key=lambda t: t[0])
-    nat_of = {"n%d" % i: a for i, (_, a) in enumerate(nats)}
-    nat_id = {key: "n%d" % i for i, (key, _) in enumerate(nats)}
+    nats.sort(key=key)
+    nat_of = {"n%d" % i: a for i, a in enumerate(nats)}
+    nat_id = {key(a): nid for nid, a in nat_of.items()}
 
     def name(a):
-        src_id, tgt_id = fun_id[fincat._fun_key(a.src)], fun_id[fincat._fun_key(a.tgt)]
-        return nat_id[fincat._nat_key(a, src_id, tgt_id)]
+        return nat_id[key(a)]
 
     dom = {nid: fun_id[fincat._fun_key(a.src)] for nid, a in nat_of.items()}
     cod = {nid: fun_id[fincat._fun_key(a.tgt)] for nid, a in nat_of.items()}
@@ -461,24 +465,22 @@ def _cut(L, names):
 
 
 def named_fun(L, F):
-    """L's id of the whole functor F: L.obj_id for an enumerated level,
-    and for a PowerView the route its faces took before they acted copy
-    by copy: F's key cut into the copies, each copy named in base by its
-    key, and the tuple by _fid."""
-    if isinstance(L, fincat.HomCat):
-        return L.obj_id(F)
+    """L's id of the whole functor F, by the route the faces of a
+    PowerView took before they acted copy by copy: F's key cut into the
+    copies, each copy named in base by its key, and the tuple by _fid.
+    An enumerated level (HomCat) is the one-copy case."""
     keys = zip(*(_cut(L, part) for part in fincat._fun_key(F)))
     return L._fid(tuple(map(L._base._fun_ids.__getitem__, keys)))
 
 
 def named_cell(L, a):
-    """L's id of the whole transformation a: L.mor_id for an enumerated
-    level, and for a PowerView the route its mor_id took before the faces
-    and cells acted copy by copy: a's components cut into the copies,
-    each copy named in base by its key, and the tuple by _nat_id."""
-    if isinstance(L, fincat.HomCat):
-        return L.mor_id(a)
-    x, y, comps = fincat._nat_key(a, named_fun(L, a.src), named_fun(L, a.tgt))
+    """L's id of the whole transformation a, by the route a PowerView's
+    mor_id took before the faces and cells acted copy by copy: a's
+    components cut into the copies, each copy named in base by its key,
+    and the tuple by _nat_id.  An enumerated level (HomCat) is the
+    one-copy case."""
+    x, y = named_fun(L, a.src), named_fun(L, a.tgt)
+    comps = tuple(a.components[o] for o in a.src.src.objects)
     keys = zip(L._tuple(x), L._tuple(y), _cut(L, comps))
     return L._nat_id(x, y, tuple(map(L._base._nat_ids.__getitem__, keys)))
 
@@ -508,7 +510,7 @@ def eager_face(S, T, face):
         S,
         T,
         {o: named_fun(T, on_fun(S.functor_of(o))) for o in S.objects},
-        {m: T.mor_id(on_nat(S.nat_of(m))) for m in S.morphisms},
+        {m: named_cell(T, on_nat(S.nat_of(m))) for m in S.morphisms},
     )
 
 
@@ -516,7 +518,7 @@ def eager_cell(D1, L, cell, F, G):
     """A comparison cell of hom_diagram from F to G landing in the
     enumerated level L, built by whole_cell at every functor of D1."""
     at = whole_cell(D1, L, cell, F)
-    return fincat.NatT(F, G, {o: L.mor_id(at(o)) for o in D1.objects})
+    return fincat.NatT(F, G, {o: named_cell(L, at(o)) for o in D1.objects})
 
 
 def forced(F, src=None, tgt=None):

@@ -1167,3 +1167,58 @@ def test_universe_size_is_the_morphism_count_of_the_members_built(fixture):
         M = ws.monoids[spec["monoid"]]
         built = sum(len(C.morphisms) for C in ws.universes[name].members)
         assert laxalg.universe_size(M, seeds, spec["depth"]) == built
+
+
+def _z2_with(**sections):
+    """The z2_action.json workspace with the given entries added to its
+    sections."""
+    with open(Z2_FX) as fh:
+        payload = json.load(fh)
+    for sec, entries in sections.items():
+        payload[sec].update(entries)
+    return payload
+
+
+_EMPTY_CARRIER = {
+    "categories": {"E": {"objects": [], "morphisms": {}, "identities": {}, "compose": []}},
+    "universes": {"UE": {"monoid": "z2", "seeds": ["E", "P2"], "depth": 3}},
+    "algebras": {
+        "ea": {
+            "universe": "UE",
+            "carrier": "E",
+            "kind": "strict",
+            "action": {"on_objects": {}, "on_morphisms": {}},
+        }
+    },
+    "diagrams": {"dE": {"kind": "tzy", "source": "ea", "target": "ea"}},
+}
+
+
+def test_an_empty_carrier_has_one_lax_morphism(tmp_path, capsys):
+    # [E, E] for an empty E holds the empty functor and its identity, and
+    # the empty functor with its empty fbar is the one lax morphism
+    path = write(tmp_path, _z2_with(**_EMPTY_CARRIER))
+    for argv in (["hom", "ea", "ea"], ["lax-descent", "dE"]):
+        assert main([argv[0], "--input", path] + argv[1:]) == 0, argv
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert (data["object_count"], data["morphism_count"]) == (1, 1), argv
+    assert main(["verify-prop-descent", "--input", path, "ea", "ea"]) == 0
+    one = {"hom_objects": 1, "hom_morphisms": 1, "descent_objects": 1, "descent_morphisms": 1, "match": True}
+    assert json.loads(capsys.readouterr().out)["data"] == {"lax": one, "pseudo": one}
+
+
+def test_algebras_over_different_monads_are_an_error_report(tmp_path, capsys):
+    # swap is over Z/2 and pt over the trivial monoid, both on P2: T of P2
+    # differs between their universes, so neither direction has a
+    # diagram, and each command refuses the pair as the loader refuses
+    # such a diagram
+    path = write(tmp_path, _z2_with(**_ALONGSIDE["diagram, target algebra over another monoid"]))
+    for command in ("hom", "verify-prop-descent"):
+        for pair in (["swap", "pt"], ["pt", "swap"]):
+            assert main([command, "--input", path] + pair) == 3, (command, pair)
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "error"
+            assert report["data"] == {
+                "error": "BoundaryMismatch",
+                "message": "functors not composable",
+            }

@@ -515,7 +515,7 @@ def test_vertical_paste_agrees_with_hom_cat_composition():
     C, H, _ = _all_nats_2_2()
     for (g, f), gf in H.compose_table.items():
         v = fincat.paste("vertical", H.nat_of(g), H.nat_of(f))
-        assert H.mor_id(v) == gf
+        assert named_cell(H, v) == gf
 
 
 @given(st.data())
@@ -523,12 +523,12 @@ def test_interchange_law(data):
     C, H, nats = _all_nats_2_2()
     by_src = {}
     for n in nats:
-        by_src.setdefault(H.obj_id(n.src), []).append(n)
+        by_src.setdefault(named_fun(H, n.src), []).append(n)
 
     a = data.draw(st.sampled_from(nats))
-    a2 = data.draw(st.sampled_from(by_src[H.obj_id(a.tgt)]))
+    a2 = data.draw(st.sampled_from(by_src[named_fun(H, a.tgt)]))
     b = data.draw(st.sampled_from(nats))
-    b2 = data.draw(st.sampled_from(by_src[H.obj_id(b.tgt)]))
+    b2 = data.draw(st.sampled_from(by_src[named_fun(H, b.tgt)]))
 
     lhs = fincat.paste(
         "horizontal",
@@ -614,9 +614,30 @@ def test_hom_cat_roundtrip_indexes():
     C = walking_arrow()
     H = fincat.hom_cat(C, C)
     for o in H.objects:
-        assert H.obj_id(H.functor_of(o)) == o
+        assert named_fun(H, H.functor_of(o)) == o
     for m in H.morphisms:
-        assert H.mor_id(H.nat_of(m)) == m
+        assert named_cell(H, H.nat_of(m)) == m
+
+
+def test_hom_cat_builds_functors_and_cells_on_first_read(monkeypatch):
+    # counts, not timings: hom_cat stores each functor and
+    # transformation as its key, and constructs no Fun or NatT while it
+    # builds; functor_of and nat_of build one on first read and keep it
+    C, D = walking_arrow(), chain3()
+    built = []
+    for cls in (fincat.Fun, fincat.NatT):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, init=init: built.append(self) or init(self, *a)
+        )
+    H = fincat.hom_cat(C, D)
+    assert built == []
+    assert len(H.objects) == 6 and len(H.morphisms) == 20
+    for o in H.objects:
+        assert H.functor_of(o) is H.functor_of(o)
+    for m in H.morphisms:
+        assert H.nat_of(m) is H.nat_of(m)
+    assert len(built) == len(H.objects) + len(H.morphisms)
 
 
 def test_hom_cat_from_terminal_recovers_target():
@@ -801,19 +822,18 @@ def test_generated_proof_is_sound_on_drawn_tables(args, data):
 
 
 def assert_same_enumerations(C, D):
-    """The functors C -> D and the transformations between every pair of
-    them come out as the recursive searches give them, in the same
-    order."""
+    """The keys of the functors C -> D and the component tuples of the
+    transformations between every pair of them come out as the recursive
+    searches give them, in the same order.  Returns the keys."""
     funs = fincat._enumerate_functors(C, D)
     want = recursive_enumerate_functors(C, D)
-    assert [(list(F.on_obj.items()), list(F.on_mor.items())) for F in funs] == [
-        (list(F.on_obj.items()), list(F.on_mor.items())) for F in want
-    ]
-    for F in funs:
-        for G in funs:
-            got = [list(a.components.items()) for a in fincat._enumerate_nats(F, G)]
+    assert funs == [fincat._fun_key(F) for F in want]
+    for f, F in zip(funs, want):
+        for g, G in zip(funs, want):
+            got = fincat._enumerate_nats(C, D, f, g)
             assert got == [
-                list(a.components.items()) for a in recursive_enumerate_nats(F, G)
+                tuple(map(a.components.__getitem__, C.objects))
+                for a in recursive_enumerate_nats(F, G)
             ]
     return funs
 
@@ -962,6 +982,24 @@ def test_top_level_view_matches_the_materialised_route(fixture, y, z):
     old_lax = lax_descent(old)
     assert old_lax.carrier == lax.carrier
     assert invertible_part(old_lax).carrier == strict.carrier
+
+
+def test_an_empty_carrier_matches_the_materialised_route():
+    # T E = M x E is empty too, so every level of build_Tzy for the
+    # strict algebra on an empty E is the one empty functor and its
+    # identity; the faces split the action into |M| empty copies
+    E = discrete([])
+    els, table = SMALL_MONOIDS["z2"]
+    U = laxalg.monoid_two_monad(laxalg.Monoid(els, "e", table), [("E", E), ("P2", discrete("pq"))], 3)
+    ea = laxalg.strict_algebra(U, E, fincat.Fun(U.T(E), E, {}, {}))
+    D = build_Tzy(U, ea, ea)
+    lax = lax_descent(D)
+    old = lax_descent(materialised(build_Tzy, U, ea, ea))
+    assert old.carrier == lax.carrier
+    assert (lax.carrier.objects, lax.carrier.morphisms) == (("(F0,n0)",), ("[n0:(F0,n0)->(F0,n0)]",))
+    assert enumerate_hom_category(U, ea, ea) == lax.carrier
+    for level in (D.D2, D.D3):
+        view_in_oracle(level)
 
 
 def test_whole_category_reads_on_a_view_raise_not_enumerated():
@@ -1118,7 +1156,7 @@ def _non_strict_lax_algebras(monoid):
                 {m: b[g].mor(f) for m, (g, f) in TC.mor_pair.items()},
             )
             mult, unit = laxalg.cell_boundaries(U, C, a)
-            for zbar, zbar0 in itertools.product(fincat._enumerate_nats(*mult), fincat._enumerate_nats(*unit)):
+            for zbar, zbar0 in itertools.product(recursive_enumerate_nats(*mult), recursive_enumerate_nats(*unit)):
                 comps = list(zbar.components.values()) + list(zbar0.components.values())
                 z = laxalg.LaxAlgebra(U, C, a, zbar, zbar0)
                 if not all(map(C.is_identity, comps)) and check_lax_algebra(U, z):
@@ -1318,18 +1356,15 @@ def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
     tried = []
     search = fincat._enumerate_nats
 
-    def counting(F, G):
-        tried.append((fincat._fun_key(F), fincat._fun_key(G)))
-        return search(F, G)
+    def counting(C, D, f, g):
+        tried.append((f, g))
+        return search(C, D, f, g)
 
     monkeypatch.setattr(fincat, "_enumerate_nats", counting)
     H = fincat.hom_cat(T2Y, Z)
-    funs = [H.functor_of(o) for o in H.objects]
+    funs = [fincat._fun_key(H.functor_of(o)) for o in H.objects]
     inhabited = {
-        (fincat._fun_key(F), fincat._fun_key(G))
-        for F in funs
-        for G in funs
-        if all(Z.hom(F.ob(x), G.ob(x)) for x in T2Y.objects)
+        (f, g) for f in funs for g in funs if all(map(Z.hom, f[0], g[0]))
     }
     assert len(funs) == 256
     assert len(tried) == len(inhabited) == 256
@@ -1589,7 +1624,8 @@ def test_universe_members_and_T_are_lawful(fixture):
     for U in ws.universes.values():
         assert check_pseudomonad(U)
         assert_structure_functors_lawful(U)
-    # fill each universe's memo with the T(F) that the commands build
+    # fill each universe's memo with the T(F) that the commands build,
+    # and T^2(f) for each functor f: Y -> Z of a pair
     for z in ws.algebras.values():
         U = z.universe
         assert_lawful(nats=(U.T_nat(z.zbar), U.T_nat(z.zbar0)))
@@ -1597,8 +1633,12 @@ def test_universe_members_and_T_are_lawful(fixture):
     for y in ws.algebras.values():
         for z in ws.algebras.values():
             if y.universe is z.universe:
-                lax_descent(build_Tzy(y.universe, y, z))
-                enumerate_hom_category(y.universe, y, z)
+                U = y.universe
+                lax_descent(build_Tzy(U, y, z))
+                enumerate_hom_category(U, y, z)
+                D1 = fincat.hom_cat(y.Z, z.Z)
+                for f in map(D1.functor_of, D1.objects):
+                    U.T_fun(U.T_fun(f))
     for U in ws.universes.values():
         Ts = [F for key, F in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10

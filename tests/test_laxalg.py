@@ -36,6 +36,7 @@ from helpers import (
     UncachedUniverse,
     constant_fun,
     discrete,
+    named_fun,
     nonassociative_mutants,
     one_object_cat,
     pasted_check_lax_algebra,
@@ -486,15 +487,15 @@ def test_componentwise_checks_match_pastings_on_fixture_pairs(fixture, y, z):
     for fid in d1.objects:
         f = d1.functor_of(fid)
         src, tgt = laxalg.fbar_boundary(U, y, z, f)
-        for nid in d2.hom(d2.obj_id(src), d2.obj_id(tgt)):
+        for nid in d2.hom(named_fun(d2, src), named_fun(d2, tgt)):
             ids["(%s,%s)" % (fid, nid)] = (f, d2.nat_of(nid))
 
     def cells(f, g):
-        return [d1.nat_of(m) for m in d1.hom(d1.obj_id(f), d1.obj_id(g))]
+        return [d1.nat_of(m) for m in d1.hom(named_fun(d1, f), named_fun(d1, g))]
 
     classes = dict(zip(ids, _same_outcomes(U, y, z, list(ids.values()), cells)))
     for cls, kept in (("lax", ("strict", "pseudo", "lax")), ("pseudo", ("strict", "pseudo"))):
-        over = {o: d1.obj_id(ids[o][0]) for o, k in classes.items() if k in kept}
+        over = {o: named_fun(d1, ids[o][0]) for o, k in classes.items() if k in kept}
 
         def admits(m, o1, o2):
             phi, psi = (LaxMorphism(*ids[o], y, z) for o in (o1, o2))
