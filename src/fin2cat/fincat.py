@@ -43,9 +43,11 @@ one proved identity 2-cell, make_nat with identity components: it exists
 exactly when its two functors agree, so the strict comparison cells of
 the 2-monads, strict algebras and free resolutions prove their laws
 through it.  The searches for
-functors, transformations and isomorphisms backtrack with explicit
-stacks, so their depth is not bounded by the interpreter's recursion
-limit.
+functors, transformations and isomorphisms run on one backtracking
+engine, _assignments, whose explicit stack keeps their depth clear of
+the interpreter's recursion limit; the naturality squares that the
+transformation search checks are indexed once per source category
+(FinCat._squares), not once per pair of functors.
 
 Objects and morphisms are identifier strings; a category is its composition
 table.  A functor category (HomCat) stores each functor and each
@@ -141,6 +143,21 @@ class FinCat:
             ):
                 return w
         return None
+
+    @functools.cached_property
+    def _squares(self):
+        """The naturality squares of a transformation out of this
+        category, by the place of the object at which they close: (a, b,
+        k) for the k-th morphism, non-identity, from the a-th object to
+        the b-th, listed at the later of a and b.  Squares at identities
+        hold for any functors."""
+        at = {x: i for i, x in enumerate(self.objects)}
+        squares = [[] for _ in self.objects]
+        for k, m in enumerate(self.morphisms):
+            if m not in self._identities:
+                a, b = at[self.dom[m]], at[self.cod[m]]
+                squares[max(a, b)].append((a, b, k))
+        return squares
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -665,13 +682,40 @@ def _fun_key(F):
     )
 
 
+def _assignments(n, slot, fits):
+    """Depth-first search over one choice for each of the slots 0 .. n-1,
+    with an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.  slot(i, chosen) gives the candidates
+    for slot i in the order to try them, chosen[:i] holding the earlier
+    choices; fits(i, chosen) judges chosen[i] against them.  Yields each
+    full assignment as it is found, lexicographically in the candidates'
+    orders, always as the same list: a caller copies what it keeps."""
+    chosen = [None] * n
+    if n == 0:
+        yield chosen
+        return
+    stack = [iter(slot(0, chosen))]
+    while stack:
+        # the deepest slot takes its next candidate that fits, or is dropped
+        i = len(stack) - 1
+        for chosen[i] in stack[i]:
+            if fits(i, chosen):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 < n:
+            stack.append(iter(slot(i + 1, chosen)))
+        else:
+            yield chosen
+
+
 def _enumerate_functors(C, D):
     """The keys of all functors C -> D, each the pair (object images
-    along C.objects, morphism images along C.morphisms), by backtracking
-    over object then morphism images with an explicit stack: object
-    images run through D.objects lexicographically along C.objects, and
-    for each, the non-identity morphisms of C take their images in turn
-    from the matching hom-sets of D."""
+    along C.objects, morphism images along C.morphisms): object images
+    run through D.objects lexicographically along C.objects, and for
+    each, _assignments gives the non-identity morphisms of C their
+    images in turn from the matching hom-sets of D."""
     at_obj = {x: i for i, x in enumerate(C.objects)}
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
     at = {m: i for i, m in enumerate(non_id)}
@@ -691,84 +735,43 @@ def _enumerate_functors(C, D):
             else:
                 checks[max(at[g], at[f], at[gf])].append((at[g], at[f], at[gf], None))
     Dc = D.compose_table
-
-    def fits(i, ims, ids):
-        for g, f, gf, x in checks[i]:
-            want = ids[x] if gf is None else ims[gf]
-            if Dc[(ims[g], ims[f])] != want:
-                return False
-        return True
-
     out = []
     for image in itertools.product(D.objects, repeat=len(at_obj)):
         ids = [D.identity[d] for d in image]
-        ims = [None] * len(non_id)
-        stack = []
-        while True:
-            if len(stack) < len(non_id):
-                a, b = ends[len(stack)]
-                stack.append(iter(D.hom(image[a], image[b])))
-            else:
-                out.append((image, tuple(map((ims + ids).__getitem__, order))))
-            # the deepest morphism takes its next image that passes its
-            # checks; a morphism whose images run out is dropped
-            while stack:
-                i = len(stack) - 1
-                for ims[i] in stack[i]:
-                    if fits(i, ims, ids):
-                        break
-                else:
-                    stack.pop()
-                    continue
-                break
-            if not stack:
-                break
+
+        def slot(i, ims):
+            a, b = ends[i]
+            return D.hom(image[a], image[b])
+
+        def fits(i, ims):
+            for g, f, gf, x in checks[i]:
+                if Dc[(ims[g], ims[f])] != (ids[x] if gf is None else ims[gf]):
+                    return False
+            return True
+
+        for ims in _assignments(len(non_id), slot, fits):
+            out.append((image, tuple(map((ims + ids).__getitem__, order))))
     return out
 
 
 def _enumerate_nats(C, D, f, g):
     """The component tuples, along C.objects, of all natural
     transformations between the functors C -> D whose keys are f and g
-    (see _enumerate_functors), by backtracking over the components with
-    an explicit stack: each component runs through its hom-set of D in
-    order."""
-    objs = C.objects
+    (see _enumerate_functors): _assignments runs each component through
+    its hom-set of D in order, checking the naturality squares of C's
+    index (FinCat._squares) as they close."""
     homs = [D.hom(a, b) for a, b in zip(f[0], g[0])]
     if not all(homs):
         return []
-    if not objs:
-        return [()]
-    at = {x: i for i, x in enumerate(objs)}
-    # the naturality squares that close once objs[i] has its component;
-    # squares at identities hold for any functors
-    squares = [[] for _ in objs]
-    ids = C._identities
-    for m, fm, gm in zip(C.morphisms, f[1], g[1]):
-        if m not in ids:
-            a, b = at[C.dom[m]], at[C.cod[m]]
-            squares[a if a > b else b].append((a, b, fm, gm))
-    Dc = D.compose_table
-    last = len(objs) - 1
-    comps = [None] * len(objs)
-    out = []
-    stack = [iter(homs[0])]
-    while stack:
-        i = len(stack) - 1
-        # the next component at objs[i] that closes its squares
-        for comps[i] in stack[i]:
-            for a, b, fm, gm in squares[i]:
-                if Dc[gm, comps[a]] != Dc[comps[b], fm]:
-                    break
-            else:
-                break
-        else:
-            stack.pop()
-            continue
-        if i < last:
-            stack.append(iter(homs[i + 1]))
-        else:
-            out.append(tuple(comps))
-    return out
+    squares, fm, gm, Dc = C._squares, f[1], g[1], D.compose_table
+
+    def fits(i, comps):
+        for a, b, k in squares[i]:
+            if Dc[gm[k], comps[a]] != Dc[comps[b], fm[k]]:
+                return False
+        return True
+
+    return [tuple(comps) for comps in _assignments(len(homs), lambda i, comps: homs[i], fits)]
 
 
 class _Keyed:
@@ -1105,77 +1108,47 @@ def _obj_profile(C):
     }
 
 
-def _first_choice(n, options, complete):
-    """Depth-first search with an explicit stack over one choice for each
-    of the slots 0 .. n-1.  options(chosen) gives the candidates for the
-    next slot in the order to try them, and must not read chosen later;
-    complete(chosen) judges a full choice, None meaning go on.  Returns
-    complete's first other answer, or None.  No candidate may be None."""
-    if n == 0:
-        return complete([])
-    chosen, stack = [], [iter(options([]))]
-    while stack:
-        # the deepest slot drops its choice to take the next one
-        del chosen[len(stack) - 1 :]
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            continue
-        chosen.append(c)
-        if len(chosen) < n:
-            stack.append(iter(options(chosen)))
-        elif (got := complete(chosen)) is not None:
-            return got
-    return None
-
-
 def iso_categories(C, D):
     """Search for an isomorphism of categories.
 
     Returns a pair of mutually inverse functors (C -> D, D -> C), or None
-    if the categories are not isomorphic.  Deterministic backtracking:
-    objects are matched by hom-profile first, then morphism bijections are
-    extended hom-set by hom-set and the composition table is verified.
+    if the categories are not isomorphic.  Deterministic backtracking on
+    _assignments, stopping at the first isomorphism found: objects are
+    matched by hom-profile first, then morphism bijections are extended
+    hom-set by hom-set and the composition table is verified.
     """
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None
     pc, pd = _obj_profile(C), _obj_profile(D)
     cobjs, dobjs = sorted(C.objects), sorted(D.objects)
-
-    def object_images(chosen):
-        x, used = cobjs[len(chosen)], set(chosen)
-        return (d for d in dobjs if d not in used and pc[x] == pd[d])
-
     rank = {x: i for i, x in enumerate(cobjs)}
     homs = sorted(C._hom.items(), key=lambda h: (rank[h[0][0]], rank[h[0][1]]))
 
-    def match_mors(chosen):
+    def injections(options, fits):
+        # the assignments of options[i] to slot i that take no value twice
+        def unused(i, chosen):
+            used = set(chosen[:i])
+            return (c for c in options[i] if c not in used)
+
+        return _assignments(len(options), unused, fits)
+
+    for chosen in injections([dobjs] * len(cobjs), lambda i, c: pc[cobjs[i]] == pd[c[i]]):
         omap = dict(zip(cobjs, chosen))
         # one slot per morphism of C, hom-set by hom-set; the hom-sets of
         # D are disjoint, so no image is used twice anywhere.  The
         # morphism counts agree, so once the non-empty hom-sets of C have
         # their sizes matched, every other hom-set of D is empty
-        slots = []
+        ms, options = [], []
         for (x, y), hc in homs:
             hd = D.hom(omap[x], omap[y])
             if len(hc) != len(hd):
-                return None
-            slots += [(m, hd) for m in hc]
-
-        def images(picked):
-            m, hd = slots[len(picked)]
-            used, is_id = set(picked), C.is_identity(m)
-            return (im for im in hd if im not in used and D.is_identity(im) == is_id)
-
-        def functorial(picked):
-            mmap = dict(zip([m for m, _ in slots], picked))
-            return (omap, mmap) if _unpreserved(C, D, mmap) is None else None
-
-        return _first_choice(len(slots), images, functorial)
-
-    found = _first_choice(len(cobjs), object_images, match_mors)
-    if found is None:
-        return None
-    omap, mmap = found
-    back = Fun(D, C, {v: k for k, v in omap.items()}, {v: k for k, v in mmap.items()})
-    return Fun(C, D, omap, mmap), back
+                break
+            ms += hc
+            options += [hd] * len(hc)
+        else:
+            for picked in injections(options, lambda i, c: D.is_identity(c[i]) == C.is_identity(ms[i])):
+                mmap = dict(zip(ms, picked))
+                if _unpreserved(C, D, mmap) is None:
+                    back = Fun(D, C, {v: k for k, v in omap.items()}, {v: k for k, v in mmap.items()})
+                    return Fun(C, D, omap, mmap), back
+    return None

@@ -1345,22 +1345,50 @@ def test_hom_cat_over_a_long_discrete_source():
     assert len(H.objects) == 1 and len(H.morphisms) == 1
 
 
+def test_hom_cat_over_many_disjoint_arrows():
+    # 1,100 disjoint walking arrows: more non-identity source morphisms
+    # than the interpreter's default recursion limit, so the functor
+    # search runs that deep too
+    n = 1100
+    objects = ["%s%d" % (end, i) for i in range(n) for end in "ab"]
+    ids = ["id" + x for x in objects]
+    arrows = ["u%d" % i for i in range(n)]
+    dom = {m: m[2:] for m in ids}
+    cod = dict(dom)
+    compose = {(m, m): m for m in ids}
+    for i, u in enumerate(arrows):
+        dom[u], cod[u] = "a%d" % i, "b%d" % i
+        compose[u, "ida%d" % i] = compose["idb%d" % i, u] = u
+    C = fincat.make_fincat(objects, ids + arrows, dom, cod, dict(zip(objects, ids)), compose)
+    H = fincat.hom_cat(C, terminal_cat())
+    assert len(C.morphisms) - len(C.objects) == n
+    assert len(H.objects) == 1 and len(H.morphisms) == 1
+
+
 def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
     # [T^2 P2, P2] for the swap fixture: 256 functors out of a discrete
     # category, so only the 256 pairs (F, F) have every component
-    # hom-set inhabited
+    # hom-set inhabited.  The searches read the source's naturality
+    # squares off one index, built on the first of them
     ws = load(os.path.join(FIXTURES, "z2_action.json"))
     y = ws.algebras["swap"]
     U, Z = y.universe, y.Z
     T2Y = U.T(U.T(Z))
-    tried = []
-    search = fincat._enumerate_nats
+    tried, built = [], []
+    search, index = fincat._enumerate_nats, fincat.FinCat._squares
 
     def counting(C, D, f, g):
         tried.append((f, g))
         return search(C, D, f, g)
 
+    def building(C):
+        built.append(C)
+        return index.func(C)
+
     monkeypatch.setattr(fincat, "_enumerate_nats", counting)
+    counted = functools.cached_property(building)
+    counted.__set_name__(fincat.FinCat, "_squares")
+    monkeypatch.setattr(fincat.FinCat, "_squares", counted)
     H = fincat.hom_cat(T2Y, Z)
     funs = [fincat._fun_key(H.functor_of(o)) for o in H.objects]
     inhabited = {
@@ -1369,6 +1397,7 @@ def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
     assert len(funs) == 256
     assert len(tried) == len(inhabited) == 256
     assert set(tried) == inhabited
+    assert len(built) == 1 and built[0] is T2Y
 
 
 # ---------------------------------------------------------------------------

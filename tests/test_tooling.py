@@ -289,11 +289,11 @@ def test_verify_prop_descent_on_five_points_within_its_gates(tmp_path):
     assert got["rss_mib"] <= 200, got
 
 
-def _laxalg_frames():
-    """The names of the fin2cat.laxalg functions on the caller's stack."""
+def _frames_in(module="laxalg"):
+    """The names of the fin2cat.<module> functions on the caller's stack."""
     frame, names = sys._getframe(2), set()
     while frame is not None:
-        if frame.f_globals.get("__name__") == "fin2cat.laxalg":
+        if frame.f_globals.get("__name__") == "fin2cat." + module:
             names.add(frame.f_code.co_name)
         frame = frame.f_back
     return names
@@ -307,7 +307,7 @@ def _stacks_of(monkeypatch, owners, name, record=None):
     real = getattr(owners[0], name)
 
     def counted(*args, **kw):
-        stacks.append(_laxalg_frames() if record is None else record(*args))
+        stacks.append(_frames_in() if record is None else record(*args))
         return real(*args, **kw)
 
     for owner in owners:
@@ -323,6 +323,20 @@ def _fincat_stacks(monkeypatch, name, record=None):
 
 def _fin2cat_modules():
     return [m for m in list(sys.modules.values()) if m.__name__.startswith("fin2cat")]
+
+
+def test_the_searches_share_one_engine(monkeypatch):
+    # counts, not timings: on z2_on_three.json swap -> swap, building
+    # [Y, Z] and matching it with itself call the backtracking engine
+    # fincat._assignments from the functor, the transformation and the
+    # isomorphism searches, and from nothing else
+    calls = _fincat_stacks(monkeypatch, "_assignments", lambda *args: _frames_in("fincat"))
+    y = cli.load(Z2_ON_THREE_FX).algebras["swap"]
+    H = fincat.hom_cat(y.Z, y.Z)
+    assert fincat.iso_categories(H, H) is not None
+    searches = {"_enumerate_functors", "_enumerate_nats", "iso_categories"}
+    assert all(len(names & searches) == 1 for names in calls), calls
+    assert set().union(*calls) >= searches
 
 
 def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
