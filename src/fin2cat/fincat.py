@@ -159,6 +159,10 @@ class FinCat:
                 squares[max(a, b)].append((a, b, k))
         return squares
 
+    def composites(self):
+        """The items ((g, f), g.f) of compose_table, in its order."""
+        return self.compose_table.items()
+
     def __eq__(self, other):
         if not isinstance(other, FinCat):
             return NotImplemented
@@ -309,14 +313,34 @@ def _raise_coverage_error(morphisms, by_dom, cod, compose):
     )
 
 
-def composition_table(morphisms, dom, cod, composite):
-    """The table {(g, f): composite(g, f)} over exactly the composable
-    pairs, read off a by-codomain index: g runs through morphisms in
-    order, and for each g every f with cod f = dom g, in the same order."""
+def _composable(morphisms, dom, cod):
+    """The composable pairs (g, f), read off a by-codomain index: g runs
+    through morphisms in order, and for each g every f with cod f = dom g,
+    in the same order."""
     into = {}
     for f in morphisms:
         into.setdefault(cod[f], []).append(f)
-    return {(g, f): composite(g, f) for g in morphisms for f in into.get(dom[g], ())}
+    return ((g, f) for g in morphisms for f in into.get(dom[g], ()))
+
+
+def composition_table(morphisms, dom, cod, composite):
+    """The table {(g, f): composite(g, f)} over exactly the composable
+    pairs, in _composable's order."""
+    return {(g, f): composite(g, f) for g, f in _composable(morphisms, dom, cod)}
+
+
+class _ComposedOnDemand:
+    """A category built without its composition table: compose_table is
+    assembled from _composite(g, f) on its first read, in
+    composition_table's order, and composites gives the same items one at
+    a time without assembling it, for a reader that walks the table once
+    (make_fun)."""
+
+    def composites(self):
+        pairs = _composable(self.morphisms, self.dom, self.cod)
+        return (((g, f), self._composite(g, f)) for g, f in pairs)
+
+    compose_table = functools.cached_property(lambda self: dict(self.composites()))
 
 
 class Fun:
@@ -415,7 +439,7 @@ def _unpreserved(C, D, on_mor):
     """The first pair (g, f) of C's table that on_mor does not preserve
     in D, or None."""
     Dc = D.compose_table
-    for (g, f), gf in C.compose_table.items():
+    for (g, f), gf in C.composites():
         if Dc[(on_mor[g], on_mor[f])] != on_mor[gf]:
             return g, f
     return None
@@ -606,14 +630,17 @@ def whisker_right(beta, F):
     return paste("horizontal", beta, identity_nat(F))
 
 
-class ProductCat(FinCat):
+class ProductCat(_ComposedOnDemand, FinCat):
     """Product category with its pair indexes.
 
     The product of two categories is a category, so its table is not
-    proved again.  Only its names are checked: "(c,d)" names a pair of
-    identifiers, and identifiers with commas or brackets in them can make
-    two pairs print alike.  Such a name raises AxiomViolation before any
-    table is built.
+    proved again, nor built with the category: compose_table is assembled
+    on its first read, each composite taken in the two factors, in the
+    order an eager build gives, and a reader that walks it once
+    (make_fun, through composites) never assembles it.  Only the names
+    are checked: "(c,d)" names a pair of identifiers, and identifiers
+    with commas or brackets in them can make two pairs print alike.  Such
+    a name raises AxiomViolation when the product is built.
 
     proj1 and proj2 are built on access, each time a fresh Fun, so that a
     product holds no functor pointing back at itself and is freed as soon
@@ -636,16 +663,15 @@ class ProductCat(FinCat):
             o: "(%s,%s)" % (C.identity[c], D.identity[d])
             for o, (c, d) in obj_pair.items()
         }
-
-        def composite(m2, m1):
-            (f2, g2), (f1, g1) = mor_pair[m2], mor_pair[m1]
-            return "(%s,%s)" % (C.compose_table[(f2, f1)], D.compose_table[(g2, g1)])
-
-        compose = composition_table(morphisms, dom, cod, composite)
-        FinCat.__init__(self, objects, morphisms, dom, cod, identity, compose)
+        self._set_shape(objects, morphisms, dom, cod, identity)
         self.factors = (C, D)
         self.obj_pair = obj_pair
         self.mor_pair = mor_pair
+
+    def _composite(self, m2, m1):
+        (f2, g2), (f1, g1) = self.mor_pair[m2], self.mor_pair[m1]
+        C, D = self.factors
+        return "(%s,%s)" % (C.compose(f2, f1), D.compose(g2, g1))
 
     def _projection(self, k):
         return Fun(
@@ -799,7 +825,7 @@ class _Keyed:
         return a
 
 
-class HomCat(_Keyed, FinCat):
+class HomCat(_Keyed, _ComposedOnDemand, FinCat):
     """The category of functors C -> D and natural transformations.
 
     Objects/morphisms get enumeration identifiers F0, F1, ... and n0, n1,
@@ -826,11 +852,13 @@ class HomCat(_Keyed, FinCat):
     same dict, in the same order, as an eager build gives.  The readers
     that take the whole table materialise it: iso_categories (as in
     verify_codescent_universal), FinCat equality between distinct
-    objects, make_fun and functor enumeration with a HomCat source or
-    target, and products and pastes over a HomCat.  Callers that take one
-    composite at a time (make_nat, FinCat.inverse, the descent equations,
-    category_over) go through compose and never force it.  Where only a
-    few functors are ever read, PowerView skips the enumeration too.
+    objects, make_fun with a HomCat target, functor enumeration with a
+    HomCat source or target, and pastes over a HomCat.  Callers that take
+    one composite at a time (make_nat, FinCat.inverse, the descent
+    equations, category_over, a product's table) go through compose, and
+    make_fun with a HomCat source walks composites: none of them forces
+    it.  Where only a few functors are ever read, PowerView skips the
+    enumeration too.
     """
 
     def __init__(self, C, D):
@@ -884,11 +912,7 @@ class HomCat(_Keyed, FinCat):
         key = (self.dom[f], self.cod[g], tuple(map(self._component_of, pairs)))
         return self._nat_ids[key]
 
-    @functools.cached_property
-    def compose_table(self):
-        """The full composition table, assembled through compose on first
-        read."""
-        return composition_table(self.morphisms, self.dom, self.cod, self.compose)
+    _composite = compose
 
     # the one-copy case of PowerView's copy readers (_tuple, _ntuple) and
     # namers (_fid, _nat_id), so that functor_of and nat_of, and the faces
@@ -1092,18 +1116,14 @@ class PowerView(_Keyed):
 
 def _obj_profile(C):
     """Each object's endomorphism count, and the sorted sizes of the
-    hom-sets out of and into it, empty ones included."""
-    n = len(C.objects)
+    non-empty hom-sets out of and into it (between categories of as many
+    objects, the empty ones count alike)."""
     out, into = {x: [] for x in C.objects}, {x: [] for x in C.objects}
     for (x, y), ms in C._hom.items():
         out[x].append(len(ms))
         into[y].append(len(ms))
-
-    def sizes(found):
-        return (0,) * (n - len(found)) + tuple(sorted(found))
-
     return {
-        x: (len(C._hom.get((x, x), ())), sizes(out[x]), sizes(into[x]))
+        x: (len(C._hom.get((x, x), ())), tuple(sorted(out[x])), tuple(sorted(into[x])))
         for x in C.objects
     }
 
@@ -1125,10 +1145,16 @@ def iso_categories(C, D):
     homs = sorted(C._hom.items(), key=lambda h: (rank[h[0][0]], rank[h[0][1]]))
 
     def injections(options, fits):
-        # the assignments of options[i] to slot i that take no value twice
+        # the assignments of options[i] to slot i that take no value twice:
+        # used holds the value that each open slot is trying
+        used = set()
+
         def unused(i, chosen):
-            used = set(chosen[:i])
-            return (c for c in options[i] if c not in used)
+            for c in options[i]:
+                if c not in used:
+                    used.add(c)
+                    yield c
+                    used.discard(c)
 
         return _assignments(len(options), unused, fits)
 

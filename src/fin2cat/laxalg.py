@@ -7,7 +7,11 @@ T = M x (-) on a finite universe of categories: each seed, a (name,
 category) pair, gets a chain X, TX, T^2 X, ... up to a fixed depth, and T
 acts on functors and transformations componentwise.  Applying T past the
 depth is an error rather than silent growth, and a universe of more than
-UNIVERSE_LIMIT morphisms is refused before any member is built.
+UNIVERSE_LIMIT morphisms is refused before any member is built.  The
+members are named, and their heights settled, when the universe is
+built, but each iterate is built by the first T that returns it: a lax
+algebra reads Z, TZ and T^2 Z, so the hom category of a pair and its
+induced diagram build no T^3.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
 a.eta_Z).  check_pseudomonad pastes nothing: it checks the unit and
@@ -108,6 +112,22 @@ class MonadUniverse:
     AxiomViolation.  m, eta give the structure functors at a member,
     mu/iota/tau their (identity) comparison cells.
 
+    Members are built on demand: T(C) builds the iterate it returns, on
+    its first call, and members builds them all (check_pseudomonad reads
+    it).  Fixed when the universe is built are the names, each member's
+    first equal member (what index_of returns) and the heights, walked
+    through T as index_of resolves it; they are read off the members'
+    counts.  Member i is T^k X, X = seed i // (depth + 1) and
+    k = i % (depth + 1), with |M|^k times X's object and morphism counts.
+    T is injective, so two iterates are equal when the members before
+    them are, and two members of one chain only when it is empty.  Only
+    a seed and an iterate of its counts from another chain are compared,
+    which builds that iterate.
+    "(g,x)" ends g at its first comma, so over a monoid without a comma
+    in an element the pairs of every iterate print apart; over one with
+    a comma every member is built with the universe, so that a product
+    name that names two pairs is refused there, as it always was.
+
     m, eta, mu, iota, tau and T on functors are memoised on the
     universe: each distinct structure functor or cell (m, eta, mu, iota
     or tau at a member, T(F) for each functor F between members) is
@@ -115,8 +135,9 @@ class MonadUniverse:
     returns that same object.  The memo lives as long as the universe
     does; a failed build is not remembered and fails again on the next
     call.  Members are found by identity first, so index_of on a member
-    compares no tables, and each member's height is settled when the
-    universe is built.
+    compares no tables, and a functor carries its key in the memo of T
+    (tagged with the universe's token) from its first T on, so a later
+    T(F) reads none of F's images.
 
     What is proved: the monoid's table, by monoid_two_monad, only as far
     as m and eta need it: mul must send every pair of elements to an
@@ -138,51 +159,79 @@ class MonadUniverse:
     """
 
     def __init__(self, monoid, seeds, depth):
-        self.monoid = monoid
-        self.depth = depth
-        self.members = []
-        self.names = []
-        self._succ = {}
-        self._index = {}
-        self._memo = {}
+        self.monoid, self.depth, self.names = monoid, depth, []
+        self._memo, self._token = {}, object()
         # the discrete category on the elements, which monoid_two_monad
         # has found distinct
         ids = {g: g for g in monoid.elements}
         self._mdisc = FinCat(ids, ids, ids, ids, ids, {(g, g): g for g in ids})
+        # member i is T^(i % n) of seed i // n, built on its first read
+        n, k = depth + 1, len(monoid.elements)
+        self._built, self._index, self._counts = {}, {}, []
         for name, cat in seeds:
-            idx = self._add(name, cat)
-            for _ in range(depth):
-                nxt = product_cat(self._mdisc, self.members[idx])
-                j = self._add("T(%s)" % self.names[idx], nxt)
-                self._succ[idx] = j
-                idx = j
-            self._succ[idx] = None
+            self._built[len(self.names)] = cat
+            self._index.setdefault(id(cat), len(self.names))
+            for j in range(n):
+                self.names.append(name if j == 0 else "T(%s)" % self.names[-1])
+                self._counts.append((k**j * len(cat.objects), k**j * len(cat.morphisms)))
+        if any("," in g for g in monoid.elements):
+            # only then can two pairs print alike: build every product now
+            self.members
+        # _first[i] is the first member equal to member i, found as the
+        # docstring says
+        self._first = first = []
+        counts = self._counts
+
+        def equal(i, j):
+            if counts[i] != counts[j] or i // n == j // n:
+                return counts[i] == counts[j] == (0, 0)
+            if i % n and j % n:
+                return first[i - 1] == first[j - 1]
+            return self._member(i) == self._member(j)
+
+        for i in range(len(counts)):
+            first.append(next((j for j in range(i) if equal(i, j)), i))
         # T(C) is the member after C's first equal, so a walk may leave
         # C's own chain; it never ends round a cycle, as T(X) = X for an
         # empty X, and no walk that ends is longer than the members
+        self._succ = [None if i % n == depth else i + 1 for i in range(len(first))]
         self._heights = []
-        for C in self.members:
-            n, j = 0, self._succ[self.index_of(C)]
-            while j is not None and n < len(self.members):
-                n, j = n + 1, self._succ[self.index_of(self.members[j])]
-            self._heights.append(math.inf if j is not None else n)
+        for i in first:
+            h, j = 0, self._succ[i]
+            while j is not None and h < len(first):
+                h, j = h + 1, self._succ[first[j]]
+            self._heights.append(math.inf if j is not None else h)
 
-    def _add(self, name, cat):
-        self.members.append(cat)
-        self.names.append(name)
-        if id(cat) not in self._index:
-            self._index[id(cat)] = self._scan(cat)
-        return len(self.members) - 1
+    @property
+    def members(self):
+        """Every member, in order: building all of them, where T builds
+        only the member it returns."""
+        return [self._member(i) for i in range(len(self.names))]
+
+    def _member(self, i):
+        C = self._built.get(i)
+        if C is None:
+            C = self._built[i] = product_cat(self._mdisc, self._member(i - 1))
+            self._index[id(C)] = i
+        return C
 
     def _scan(self, C):
-        for i, m in enumerate(self.members):
-            if m == C:
-                return i
+        size = (len(C.objects), len(C.morphisms))
+        for i, counts in enumerate(self._counts):
+            if counts == size and self._member(i) == C:
+                return self._first[i]
         raise AxiomViolation("category is not a universe member")
 
     def index_of(self, C):
         i = self._index.get(id(C))
-        return self._scan(C) if i is None else i
+        return self._scan(C) if i is None else self._first[i]
+
+    def _next(self, i):
+        """The index of T of member i, not built here."""
+        j = self._succ[self._first[i]]
+        if j is None:
+            raise AxiomViolation("T is undefined beyond the universe depth")
+        return j
 
     def _memoised(self, key, build):
         F = self._memo.get(key)
@@ -196,49 +245,53 @@ class MonadUniverse:
         return self._heights[self.index_of(C)]
 
     def T(self, C):
-        j = self._succ[self.index_of(C)]
-        if j is None:
-            raise AxiomViolation("T is undefined beyond the universe depth")
-        return self.members[j]
+        return self._member(self._next(self.index_of(C)))
 
     def T_fun(self, F):
-        TS, TT = self.T(F.src), self.T(F.tgt)
-        return self._memoised(
-            ("T", self.index_of(F.src), self.index_of(F.tgt), _fun_key(F)),
-            lambda: Fun(
+        # F carries its memo key, under this universe's token, from its
+        # first T on
+        token, key = getattr(F, "_memo_key", (None, None))
+        if token is not self._token:
+            key = ("T", self.index_of(F.src), self.index_of(F.tgt), _fun_key(F))
+            F._memo_key = (self._token, key)
+
+        def build():
+            TS, TT = self._member(self._next(key[1])), self._member(self._next(key[2]))
+            return Fun(
                 TS,
                 TT,
                 {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
                 {m: TT.pair_mor(g, F.mor(f)) for m, (g, f) in TS.mor_pair.items()},
-            ),
-        )
+            )
+
+        return self._memoised(key, build)
 
     def T_nat(self, a):
-        TS = self.T(a.src.src)
-        TT = self.T(a.src.tgt)
-        comps = {
-            o: TT.pair_mor(g, a.at(x)) for o, (g, x) in TS.obj_pair.items()
-        }
-        return NatT(self.T_fun(a.src), self.T_fun(a.tgt), comps)
+        TF, TG = self.T_fun(a.src), self.T_fun(a.tgt)
+        TT = TF.tgt
+        comps = {o: TT.pair_mor(g, a.at(x)) for o, (g, x) in TF.src.obj_pair.items()}
+        return NatT(TF, TG, comps)
 
     def eta(self, C):
-        TC = self.T(C)
-        e = self.monoid.unit
-        return self._memoised(
-            ("eta", self.index_of(C)),
-            lambda: Fun(
+        i, e = self.index_of(C), self.monoid.unit
+
+        def build():
+            TC = self._member(self._next(i))
+            return Fun(
                 C,
                 TC,
                 {x: TC.pair_obj(e, x) for x in C.objects},
                 {m: TC.pair_mor(e, m) for m in C.morphisms},
-            ),
-        )
+            )
+
+        return self._memoised(("eta", i), build)
 
     def m(self, C):
-        TC = self.T(C)
-        T2C = self.T(TC)
+        i = self.index_of(C)
 
         def build():
+            j = self._next(i)
+            TC, T2C = self._member(j), self._member(self._next(j))
             on_obj, on_mor = {}, {}
             for o, (g, o2) in T2C.obj_pair.items():
                 h, x = TC.obj_pair[o2]
@@ -248,7 +301,7 @@ class MonadUniverse:
                 on_mor[m] = TC.pair_mor(self.monoid.mul(g, h), f)
             return Fun(T2C, TC, on_obj, on_mor)
 
-        return self._memoised(("m", self.index_of(C)), build)
+        return self._memoised(("m", i), build)
 
     def mu(self, C):
         """Associativity cell m.T(m) => m.m_T at member C (identity)."""
@@ -278,7 +331,7 @@ class MonadUniverse:
         )
 
     def __repr__(self):
-        return "MonadUniverse(%r, %d members)" % (self.monoid, len(self.members))
+        return "MonadUniverse(%r, %d members)" % (self.monoid, len(self.names))
 
 
 # The most morphisms a universe may hold; monoid_two_monad refuses a larger
@@ -638,13 +691,13 @@ def check_pair(U, y, z):
     """Refuse algebras y and z, over the universe U of y, that are over
     different 2-monads: T of Z in U must be the source of z's action
     (else BoundaryMismatch "functors not composable"), and T^2 of Z must
-    be in U, as the diagram build_Tzy reads it there.  A Z that is no
-    member of U, or a depth that ends too early, raises AxiomViolation
-    first."""
+    be in U, as the diagram build_Tzy reads it there: read off U's
+    chains, it is not built here.  A Z that is no member of U, or a depth
+    that ends too early, raises AxiomViolation first."""
     TZ = U.T(z.Z)
     if TZ != z.a.src:
         raise BoundaryMismatch("functors not composable")
-    U.T(TZ)
+    U._next(U.index_of(TZ))
 
 
 def enumerate_hom_category(U, y, z, cls="lax", D=None):

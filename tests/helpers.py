@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -561,15 +562,20 @@ def enumerated_level_sizes(y, z):
 
 class UncachedUniverse(laxalg.MonadUniverse):
     """MonadUniverse without its memo or its identity index, proving what
-    the universe builds as lawful by theorem: every member is proved by
-    make_fincat as it joins, every m, eta and T_fun call builds its
-    functor anew and T_fun proves it by make_fun, T_nat proves its cell by
-    make_nat, m and eta are proved by make_fun too, and index_of scans
-    the members by equality.  The oracle for the memoised universe."""
+    the universe builds as lawful by theorem: every member, seeds
+    included, is proved by make_fincat on its first read, every m, eta
+    and T_fun call builds its functor anew and T_fun proves it by
+    make_fun, T_nat proves its cell by make_nat, m and eta are proved by
+    make_fun too, and index_of scans the members by equality.  The oracle
+    for the memoised universe."""
 
-    def _add(self, name, cat):
-        proved_cat(cat)
-        return super()._add(name, cat)
+    def _member(self, i):
+        C = super()._member(i)
+        proved = vars(self).setdefault("proved", set())
+        if i not in proved:
+            proved.add(i)
+            proved_cat(C)
+        return C
 
     def _memoised(self, key, build):
         return build()
@@ -589,6 +595,47 @@ class UncachedUniverse(laxalg.MonadUniverse):
     def T_nat(self, a):
         Ta = super().T_nat(a)
         return laxalg.make_nat(Ta.src, Ta.tgt, Ta.components)
+
+
+class EagerUniverse:
+    """The members of a universe as monoid_two_monad built them when every
+    member was built up front: each seed's chain X, TX, ... in turn, each
+    iterate the product of the discrete monoid with the member before it.
+    index_of is the first member equal to its argument, found by
+    scanning; T is the member after that one in its chain; height counts
+    how often T applies, math.inf once it applies more often than there
+    are members.  The oracle for MonadUniverse's names, members, heights,
+    T and index_of."""
+
+    def __init__(self, monoid, seeds, depth):
+        ids = {g: g for g in monoid.elements}
+        M = fincat.FinCat(ids, ids, ids, ids, ids, {(g, g): g for g in ids})
+        self.names, self.members, self.succ = [], [], []
+        for name, cat in seeds:
+            for j in range(depth + 1):
+                self.names.append(name if j == 0 else "T(%s)" % self.names[-1])
+                self.members.append(cat if j == 0 else fincat.product_cat(M, self.members[-1]))
+                self.succ.append(len(self.members) if j < depth else None)
+
+    def index_of(self, C):
+        for i, X in enumerate(self.members):
+            if X == C:
+                return i
+        raise AxiomViolation("category is not a universe member")
+
+    def T(self, C):
+        j = self.succ[self.index_of(C)]
+        if j is None:
+            raise AxiomViolation("T is undefined beyond the universe depth")
+        return self.members[j]
+
+    def height(self, C):
+        for n in range(len(self.members) + 1):
+            try:
+                C = self.T(C)
+            except AxiomViolation:
+                return n
+        return math.inf
 
 
 def _vv(*nats):

@@ -942,6 +942,38 @@ def test_colliding_product_names_are_an_error_report(tmp_path, capsys):
     }
 
 
+def test_a_clash_past_the_first_iterate_is_an_error_report_at_load(tmp_path, capsys):
+    # over M = {e, "e,(e"} the iterate T(P) of the one-point P prints its
+    # pairs apart, and T^2(P) names both (e, "(e,(e,x)") and ("e,(e",
+    # "(e,x)") "(e,(e,(e,x))".  validate reads no iterate: a monoid with
+    # a comma has every member built at load, so the clash is still found
+    g = "e,(e"
+    payload = {
+        "categories": {
+            "P": {
+                "objects": ["x"],
+                "morphisms": {"idx": ["x", "x"]},
+                "identities": {"x": "idx"},
+                "compose": [["idx", "idx", "idx"]],
+            }
+        },
+        "monoids": {
+            "M": {
+                "elements": ["e", g],
+                "unit": "e",
+                "table": [["e", "e", "e"], ["e", g, g], [g, "e", g], [g, g, g]],
+            }
+        },
+        "universes": {"U": {"monoid": "M", "seeds": ["P"], "depth": 3}},
+    }
+    assert main(["validate", "--input", write(tmp_path, payload)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"] == {
+        "error": "ParseError",
+        "message": "universes.U: product name '(e,(e,(e,x))' names two pairs",
+    }
+
+
 
 # ---------------------------------------------------------------------------
 # the workspace's shape is checked once, against cli._SCHEMA, before any

@@ -1,8 +1,10 @@
 import functools
 import gc
+import json
 import math
 import os
 import random
+import re
 import sys
 import weakref
 
@@ -33,7 +35,10 @@ from fin2cat.laxalg import (
 from helpers import (
     FIXTURE_PAIRS,
     FIXTURES,
+    SMALL_MONOIDS,
+    EagerUniverse,
     UncachedUniverse,
+    chain3,
     constant_fun,
     discrete,
     named_fun,
@@ -1145,6 +1150,88 @@ def test_equal_seeds_map_to_the_first_index():
     assert U.index_of(U.members[3]) == 0
     assert U.index_of(U.members[4]) == 1
     assert U.T(U.members[3]) is U.members[1]
+
+
+def _same_answers(U, E, members):
+    for C in members:
+        assert U.index_of(C) == E.index_of(C)
+        assert U.height(C) == E.height(C)
+        try:
+            want = E.T(C)
+        except AxiomViolation as e:
+            with pytest.raises(AxiomViolation, match=re.escape(str(e))):
+                U.T(C)
+        else:
+            assert U.T(C) == want
+
+
+def assert_same_universe(U, E):
+    """U answers as the eager oracle E over the same seeds: the same
+    names; the same index_of, height and T at E's members, which U finds
+    by scanning; members equal to E's; and the same answers at U's own
+    members, which it finds by identity."""
+    assert U.names == E.names
+    _same_answers(U, E, E.members)
+    assert U.members == E.members
+    _same_answers(U, E, U.members)
+
+
+@pytest.mark.parametrize("fixture", ["monad_on_2.json", "z2_action.json", "z2_on_three.json"])
+def test_lazy_universe_matches_the_eager_oracle_on_fixtures(fixture):
+    path = os.path.join(FIXTURES, fixture)
+    ws = load(path)
+    with open(path) as fh:
+        specs = json.load(fh)["universes"]
+    for name, spec in specs.items():
+        seeds = [(n, ws.categories[n]) for n in spec["seeds"]]
+        E = EagerUniverse(ws.monoids[spec["monoid"]], seeds, spec["depth"])
+        assert_same_universe(ws.universes[name], E)
+
+
+_BASES = (terminal_cat, walking_arrow, chain3, z2_cat, lambda: discrete("pq"), lambda: discrete(""))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lazy_universe_matches_the_eager_oracle_on_drawn_seeds(data):
+    # each seed is a fresh category (an equal copy when a factory is drawn
+    # twice; the empty category among them), an earlier seed again, or an
+    # iterate T^j of an earlier seed or of a fresh category
+    els, table = data.draw(st.sampled_from(list(SMALL_MONOIDS.values())))
+    M, depth = Monoid(els, "e", table), data.draw(st.integers(1, 3))
+    seeds = []
+    for k in range(data.draw(st.integers(1, 4))):
+        how = data.draw(st.sampled_from(["fresh", "again", "iterate"] if seeds else ["fresh", "iterate"]))
+        if how == "again":
+            X = data.draw(st.sampled_from(seeds))[1]
+        else:
+            X = data.draw(st.sampled_from(_BASES))()
+            if how == "iterate":
+                if seeds and data.draw(st.booleans()):
+                    X = data.draw(st.sampled_from(seeds))[1]
+                j = data.draw(st.integers(1, depth))
+                X = EagerUniverse(M, [("X", X)], j).members[j]
+        seeds.append(("S%d" % k, X))
+    assert_same_universe(monoid_two_monad(M, seeds, depth), EagerUniverse(M, seeds, depth))
+
+
+def test_a_comma_free_monoid_builds_iterates_of_any_names_lazily(monkeypatch):
+    # "(g,x)" ends g at its first comma, so over a monoid without commas
+    # the iterates of seeds named with commas and brackets print their
+    # pairs apart: none is built with the universe, and each matches the
+    # eager oracle, whose products check their names
+    S = discrete(["x", ",x", "x,", "(x", "x)", "(e,x)", ",(s,x),"])
+    built = []
+    real = laxalg.product_cat
+    monkeypatch.setattr(laxalg, "product_cat", lambda C, D: built.append(D) or real(C, D))
+    U = monoid_two_monad(z2_monoid(), [("S", S), ("A", walking_arrow())], 3)
+    assert built == []
+    assert U.height(S) == 3 and built == []
+    assert_same_universe(U, EagerUniverse(z2_monoid(), [("S", S), ("A", walking_arrow())], 3))
+    assert len(built) == 6
+    for C in U.members:
+        assert len(set(C.objects)) == len(C.objects)
+        assert len(set(C.morphisms)) == len(C.morphisms)
 
 
 def test_universe_is_freed_without_the_cycle_collector():

@@ -339,6 +339,29 @@ def test_the_searches_share_one_engine(monkeypatch):
     assert set().union(*calls) >= searches
 
 
+def test_pair_commands_build_no_member_they_do_not_read(monkeypatch):
+    # counts, not timings: on z2_on_three.json, whose universe has depth
+    # 3, loading the workspace and running each command that reads an
+    # algebra pair builds T P3 and T^2 P3 (6 and 12 morphisms) and never
+    # T^3 P3 (24), and hom assembles the composition table of neither
+    sizes = _fincat_stacks(monkeypatch, "product_cat", lambda C, D: len(C.morphisms) * len(D.morphisms))
+    commands = [
+        ("hom", ["swap", "fix", "lax"]),
+        ("descent", ["Dswapfix"]),
+        ("lax-descent", ["Dswapfix"]),
+        ("verify-prop-descent", ["swap", "fix"]),
+        ("build-tzy", ["swap", "fix"]),
+    ]
+    for command, args in commands:
+        del sizes[:]
+        ws = cli.load(Z2_ON_THREE_FX)
+        assert cli.run(ws, command, args)["status"] == "pass", command
+        assert sorted(set(sizes)) == [6, 12], command
+        if command == "hom":
+            U, Y = ws.universes["U3"], ws.algebras["swap"].Z
+            assert [vars(C).get("compose_table") for C in (U.T(Y), U.T(U.T(Y)))] == [None, None]
+
+
 def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
     # counts, not timings: while lax_descent reads each slate diagram
     # (build_Tzy's, for verify-prop-descent, and each probe's, for
@@ -412,7 +435,8 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
     # Dd1 and Dd0, which act copy by copy on [Y, Z]'s ids.  Enumerating
     # [Y, Z] keys no functor (hom_cat stores keys), and laws reads zbar
     # at T^2(f) off a table without T_fun: so each enumeration's one
-    # T_fun call, with its one _fun_key call, is _componentwise's T(a_y)
+    # T_fun call is _componentwise's T(a_y), and it keys nothing, as a_y
+    # carries its memo key from the algebra's load
     calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun", "_fun_key")}
     calls["T_fun"] = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "T_fun")
     candidates = []
@@ -444,10 +468,10 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
             for name, stacks in calls.items()
         }
         assert enumerating["compose_fun"] == [], argv
-        for name in ("T_fun", "_fun_key"):
-            assert len(enumerating[name]) == enumerations, (name, argv)
-            assert all("_componentwise" in names for names in enumerating[name]), argv
-            assert not any("laws" in names for names in enumerating[name]), argv
+        assert len(enumerating["T_fun"]) == enumerations, argv
+        assert all("_componentwise" in names for names in enumerating["T_fun"]), argv
+        assert not any("laws" in names for names in enumerating["T_fun"]), argv
+        assert enumerating["_fun_key"] == [], argv
         functors, fbars = functors + n, fbars + len(candidates)
     # the slate tries more candidates than it has functors
     assert fbars > functors > 0
