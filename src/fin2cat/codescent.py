@@ -32,13 +32,20 @@ deltadiag: two faces and three projections pointing down to the base level,
 with comparison cells An0/An1 attached to the degeneracy and the three
 Asig cells to the projections.  make_codescent_data checks it against
 deltadiag's shape table read upward.  lax_codescent presents its lax
-codescent category by generators and relations and quotients it.
+codescent category by generators and relations, one composition
+relation per composable pair of non-identity morphisms of A1, and
+quotients it.
 
 build_Ay_strict resolves a lax algebra into codescent data over the
-universe's own 2-monad; strictify composes the two.
+universe's own 2-monad; strictify composes the two.  The resolution is
+codescent data by theorem, so it is built without make_codescent_data.
 verify_codescent_universal maps the data into each probe category with
 deltadiag.hom_diagram.  kleisli is an independent oracle: the Kleisli
-category of a monad read directly off hom sets of the base.
+category of a monad read directly off hom sets of the base, a
+fincat.Composed built without proof once the monad laws are checked.
+tests/test_codescent.py proves both constructions once
+(test_free_resolutions_are_codescent_data,
+test_kleisli_categories_are_categories).
 """
 
 from collections import deque
@@ -63,12 +70,13 @@ from .errors import (
     MonadLawViolation,
 )
 from .fincat import (
+    Composed,
     PowerView,
+    _composable,
     compose_fun,
-    composition_table,
     hom_cat,
-    identity_cell,
     identity_fun,
+    identity_nat,
     iso_categories,
     make_fincat,
 )
@@ -132,8 +140,8 @@ class _Meter:
         self.budget = budget
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.budget:
             raise _BudgetExceeded()
 
@@ -434,7 +442,9 @@ def _enumerate_normal_forms(P, lhss, meter, trace):
 def kleisli(Z, t, mu, eta):
     """The Kleisli category of a monad (t, mu, eta) on Z, built directly:
     a morphism x -> y is a Z-morphism x -> t(y), identities are the unit
-    components, composition is mu . t(g) . f."""
+    components, composition is mu . t(g) . f.  Once the boundaries and
+    the monad laws are checked it is a category (Street 1972), so it is
+    a Composed, built without proof or table."""
     if t.src != Z or t.tgt != Z:
         raise BoundaryMismatch("t must be an endofunctor of Z")
     if mu.src != compose_fun(t, t) or mu.tgt != t:
@@ -470,10 +480,7 @@ def kleisli(Z, t, mu, eta):
         m = Z.compose(mu.at(zz), Z.compose(t.mor(under[k2]), under[k1]))
         return mid(m, dom[k1], zz)
 
-    compose = composition_table(morphisms, dom, cod, composite)
-    return make_fincat(
-        list(Z.objects), morphisms, dom, cod, identity, compose
-    )
+    return Composed(Z.objects, morphisms, dom, cod, identity, composite)
 
 
 # deltadiag's shape read upward: each face points the other way, so each
@@ -522,10 +529,12 @@ def build_Ay_strict(U, y):
     T^3 Y, the multiplication face meets T of the action, and the
     algebra's comparison cells become Asig21 and An0.  The other three
     cells are identities: Asig00 is U.mu(Y), which proves associativity
-    of m, Asig20 proves naturality of m along the action by
-    identity_cell, and An1 is U.tau(Y), which proves the right unit law
+    of m, and An1 is U.tau(Y), which proves the right unit law
     m.T(eta) = id; the left unit law m.eta_T = id is proved first, as
-    U.iota(Y)."""
+    U.iota(Y).  Asig20, the naturality of m along the action, is the
+    identity of its source, built without proof: its two sides agree, as
+    m is 2-natural for a discrete M.  Nor are the fields checked against
+    the shape, as each is typed by construction."""
     Y = y.Z
     U.iota(Y)
     TY = U.T(Y)
@@ -545,9 +554,9 @@ def build_Ay_strict(U, y):
         "An0": U.T_nat(y.zbar0),
     }
     kw["Asig00"] = U.mu(Y)
-    kw["Asig20"] = identity_cell(*(face_composite(kw, p, A1) for p in _CELLS["Asig20"]))
+    kw["Asig20"] = identity_nat(face_composite(kw, _CELLS["Asig20"][0], A1))
     kw["An1"] = U.tau(Y)
-    return make_codescent_data(**kw)
+    return CodescentData(**kw)
 
 
 def lax_codescent(A, budget=50000):
@@ -566,14 +575,11 @@ def lax_codescent(A, budget=50000):
     gname = {u: "<%s>" % u for u in A.A2.objects}
     gens += [(gname[u], A.Ad1.ob(u), A.Ad0.ob(u)) for u in A.A2.objects]
 
-    relations = []
-    for g in A1.morphisms:
-        for f in A1.morphisms:
-            if A1.is_identity(g) or A1.is_identity(f):
-                continue
-            if A1.dom[g] != A1.cod[f]:
-                continue
-            relations.append(((f, g), w(A1.compose(g, f)), A1.dom[f]))
+    relations = [
+        ((f, g), w(A1.compose(g, f)), A1.dom[f])
+        for g, f in _composable(A1.morphisms, A1.dom, A1.cod)
+        if not (A1.is_identity(g) or A1.is_identity(f))
+    ]
     for m in A.A2.morphisms:
         if A.A2.is_identity(m):
             continue

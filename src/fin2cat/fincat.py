@@ -10,8 +10,13 @@ products, functor categories, composites, pasting and category_over (the
 lax and strict descent carriers and the algebra hom categories) here; T
 on functors and cells, its structure functors m and eta and universe
 members in laxalg; the pre- and postcomposition faces and the
-comparison cells of the three-level diagrams.  A test in tests/test_fincat.py proves each theorem once:
-test_products_and_functor_categories_are_categories,
+comparison cells of the three-level diagrams; the Kleisli category of a
+monad whose laws are checked, and the free resolution of a lax algebra
+(codescent.kleisli, codescent.build_Ay_strict).  A test proves each
+theorem once, in tests/test_codescent.py for the last two
+(test_kleisli_categories_are_categories,
+test_free_resolutions_are_codescent_data) and in tests/test_fincat.py
+for the rest: test_products_and_functor_categories_are_categories,
 test_categories_over_a_base_are_categories,
 test_descent_levels_faces_and_carriers_are_lawful,
 test_universe_members_and_T_are_lawful (m and eta of laxalg too, on the
@@ -41,9 +46,9 @@ make_fincat proves associativity on generator triples, every morphism
 being a generator unless the caller names fewer.  identity_cell is the
 one proved identity 2-cell, make_nat with identity components: it exists
 exactly when its two functors agree, so the strict comparison cells of
-the 2-monads, strict algebras and free resolutions prove their laws
-through it.  The searches for
-functors, transformations and isomorphisms run on one backtracking
+the 2-monads (which the free resolutions read) and of strict algebras
+prove their laws through it.  The searches for functors,
+transformations and isomorphisms run on one backtracking
 engine, _assignments, whose explicit stack keeps their depth clear of
 the interpreter's recursion limit; the naturality squares that the
 transformation search checks are indexed once per source category
@@ -54,12 +59,16 @@ table.  A functor category (HomCat) stores each functor and each
 transformation once, as its key: a functor's images along the objects
 and the morphisms of its source, a transformation's components along the
 objects.  The enumerations give keys, and a Fun or NatT is built only
-when a reader asks for one (functor_of, nat_of), on its first read.  Nor
-does a functor category hold a table when it is built: its
-composites are computed on demand, componentwise in the target's table,
-and the table itself is assembled only for a reader that takes it whole
-(see HomCat).  A PowerView of [C, D], for C the k-fold copy of B,
-enumerates nothing at all: [C, D] is [B, D]^k, so it reads everything
+when a reader asks for one (functor_of, nat_of), on its first read.  A
+category that is lawful by theorem and whose composites can be computed
+is a Composed, built without its table: products, functor categories,
+category_over's categories and Kleisli categories.  A reader that walks
+the composites once (make_fun, functor enumeration) computes them one at
+a time, and so does a functor category's compose, componentwise in the
+target's table; the table itself is assembled only for a reader that
+takes it whole, and for compose elsewhere (see Composed and HomCat).
+A PowerView of [C, D], for C the k-fold copy of B, enumerates nothing
+at all: [C, D] is [B, D]^k, so it reads everything
 off the enumerated [B, D], names functors and transformations by their
 rank in HomCat(C, D)'s order, composes and inverts them copy by copy
 in [B, D], and refuses every reader of the whole category with
@@ -323,18 +332,18 @@ def _composable(morphisms, dom, cod):
     return ((g, f) for g in morphisms for f in into.get(dom[g], ()))
 
 
-def composition_table(morphisms, dom, cod, composite):
-    """The table {(g, f): composite(g, f)} over exactly the composable
-    pairs, in _composable's order."""
-    return {(g, f): composite(g, f) for g, f in _composable(morphisms, dom, cod)}
+class Composed(FinCat):
+    """A category built without proof and without its composition table:
+    the composite of f followed by g is _composite(g, f).  composites
+    gives the items ((g, f), g.f) one at a time, in _composable's order,
+    for a reader that walks the table once (make_fun, functor
+    enumeration), and compose_table is assembled from them, in the same
+    order, on its first read.  Only constructions that are categories by
+    theorem come here (see the module docstring)."""
 
-
-class _ComposedOnDemand:
-    """A category built without its composition table: compose_table is
-    assembled from _composite(g, f) on its first read, in
-    composition_table's order, and composites gives the same items one at
-    a time without assembling it, for a reader that walks the table once
-    (make_fun)."""
+    def __init__(self, objects, morphisms, dom, cod, identity, composite):
+        self._set_shape(objects, morphisms, dom, cod, identity)
+        self._composite = composite
 
     def composites(self):
         pairs = _composable(self.morphisms, self.dom, self.cod)
@@ -466,9 +475,9 @@ def category_over(base, over, admits):
     objects over[o] of base.  Its morphisms o1 -> o2 are the m in
     base.hom(over[o1], over[o2]) for which admits(m, o1, o2) holds, each
     named "[m:o1->o2]"; identities and composites are base's.  Returns the
-    category and its faithful projection to base, both built without
-    proof: they are lawful when admits holds at identities and is closed
-    under composition.
+    category, a Composed, and its faithful projection to base, both built
+    without proof: they are lawful when admits holds at identities and is
+    closed under composition.
 
     >>> Z2 = make_fincat(["*"], ["e", "s"], {"e": "*", "s": "*"},
     ...     {"e": "*", "s": "*"}, {"*": "e"}, {("e", "e"): "e",
@@ -495,8 +504,7 @@ def category_over(base, over, admits):
     def composite(g, f):
         return "[%s:%s->%s]" % (base.compose(under[g], under[f]), dom[f], cod[g])
 
-    compose = composition_table(morphisms, dom, cod, composite)
-    C = FinCat(over, morphisms, dom, cod, identity, compose)
+    C = Composed(over, morphisms, dom, cod, identity, composite)
     return C, Fun(C, base, over, under)
 
 
@@ -630,14 +638,12 @@ def whisker_right(beta, F):
     return paste("horizontal", beta, identity_nat(F))
 
 
-class ProductCat(_ComposedOnDemand, FinCat):
+class ProductCat(Composed):
     """Product category with its pair indexes.
 
-    The product of two categories is a category, so its table is not
-    proved again, nor built with the category: compose_table is assembled
-    on its first read, each composite taken in the two factors, in the
-    order an eager build gives, and a reader that walks it once
-    (make_fun, through composites) never assembles it.  Only the names
+    The product of two categories is a category, so it is Composed: its
+    table is not proved, nor built with the category, and each composite
+    is taken in the two factors.  Only the names
     are checked: "(c,d)" names a pair of identifiers, and identifiers
     with commas or brackets in them can make two pairs print alike.  Such
     a name raises AxiomViolation when the product is built.
@@ -754,7 +760,7 @@ def _enumerate_functors(C, D):
     # g.f being given by the place of its object.  Pairs with an identity
     # hold for any images, so these checks are the whole of functoriality
     checks = [[] for _ in non_id]
-    for (g, f), gf in C.compose_table.items():
+    for (g, f), gf in C.composites():
         if g in at and f in at:
             if C.is_identity(gf):
                 checks[max(at[g], at[f])].append((at[g], at[f], None, at_obj[C.dom[f]]))
@@ -825,7 +831,7 @@ class _Keyed:
         return a
 
 
-class HomCat(_Keyed, _ComposedOnDemand, FinCat):
+class HomCat(_Keyed, Composed):
     """The category of functors C -> D and natural transformations.
 
     Objects/morphisms get enumeration identifiers F0, F1, ... and n0, n1,
@@ -845,18 +851,17 @@ class HomCat(_Keyed, _ComposedOnDemand, FinCat):
     the distinct images, whichever is shorter.  A functor category is a
     category, so nothing is proved again.
 
-    No composition table is built with the category: compose computes
-    each vertical composite on demand, its components looked up in D's
-    table and the transformation found by its key.  compose_table is
-    assembled through compose on its first read only, and is then the
-    same dict, in the same order, as an eager build gives.  The readers
-    that take the whole table materialise it: iso_categories (as in
-    verify_codescent_universal), FinCat equality between distinct
-    objects, make_fun with a HomCat target, functor enumeration with a
-    HomCat source or target, and pastes over a HomCat.  Callers that take
-    one composite at a time (make_nat, FinCat.inverse, the descent
-    equations, category_over, a product's table) go through compose, and
-    make_fun with a HomCat source walks composites: none of them forces
+    No composition table is built with the category (see Composed):
+    compose computes each vertical composite on demand, its components
+    looked up in D's table and the transformation found by its key, and
+    compose_table is assembled through it on its first read only.  The
+    readers that take the whole table materialise it: iso_categories (as
+    in verify_codescent_universal), FinCat equality between distinct
+    objects, make_fun and functor enumeration with a HomCat target, and
+    pastes over a HomCat.  Callers that take one composite at a time
+    (make_nat, FinCat.inverse, the descent equations, category_over, a
+    product's composites) go through compose, and make_fun and functor
+    enumeration with a HomCat source walk composites: none of them forces
     it.  Where only a few functors are ever read, PowerView skips the
     enumeration too.
     """

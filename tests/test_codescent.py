@@ -6,6 +6,7 @@ the base category directly); strictify must reproduce it up to isomorphism
 through the completely different presentation/rewriting route.
 """
 
+import os
 import random
 import time
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fin2cat import codescent, fincat, laxalg
+from fin2cat.cli import load
 from fin2cat.codescent import (
     FINITE,
     UNDECIDED,
@@ -26,6 +28,7 @@ from fin2cat.codescent import (
     strictify,
     verify_codescent_universal,
 )
+from fin2cat.deltadiag import face_composite
 from fin2cat.errors import (
     AxiomViolation,
     BoundaryMismatch,
@@ -35,8 +38,10 @@ from fin2cat.errors import (
 from fin2cat.laxalg import Monoid, monad_algebra, monoid_two_monad
 
 from helpers import (
+    FIXTURES,
     chain3,
     constant_fun,
+    proved_cat,
     slicing_normalize,
     slicing_quotient,
     terminal_cat,
@@ -633,8 +638,39 @@ def test_kleisli_checks_mu_boundary():
         kleisli(Z, t, eta, eta)
 
 
+def _fixture_algebras():
+    return [z for fx in sorted(os.listdir(FIXTURES)) for z in load(os.path.join(FIXTURES, fx)).algebras.values()]
+
+
+def test_kleisli_categories_are_categories():
+    # kleisli builds its category without proof once the monad laws
+    # hold (Street 1972); make_fincat proves that here once.  All but the
+    # Kleisli category of Z/2 are preorders
+    Z, C, G = chain3(), walking_arrow(), z2_cat()
+    monads = [(Z, identity_monad(Z)), (C, const1_monad(C)), (Z, closure_monad(Z)), (G, identity_monad(G))]
+    monads += [(z.Z, z.monad) for z in _fixture_algebras() if hasattr(z, "monad")]
+    assert len(monads) == 6
+    for Z, monad in monads:
+        K = kleisli(Z, *monad)
+        assert proved_cat(K) == K
+
+
 # ---------------------------------------------------------------------------
 # codescent data from a lax algebra
+
+
+def test_free_resolutions_are_codescent_data():
+    # build_Ay_strict builds its resolution without make_codescent_data,
+    # and Asig20 without identity_cell, as m is 2-natural for a discrete
+    # M; both are proved here once, for every algebra of the fixtures
+    algebras = _fixture_algebras()
+    assert len(algebras) == 6
+    for y in algebras:
+        A = build_Ay_strict(y.universe, y)
+        fields = {f: getattr(A, f) for f in CodescentData.FIELDS}
+        assert vars(make_codescent_data(**fields)) == fields
+        sides = (face_composite(fields, p, A.A1) for p in codescent._CELLS["Asig20"])
+        assert fincat.identity_cell(*sides) == A.Asig20
 
 
 def test_build_ay_frozen_shapes_for_const1():

@@ -319,7 +319,7 @@ def test_make_fincat_refuses_when_only_the_last_triple_fails():
             return g
         return inner[(g, f)]
 
-    compose = fincat.composition_table(morphisms, dom, cod, composite)
+    compose = {(g, f): composite(g, f) for g, f in fincat._composable(morphisms, dom, cod)}
     objects = list("0123")
     by_dom = {x: [m for m in morphisms if dom[m] == x] for x in objects}
     failing = [

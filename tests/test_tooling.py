@@ -20,7 +20,17 @@ import fin2cat.cli  # noqa: F401  (loads every module)
 from fin2cat import cli, codescent, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
 from fin2cat.descent import lax_descent
-from helpers import Z2_ON_THREE_FX, code_lines, pinned_slate, run_python, walking_arrow, z2_swap_workspace
+from helpers import (
+    FIXTURE_PAIRS,
+    FIXTURES,
+    MONAD_FX,
+    Z2_ON_THREE_FX,
+    code_lines,
+    pinned_slate,
+    run_python,
+    walking_arrow,
+    z2_swap_workspace,
+)
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -360,6 +370,26 @@ def test_pair_commands_build_no_member_they_do_not_read(monkeypatch):
         if command == "hom":
             U, Y = ws.universes["U3"], ws.algebras["swap"].Z
             assert [vars(C).get("compose_table") for C in (U.T(Y), U.T(U.T(Y)))] == [None, None]
+
+
+def test_carrier_commands_assemble_no_composition_table(monkeypatch):
+    # counts, not timings: hom, descent, lax-descent and kleisli report
+    # their category's sizes alone, and each of these categories is built
+    # without proof (fincat.Composed), so on the fixtures none of them
+    # assembles its composition table
+    counted = []
+    counts = cli._counts
+    monkeypatch.setattr(cli, "_counts", lambda C: counted.append(C) or counts(C))
+    runs = [(os.path.join(FIXTURES, fx), "hom", [y, z, "pseudo"]) for fx, y, z in FIXTURE_PAIRS]
+    runs.append((Z2_ON_THREE_FX, "hom", ["swap", "fix", "pseudo"]))
+    for path, diagram in ((Z2_ON_THREE_FX, "Dswapfix"), (MONAD_FX, "Did")):
+        runs += [(path, command, [diagram]) for command in ("descent", "lax-descent")]
+    runs += [(MONAD_FX, "kleisli", [z]) for z in ("idalg", "const1")]
+    for path, command, args in runs:
+        del counted[:]
+        assert cli.run(cli.load(path), command, args)["status"] == "pass", (command, args)
+        (C,) = counted
+        assert "compose_table" not in vars(C), (command, args)
 
 
 def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
