@@ -38,11 +38,12 @@ import argparse
 import json
 import sys
 
-from .codescent import FINITE, build_Ay_strict, kleisli, lax_codescent, strictify, verify_codescent_universal
+from .codescent import (FINITE, REWRITE_BUDGET, build_Ay_strict, kleisli, lax_codescent, strictify,
+                        verify_codescent_universal)
 from .descent import descent, lax_descent
 from .errors import CoherenceViolation, MalformedWord, ParseError, UnknownCommand
 from .fincat import compose_fun, hom_cat, identity_fun, make_fincat, make_fun, make_nat
-from .freegen import YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
+from .freegen import SEARCH_BUDGET, YES, builtin_computad, make_path, make_word, normalize_2cell, preorder_leq
 from .laxalg import (
     LaxAlgebra,
     LaxMorphism,
@@ -357,6 +358,7 @@ def _cmd_verify_prop_descent(ws, args, budget, probes):
 def _cmd_build_tzy(ws, args, budget, probes):
     yname, zname = _args(args, 2, "build-tzy <source> <target>")
     y, z = [_ref(ws, "algebras", n) for n in (yname, zname)]
+    check_pair(y.universe, y, z)
     # only D1 = [Y, Z] is enumerated.  T^k Y = M x ... x M x Y with M
     # discrete is |M|^k copies of Y, so [T^k Y, Z] is the product of |M|^k
     # copies of D1, and its sizes are D1's to that power
@@ -396,7 +398,7 @@ def _cmd_preorder_leq(ws, args, budget, probes):
     c = builtin_computad(which)
     f = make_path(c.base, start, _csv(f_edges))
     g = make_path(c.base, start, _csv(g_edges))
-    answer = preorder_leq(c, f, g, budget=10000 if budget is None else budget)
+    answer = preorder_leq(c, f, g, budget=SEARCH_BUDGET if budget is None else budget)
     status = "pass" if answer == YES else "undecided"
     return status, [], {"answer": answer}, []
 
@@ -412,7 +414,7 @@ def _cmd_kleisli(ws, args, budget, probes):
 def _cmd_strictify(ws, args, budget, probes):
     (zname,) = _args(args, 1, "strictify <algebra>")
     z = _ref(ws, "algebras", zname)
-    Q = strictify(z.universe, z, budget=50000 if budget is None else budget)
+    Q = strictify(z.universe, z, budget=REWRITE_BUDGET if budget is None else budget)
     if Q.status == FINITE:
         return "pass", [], _counts(Q.category), list(Q.trace)
     return "undecided", [], {"quotient": Q.status}, list(Q.trace)
@@ -424,7 +426,7 @@ def _cmd_verify_codescent(ws, args, budget, probes):
         raise ValueError("verify-codescent needs --probes <category,..>")
     z = _ref(ws, "algebras", zname)
     A = build_Ay_strict(z.universe, z)
-    Q = lax_codescent(A, budget=50000 if budget is None else budget)
+    Q = lax_codescent(A, budget=REWRITE_BUDGET if budget is None else budget)
     named = [(p, _ref(ws, "categories", p)) for p in probes]
     rep = verify_codescent_universal(A, Q, named)
     witnesses = sorted(

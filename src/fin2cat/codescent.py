@@ -84,6 +84,8 @@ from .freegen import make_graph, make_path
 
 FINITE = "Finite"
 UNDECIDED = "Undecided"
+# the rewrite applications a quotient spends at most, unless told otherwise
+REWRITE_BUDGET = 50000
 
 
 class PresentedCategory:
@@ -240,7 +242,7 @@ def _critical_pairs(rule1, rule2):
                 yield (r1, l1[:i] + r2 + l1[i + len(l2) :])
 
 
-def quotient_category(P, budget=50000):
+def quotient_category(P, budget=REWRITE_BUDGET):
     """Quotient a presentation by its relations.
 
     Runs completion, then decides whether the set of irreducible words is
@@ -559,7 +561,7 @@ def build_Ay_strict(U, y):
     return CodescentData(**kw)
 
 
-def lax_codescent(A, budget=50000):
+def lax_codescent(A, budget=REWRITE_BUDGET):
     """Present the lax codescent category of codescent data and quotient.
 
     Generators: the morphisms of A1, plus one generator <u>: Ad1(u) ->
@@ -615,7 +617,7 @@ def lax_codescent(A, budget=50000):
     return quotient_category(P, budget)
 
 
-def strictify(U, z, budget=50000):
+def strictify(U, z, budget=REWRITE_BUDGET):
     """Strictification of a lax algebra: the lax codescent category of
     its free resolution."""
     return lax_codescent(build_Ay_strict(U, z), budget)

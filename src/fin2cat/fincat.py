@@ -36,6 +36,12 @@ tests/test_laxalg.py proves that once, in
 test_algebra_check_matches_the_pasted_check_on_fixtures,
 test_componentwise_checks_match_pastings_on_fixture_pairs and
 test_componentwise_checks_match_pastings_on_drawn_families.
+The interchange normal form of a pasting word (freegen.normalize_2cell)
+is the word's boundary with its steps reordered, not proved again by
+make_word: tests/test_freegen.py proves once that it is a word from the
+same source to the same target, in
+test_normal_forms_of_enumerated_words_are_proved_words and
+test_normal_forms_of_drawn_words_are_proved_words.
 check_pseudomonad builds the identity cells of the 2-monad's coherence
 pastings but not the pastings, and checks neither the strictness of T
 nor the naturality of its structure maps: for a discrete monoid these

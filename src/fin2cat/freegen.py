@@ -1,11 +1,15 @@
 """Graphs, free path categories, computads, and pasting words.
 
 A computad is a graph with named 2-cell generators between parallel paths.
-A pasting word is a sequence of whiskered generator applications; two words
-denote the same 2-cell of the free structure iff one can be turned into the
-other by swapping adjacent steps that act on disjoint segments.  We decide
-that by computing a canonical normal form: repeatedly extract the step that
-can be commuted to the front with the smallest (position, generator) key.
+A pasting word is a sequence of whiskered generator applications, each a
+(position, generator) step; make_word proves the steps compose, once, where
+they come in.  Two words denote the same 2-cell of the free structure iff
+one can be turned into the other by swapping adjacent steps that act on
+disjoint segments.  We decide that by computing a canonical normal form:
+repeatedly extract the step that can be commuted to the front with the
+smallest (position, generator) key.  A swap keeps a word composable and
+its target fixed, so the normal form is not proved again; a test proves
+that theorem once.
 
 >>> c = builtin_computad(DELTA_DOT_LAX)
 >>> [list(p.edges) for p in enumerate_paths(c.base, "0", "1", 3)]
@@ -19,6 +23,8 @@ from .errors import BoundaryMismatch, MalformedWord, ParallelismViolation
 
 YES = "Yes"
 NO_WITHIN_BUDGET = "NoWithinBudget"
+# the paths preorder_leq visits at most, unless told otherwise
+SEARCH_BUDGET = 10000
 
 DELTA_DOT_LAX = "DeltaDotLax"
 DELTA_LAX = "DeltaLax"
@@ -242,10 +248,11 @@ def builtin_computad(which):
 class PastingWord:
     """A composable sequence of whiskered 2-cell generator applications.
 
-    Each step is a triple (prefix path, generator, suffix path); the source
-    of step i+1 is the target of step i with the generator's source segment
-    replaced.  make_word builds the triples from (position, generator)
-    pairs.
+    Each step is a (position, generator) pair: the generator's source
+    segment starts `position` edges into the path current at that step,
+    and the step replaces it by the generator's target.  make_word proves
+    a word composable and builds its target; normalize_2cell reorders the
+    steps of a proved word without proving it again.
     """
 
     def __init__(self, computad, source, target, steps):
@@ -256,7 +263,7 @@ class PastingWord:
 
     def positions(self):
         """The steps as (position, generator) pairs."""
-        return tuple((len(pre.edges), g) for pre, g, _ in self.steps)
+        return self.steps
 
     def __repr__(self):
         return "PastingWord(%r => %r, %d steps)" % (
@@ -268,12 +275,12 @@ class PastingWord:
 
 def make_word(computad, source, steps):
     """Build a pasting word from a source path and (position, generator)
-    pairs."""
+    pairs: the one proof that the steps compose, and the one place a
+    word's target is computed."""
     if source.graph != computad.base:
         raise MalformedWord("source path lives on a different graph")
-    G = computad.base
     cur = source
-    triples = []
+    pairs = []
     for pos, g in steps:
         if g not in computad.cell_index:
             raise MalformedWord("unknown 2-cell generator %r" % g)
@@ -285,42 +292,35 @@ def make_word(computad, source, steps):
             raise MalformedWord(
                 "generator %r does not match the path at position %r" % (g, pos)
             )
-        pre = Path(G, cur.start, cur.edges[:pos])
-        post = Path(G, s.end, cur.edges[pos + k :])
-        triples.append((pre, g, post))
-        cur = Path(
-            G, cur.start, cur.edges[:pos] + computad.tgt[g].edges + cur.edges[pos + k :]
-        )
-    return PastingWord(computad, source, cur, triples)
+        pairs.append((pos, g))
+        edges = cur.edges[:pos] + computad.tgt[g].edges + cur.edges[pos + k :]
+        cur = Path(computad.base, cur.start, edges)
+    return PastingWord(computad, source, cur, pairs)
 
 
-def _extract_to_front(c, events, j):
-    """Try to commute event j to the front of the event list.
+def _extract_to_front(lens, steps, j):
+    """Try to commute step j to the front of the step list.
 
-    events are (position, generator) pairs, positions taken in the path
-    current at each step.  Returns (front_position, remaining_events) or
-    None when some earlier step overlaps.  Swapping over an earlier event
-    shifts whichever of the two acts further right by the earlier/later
-    event's length difference.
+    steps are (position, generator) pairs, positions taken in the path
+    current at each step; lens maps each generator to its (source length,
+    target length).  Returns (front position, remaining steps) or None
+    when some earlier step overlaps.  Swapping over an earlier step shifts
+    whichever of the two acts further right by the other's length
+    difference.
     """
-    evs = [list(e) for e in events]
-    cur = evs[j]
-    for i in range(j - 1, -1, -1):
-        other = evs[i]
-        ko, to = (
-            len(c.src[other[1]].edges),
-            len(c.tgt[other[1]].edges),
-        )
-        kc = len(c.src[cur[1]].edges)
-        tc = len(c.tgt[cur[1]].edges)
-        if cur[0] >= other[0] + to:
-            cur[0] -= to - ko
-        elif cur[0] + kc <= other[0]:
-            other[0] += tc - kc
+    pos, g = steps[j]
+    kc, tc = lens[g]
+    moved = []
+    for p, h in reversed(steps[:j]):
+        ko, to = lens[h]
+        if pos >= p + to:
+            pos -= to - ko
+            moved.append((p, h))
+        elif pos + kc <= p:
+            moved.append((p + tc - kc, h))
         else:
             return None
-    rest = [tuple(e) for idx, e in enumerate(evs) if idx != j]
-    return cur[0], rest
+    return pos, moved[::-1] + steps[j + 1 :]
 
 
 def normalize_2cell(w):
@@ -328,25 +328,29 @@ def normalize_2cell(w):
 
     Greedily pulls to the front, among the steps that can be commuted
     there, the one with the least (front position, generator index) key;
-    repeats on the remainder.
+    repeats on the remainder.  Each swap keeps the word composable and
+    its target fixed, so the result is w's boundary with the reordered
+    steps and make_word is not run again (tests/test_freegen.py proves
+    that once, on every word it enumerates or draws).
     """
     c = w.computad
-    rest = [list(e) for e in w.positions()]
+    lens = {g: (len(c.src[g].edges), len(c.tgt[g].edges)) for g in c.cells}
+    rest = list(w.steps)
     out = []
     while rest:
         best = None
-        for j in range(len(rest)):
-            got = _extract_to_front(c, rest, j)
+        for j, (_, g) in enumerate(rest):
+            got = _extract_to_front(lens, rest, j)
             if got is None:
                 continue
             # smaller front position wins; declaration order breaks ties
             fp, newrest = got
-            key = (fp, c.cell_index[rest[j][1]], j)
+            key = (fp, c.cell_index[g], j)
             if best is None or key < best[0]:
-                best = (key, fp, rest[j][1], newrest)
-        out.append((best[1], best[2]))
-        rest = [list(e) for e in best[3]]
-    return make_word(c, w.source, out)
+                best = (key, (fp, g), newrest)
+        out.append(best[1])
+        rest = best[2]
+    return PastingWord(c, w.source, w.target, out)
 
 
 def two_cells_equal(w1, w2):
@@ -356,7 +360,7 @@ def two_cells_equal(w1, w2):
         return False
     if w1.source != w2.source or w1.target != w2.target:
         return False
-    return normalize_2cell(w1).positions() == normalize_2cell(w2).positions()
+    return normalize_2cell(w1).steps == normalize_2cell(w2).steps
 
 
 def _cell_shapes(c):
@@ -378,7 +382,7 @@ def _rewrites(shapes, tgt, start, edges):
                 yield edges[:pos] + t_edges + edges[pos + k :]
 
 
-def preorder_leq(c, f, g, budget=10000):
+def preorder_leq(c, f, g, budget=SEARCH_BUDGET):
     """Decide whether some pasting 2-cell rewrites f into g.
 
     Breadth-first search over paths reachable from f by the cells of c.

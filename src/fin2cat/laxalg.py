@@ -708,12 +708,14 @@ def enumerate_hom_category(U, y, z, cls="lax", D=None):
     Dd0(f) = f.a_y, read through the faces of D, build_Tzy's diagram, as
     lax_descent reads them.  By default only D1 = [Y, Z], D2 = [TY, Z] (a
     PowerView over D1, as TY is |M| copies of Y) and those two faces are
-    built.  The faces act copy by copy on D1's ids, so no functor over
-    TY is built, and the candidates are typed by construction: they go to
-    _componentwise's checks directly, built once for each f that has a
-    candidate.  Transformations compose, so category_over builds the
-    table without proof.  A pair over different 2-monads is refused
-    first, by check_pair."""
+    built.  The faces act copy by copy on D1's ids, so finding the
+    candidates builds no functor over TY; D2.nat_of then builds each
+    candidate's NatT and the two functors over TY it runs between.  The
+    candidates are typed by construction: they go to _componentwise's
+    checks directly, built once for each f that has a candidate, and an
+    accepted one gets its algebras there.  Transformations compose, so
+    category_over builds the table without proof.  A pair over different
+    2-monads is refused first, by check_pair."""
     if cls not in ("lax", "pseudo"):
         raise ValueError("class must be 'lax' or 'pseudo', got %r" % cls)
     check_pair(U, y, z)
@@ -732,7 +734,7 @@ def enumerate_hom_category(U, y, z, cls="lax", D=None):
         f = D1.functor_of(fid)
         check = laws(f)
         for nid in nids:
-            phi = LaxMorphism(f, D2.nat_of(nid), src_alg=y, tgt_alg=z)
+            phi = LaxMorphism(f, D2.nat_of(nid))
             try:
                 k = check(phi)
             except CoherenceViolation:

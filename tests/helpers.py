@@ -34,7 +34,7 @@ from fin2cat.fincat import (
     whisker_left,
     whisker_right,
 )
-from fin2cat.freegen import Path
+from fin2cat.freegen import Path, make_word
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -1125,6 +1125,48 @@ def path_rewrites(c, start, edges):
         for pos in range(len(edges) - k + 1):
             if edges[pos : pos + k] == s.edges and path.node_at(pos) == s.start:
                 yield edges[:pos] + c.tgt[g].edges + edges[pos + k :]
+
+
+def _reproved_extract_to_front(c, events, j):
+    """Commute event j of the (position, generator) events to the front,
+    reading each length off the computad at each swap: (front position,
+    remaining events), or None when an earlier event overlaps."""
+    evs = [list(e) for e in events]
+    cur = evs[j]
+    for i in range(j - 1, -1, -1):
+        other = evs[i]
+        ko, to = len(c.src[other[1]].edges), len(c.tgt[other[1]].edges)
+        kc, tc = len(c.src[cur[1]].edges), len(c.tgt[cur[1]].edges)
+        if cur[0] >= other[0] + to:
+            cur[0] -= to - ko
+        elif cur[0] + kc <= other[0]:
+            other[0] += tc - kc
+        else:
+            return None
+    return cur[0], [tuple(e) for idx, e in enumerate(evs) if idx != j]
+
+
+def reproved_normalize_2cell(w):
+    """The interchange normal form of w, by the same greedy extraction as
+    freegen.normalize_2cell but on list-of-lists copies of the events,
+    with the result proved again by make_word from w's source.  The
+    oracle for freegen.normalize_2cell, which proves nothing again."""
+    c = w.computad
+    rest = [list(e) for e in w.positions()]
+    out = []
+    while rest:
+        best = None
+        for j in range(len(rest)):
+            got = _reproved_extract_to_front(c, rest, j)
+            if got is None:
+                continue
+            fp, newrest = got
+            key = (fp, c.cell_index[rest[j][1]], j)
+            if best is None or key < best[0]:
+                best = (key, fp, rest[j][1], newrest)
+        out.append((best[1], best[2]))
+        rest = [list(e) for e in best[3]]
+    return make_word(c, w.source, out)
 
 
 def triple_loop_make_fincat(objects, morphisms, dom, cod, identity, compose):

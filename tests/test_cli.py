@@ -1245,7 +1245,7 @@ def test_algebras_over_different_monads_are_an_error_report(tmp_path, capsys):
     # diagram, and each command refuses the pair as the loader refuses
     # such a diagram
     path = write(tmp_path, _z2_with(**_ALONGSIDE["diagram, target algebra over another monoid"]))
-    for command in ("hom", "verify-prop-descent"):
+    for command in ("hom", "verify-prop-descent", "build-tzy"):
         for pair in (["swap", "pt"], ["pt", "swap"]):
             assert main([command, "--input", path] + pair) == 3, (command, pair)
             report = json.loads(capsys.readouterr().out)

@@ -26,7 +26,11 @@ from fin2cat.freegen import (
     validate_computad,
 )
 
-from helpers import path_rewrites, recursive_enumerate_paths
+from helpers import (
+    path_rewrites,
+    recursive_enumerate_paths,
+    reproved_normalize_2cell,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +384,92 @@ def test_equality_matches_interchange_closure_oracle():
                 assert two_cells_equal(w1, w2) == (tuple(w2.positions()) in closure)
                 checked += 1
     assert checked > 50
+
+
+def _loops_words():
+    """Every word of at most three steps over the loops computad, out of
+    each source of at most three edges."""
+    c = loops_computad()
+    sources = enumerate_paths(c.base, "n", "n", 3)
+    assert len(sources) == 15
+    return [w for src in sources for w in words_from(c, src, 3)]
+
+
+@st.composite
+def builtin_words(draw):
+    """A word over one of the three built-in computads: a source of at
+    most three edges, then up to five steps, each drawn from those that
+    apply to the path current at that step."""
+    c = builtin_computad(draw(st.sampled_from([DELTA_DOT_LAX, DELTA_LAX, DELTA_DOT])))
+    start = draw(st.sampled_from(c.base.nodes))
+    source = draw(
+        st.sampled_from(
+            [p for end in c.base.nodes for p in enumerate_paths(c.base, start, end, 3)]
+        )
+    )
+    steps, path = [], source
+    for _ in range(draw(st.integers(0, 5))):
+        options = applicable_steps(c, path)
+        if not options:
+            break
+        steps.append(draw(st.sampled_from(options)))
+        path = make_word(c, source, steps).target
+    return make_word(c, source, steps)
+
+
+def _assert_normal_form_is_proved(w):
+    # the theorem normalize_2cell relies on: its steps compose from w's
+    # source, and they end at w's target
+    n = normalize_2cell(w)
+    proved = make_word(w.computad, w.source, n.positions())
+    assert proved.target == n.target == w.target
+    assert n.source == w.source
+
+
+def test_normal_forms_of_enumerated_words_are_proved_words():
+    words = _loops_words()
+    assert len(words) == 153
+    for w in words:
+        _assert_normal_form_is_proved(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(builtin_words())
+def test_normal_forms_of_drawn_words_are_proved_words(w):
+    _assert_normal_form_is_proved(w)
+
+
+def test_normal_forms_of_enumerated_words_match_the_reproving_oracle():
+    for w in _loops_words():
+        assert normalize_2cell(w).positions() == reproved_normalize_2cell(w).positions()
+
+
+@settings(max_examples=300, deadline=None)
+@given(builtin_words())
+def test_normal_forms_of_drawn_words_match_the_reproving_oracle(w):
+    assert normalize_2cell(w).positions() == reproved_normalize_2cell(w).positions()
+
+
+def test_normal_forms_and_equality_prove_no_word_again(monkeypatch):
+    # make_word proves a word once; its normal form and the equality of
+    # two words reorder proved steps, so neither calls it
+    c = loops_computad()
+    src = make_path(c.base, "n", ["x", "x"])
+    w1 = make_word(c, src, [(0, "g2"), (2, "g1")])
+    w2 = make_word(c, src, [(1, "g1"), (0, "g2")])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_word(*args)
+
+    monkeypatch.setattr(freegen, "make_word", counted)
+    assert normalize_2cell(w2).positions() == ((0, "g2"), (2, "g1"))
+    assert calls == []
+    assert two_cells_equal(w1, w2)
+    assert calls == []
+    # a step is its (position, generator) pair, no path
+    assert w2.steps == ((1, "g1"), (0, "g2"))
 
 
 # ---------------------------------------------------------------------------

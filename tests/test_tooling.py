@@ -96,6 +96,26 @@ def test_traced_quotients_are_proved_through_the_wrapped_make_fincat():
     assert tracer.count["fincat.make_fincat.assoc_triples"] == 60**3
 
 
+def test_traced_normal_forms_count_the_steps_of_their_word():
+    # the tracer reads len(w.steps) off normalize_2cell's argument, so a
+    # word's steps stay one entry per step
+    tr = _tracer_module()
+    c = freegen.builtin_computad(freegen.DELTA_DOT_LAX)
+    src = freegen.make_path(c.base, "1", ["d0", "p2"])
+    w = freegen.make_word(c, src, [(0, "sig20"), (0, "n1"), (2, "n0")])
+    assert len(w.steps) == 3
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        freegen.normalize_2cell(w)
+        assert tracer.count["freegen.normalize_2cell.steps"] == 3
+        assert freegen.two_cells_equal(w, w)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["freegen.normalize_2cell"] == 3
+    assert tracer.count["freegen.normalize_2cell.steps"] == 9
+
+
 def test_importing_the_cli_loads_every_traced_module():
     # Tracer.install finds each module it wraps in sys.modules, and a
     # bench run imports only fin2cat.cli first; a module the cli imported
