@@ -31,10 +31,15 @@ A CodescentData is the upward-facing dual of the three-level diagrams in
 deltadiag: two faces and three projections pointing down to the base level,
 with comparison cells An0/An1 attached to the degeneracy and the three
 Asig cells to the projections.  make_codescent_data checks it against
-deltadiag's shape table read upward.  lax_codescent presents its lax
+deltadiag's shape table read upward, through deltadiag.check_shape,
+the boundary check of the diagrams too.  lax_codescent presents its lax
 codescent category by generators and relations, one composition
-relation per composable pair of non-identity morphisms of A1, and
-quotients it.
+relation per composable pair of non-identity morphisms of A1, one
+naturality relation per non-identity morphism of A2, and the cocycle
+and unit relations, which are deltadiag.EQUATIONS read upward: the lax
+codescent object of A is the lax descent object of the hom-dual [A, X]
+(Street 1976), and verify_codescent_universal checks exactly that.  It
+quotients the presentation.
 
 build_Ay_strict resolves a lax algebra into codescent data over the
 universe's own 2-monad; strictify composes the two.  The resolution is
@@ -52,10 +57,12 @@ from collections import deque
 from functools import reduce
 from itertools import repeat
 
+from . import deltadiag
 from .deltadiag import (
     CELLS,
     FACES,
     DeltaDiagram,
+    Record,
     after,
     check_shape,
     face_composite,
@@ -72,6 +79,7 @@ from .errors import (
 from .fincat import (
     Composed,
     PowerView,
+    ProductCat,
     _composable,
     compose_fun,
     hom_cat,
@@ -496,6 +504,12 @@ def _up(name):
     return "A" + name[1:]
 
 
+def _dual(name):
+    """The field of codescent data that a face or cell of deltadiag's
+    shape reads upward."""
+    return _up(_CROSS.get(name, name))
+
+
 _FACES = {_up(f): (_up(t), _up(s)) for f, (s, t) in FACES.items()}
 _CELLS = {
     _up(c): tuple(tuple(map(_up, reversed(p))) for p in CELLS[_CROSS.get(c, c)])
@@ -503,16 +517,12 @@ _CELLS = {
 }
 
 
-class CodescentData:
+class CodescentData(Record):
     """Three levels A1, A2, A3 with faces Ad0, Ad1 and degeneracy As0
     between the lower levels, projections Ap0, Ap1, Ap2 from the top, and
     five comparison cells, typed by deltadiag's shape read upward."""
 
     FIELDS = tuple(map(_up, DeltaDiagram.FIELDS))
-
-    def __init__(self, **kw):
-        for f in self.FIELDS:
-            setattr(self, f, kw[f])
 
     def __repr__(self):
         return "CodescentData(A1=%r)" % (self.A1,)
@@ -566,8 +576,12 @@ def lax_codescent(A, budget=REWRITE_BUDGET):
 
     Generators: the morphisms of A1, plus one generator <u>: Ad1(u) ->
     Ad0(u) per object u of A2.  Relations: composition in A1, naturality
-    of <-> along A2 morphisms, the cocycle condition per A3 object, and
-    the unit condition per A1 object."""
+    of <-> along A2 morphisms, then each equation of deltadiag.EQUATIONS
+    read upward at each object v of its level, A3 for the cocycle
+    condition and A1 for the unit condition: a face Dx stands for the
+    generator <Ax(v)> and a cell for its dual's component at v, in the
+    same order, and the relation is anchored at the domain of the first
+    morphism of its left side."""
     A1 = A.A1
 
     def w(m):
@@ -582,6 +596,8 @@ def lax_codescent(A, budget=REWRITE_BUDGET):
         for g, f in _composable(A1.morphisms, A1.dom, A1.cod)
         if not (A1.is_identity(g) or A1.is_identity(f))
     ]
+    # naturality of <-> along each morphism u -> v of A2, the dual of a
+    # descent morphism's square (descent._over_D1), not one of deltadiag.EQUATIONS
     for m in A.A2.morphisms:
         if A.A2.is_identity(m):
             continue
@@ -593,25 +609,29 @@ def lax_codescent(A, budget=REWRITE_BUDGET):
                 A.Ad1.ob(u),
             )
         )
-    for v in A.A3.objects:
-        relations.append(
-            (
-                (gname[A.Ap2.ob(v)],)
-                + w(A.Asig20.at(v))
-                + (gname[A.Ap0.ob(v)],)
-                + w(A.Asig00.at(v)),
-                w(A.Asig21.at(v)) + (gname[A.Ap1.ob(v)],),
-                A.Ad1.ob(A.Ap2.ob(v)),
-            )
-        )
-    for x in A1.objects:
-        relations.append(
-            (
-                w(A.An0.at(x)) + (gname[A.As0.ob(x)],),
-                w(A.An1.at(x)),
-                x,
-            )
-        )
+
+    def read(side, v):
+        # a side of an equation read upward at v, as its word and the
+        # domain of its first morphism: a face gives the generator at its
+        # image of v, a cell its component at v.  The side is read from
+        # its last entry back, so the domain read last is the first's
+        word = ()
+        for face, X in reversed(side):
+            if face:
+                u = X.ob(v)
+                word, at = (gname[u],) + word, A.Ad1.ob(u)
+            else:
+                m = X.at(v)
+                word, at = w(m) + word, A1.dom[m]
+        return word, at
+
+    for _, level, *sides in deltadiag.EQUATIONS:
+        # each entry of a side as whether it is a face, and the field of
+        # A that reads it
+        lhs, rhs = ([(n in FACES, getattr(A, _dual(n))) for n in side] for side in sides)
+        for v in getattr(A, _up(level)).objects:
+            (left, at), (right, _) = read(lhs, v), read(rhs, v)
+            relations.append((left, right, at))
 
     P = PresentedCategory(list(A1.objects), gens, relations)
     return quotient_category(P, budget)
@@ -636,19 +656,26 @@ def verify_codescent_universal(A, Q, probes):
     A's faces and the cells whisker A's cells, copy by copy on [A1, X]'s
     ids (deltadiag.hom_diagram), T(eta) reading each copy of A1 off
     every copy of A2; no functor or transformation over A2 or A3 is
-    built.  The report is keyed by probe name, so a name given twice
-    raises ValueError."""
+    built.  Other codescent data raise BoundaryMismatch.  The report is
+    keyed by probe name, so a name given twice raises ValueError."""
     names = [name for name, _ in probes]
     if len(set(names)) < len(names):
         raise ValueError("probe %r is named twice" % next(n for n in names if names.count(n) > 1))
+    # the probes read A2 and A3 as |M| and |M|^2 copies of A1
+    M, A1 = A.A2.factors if isinstance(A.A2, ProductCat) else (None, None)
+    M3, A2 = A.A3.factors if isinstance(A.A3, ProductCat) else (None, None)
+    if not (A1 == A.A1 and A2 == A.A2 and M3 == M and len(M.morphisms) == len(M.objects)):
+        raise BoundaryMismatch(
+            "codescent data must be a free resolution: A2 = M x A1 and A3 = M x A2 for one discrete M"
+        )
+    k = len(M.objects)
     report = {"status": "pass", "probes": {}}
     if Q.status != FINITE:
         report["status"] = "undecided"
         return report
     L = Q.category
-    faces = {f: precompose(getattr(A, _up(f))) for f in FACES}
-    cells = {c: after(getattr(A, _up(_CROSS.get(c, c)))) for c in CELLS}
-    k = len(A.A2.factors[0].objects)
+    faces = {f: precompose(getattr(A, _dual(f))) for f in FACES}
+    cells = {c: after(getattr(A, _dual(c))) for c in CELLS}
     for name, X in probes:
         D1 = hom_cat(A.A1, X)
         D = hom_diagram(D1, PowerView(D1, A.A2, k), PowerView(D1, A.A3, k * k), faces, cells)
@@ -666,3 +693,4 @@ def verify_codescent_universal(A, Q, probes):
         if not entry["iso"]:
             report["status"] = "fail"
     return report
+

@@ -6,14 +6,22 @@ faces Dp0, Dp1, Dp2: D2 -> D3, comparison cells Dsig00, Dsig20, Dsig21 and
 unit cells Dn0, Dn1.  A DotExtension adds a category D0 below, a functor
 Dd: D0 -> D1, and a cell Dtheta: Dd1.Dd => Dd0.Dd.
 
-check_dot_extension verifies, for each object x of D0 with f = Dd(x) and
-th = Dtheta_x, the two pasting equations
+The two descent equations, at an object f of D1 and th: Dd1(f) ->
+Dd0(f) in D2,
 
     Dsig00_f . Dp0(th) . Dsig20_f . Dp2(th)  =  Dp1(th) . Dsig21_f   in D3
     Ds0(th) . Dn1_f  =  Dn0_f                                        in D1
 
-The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and CELLS:
-make_delta_diagram checks against them, codescent reads them upward, and
+are written once, in the table EQUATIONS, and read from it when called:
+descent_equations evaluates them for descent.lax_descent,
+check_dot_extension at each object x of D0 with f = Dd(x) and th =
+Dtheta_x, and codescent.lax_codescent reads them upward as its cocycle
+and unit relations.
+
+The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and
+CELLS, and the dot is freegen's DOT_EDGES and theta.  check_shape is the
+one boundary check: make_delta_diagram, make_dot_extension and
+codescent.make_codescent_data type their faces and cells through it.
 hom_diagram builds the diagram on three functor categories from faces
 that precompose with a functor or apply a.T(-) (precompose, acting) and
 cells that whisker a given cell (after, along), as build_Tzy and the
@@ -36,39 +44,48 @@ tests/helpers.whole_hom_diagram, their oracle.
 from itertools import chain
 
 from .errors import BoundaryMismatch, verdict_all
-from .fincat import OnDemandFun, OnDemandNat, compose_fun, identity_fun
-from .freegen import SHAPE_CELLS, SHAPE_EDGES
-
-# freegen's three-level shape with every name prefixed by D.  FACES gives
-# each face's source and target level.  CELLS gives each comparison cell's
-# source and target as a path of faces in the order they apply, starting
-# at D1; the empty path is the identity of D1.
-FACES = {"D" + e: ("D" + s, "D" + t) for e, (s, t) in SHAPE_EDGES.items()}
-CELLS = {
-    "D" + c: tuple(tuple("D" + e for e in path) for path in sides)
-    for c, sides in SHAPE_CELLS.items()
-}
+from .fincat import Fun, NatT, OnDemandFun, OnDemandNat, compose_fun, identity_fun
+from .freegen import DOT_CELLS, DOT_EDGES, SHAPE_CELLS, SHAPE_EDGES
 
 
-class DeltaDiagram:
-    FIELDS = ("D1", "D2", "D3") + tuple(FACES) + tuple(CELLS)
+def _named(edges, cells):
+    """freegen's edges and cells with every name prefixed by D: each
+    face's source and target level, and each cell's source and target as
+    a path of faces in the order they apply."""
+    faces = {"D" + e: ("D" + s, "D" + t) for e, (s, t) in edges.items()}
+    paths = {"D" + c: tuple(tuple("D" + e for e in p) for p in sides) for c, sides in cells.items()}
+    return faces, paths
+
+
+# freegen's three-level shape: every path of CELLS starts at D1, and the
+# empty path is the identity of D1.  The dot adds Dd: D0 -> D1 and
+# Dtheta: Dd1.Dd => Dd0.Dd, with paths starting at D0.
+FACES, CELLS = _named(SHAPE_EDGES, SHAPE_CELLS)
+_DOT_FACES, _DOT_CELLS = _named(DOT_EDGES, {"theta": DOT_CELLS["theta"]})
+# The two descent equations, written once: each one's name, the level
+# where it holds, and its two sides as words in the order their
+# morphisms apply, where a face stands for its image of fbar and a cell
+# for its component at f.  codescent reads them upward.
+EQUATIONS = (
+    ("associativity", "D3", ("Dp2", "Dsig20", "Dp0", "Dsig00"), ("Dsig21", "Dp1")),
+    ("identity", "D1", ("Dn1", "Ds0"), ("Dn0",)),
+)
+
+
+class Record:
+    """The keyword arguments named in a subclass's FIELDS, one attribute
+    each."""
 
     def __init__(self, **kw):
         for f in self.FIELDS:
             setattr(self, f, kw[f])
 
+
+class DeltaDiagram(Record):
+    FIELDS = ("D1", "D2", "D3") + tuple(FACES) + tuple(CELLS)
+
     def __repr__(self):
         return "DeltaDiagram(D1=%r, D2=%r, D3=%r)" % (self.D1, self.D2, self.D3)
-
-
-def _require_fun(name, F, src, tgt):
-    if F.src != src or F.tgt != tgt:
-        raise BoundaryMismatch("%s must be a functor between the stated levels" % name)
-
-
-def _require_nat(name, a, src_fun, tgt_fun):
-    if a.src != src_fun or a.tgt != tgt_fun:
-        raise BoundaryMismatch("%s has the wrong boundary" % name)
 
 
 def face_composite(fields, path, base):
@@ -87,20 +104,26 @@ def face_composite(fields, path, base):
 def check_shape(kw, fields, faces, cells):
     """Boundary-check the keyword arguments kw against a shape: its fields
     in order, then faces and cells written as in FACES and CELLS, with
-    every path starting at the level fields[0]."""
+    every path starting at the level fields[0].  The one boundary check
+    of a DeltaDiagram, a DotExtension and a codescent.CodescentData: a
+    face must be a functor and a cell a transformation, each between the
+    stated levels or composites."""
     missing = [f for f in fields if f not in kw]
     if missing:
         raise BoundaryMismatch("missing fields: %s" % ", ".join(missing))
     for name, (src, tgt) in faces.items():
-        _require_fun(name, kw[name], kw[src], kw[tgt])
+        if not _runs(kw[name], Fun, kw[src], kw[tgt]):
+            raise BoundaryMismatch("%s must be a functor between the stated levels" % name)
     base = kw[fields[0]]
     for name, (src, tgt) in cells.items():
-        _require_nat(
-            name,
-            kw[name],
-            face_composite(kw, src, base),
-            face_composite(kw, tgt, base),
-        )
+        F, G = face_composite(kw, src, base), face_composite(kw, tgt, base)
+        if not _runs(kw[name], NatT, F, G):
+            raise BoundaryMismatch("%s has the wrong boundary" % name)
+
+
+def _runs(x, kind, src, tgt):
+    """Whether x is a kind (Fun or NatT) from src to tgt."""
+    return isinstance(x, kind) and x.src == src and x.tgt == tgt
 
 
 def make_delta_diagram(**kw):
@@ -266,49 +289,50 @@ def _rows(D1, L, side, alpha):
     return [(1, places[c * n : c * n + n], None) for c in range(L._k)]
 
 
-class DotExtension:
-    def __init__(self, base, D0, Dd, Dtheta):
-        self.base = base
-        self.D0 = D0
-        self.Dd = Dd
-        self.Dtheta = Dtheta
+class DotExtension(Record):
+    FIELDS = ("base", "D0", "Dd", "Dtheta")
 
     def __repr__(self):
         return "DotExtension(D0=%r over %r)" % (self.D0, self.base)
 
 
 def make_dot_extension(base, D0, Dd, Dtheta):
-    _require_fun("Dd", Dd, D0, base.D1)
-    _require_nat(
-        "Dtheta",
-        Dtheta,
-        compose_fun(base.Dd1, Dd),
-        compose_fun(base.Dd0, Dd),
-    )
-    return DotExtension(base, D0, Dd, Dtheta)
+    """Assemble a DotExtension of the DeltaDiagram base, with Dd and then
+    Dtheta typed by freegen's dot."""
+    kw = dict(vars(base), D0=D0, Dd=Dd, Dtheta=Dtheta)
+    check_shape(kw, ("D0", "Dd", "Dtheta"), _DOT_FACES, _DOT_CELLS)
+    return DotExtension(base=base, D0=D0, Dd=Dd, Dtheta=Dtheta)
 
 
 def descent_equations(d, f, th):
-    """The two descent equations of a DeltaDiagram d at an object f of D1
-    and a morphism th: Dd1(f) -> Dd0(f) of D2, as (lhs, rhs) pairs: the
-    associativity equation in D3, then the identity equation in D1."""
-    c3 = d.D3.compose
-    lhs = c3(d.Dsig00.at(f), c3(d.Dp0.mor(th), c3(d.Dsig20.at(f), d.Dp2.mor(th))))
-    return (
-        (lhs, c3(d.Dp1.mor(th), d.Dsig21.at(f))),
-        (d.D1.compose(d.Ds0.mor(th), d.Dn1.at(f)), d.Dn0.at(f)),
+    """The descent equations of a DeltaDiagram d at an object f of D1 and
+    a morphism th: Dd1(f) -> Dd0(f) of D2, as (lhs, rhs) pairs in the
+    order of EQUATIONS: the associativity equation in D3, then the
+    identity equation in D1."""
+
+    def value(name):
+        return getattr(d, name).mor(th) if name in FACES else getattr(d, name).at(f)
+
+    def side(compose, word):
+        m = value(word[0])
+        for name in word[1:]:
+            m = compose(value(name), m)
+        return m
+
+    return tuple(
+        [(side(getattr(d, L).compose, lhs), side(getattr(d, L).compose, rhs)) for _, L, lhs, rhs in EQUATIONS]
     )
 
 
 def check_dot_extension(ext):
-    """Check the two lower-shape equations at every object of D0.
+    """Check the equations of EQUATIONS at every object of D0.
 
     Returns a Verdict; its failures name the equation and the object.
     """
     failures = []
     for x in ext.D0.objects:
         pairs = descent_equations(ext.base, ext.Dd.ob(x), ext.Dtheta.at(x))
-        for name, (lhs, rhs) in zip(("associativity", "identity"), pairs):
+        for (name, *_), (lhs, rhs) in zip(EQUATIONS, pairs):
             if lhs != rhs:
                 failures.append(
                     "%s equation fails at %r: %r != %r" % (name, x, lhs, rhs)

@@ -2,7 +2,7 @@
 
 An object of the lax descent category of D is a pair (f, fbar) with f an
 object of D1 and fbar: Dd1(f) -> Dd0(f) in D2 satisfying the two equations
-of deltadiag.descent_equations:
+of deltadiag.EQUATIONS, as deltadiag.descent_equations evaluates them:
 
     Dsig00_f . Dp0(fbar) . Dsig20_f . Dp2(fbar) = Dp1(fbar) . Dsig21_f
     Ds0(fbar) . Dn1_f = Dn0_f

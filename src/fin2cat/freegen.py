@@ -11,6 +11,11 @@ smallest (position, generator) key.  A swap keeps a word composable and
 its target fixed, so the normal form is not proved again; a test proves
 that theorem once.
 
+The three-level shape (SHAPE_EDGES, SHAPE_CELLS) and the dot below it
+(DOT_EDGES, DOT_CELLS) are written here once: the built-in computads are
+built from them, and deltadiag types its diagrams, its dot extensions
+and, read upward, codescent data by them.
+
 >>> c = builtin_computad(DELTA_DOT_LAX)
 >>> [list(p.edges) for p in enumerate_paths(c.base, "0", "1", 3)]
 [['d'], ['d', 'd0', 's0'], ['d', 'd1', 's0']]
@@ -201,9 +206,10 @@ SHAPE_CELLS = {
     "n1": ((), ("d1", "s0")),
 }
 # the dot below the shape: an edge d: 0 -> 1 and cells from node 0, of
-# which each built-in computad takes the first _DOTS[which]
-_DOT_EDGES = {"d": ("0", "1")}
-_DOT_CELLS = {
+# which each built-in computad takes the first _DOTS[which]; deltadiag
+# types a dot extension's Dd and Dtheta by d and theta
+DOT_EDGES = {"d": ("0", "1")}
+DOT_CELLS = {
     "theta": (("d", "d1"), ("d", "d0")),
     "theta_op": (("d", "d0"), ("d", "d1")),
 }
@@ -227,8 +233,8 @@ def builtin_computad(which):
     """
     if which not in _DOTS:
         raise ValueError("unknown builtin computad %r" % which)
-    dots = list(_DOT_CELLS.items())[: _DOTS[which]]
-    edges = (_DOT_EDGES if dots else {}) | SHAPE_EDGES
+    dots = list(DOT_CELLS.items())[: _DOTS[which]]
+    edges = (DOT_EDGES if dots else {}) | SHAPE_EDGES
     G = make_graph(
         ["0"] * bool(dots) + ["1", "2", "3"],
         edges,

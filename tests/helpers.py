@@ -191,6 +191,66 @@ def monoid_extension(diagram, theta):
     )
 
 
+def hand_descent_equations(d, f, th):
+    """The two descent equations of a DeltaDiagram d at an object f of D1
+    and a morphism th: Dd1(f) -> Dd0(f) of D2, written out by hand as
+    (lhs, rhs) pairs: the associativity equation in D3, then the identity
+    equation in D1.  The oracle for deltadiag.descent_equations, which
+    reads them off deltadiag.EQUATIONS."""
+    c3 = d.D3.compose
+    lhs = c3(d.Dsig00.at(f), c3(d.Dp0.mor(th), c3(d.Dsig20.at(f), d.Dp2.mor(th))))
+    return (
+        (lhs, c3(d.Dp1.mor(th), d.Dsig21.at(f))),
+        (d.D1.compose(d.Ds0.mor(th), d.Dn1.at(f)), d.Dn0.at(f)),
+    )
+
+
+def hand_codescent_relations(A):
+    """The relations of the lax codescent presentation of codescent data
+    A, written out by hand in codescent.lax_codescent's order:
+    composition in A1, naturality of <-> along A2's morphisms, the
+    cocycle condition per A3 object and the unit condition per A1 object.
+    The oracle for lax_codescent, which reads the last two off
+    deltadiag.EQUATIONS."""
+    A1 = A.A1
+
+    def w(m):
+        return () if A1.is_identity(m) else (m,)
+
+    gname = {u: "<%s>" % u for u in A.A2.objects}
+    relations = [
+        ((f, g), w(A1.compose(g, f)), A1.dom[f])
+        for g, f in fincat._composable(A1.morphisms, A1.dom, A1.cod)
+        if not (A1.is_identity(g) or A1.is_identity(f))
+    ]
+    for m in A.A2.morphisms:
+        if A.A2.is_identity(m):
+            continue
+        u, v = A.A2.dom[m], A.A2.cod[m]
+        relations.append(
+            (w(A.Ad1.mor(m)) + (gname[v],), (gname[u],) + w(A.Ad0.mor(m)), A.Ad1.ob(u))
+        )
+    for v in A.A3.objects:
+        relations.append(
+            (
+                (gname[A.Ap2.ob(v)],)
+                + w(A.Asig20.at(v))
+                + (gname[A.Ap0.ob(v)],)
+                + w(A.Asig00.at(v)),
+                w(A.Asig21.at(v)) + (gname[A.Ap1.ob(v)],),
+                A.Ad1.ob(A.Ap2.ob(v)),
+            )
+        )
+    for x in A1.objects:
+        relations.append((w(A.An0.at(x)) + (gname[A.As0.ob(x)],), w(A.An1.at(x)), x))
+    return relations
+
+
+def descent_candidates(D):
+    """Every candidate (f, fbar) that lax_descent tries on D."""
+    return [(f, th) for f in D.D1.objects for th in D.D2.hom(D.Dd1.ob(f), D.Dd0.ob(f))]
+
+
 # small monoids as (elements, unit first, multiplication)
 SMALL_MONOIDS = {
     "1": (["e"], {("e", "e"): "e"}),

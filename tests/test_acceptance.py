@@ -315,7 +315,7 @@ def test_3_extension_validator_perturbation_suite():
                     continue
                 mutations += 1
                 rejected += not accepts(perturb_base(field, f, m))
-    ok = ok and mutations >= 20 and rejected == mutations
+    ok = ok and mutations == 45 and rejected == mutations
     report(
         3,
         "extension validator rejects all %d perturbations" % mutations,

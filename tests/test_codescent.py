@@ -41,6 +41,7 @@ from helpers import (
     FIXTURES,
     chain3,
     constant_fun,
+    hand_codescent_relations,
     proved_cat,
     slicing_normalize,
     slicing_quotient,
@@ -52,6 +53,7 @@ from helpers import (
     walking_arrow,
     z2_cat,
 )
+from test_fincat import LAX_MONOIDS, _non_strict_lax_algebras
 
 
 def triv_universe(C, depth=3):
@@ -723,6 +725,44 @@ def test_codescent_data_names_a_missing_field():
         assert str(err.value) == "missing fields: %s" % name
 
 
+def test_codescent_data_refuses_a_field_that_is_no_functor_or_transformation():
+    # at the parent these raised AttributeError on None.src or "x".src
+    C = walking_arrow()
+    U = triv_universe(C)
+    A = build_Ay_strict(U, monad_algebra(U, C, *const1_monad(C)))
+    fields = {f: getattr(A, f) for f in CodescentData.FIELDS}
+    for name, value, message in [
+        ("Ad0", None, "Ad0 must be a functor between the stated levels"),
+        ("Asig00", "x", "Asig00 has the wrong boundary"),
+    ]:
+        with pytest.raises(BoundaryMismatch) as err:
+            make_codescent_data(**dict(fields, **{name: value}))
+        assert str(err.value) == message
+
+
+def _relations(A):
+    # the relation list lax_codescent presents, without running the
+    # quotient: a budget of 0 stops completion at its first step
+    return lax_codescent(A, budget=0).presentation.relations
+
+
+def test_lax_codescent_relations_match_the_hand_written_ones_on_fixtures():
+    algebras = _fixture_algebras()
+    assert len(algebras) == 6
+    for y in algebras:
+        A = build_Ay_strict(y.universe, y)
+        assert _relations(A) == hand_codescent_relations(A)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_lax_codescent_relations_match_the_hand_written_ones_on_drawn_algebras(data):
+    U, algebras = _non_strict_lax_algebras(data.draw(st.sampled_from(sorted(LAX_MONOIDS))))
+    y = data.draw(st.sampled_from(algebras[data.draw(st.sampled_from(sorted(algebras)))]))
+    A = build_Ay_strict(U, y)
+    assert _relations(A) == hand_codescent_relations(A)
+
+
 def _zero_table(els, left):
     return {(x, y): x if left else y for x in els for y in els}
 
@@ -847,3 +887,22 @@ def test_verify_codescent_universal_undecided_quotient():
     assert Q.status == UNDECIDED
     report = verify_codescent_universal(A, Q, [("1", terminal_cat())])
     assert report["status"] == "undecided"
+
+
+def test_verify_codescent_universal_refuses_data_that_is_no_free_resolution():
+    # make_codescent_data accepts A2 as an equal plain FinCat, but the
+    # probes read A2 and A3 as M x A1 and M x A2; at the parent this
+    # raised AttributeError on A2.factors
+    C = walking_arrow()
+    U = triv_universe(C)
+    A = build_Ay_strict(U, monad_algebra(U, C, *const1_monad(C)))
+    Q = lax_codescent(A)
+    A2 = A.A2
+    plain = fincat.make_fincat(A2.objects, A2.morphisms, A2.dom, A2.cod, A2.identity, A2.compose_table)
+    assert not isinstance(plain, fincat.ProductCat) and plain == A2
+    fields = {f: getattr(A, f) for f in CodescentData.FIELDS}
+    B = make_codescent_data(**dict(fields, A2=plain))
+    with pytest.raises(BoundaryMismatch) as err:
+        verify_codescent_universal(B, Q, [("1", terminal_cat())])
+    assert "free resolution" in str(err.value)
+    assert verify_codescent_universal(A, Q, [("1", terminal_cat())])["status"] == "pass"

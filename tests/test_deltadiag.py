@@ -1,25 +1,39 @@
+import os
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fin2cat import fincat
+from fin2cat.cli import load
 from fin2cat.deltadiag import (
     CELLS,
+    EQUATIONS,
     FACES,
     DeltaDiagram,
     check_dot_extension,
+    descent_equations,
     make_delta_diagram,
     make_dot_extension,
     theta_invertible,
 )
 from fin2cat.errors import BoundaryMismatch
 from fin2cat.freegen import DELTA_LAX, builtin_computad
+from fin2cat.laxalg import build_Tzy
 from helpers import (
+    FIXTURE_PAIRS,
+    FIXTURES,
+    chain3,
+    descent_candidates,
+    hand_descent_equations,
     idem_cat,
+    identity_diagram,
     monoid_diagram,
     monoid_extension,
     terminal_cat,
     walking_arrow,
     z2_cat,
 )
+from test_fincat import LAX_MONOIDS, _non_strict_lax_algebras
 
 
 def test_terminal_diagram_builds_and_checks():
@@ -167,3 +181,104 @@ def test_failures_name_each_equation_and_both_sides():
     d = monoid_diagram(z2_cat(), "e", "e", "e", "s", "e")
     v = check_dot_extension(monoid_extension(d, "e"))
     assert v.failures == ["identity equation fails at '*': 'e' != 's'"]
+
+
+def test_equations_table_reads_the_shape():
+    # each side of each equation is a non-empty word of the shape's faces
+    # and cells, and every face in it lands in the level where the
+    # equation holds
+    assert [(name, level) for name, level, *_ in EQUATIONS] == [("associativity", "D3"), ("identity", "D1")]
+    for _, level, *sides in EQUATIONS:
+        for side in sides:
+            assert side and all(n in FACES or n in CELLS for n in side)
+            assert {FACES[n][1] for n in side if n in FACES} <= {level}
+
+
+def _declared_diagrams():
+    """The diagrams declared in tests/test_descent.py and in this file."""
+    z2, idem = z2_cat(), idem_cat()
+    cells = [
+        (z2, "e", "e", "e", "e", "e"),
+        (z2, "s", "e", "e", "s", "e"),
+        (z2, "s", "e", "e", "e", "e"),
+        (z2, "e", "e", "e", "s", "e"),
+        (z2, "e", "e", "s", "s", "e"),
+        (idem, "e", "e", "e", "a", "e"),
+        (idem, "e", "e", "e", "e", "e"),
+    ]
+    identities = [identity_diagram(C) for C in (terminal_cat(), chain3(), walking_arrow())]
+    return identities + [monoid_diagram(*c) for c in cells]
+
+
+def test_descent_equations_match_the_hand_written_ones_on_declared_diagrams():
+    for D in _declared_diagrams():
+        candidates = descent_candidates(D)
+        assert candidates
+        for f, th in candidates:
+            assert descent_equations(D, f, th) == hand_descent_equations(D, f, th)
+
+
+@pytest.mark.parametrize(
+    "fixture, y, z",
+    FIXTURE_PAIRS + [("z2_on_three.json", y, z) for y in ("swap", "fix") for z in ("swap", "fix")],
+)
+def test_descent_equations_match_the_hand_written_ones_on_fixture_pairs(fixture, y, z):
+    # every candidate lax_descent tries on the diagram build_Tzy gives
+    # (skew -> swap has none)
+    ws = load(os.path.join(FIXTURES, fixture))
+    y, z = ws.algebras[y], ws.algebras[z]
+    D = build_Tzy(y.universe, y, z)
+    for f, th in descent_candidates(D):
+        assert descent_equations(D, f, th) == hand_descent_equations(D, f, th)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_descent_equations_match_the_hand_written_ones_on_drawn_carriers(data):
+    U, algebras = _non_strict_lax_algebras(data.draw(st.sampled_from(sorted(LAX_MONOIDS))))
+    y, z = (data.draw(st.sampled_from(algebras[data.draw(st.sampled_from(sorted(algebras)))])) for _ in "yz")
+    D = build_Tzy(U, y, z)
+    assume(len(D.D1.objects) ** len(U.monoid.elements) <= 64)
+    for f, th in descent_candidates(D):
+        assert descent_equations(D, f, th) == hand_descent_equations(D, f, th)
+
+
+def test_dot_extension_refusals_are_pinned():
+    # Dd is checked before Dtheta, each with its own message
+    C, W = z2_cat(), walking_arrow()
+    d = monoid_diagram(C, "e", "e", "e", "e", "e")
+    i = fincat.identity_fun(C)
+    cell = fincat.make_nat(i, i, {"*": "e"})
+    wrong = fincat.identity_fun(W)
+    for Dd, Dtheta, message in [
+        (wrong, cell, "Dd must be a functor between the stated levels"),
+        (wrong, fincat.identity_nat(wrong), "Dd must be a functor between the stated levels"),
+        (i, fincat.identity_nat(wrong), "Dtheta has the wrong boundary"),
+    ]:
+        with pytest.raises(BoundaryMismatch) as err:
+            make_dot_extension(base=d, D0=C, Dd=Dd, Dtheta=Dtheta)
+        assert str(err.value) == message
+
+
+def test_a_field_that_is_no_functor_or_transformation_is_refused():
+    # one face and one cell of a diagram and of its dot extension, each
+    # refused with the message a wrong boundary gets
+    C = z2_cat()
+    d = monoid_diagram(C, "e", "e", "e", "e", "e")
+    fields = {f: getattr(d, f) for f in DeltaDiagram.FIELDS}
+    for name, value, message in [
+        ("Dd0", None, "Dd0 must be a functor between the stated levels"),
+        ("Dsig00", "x", "Dsig00 has the wrong boundary"),
+    ]:
+        with pytest.raises(BoundaryMismatch) as err:
+            make_delta_diagram(**dict(fields, **{name: value}))
+        assert str(err.value) == message
+    i = fincat.identity_fun(C)
+    cell = fincat.make_nat(i, i, {"*": "e"})
+    for Dd, Dtheta, message in [
+        (None, cell, "Dd must be a functor between the stated levels"),
+        (i, "x", "Dtheta has the wrong boundary"),
+    ]:
+        with pytest.raises(BoundaryMismatch) as err:
+            make_dot_extension(base=d, D0=C, Dd=Dd, Dtheta=Dtheta)
+        assert str(err.value) == message

@@ -17,7 +17,7 @@ import weakref
 from contextlib import redirect_stdout
 
 import fin2cat.cli  # noqa: F401  (loads every module)
-from fin2cat import cli, codescent, fincat, freegen, laxalg
+from fin2cat import cli, codescent, deltadiag, fincat, freegen, laxalg
 from fin2cat.codescent import FINITE, PresentedCategory
 from fin2cat.descent import lax_descent
 from helpers import (
@@ -26,9 +26,13 @@ from helpers import (
     MONAD_FX,
     Z2_ON_THREE_FX,
     code_lines,
+    hand_codescent_relations,
+    monoid_diagram,
+    monoid_extension,
     pinned_slate,
     run_python,
     walking_arrow,
+    z2_cat,
     z2_swap_workspace,
 )
 
@@ -264,6 +268,23 @@ def test_the_descent_equations_intern_few_top_level_functors():
     assert len(fincat.hom_cat(D.D2.source, D.D2.target).objects) == 27**2
     lax_descent(D)
     assert len(D.D2._tuples) < 100 and len(D.D3._tuples) < 100
+
+
+def test_the_descent_equations_are_read_off_one_table(monkeypatch):
+    # descent_equations, check_dot_extension and lax_codescent read
+    # deltadiag.EQUATIONS when called, so dropping the identity equation
+    # drops it from all three
+    d = monoid_diagram(z2_cat(), "e", "e", "s", "s", "e")
+    ext = monoid_extension(d, "e")
+    y = cli.load(MONAD_FX).algebras["const1"]
+    A = codescent.build_Ay_strict(y.universe, y)
+    assert len(deltadiag.descent_equations(d, "*", "e")) == 2
+    assert len(deltadiag.check_dot_extension(ext).failures) == 2
+    monkeypatch.setattr(deltadiag, "EQUATIONS", deltadiag.EQUATIONS[:1])
+    assert len(deltadiag.descent_equations(d, "*", "e")) == 1
+    assert deltadiag.check_dot_extension(ext).failures == ["associativity equation fails at '*': 'e' != 's'"]
+    units = len(A.A1.objects)
+    assert codescent.lax_codescent(A, budget=0).presentation.relations == hand_codescent_relations(A)[:-units]
 
 
 # verify-prop-descent swap swap on a workspace file, in a fresh
