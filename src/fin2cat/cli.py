@@ -25,18 +25,21 @@ unreadable --input file -- gives an "error" report naming the exception
 in data, not a traceback.  So does a fault inside fin2cat, under its own
 exception type (KeyError, say), never as ParseError.
 
-main() parses with one parser, built at import, whose usage line is
-formatted then, as argparse itself would format it on every parse: the
-terminal width is read once per process, and each call gets the namespace,
-or the usage-error message, that a freshly built parser gives.  A negative
---budget is a usage error.  The built-in computads that normalize-2cell
-and preorder-leq read are built once per process and shared between calls
-as immutable values (freegen.builtin_computad).
+main() reads a plain argv directly (_read): words that do not start with
+"-", the options spelled out in full, each with a value.  Any other argv,
+--help and every usage error among them, goes to argparse, so each call
+gets the namespace, or the usage-error message, that argparse gives.  A
+negative --budget is a usage error.  The report is rendered directly
+(_render), with the bytes of json.dumps(report, sort_keys=True, indent=2).
+The built-in computads that normalize-2cell and preorder-leq read are
+built once per process and shared between calls as immutable values
+(freegen.builtin_computad).
 """
 
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .codescent import (FINITE, REWRITE_BUDGET, build_Ay_strict, kleisli, lax_codescent, strictify,
                         verify_codescent_universal)
@@ -487,10 +490,6 @@ _PARSER.add_argument("--input", help="workspace JSON file")
 _PARSER.add_argument("--budget", type=_budget, help="search/rewrite budget override")
 _PARSER.add_argument("--probes", help="comma-separated category names")
 _PARSER.add_argument("--out", help="also write the report here")
-# parse_intermixed_args formats this usage line on every call, for messages
-# that _Parser.error never prints; it is formatted once here, as argparse
-# itself would, so the terminal width is read when the module is imported
-_PARSER.usage = _PARSER.format_usage()[7:]
 
 
 def _error_report(command, e):
@@ -498,25 +497,66 @@ def _error_report(command, e):
     return _report(command, "error", [], data, [])
 
 
+def _read(argv):
+    """The namespace _PARSER gives a plain argv: words that do not start
+    with "-", of which at least one is positional, each option spelled out
+    in full and followed by such a word, --budget as _budget takes it.
+    None for any other argv, which argparse reads."""
+    ns = dict.fromkeys(("input", "budget", "probes", "out"))
+    words = []
+    it = iter(argv)
+    for w in it:
+        if w[:1] != "-":
+            words.append(w)
+            continue
+        v = next(it, "-")
+        if w[2:] not in ns or w[:2] != "--" or v[:1] == "-":
+            return None
+        try:
+            ns[w[2:]] = _budget(v) if w == "--budget" else v
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+    return argparse.Namespace(command=words[0], names=words[1:], **ns) if words else None
+
+
+def _render(v, indent="\n"):
+    """json.dumps(v, sort_keys=True, indent=2), written directly: with an
+    indent, json encodes in pure Python.  Keys are strings; strings are
+    encoded as json encodes them, an int is its repr, as json writes it,
+    and any other value that is not a list, a tuple or a dict is left to
+    json.dumps, errors and all."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = [encode_basestring_ascii(k) + ": " + _render(x, inner) for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_render(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return repr(v) if type(v) is int else json.dumps(v)
+
+
 def main(argv=None):
     # a usage error is reported with no command and no --out; --help
     # still exits 0
     ns = argparse.Namespace(command=None, out=None)
     try:
-        ns = _PARSER.parse_intermixed_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        ns = _read(argv) or _PARSER.parse_intermixed_args(argv)
         probes = ns.probes.split(",") if ns.probes else None
         ws = load(ns.input) if ns.input else Workspace()
         report = run(ws, ns.command, ns.names, budget=ns.budget, probes=probes)
     except Exception as e:  # a fault of fin2cat too is a report, not a traceback
         report = _error_report(ns.command, e)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _render(report) + "\n"
     if ns.out:
         try:
             with open(ns.out, "w") as fh:
                 fh.write(text)
         except OSError as e:
             report = _error_report(ns.command, e)
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = _render(report) + "\n"
     sys.stdout.write(text)
     return _EXIT[report["status"]]
 

@@ -78,9 +78,9 @@ class Monoid:
 
     The constructor proves the table with make_fincat, as the one-object
     category whose morphisms are the elements, whose identity is the unit
-    and whose composition is the table (g after f is g.f).  Pass
-    check=False to build a deliberately broken table (used to probe the
-    checkers).
+    and whose composition is the table (g after f is g.f), once the unit
+    is known to be an element.  Pass check=False to build a deliberately
+    broken table (used to probe the checkers).
     """
 
     def __init__(self, elements, unit, table, check=True):
@@ -88,6 +88,8 @@ class Monoid:
         self.unit = unit
         self.table = dict(table)
         if check:
+            if unit not in self.elements:
+                raise AxiomViolation("monoid unit %r is not an element" % (unit,))
             make_fincat(
                 ["*"],
                 self.elements,

@@ -1641,9 +1641,9 @@ def pinned_slate():
 
 
 def fresh_cli_parser():
-    """fin2cat's argument parser built anew, with no usage line preset, so
-    argparse formats the usage on every parse: the oracle for cli._PARSER,
-    whose usage line is formatted once, at import."""
+    """fin2cat's argument parser built anew: the oracle for cli._PARSER,
+    which must be left as it was by every parse, and for cli._read, which
+    must give argparse's namespace on every argv it reads."""
     p = cli._Parser(
         prog="fin2cat",
         description="finite 2-category checks over a JSON workspace",

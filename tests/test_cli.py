@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from fin2cat import cli, laxalg
 from fin2cat.cli import load, main, run
 from fin2cat.errors import AxiomViolation, MalformedWord, ParseError, UnknownCommand
 from fin2cat.fincat import make_fincat
-from helpers import fresh_cli_parser, run_python
+from helpers import fresh_cli_parser, pinned_slate, run_python
 
 FIXTURES = os.path.join(os.path.dirname(fin2cat.__file__), "fixtures")
 MONAD_FX = os.path.join(FIXTURES, "monad_on_2.json")
@@ -229,20 +230,50 @@ def test_a_repeated_probe_name_is_an_error(capsys):
     assert report["data"] == {"error": "ValueError", "message": "probe '1' is named twice"}
 
 
-def test_main_report_is_byte_stable(tmp_path, capsys):
+def test_main_report_is_byte_stable(tmp_path, monkeypatch, capsys):
+    # on every slate command the report main prints, the last one _report
+    # builds, has json.dumps's bytes, --out gets the same bytes and a rerun
+    # without --out prints them again
+    reports = []
+    report = cli._report
+    monkeypatch.setattr(cli, "_report", lambda *a: reports.append(report(*a)) or reports[-1])
     out = tmp_path / "report.json"
-    code = main(
-        ["hom", "--input", MONAD_FX, "idalg", "idalg", "lax", "--out", str(out)]
-    )
-    first = capsys.readouterr().out
-    assert code == 0
-    assert first.endswith("\n")
-    assert out.read_text() == first
-    assert json.loads(first)["command"] == "hom"
-    main(["hom", "--input", MONAD_FX, "idalg", "idalg", "lax"])
-    assert capsys.readouterr().out == first
-    # keys arrive sorted
-    assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n"
+    for argv in pinned_slate().values():
+        code = main(argv + ["--out", str(out)])
+        first = capsys.readouterr().out
+        assert reports[-1]["command"] == argv[0]
+        assert first == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n"
+        assert out.read_bytes() == first.encode()
+        assert main(argv) == code
+        assert capsys.readouterr().out == first
+
+
+# strings json escapes, or writes as \u escapes; text() draws no surrogate
+_TEXT = st.text(max_size=4) | st.sampled_from(["é", "☃", "😀", "\ud800", '"', "\\", "\n", "\x00", ""])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_VALUES_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES_JSON)
+@example({"": [], "a": {}, "b": ((), [{}])})  # empty containers, nested
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 10**30, True, None])
+@example({"a": [{1, 2}]})  # values json refuses
+@example((b"x",))
+def test_a_report_is_rendered_as_json_renders_it(v):
+    try:
+        want = json.dumps(v, sort_keys=True, indent=2)
+    except TypeError as e:
+        with pytest.raises(TypeError) as err:
+            cli._render(v)
+        assert str(err.value) == str(e)
+        return
+    assert cli._render(v) == want
 
 
 def test_an_unwritable_out_file_is_an_error_report(tmp_path, capsys):
@@ -466,21 +497,29 @@ _PIECES = st.one_of(
 @example([])  # a missing command
 @example(["--budget", "3", "--input", "ws.json"])  # options only
 @example(["--budget", "1", "preorder-leq", "--budget", "2", "a", "--out", "o", "b"])
+@example(["--budget", "x", "validate", "--budget", "2"])  # a bad value, then a good one
 @example(["normalize-2cell", "DeltaDotLax", "1", "d0", "-1:sig00"])
 @example(["normalize-2cell", "DeltaDotLax", "--", "-1:sig00", "--budget", "2"])
+@example(["validate", "--input", ""])  # an empty value
+@example(["validate", "--input"])  # an option with no value
 def test_the_parser_parses_as_a_fresh_parser_does(argv):
-    # cli._PARSER formats its usage line once, at import; a fresh parser
-    # formats it on every parse: same namespaces, same usage errors, and
-    # the parser is left as it was
+    # cli._PARSER gives a fresh parser's namespace or usage error, and is
+    # left as it was; cli._read gives that namespace too, or leaves argv
+    # to cli._PARSER, and main reads sys.argv[1:] as it reads argv
     want = _parsed(fresh_cli_parser(), argv)
     assert _parsed(cli._PARSER, argv) == want
     assert _parsed(cli._PARSER, argv) == want
+    ns = cli._read(argv)
+    assert ns is None or ("namespace", vars(ns)) == want
     if want[0] == "ParseError":
         # main reports it with no command; a parsed argv would run
         data = {"error": "ParseError", "message": want[1]}
         report = {"command": None, "status": "error", "witnesses": [], "data": data,
                   "trace": []}
         assert _main(argv) == (3, report)
+    if want[0] == "ParseError" or want[1]["out"] is None:
+        with mock.patch.object(sys, "argv", ["fin2cat", *argv]):
+            assert _main(None) == _main(argv)
 
 
 def test_the_help_is_argparse_own():
@@ -724,6 +763,19 @@ _BROKEN_INPUTS = {
         "bad",
         {"elements": ["e", "e"], "unit": "e", "table": [["e", "e", "e"]]},
         "monoids.bad: duplicate morphism identifiers",
+    ),
+    # the unit is named before make_fincat sees it as the identity of "*"
+    "monoid, no elements": (
+        "monoids",
+        "bad",
+        {"elements": [], "unit": "e", "table": []},
+        "monoids.bad: monoid unit 'e' is not an element",
+    ),
+    "monoid, unit outside its elements": (
+        "monoids",
+        "bad",
+        {"elements": ["a"], "unit": "e", "table": [["a", "a", "a"]]},
+        "monoids.bad: monoid unit 'e' is not an element",
     ),
     "monoid, elements given as a string": (
         "monoids",

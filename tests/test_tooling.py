@@ -3,7 +3,8 @@ line count, and the fixed work of a command-line call.
 
 perfbench/tracer.py names the fin2cat functions and methods it wraps; a
 renamed or removed one would break only traced bench runs.  These tests
-load the tracer from the checkout and change nothing under perfbench/.
+load the tracer, and the bench's workload pools, from the checkout and
+change nothing under perfbench/.
 """
 
 import gc
@@ -15,6 +16,7 @@ import os
 import sys
 import weakref
 from contextlib import redirect_stdout
+from unittest import mock
 
 import fin2cat.cli  # noqa: F401  (loads every module)
 from fin2cat import cli, codescent, deltadiag, fincat, freegen, laxalg
@@ -36,18 +38,23 @@ from helpers import (
     z2_swap_workspace,
 )
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name):
+    # the harness's modules import each other by their plain names; the
+    # path and the modules they load are restored afterwards
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py")
+    )
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.object(sys, "path", [PERFBENCH, *sys.path]), mock.patch.dict(sys.modules):
+        spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_every_listed_name_and_restores_it():
-    tr = _tracer_module()
+    tr = _perfbench_module("tracer")
     mods = {n: m for n, m in sys.modules.items() if n.startswith("fin2cat.")}
     before = {n: dict(vars(m)) for n, m in mods.items()}
     owners = [
@@ -78,7 +85,7 @@ def test_traced_quotients_are_proved_through_the_wrapped_make_fincat():
     # quotient_category proves its table with a seventh argument, the
     # generators; the tracer counts the call, but its six-argument unpack
     # skips that call's triple count, and a six-argument call is counted
-    tr = _tracer_module()
+    tr = _perfbench_module("tracer")
     gens = [("x", "*", "*"), ("y", "*", "*")]
     rels = [(("x",) * 2, (), "*"), (("y",) * 3, (), "*"), (("x", "y") * 5, (), "*")]
     tracer = tr.Tracer()
@@ -103,7 +110,7 @@ def test_traced_quotients_are_proved_through_the_wrapped_make_fincat():
 def test_traced_normal_forms_count_the_steps_of_their_word():
     # the tracer reads len(w.steps) off normalize_2cell's argument, so a
     # word's steps stay one entry per step
-    tr = _tracer_module()
+    tr = _perfbench_module("tracer")
     c = freegen.builtin_computad(freegen.DELTA_DOT_LAX)
     src = freegen.make_path(c.base, "1", ["d0", "p2"])
     w = freegen.make_word(c, src, [(0, "sig20"), (0, "n1"), (2, "n0")])
@@ -124,7 +131,7 @@ def test_importing_the_cli_loads_every_traced_module():
     # Tracer.install finds each module it wraps in sys.modules, and a
     # bench run imports only fin2cat.cli first; a module the cli imported
     # lazily would go unwrapped
-    tr = _tracer_module()
+    tr = _perfbench_module("tracer")
     done = run_python(
         "-c", "import json, sys, fin2cat.cli; print(json.dumps(sorted(sys.modules)))"
     )
@@ -178,8 +185,10 @@ _SHORT_CALLS = (
 
 
 def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
-    # the usage line is formatted once, at import, and each built-in
-    # computad once per process; counts, not timings
+    # argparse formats the usage line on each parse, so no short call, no
+    # slate command and no command line of the bench pools reaches it: each
+    # is read directly.  Each built-in computad is built once per process;
+    # counts, not timings
     formatted = []
     format_usage = cli._PARSER.format_usage
 
@@ -201,6 +210,12 @@ def test_a_short_cli_call_formats_no_usage_and_builds_no_computad(monkeypatch):
     for argv in pinned_slate().values():
         with redirect_stdout(io.StringIO()):
             cli.main(argv)
+    assert formatted == []
+    workloads = _perfbench_module("workloads")
+    for make, seed in itertools.product(workloads.WORKLOADS.values(), (101, 2027)):
+        for task in make(seed).tasks:
+            if task["kind"] == "cli":
+                assert cli._read(task["argv"]) or cli._PARSER.parse_intermixed_args(task["argv"])
     assert formatted == []
     for name in sorted(freegen._DOTS):
         shared, fresh = freegen.builtin_computad(name), freegen.builtin_computad.__wrapped__(name)
