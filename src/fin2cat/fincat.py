@@ -42,19 +42,21 @@ make_word: tests/test_freegen.py proves once that it is a word from the
 same source to the same target, in
 test_normal_forms_of_enumerated_words_are_proved_words and
 test_normal_forms_of_drawn_words_are_proved_words.
-check_pseudomonad builds the identity cells of the 2-monad's coherence
-pastings but not the pastings, and checks neither the strictness of T
-nor the naturality of its structure maps: for a discrete monoid these
-hold whatever the table, and test_pseudomonad_check_matches_the_pasted_check
-proves that once.
+check_pseudomonad reads each 2-monad law off the identity cell that
+proves it and builds the cells of the coherence pastings but not the
+pastings, and checks neither the strictness of T nor the naturality of
+its structure maps: for a discrete monoid these hold whatever the
+table, and test_pseudomonad_check_matches_the_pasted_check proves that
+once.
 
 make_fincat proves associativity on generator triples, every morphism
 being a generator unless the caller names fewer.  identity_cell is the
-one proved identity 2-cell, make_nat with identity components: it exists
-exactly when its two functors agree, so the strict comparison cells of
-the 2-monads (which the free resolutions read) and of strict algebras
-prove their laws through it.  The searches for functors,
-transformations and isomorphisms run on one backtracking
+one identity 2-cell: it exists exactly when its two functors agree, so
+it is decided by comparing them image by image, and make_nat, with
+identity components, runs only to name a refusal.  The strict
+comparison cells of the 2-monads (which the free resolutions read) and
+of strict algebras prove their laws through it.  The searches for
+functors, transformations and isomorphisms run on one backtracking
 engine, _assignments, whose explicit stack keeps their depth clear of
 the interpreter's recursion limit; the naturality squares that the
 transformation search checks are indexed once per source category
@@ -582,8 +584,14 @@ def identity_nat(F):
 
 
 def identity_cell(F, G):
-    """The identity 2-cell F => G, proved by make_nat: it exists exactly
-    when F and G agree, and is refused otherwise.
+    """The identity 2-cell F => G.  It exists exactly when F and G agree:
+    an identity family is natural from F to G when F and G are parallel
+    and agree on every object and morphism, as each naturality square
+    then reads G(m) = F(m).  So the cell is decided by comparing the two
+    functors image by image along F.src (never whole, so an OnDemandFun
+    is read one image at a time), and make_nat runs only on a
+    disagreement, to name the refusal: the first object or morphism at
+    which the identity family fails, as make_nat would have found it.
 
     >>> one = make_fincat(["*"], ["e"], {"e": "*"}, {"e": "*"}, {"*": "e"},
     ...     {("e", "e"): "e"})
@@ -599,7 +607,16 @@ def identity_cell(F, G):
     Traceback (most recent call last):
     fin2cat.errors.BoundaryMismatch: component at '*' must be a morphism '0' -> '1', got 'i0'
     """
-    return make_nat(F, G, identity_nat(F).components)
+    C, ids = F.src, identity_nat(F).components
+    Fo, Fm, Go, Gm = F.on_obj, F.on_mor, G.on_obj, G.on_mor
+    if (
+        C == G.src
+        and F.tgt == G.tgt
+        and all(Fo[x] == Go[x] for x in C.objects)
+        and all(Fm[m] == Gm[m] for m in C.morphisms)
+    ):
+        return NatT(F, G, ids)
+    return make_nat(F, G, ids)
 
 
 def paste(kind, beta, alpha):
@@ -711,13 +728,6 @@ class ProductCat(Composed):
 def product_cat(C, D):
     """The product category C x D; its projections are proj1 and proj2."""
     return ProductCat(C, D)
-
-
-def _fun_key(F):
-    return (
-        tuple(F.on_obj[x] for x in F.src.objects),
-        tuple(F.on_mor[m] for m in F.src.morphisms),
-    )
 
 
 def _assignments(n, slot, fits):

@@ -14,11 +14,13 @@ algebra reads Z, TZ and T^2 Z, so the hom category of a pair and its
 induced diagram build no T^3.
 
 A lax algebra is (Z, a: TZ -> Z, zbar: a.T(a) => a.m_Z, zbar0: id_Z =>
-a.eta_Z).  check_pseudomonad pastes nothing: it checks the unit and
-associativity laws as functor equalities and builds the identity cells
-mu, iota and tau that its coherence pastings are made of.  The rest
-holds by theorem for a discrete M (see MonadUniverse).  A lax morphism
-(f, fbar: a_z.T(f) => f.a_y) is checked by check_lax_morphism, which
+a.eta_Z).  check_pseudomonad pastes nothing: it reads the unit and
+associativity laws off the identity cells iota, tau and mu that prove
+them, each of which exists exactly when its law holds, and builds the
+cells that its coherence pastings are made of, which the memo then
+serves.  The rest holds by theorem for a discrete M (see
+MonadUniverse).  A lax morphism (f, fbar: a_z.T(f) => f.a_y) is
+checked by check_lax_morphism, which
 classifies it as strict / pseudo / lax, and a transformation of lax
 morphisms by check_transformation.  Neither these two nor
 check_lax_algebra builds a composite functor or a NatT: after the typing
@@ -53,6 +55,7 @@ from .errors import (
     BoundaryMismatch,
     CoherenceViolation,
     FunctorialityViolation,
+    NaturalityViolation,
     verdict_all,
 )
 from .fincat import (
@@ -60,7 +63,6 @@ from .fincat import (
     Fun,
     NatT,
     PowerView,
-    _fun_key,
     category_over,
     compose_fun,
     hom_cat,
@@ -137,9 +139,10 @@ class MonadUniverse:
     returns that same object.  The memo lives as long as the universe
     does; a failed build is not remembered and fails again on the next
     call.  Members are found by identity first, so index_of on a member
-    compares no tables, and a functor carries its key in the memo of T
-    (tagged with the universe's token) from its first T on, so a later
-    T(F) reads none of F's images.
+    compares no tables, and T(F) is kept under F itself, as the pair
+    (F, T(F)) keyed by F's id (the memo holds F, so the id is not
+    reused), so a later T(F) reads none of F's images and nothing is
+    written onto F.
 
     What is proved: the monoid's table, by monoid_two_monad, only as far
     as m and eta need it: mul must send every pair of elements to an
@@ -148,7 +151,7 @@ class MonadUniverse:
     are functors by theorem, as M is discrete, and are built without
     proof; test_monad_structure_functors_are_functors in
     tests/test_fincat.py proves them once, on non-associative tables
-    too.  mu, iota and tau are proved by identity_cell, which is where
+    too.  mu, iota and tau are decided by identity_cell, which is where
     check_pseudomonad meets a non-associative or non-unital table.  Also
     lawful by theorem and built without proof: the members T(X) = M x X,
     products of proved categories, and T(F) = id x F and T(a) = id x a
@@ -162,7 +165,7 @@ class MonadUniverse:
 
     def __init__(self, monoid, seeds, depth):
         self.monoid, self.depth, self.names = monoid, depth, []
-        self._memo, self._token = {}, object()
+        self._memo = {}
         # the discrete category on the elements, which monoid_two_monad
         # has found distinct
         ids = {g: g for g in monoid.elements}
@@ -250,23 +253,18 @@ class MonadUniverse:
         return self._member(self._next(self.index_of(C)))
 
     def T_fun(self, F):
-        # F carries its memo key, under this universe's token, from its
-        # first T on
-        token, key = getattr(F, "_memo_key", (None, None))
-        if token is not self._token:
-            key = ("T", self.index_of(F.src), self.index_of(F.tgt), _fun_key(F))
-            F._memo_key = (self._token, key)
-
         def build():
-            TS, TT = self._member(self._next(key[1])), self._member(self._next(key[2]))
-            return Fun(
+            TS = self._member(self._next(self.index_of(F.src)))
+            TT = self._member(self._next(self.index_of(F.tgt)))
+            return F, Fun(
                 TS,
                 TT,
                 {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
                 {m: TT.pair_mor(g, F.mor(f)) for m, (g, f) in TS.mor_pair.items()},
             )
 
-        return self._memoised(key, build)
+        # the memo holds F itself, so its id is not reused while kept
+        return self._memoised(("T", id(F)), build)[1]
 
     def T_nat(self, a):
         TF, TG = self.T_fun(a.src), self.T_fun(a.tgt)
@@ -404,33 +402,31 @@ def _recorded(failures, label):
 def check_pseudomonad(U):
     """Verify the 2-monad laws on every member where the iterates exist.
 
-    Checks, in order: the unit and associativity laws as functor
-    equalities; then the identity cells each coherence pasting is made
-    of, in the order the pasting would build them: mu at T(C) and at C
-    for the associativity pasting (it needs T^4 C), tau at T(C), mu and
-    iota at C for the triangle (T^3 C).  identity_cell refuses a cell
-    whose two functors differ, recorded as "<pasting> at <member>:
-    <refusal>".  Not checked, as it holds by theorem (see MonadUniverse):
-    T's strictness, the 2-naturality of m and eta, and the equality of
-    each pasting's two sides once its cells exist.
+    Each law is read off the identity cell that proves it, as for the
+    strict T = M x (-) a law holds exactly when its cell exists: the left
+    unit law at C fails when iota at C is refused, the right unit law
+    when tau at C is, both where T^2 C exists, and the associativity law
+    when mu at C is, where T^3 C exists.  Then come the identity cells
+    each coherence pasting is made of, in the order the pasting would
+    build them: mu at T(C) and at C for the associativity pasting (it
+    needs T^4 C), tau at T(C), mu and iota at C for the triangle
+    (T^3 C).  identity_cell refuses a cell whose two functors differ,
+    recorded as "<pasting> at <member>: <refusal>".  Not checked, as it
+    holds by theorem (see MonadUniverse): T's strictness, the
+    2-naturality of m and eta, and the equality of each pasting's two
+    sides once its cells exist.
     Returns a Verdict listing each member and law that fails.
     """
     failures = []
     members = [(C, name, U.height(C)) for C, name in zip(U.members, U.names)]
+    laws = (("left unit", U.iota, 2), ("right unit", U.tau, 2), ("associativity", U.mu, 3))
     for C, name, k in members:
-        if k >= 2:
-            TC = U.T(C)
-            with _recorded(failures, "unit laws at %s" % name):
-                if compose_fun(U.m(C), U.eta(TC)) != identity_fun(TC):
-                    failures.append("left unit law fails at %s" % name)
-                if compose_fun(U.m(C), U.T_fun(U.eta(C))) != identity_fun(TC):
-                    failures.append("right unit law fails at %s" % name)
-        if k >= 3:
-            with _recorded(failures, "associativity at %s" % name):
-                if compose_fun(U.m(C), U.T_fun(U.m(C))) != compose_fun(
-                    U.m(C), U.m(TC)
-                ):
-                    failures.append("associativity law fails at %s" % name)
+        for law, cell, needs in laws:
+            if k >= needs:
+                try:
+                    cell(C)
+                except (BoundaryMismatch, NaturalityViolation):
+                    failures.append("%s law fails at %s" % (law, name))
 
     # the cells of the coherence pastings, where enough iterates exist
     for C, name, k in members:
@@ -466,7 +462,7 @@ def fbar_boundary(U, y, z, f):
 def _cell_on(cell, boundary, message):
     """cell, refused with message unless it runs on boundary.  A dict of
     components is proved on boundary by make_nat, and None stands for the
-    identity cell, proved by identity_cell."""
+    identity cell, decided by identity_cell."""
     if cell is None:
         return identity_cell(*boundary)
     if isinstance(cell, dict):

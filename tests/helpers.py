@@ -319,6 +319,22 @@ def walking_iso():
     )
 
 
+def fun_key(F):
+    """F's images along the objects, then the morphisms, of its source:
+    the key under which a functor category stores F."""
+    return (
+        tuple(F.on_obj[x] for x in F.src.objects),
+        tuple(F.on_mor[m] for m in F.src.morphisms),
+    )
+
+
+def proved_identity_cell(F, G):
+    """The identity 2-cell F => G proved square by square: make_nat with
+    identity components.  The oracle for fincat.identity_cell, which
+    compares F and G instead."""
+    return make_nat(F, G, identity_nat(F).components)
+
+
 def brute_force_hom_cat(C, D):
     """The functor category [C, D] by the all-pairs route: every ordered
     pair of functors is searched for transformations over the whole
@@ -326,14 +342,14 @@ def brute_force_hom_cat(C, D):
     paste.  Functors, transformations and their F#/n# names follow the
     same canonical order as fincat.HomCat.  Returns (category, functor by
     name, transformation by name)."""
-    funs = sorted(recursive_enumerate_functors(C, D), key=fincat._fun_key)
+    funs = sorted(recursive_enumerate_functors(C, D), key=fun_key)
     fun_of = {"F%d" % i: F for i, F in enumerate(funs)}
-    fun_id = {fincat._fun_key(F): fid for fid, F in fun_of.items()}
+    fun_id = {fun_key(F): fid for fid, F in fun_of.items()}
 
     def key(a):
         """a's source id, target id and components along C.objects."""
         comps = tuple(a.components[x] for x in C.objects)
-        return fun_id[fincat._fun_key(a.src)], fun_id[fincat._fun_key(a.tgt)], comps
+        return fun_id[fun_key(a.src)], fun_id[fun_key(a.tgt)], comps
 
     nats = []
     for F in fun_of.values():
@@ -351,8 +367,8 @@ def brute_force_hom_cat(C, D):
     def name(a):
         return nat_id[key(a)]
 
-    dom = {nid: fun_id[fincat._fun_key(a.src)] for nid, a in nat_of.items()}
-    cod = {nid: fun_id[fincat._fun_key(a.tgt)] for nid, a in nat_of.items()}
+    dom = {nid: fun_id[fun_key(a.src)] for nid, a in nat_of.items()}
+    cod = {nid: fun_id[fun_key(a.tgt)] for nid, a in nat_of.items()}
     identity = {fid: name(fincat.identity_nat(F)) for fid, F in fun_of.items()}
     compose = {}
     for n2, b in nat_of.items():
@@ -530,7 +546,7 @@ def named_fun(L, F):
     PowerView took before they acted copy by copy: F's key cut into the
     copies, each copy named in base by its key, and the tuple by _fid.
     An enumerated level (HomCat) is the one-copy case."""
-    keys = zip(*(_cut(L, part) for part in fincat._fun_key(F)))
+    keys = zip(*(_cut(L, part) for part in fun_key(F)))
     return L._fid(tuple(map(L._base._fun_ids.__getitem__, keys)))
 
 

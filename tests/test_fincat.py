@@ -39,6 +39,7 @@ from helpers import (
     enumerated_level_sizes,
     forced,
     forced_cell,
+    fun_key,
     idem_cat,
     identity_fun_on,
     layered_cat,
@@ -49,6 +50,7 @@ from helpers import (
     one_object_cat,
     proved_cat,
     proved_fun,
+    proved_identity_cell,
     proved_nat,
     recursive_enumerate_functors,
     recursive_enumerate_nats,
@@ -709,6 +711,70 @@ def test_hom_cat_matches_all_pairs_construction(C, D):
     assert_same_hom_cat(fincat.hom_cat(C, D), C, D)
 
 
+def _copy(C):
+    """A FinCat equal to C but not C."""
+    return fincat.FinCat(C.objects, C.morphisms, C.dom, C.cod, C.identity, C.compose_table)
+
+
+@st.composite
+def functor_pairs(draw):
+    """A functor F between two small_categories and a functor G: F itself
+    or an equal copy, another functor between the same categories, F
+    with one object image changed, F with only one morphism image
+    changed, a functor not parallel to F, or a functor between equal but
+    distinct categories.  Each of F and G may be wrapped as an
+    OnDemandFun, which reads each image off the functor it wraps."""
+    C, D = draw(small_categories()), draw(small_categories())
+    H = fincat.hom_cat(C, D)
+    F, G = (H.functor_of(draw(st.sampled_from(H.objects))) for _ in "FG")
+    on_obj, on_mor = dict(F.on_obj), dict(F.on_mor)
+    kind = draw(st.sampled_from(["equal", "two", "object", "morphism", "apart", "copies"]))
+    if kind == "equal":
+        G = draw(st.sampled_from([F, fincat.Fun(C, D, on_obj, on_mor)]))
+    elif kind == "object":
+        x = draw(st.sampled_from(C.objects))
+        on_obj[x] = draw(st.sampled_from([y for y in D.objects if y != F.ob(x)] or ["stray"]))
+        G = fincat.Fun(C, D, on_obj, on_mor)
+    elif kind == "morphism":
+        m = draw(st.sampled_from(C.morphisms))
+        fm = F.mor(m)
+        others = [n for n in D.hom(D.dom[fm], D.cod[fm]) if n != fm]
+        on_mor[m] = draw(st.sampled_from(others or [n for n in D.morphisms if n != fm] or ["stray"]))
+        G = fincat.Fun(C, D, on_obj, on_mor)
+    elif kind == "apart":
+        # a discrete category with more objects than C or D is neither
+        n = max(len(C.objects), len(D.objects)) + 1
+        E = layered_cat(n, [], ["1"] * n)
+        G = draw(st.sampled_from([constant_fun(C, E, "0"), constant_fun(E, D, D.objects[0])]))
+    elif kind == "copies":
+        G = fincat.Fun(_copy(C), draw(st.sampled_from([D, _copy(D)])), G.on_obj, G.on_mor)
+    if draw(st.booleans()):
+        F = fincat.OnDemandFun(F.src, F.tgt, F.ob, F.mor)
+    if draw(st.booleans()):
+        G = fincat.OnDemandFun(G.src, G.tgt, G.ob, G.mor)
+    return F, G
+
+
+@settings(max_examples=200, deadline=None)
+@given(functor_pairs())
+def test_identity_cell_matches_the_proved_cell(pair):
+    # identity_cell compares F and G image by image, where make_nat with
+    # identity components proved every square: it gives the same cell,
+    # or make_nat's own refusal, OnDemandFuns included (which refuse to
+    # be compared whole)
+    F, G = pair
+    outcomes = []
+    for build in (fincat.identity_cell, proved_identity_cell):
+        try:
+            cell = build(F, G)
+        except Exception as e:
+            outcomes.append((type(e), str(e)))
+        else:
+            outcomes.append((cell.src is F, cell.tgt is G, cell.components))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is not NotEnumerated
+
+
 @st.composite
 def mutated_tables(draw):
     """The table of a small category with up to two entries changed,
@@ -827,7 +893,7 @@ def assert_same_enumerations(C, D):
     searches give them, in the same order.  Returns the keys."""
     funs = fincat._enumerate_functors(C, D)
     want = recursive_enumerate_functors(C, D)
-    assert funs == [fincat._fun_key(F) for F in want]
+    assert funs == [fun_key(F) for F in want]
     for f, F in zip(funs, want):
         for g, G in zip(funs, want):
             got = fincat._enumerate_nats(C, D, f, g)
@@ -1390,7 +1456,7 @@ def test_hom_cat_searches_only_inhabited_pairs(monkeypatch):
     counted.__set_name__(fincat.FinCat, "_squares")
     monkeypatch.setattr(fincat.FinCat, "_squares", counted)
     H = fincat.hom_cat(T2Y, Z)
-    funs = [fincat._fun_key(H.functor_of(o)) for o in H.objects]
+    funs = [fun_key(H.functor_of(o)) for o in H.objects]
     inhabited = {
         (f, g) for f in funs for g in funs if all(map(Z.hom, f[0], g[0]))
     }
@@ -1669,7 +1735,7 @@ def test_universe_members_and_T_are_lawful(fixture):
                 for f in map(D1.functor_of, D1.objects):
                     U.T_fun(U.T_fun(f))
     for U in ws.universes.values():
-        Ts = [F for key, F in U._memo.items() if key[0] == "T"]
+        Ts = [pair[1] for key, pair in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10
         assert_lawful(*U.members, funs=Ts)
 

@@ -41,6 +41,7 @@ from helpers import (
     chain3,
     constant_fun,
     discrete,
+    fun_key,
     named_fun,
     nonassociative_mutants,
     one_object_cat,
@@ -714,8 +715,10 @@ def test_build_tzy_composes_each_cell_boundary_once(monkeypatch, fixture, y, z):
 
 def test_mu_is_built_once_per_member(monkeypatch):
     # check_pseudomonad for Z/2 over the walking arrow at depth 4 asks for
-    # mu at A twice (associativity and triangle pastings) and at T(A)
-    # twice; the universe builds each once, and the same cell comes back
+    # mu at A three times (the associativity law and both pastings) and at
+    # T(A) three times (the law, the associativity pasting at A and the
+    # triangle at T(A)); the universe builds each once, and the same cell
+    # comes back
     built = []
     identity_cell = laxalg.identity_cell
 
@@ -1085,7 +1088,7 @@ def test_pseudomonad_proves_each_structure_functor_once(monkeypatch):
     # mu is built once although both pastings at the seed read it
     U, built, cells, proved = _structure_built(monkeypatch, laxalg.MonadUniverse)
     assert proved == []
-    keys = [(U.index_of(F.src), U.index_of(F.tgt), fincat._fun_key(F)) for F in built]
+    keys = [(U.index_of(F.src), U.index_of(F.tgt), fun_key(F)) for F in built]
     assert len(keys) == len(set(keys))
     made = {id(F) for F in built}
     for C in U.members[:4]:
@@ -1094,15 +1097,16 @@ def test_pseudomonad_proves_each_structure_functor_once(monkeypatch):
         assert id(U.m(C)) in made
         # T on a functor is lawful by theorem, memoised too
         assert U.T_fun(U.eta(C)) is U.T_fun(U.eta(C))
-    # mu at A and T(A), iota at A and T(A), tau at T(A) and T^2(A)
-    assert len(cells) == 6
+    # mu at A and T(A), iota and tau at A, T(A) and T^2(A): the laws read
+    # all eight, and the pastings find them in the memo
+    assert len(cells) == 8
     for C in U.members[:2]:
         assert any(U.mu(C) is c for c in cells)
     # the same check without the memo builds the same structure many
-    # times, and mu at A and at T(A) twice each
+    # times, and each cell the pastings read twice
     _, again, again_cells, _ = _structure_built(monkeypatch, UncachedUniverse)
     assert len(again) > 3 * len(built)
-    assert len(again_cells) == 8
+    assert len(again_cells) == 16
 
 
 def test_two_monad_refuses_a_table_its_structure_functors_cannot_read():

@@ -451,7 +451,7 @@ def test_carrier_commands_assemble_no_composition_table(monkeypatch):
 def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
     # counts, not timings: while lax_descent reads each slate diagram
     # (build_Tzy's, for verify-prop-descent, and each probe's, for
-    # verify-codescent), no compose_fun, paste, whisker or _fun_key call
+    # verify-codescent), no compose_fun, paste or whisker call
     # takes a functor or cell whose source is D2's or D3's source (TY and
     # T^2 Y, or A2 and A3): the faces and cells act copy by copy on D1's
     # ids
@@ -468,7 +468,7 @@ def test_lax_descent_builds_nothing_over_the_upper_sources(monkeypatch):
         sources = [F.src for F in cells + [a for a in args if isinstance(a, fincat.Fun)]]
         return any(C is D.D2.source or C is D.D3.source for C in sources)
 
-    names = ("compose_fun", "paste", "whisker_left", "whisker_right", "_fun_key")
+    names = ("compose_fun", "paste", "whisker_left", "whisker_right")
     calls = {name: _fincat_stacks(monkeypatch, name, upper) for name in names}
     diagrams = []
 
@@ -518,12 +518,11 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
     # slate, no fincat.paste call comes from the lax-morphism or
     # transformation checks, and enumerate_hom_category makes no
     # compose_fun call: it reads its candidates fbar through the faces
-    # Dd1 and Dd0, which act copy by copy on [Y, Z]'s ids.  Enumerating
-    # [Y, Z] keys no functor (hom_cat stores keys), and laws reads zbar
-    # at T^2(f) off a table without T_fun: so each enumeration's one
-    # T_fun call is _componentwise's T(a_y), and it keys nothing, as a_y
-    # carries its memo key from the algebra's load
-    calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun", "_fun_key")}
+    # Dd1 and Dd0, which act copy by copy on [Y, Z]'s ids.  laws reads
+    # zbar at T^2(f) off a table without T_fun: so each enumeration's one
+    # T_fun call is _componentwise's T(a_y), which the universe's memo
+    # keeps under a_y itself from the algebra's load
+    calls = {name: _fincat_stacks(monkeypatch, name) for name in ("paste", "compose_fun")}
     calls["T_fun"] = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "T_fun")
     candidates = []
     morphism = laxalg.LaxMorphism
@@ -557,7 +556,6 @@ def test_lax_morphism_checks_paste_nothing(monkeypatch):
         assert len(enumerating["T_fun"]) == enumerations, argv
         assert all("_componentwise" in names for names in enumerating["T_fun"]), argv
         assert not any("laws" in names for names in enumerating["T_fun"]), argv
-        assert enumerating["_fun_key"] == [], argv
         functors, fbars = functors + n, fbars + len(candidates)
     # the slate tries more candidates than it has functors
     assert fbars > functors > 0
@@ -568,7 +566,11 @@ def test_check_pseudomonad_pastes_nothing(monkeypatch):
     # slate's workspaces, and check_pseudomonad for Z/2 over the walking
     # arrow at depth 4, where both coherence pastings run, make no
     # fincat.paste call (so no whisker) and no T_nat call; the identity
-    # cells of the pastings are still built
+    # cells of the pastings are still built.  Each law is read off the
+    # cell that proves it, which is decided by comparing its functors:
+    # over Z/2 the check composes each of its ten functor pairs once
+    # (iota and tau at A, T(A) and T^2(A), and two for mu at A and at
+    # T(A)) and proves no square by make_nat
     pastes = _fincat_stacks(monkeypatch, "paste")
     T_nats = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "T_nat")
     mus = _stacks_of(monkeypatch, [laxalg.MonadUniverse], "mu")
@@ -585,7 +587,11 @@ def test_check_pseudomonad_pastes_nothing(monkeypatch):
         {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"},
     )
     U = laxalg.monoid_two_monad(z2, [("A", walking_arrow())], 4)
+    composed = _fincat_stacks(monkeypatch, "compose_fun", lambda G, F: (id(G), id(F)))
+    proofs = _fincat_stacks(monkeypatch, "make_nat")
     assert laxalg.check_pseudomonad(U)
+    assert len(composed) == len(set(composed)) == 10
+    assert proofs == []
     assert universes == 3  # U, U2 and U3
     for stacks in (pastes, T_nats):
         assert not any("check_pseudomonad" in names for names in stacks)
