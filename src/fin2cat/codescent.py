@@ -75,6 +75,7 @@ from .errors import (
     BoundaryMismatch,
     MalformedWord,
     MonadLawViolation,
+    require,
 )
 from .fincat import (
     Composed,
@@ -455,12 +456,9 @@ def kleisli(Z, t, mu, eta):
     components, composition is mu . t(g) . f.  Once the boundaries and
     the monad laws are checked it is a category (Street 1972), so it is
     a Composed, built without proof or table."""
-    if t.src != Z or t.tgt != Z:
-        raise BoundaryMismatch("t must be an endofunctor of Z")
-    if mu.src != compose_fun(t, t) or mu.tgt != t:
-        raise BoundaryMismatch("mu must run t.t => t")
-    if eta.src != identity_fun(Z) or eta.tgt != t:
-        raise BoundaryMismatch("eta must run id => t")
+    require(t, Z, Z, "t must be an endofunctor of Z")
+    require(mu, compose_fun(t, t), t, "mu must run t.t => t")
+    require(eta, identity_fun(Z), t, "eta must run id => t")
     for x in Z.objects:
         tx = t.ob(x)
         if Z.compose(mu.at(x), t.mor(mu.at(x))) != Z.compose(

@@ -19,9 +19,10 @@ Dtheta_x, and codescent.lax_codescent reads them upward as its cocycle
 and unit relations.
 
 The shape is freegen's SHAPE_EDGES and SHAPE_CELLS, read as FACES and
-CELLS, and the dot is freegen's DOT_EDGES and theta.  check_shape is the
-one boundary check: make_delta_diagram, make_dot_extension and
-codescent.make_codescent_data type their faces and cells through it.
+CELLS, and the dot is freegen's DOT_EDGES and theta.  make_delta_diagram,
+make_dot_extension and codescent.make_codescent_data type their faces
+and cells against the shape through check_shape, which refuses each
+through errors.require, the one boundary guard.
 hom_diagram builds the diagram on three functor categories from faces
 that precompose with a functor or apply a.T(-) (precompose, acting) and
 cells that whisker a given cell (after, along), as build_Tzy and the
@@ -43,8 +44,8 @@ tests/helpers.whole_hom_diagram, their oracle.
 
 from itertools import chain
 
-from .errors import BoundaryMismatch, verdict_all
-from .fincat import Fun, NatT, OnDemandFun, OnDemandNat, compose_fun, identity_fun
+from .errors import BoundaryMismatch, require, verdict_all
+from .fincat import OnDemandFun, OnDemandNat, compose_fun, identity_fun
 from .freegen import DOT_CELLS, DOT_EDGES, SHAPE_CELLS, SHAPE_EDGES
 
 
@@ -104,26 +105,21 @@ def face_composite(fields, path, base):
 def check_shape(kw, fields, faces, cells):
     """Boundary-check the keyword arguments kw against a shape: its fields
     in order, then faces and cells written as in FACES and CELLS, with
-    every path starting at the level fields[0].  The one boundary check
-    of a DeltaDiagram, a DotExtension and a codescent.CodescentData: a
-    face must be a functor and a cell a transformation, each between the
-    stated levels or composites."""
+    every path starting at the level fields[0].  How a DeltaDiagram, a
+    DotExtension and a codescent.CodescentData are typed: each face must
+    run between the stated levels and each cell between the composites
+    of its paths, refused through errors.require.  A value of the wrong
+    kind fails that comparison too, as a transformation's source is a
+    functor and a functor's a category."""
     missing = [f for f in fields if f not in kw]
     if missing:
         raise BoundaryMismatch("missing fields: %s" % ", ".join(missing))
     for name, (src, tgt) in faces.items():
-        if not _runs(kw[name], Fun, kw[src], kw[tgt]):
-            raise BoundaryMismatch("%s must be a functor between the stated levels" % name)
+        require(kw[name], kw[src], kw[tgt], "%s must be a functor between the stated levels" % name)
     base = kw[fields[0]]
     for name, (src, tgt) in cells.items():
         F, G = face_composite(kw, src, base), face_composite(kw, tgt, base)
-        if not _runs(kw[name], NatT, F, G):
-            raise BoundaryMismatch("%s has the wrong boundary" % name)
-
-
-def _runs(x, kind, src, tgt):
-    """Whether x is a kind (Fun or NatT) from src to tgt."""
-    return isinstance(x, kind) and x.src == src and x.tgt == tgt
+        require(kw[name], F, G, "%s has the wrong boundary" % name)
 
 
 def make_delta_diagram(**kw):

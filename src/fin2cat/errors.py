@@ -3,6 +3,12 @@
 Each exception names the law or contract that failed; messages carry the
 concrete witnesses (which objects/morphisms broke the law) so failures are
 actionable without a debugger.
+
+require is the one boundary guard: every functor or cell that comes in
+with a stated boundary (a source and a target it must run between) is
+refused through it, with the message its site gives.  It reads src and
+tgt with getattr, so a value that is no functor or cell at all gets the
+same refusal as one with the wrong boundary.
 """
 
 
@@ -20,6 +26,14 @@ class NaturalityViolation(ValueError):
 
 class BoundaryMismatch(ValueError):
     """Source/target of a cell does not match the required boundary."""
+
+
+def require(x, src, tgt, message):
+    """x, refused with BoundaryMismatch(message) unless it runs from src
+    to tgt.  A value without src or tgt is refused the same way."""
+    if (getattr(x, "src", None), getattr(x, "tgt", None)) != (src, tgt):
+        raise BoundaryMismatch(message)
+    return x
 
 
 class ParallelismViolation(ValueError):

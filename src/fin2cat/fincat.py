@@ -103,6 +103,7 @@ from .errors import (
     FunctorialityViolation,
     NaturalityViolation,
     NotEnumerated,
+    require,
 )
 
 
@@ -557,9 +558,8 @@ class OnDemandNat(NatT):
 
 def make_nat(F, G, components):
     """Build a natural transformation F => G, checking every square."""
-    if F.src != G.src or F.tgt != G.tgt:
-        raise BoundaryMismatch("F and G are not parallel functors")
     C, D = F.src, F.tgt
+    require(G, C, D, "F and G are not parallel functors")
     if set(components) != set(C.objects):
         raise BoundaryMismatch("components must cover exactly the source objects")
     # D.dom is keyed by exactly the morphisms of D
@@ -1018,7 +1018,9 @@ class PowerView(_Keyed):
     objects = morphisms = identity = compose_table = property(_whole)
 
     def __eq__(self, other):
-        return other is self or self._whole()
+        # read whole against another category; a value that is no
+        # category is unequal, as errors.require needs it to be
+        return other is self or (self._whole() if isinstance(other, (FinCat, PowerView)) else NotImplemented)
 
     def _weigh(self, t, P=int):
         """The weight of the functors before the tuple t of base functors

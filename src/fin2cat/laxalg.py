@@ -29,8 +29,12 @@ read as a component dict off the target's table, the boundaries being
 equal by theorem (check_lax_algebra, _componentwise).  The boundaries of
 zbar and zbar0 are computed once per algebra (cell_boundaries, in
 LaxAlgebra), and that of an fbar given from outside once per morphism
-(fbar_boundary); enumerate_hom_category types its candidates fbar by
-reading them off the faces Dd1 and Dd0 of the induced diagram.  Every
+(fbar_boundary); each typing check (the action, zbar and zbar0, t in
+monad_algebra, f, fbar, and the cell of a transformation) refuses
+through errors.require, so an argument that is no functor or cell gets
+its check's BoundaryMismatch too.  enumerate_hom_category types its
+candidates fbar by reading them off the faces Dd1 and Dd0 of the
+induced diagram.  Every
 equation of an algebra or a morphism is reported by _unequal, which
 names the first differing component in sorted order; a 2-monad law or
 cell that cannot be built is recorded by _recorded, and a law needing k
@@ -56,6 +60,7 @@ from .errors import (
     CoherenceViolation,
     FunctorialityViolation,
     NaturalityViolation,
+    require,
     verdict_all,
 )
 from .fincat import (
@@ -137,12 +142,14 @@ class MonadUniverse:
     or tau at a member, T(F) for each functor F between members) is
     built once, the first time it is asked for, and every later call
     returns that same object.  The memo lives as long as the universe
-    does; a failed build is not remembered and fails again on the next
-    call.  Members are found by identity first, so index_of on a member
-    compares no tables, and T(F) is kept under F itself, as the pair
-    (F, T(F)) keyed by F's id (the memo holds F, so the id is not
-    reused), so a later T(F) reads none of F's images and nothing is
-    written onto F.
+    does.  A refused build is kept too: its AxiomViolation,
+    BoundaryMismatch or NaturalityViolation is raised again on every
+    later call, and nothing is composed or checked again, so
+    check_pseudomonad on a table that breaks a law refuses each cell
+    once.  Members are found by identity first, so index_of on a member
+    compares no tables, and T(F) is kept under F's id, with F itself
+    (the memo holds F, so the id is not reused), so a later T(F) reads
+    none of F's images and nothing is written onto F.
 
     What is proved: the monoid's table, by monoid_two_monad, only as far
     as m and eta need it: mul must send every pair of elements to an
@@ -238,11 +245,22 @@ class MonadUniverse:
             raise AxiomViolation("T is undefined beyond the universe depth")
         return j
 
-    def _memoised(self, key, build):
-        F = self._memo.get(key)
-        if F is None:
-            F = self._memo[key] = build()
-        return F
+    def _memoised(self, key, build, *keep):
+        """What build() gives, made on the first read of key and kept
+        under it, with keep, for every later read.  A refusal is kept too,
+        and raised again on every read."""
+        got = self._memo.get(key)
+        if got is None:
+            try:
+                got = build(), None, *keep
+            except (AxiomViolation, BoundaryMismatch, NaturalityViolation) as e:
+                # the class and message, not the exception, whose
+                # traceback would hold the universe in a reference cycle
+                got = None, (type(e), *e.args), *keep
+            self._memo[key] = got
+        if got[1] is not None:
+            raise got[1][0](*got[1][1:])
+        return got[0]
 
     def height(self, C):
         """How many times T applies to the member C before the depth ends:
@@ -256,7 +274,7 @@ class MonadUniverse:
         def build():
             TS = self._member(self._next(self.index_of(F.src)))
             TT = self._member(self._next(self.index_of(F.tgt)))
-            return F, Fun(
+            return Fun(
                 TS,
                 TT,
                 {o: TT.pair_obj(g, F.ob(x)) for o, (g, x) in TS.obj_pair.items()},
@@ -264,7 +282,7 @@ class MonadUniverse:
             )
 
         # the memo holds F itself, so its id is not reused while kept
-        return self._memoised(("T", id(F)), build)[1]
+        return self._memoised(("T", id(F)), build, F)
 
     def T_nat(self, a):
         TF, TG = self.T_fun(a.src), self.T_fun(a.tgt)
@@ -467,9 +485,7 @@ def _cell_on(cell, boundary, message):
         return identity_cell(*boundary)
     if isinstance(cell, dict):
         return make_nat(*boundary, cell)
-    if (cell.src, cell.tgt) != boundary:
-        raise BoundaryMismatch(message)
-    return cell
+    return require(cell, *boundary, message)
 
 
 class LaxAlgebra:
@@ -482,8 +498,7 @@ class LaxAlgebra:
 
     def __init__(self, universe, Z, a, zbar, zbar0):
         self.universe, self.Z, self.a = universe, Z, a
-        if a.src != universe.T(Z) or a.tgt != Z:
-            raise BoundaryMismatch("action must be a functor T(Z) -> Z")
+        require(a, universe.T(Z), Z, "action must be a functor T(Z) -> Z")
         mult, unit = cell_boundaries(universe, Z, a)
         self.zbar = _cell_on(zbar, mult, "zbar must run a.T(a) => a.m")
         self.zbar0 = _cell_on(zbar0, unit, "zbar0 must run id => a.eta")
@@ -504,8 +519,7 @@ def monad_algebra(U, Z, t, mu, eta):
     applies t, and the comparison cells are mu and eta themselves."""
     if len(U.monoid.elements) != 1:
         raise AxiomViolation("monad_algebra needs the trivial-monoid universe")
-    if t.src != Z or t.tgt != Z:
-        raise BoundaryMismatch("t must be an endofunctor of Z")
+    require(t, Z, Z, "t must be an endofunctor of Z")
     TZ = U.T(Z)
     T2Z = U.T(TZ)
     a = compose_fun(t, TZ.proj2)
@@ -595,8 +609,7 @@ def check_lax_algebra(U, z):
 
 def _typed(U, y, z, phi):
     """Refuse a candidate y -> z whose fbar does not run a_z.T(f) => f.a_y."""
-    if (phi.fbar.src, phi.fbar.tgt) != fbar_boundary(U, y, z, phi.f):
-        raise BoundaryMismatch("fbar must run a_z.T(f) => f.a_y")
+    require(phi.fbar, *fbar_boundary(U, y, z, phi.f), "fbar must run a_z.T(f) => f.a_y")
 
 
 def _componentwise(U, y, z):
@@ -665,8 +678,7 @@ def check_lax_morphism(U, y, z, phi):
     Returns the morphism's class ("strict", "pseudo" or "lax") on
     success; raises CoherenceViolation naming the failing equation.
     """
-    if phi.f.src != y.Z or phi.f.tgt != z.Z:
-        raise BoundaryMismatch("underlying functor must run Y -> Z")
+    require(phi.f, y.Z, z.Z, "underlying functor must run Y -> Z")
     _typed(U, y, z, phi)
     return _componentwise(U, y, z)[0](phi.f)(phi)
 
@@ -677,8 +689,7 @@ def check_transformation(U, phi, psi, m):
     _componentwise), after the typing of m and of both fbars."""
     if phi.src_alg is None or phi.tgt_alg is None:
         raise BoundaryMismatch("morphisms must carry their algebras (src_alg/tgt_alg)")
-    if m.src != phi.f or m.tgt != psi.f:
-        raise BoundaryMismatch("cell must run between the underlying functors")
+    require(m, phi.f, psi.f, "cell must run between the underlying functors")
     y, z = phi.src_alg, phi.tgt_alg
     _typed(U, y, z, phi)
     _typed(U, y, z, psi)

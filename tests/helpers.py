@@ -653,7 +653,7 @@ class UncachedUniverse(laxalg.MonadUniverse):
             proved_cat(C)
         return C
 
-    def _memoised(self, key, build):
+    def _memoised(self, key, build, *keep):
         return build()
 
     def index_of(self, C):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fin2cat
-from fin2cat import cli, laxalg
+from fin2cat import cli, codescent, laxalg
 from fin2cat.cli import load, main, run
 from fin2cat.errors import AxiomViolation, MalformedWord, ParseError, UnknownCommand
 from fin2cat.fincat import make_fincat
@@ -1306,3 +1306,36 @@ def test_algebras_over_different_monads_are_an_error_report(tmp_path, capsys):
                 "error": "BoundaryMismatch",
                 "message": "functors not composable",
             }
+
+
+def test_verify_codescent_reports_a_probe_that_is_not_iso(monkeypatch, capsys):
+    # a mutant isomorphism search that finds no isomorphism for the probe
+    # C2 alone: that probe is the witness of a fail, exit code 1
+    real = codescent.iso_categories
+    C2 = load(MONAD_FX).categories["C2"]
+    monkeypatch.setattr(
+        codescent, "iso_categories", lambda H, K: None if H.target == C2 else real(H, K)
+    )
+    code = main(["verify-codescent", "--input", MONAD_FX, "const1", "--probes", "1,C2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["witnesses"] == ["C2"]
+    assert report["data"]["probes"]["1"]["iso"] is True
+    assert report["data"]["probes"]["C2"]["iso"] is False
+
+
+# each workspace refused at the top level, with the error report main prints
+_REFUSED_WORKSPACES = {
+    "workspace": ([], "workspace must be a JSON object"),
+    "spec": ({"categories": {"C": 3}}, "categories.C: spec must be a JSON object, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_WORKSPACES))
+def test_a_workspace_that_is_no_json_object_is_an_error_report(tmp_path, capsys, case):
+    payload, message = _REFUSED_WORKSPACES[case]
+    code = main(["hom", "y", "z", "--input", write(tmp_path, payload)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["status"] == "error"
+    assert report["data"] == {"error": "ParseError", "message": message}

@@ -42,6 +42,8 @@ from helpers import (
     chain3,
     constant_fun,
     hand_codescent_relations,
+    layered_cat,
+    one_object_cat,
     proved_cat,
     slicing_normalize,
     slicing_quotient,
@@ -638,6 +640,92 @@ def test_kleisli_checks_mu_boundary():
     t, mu, eta = closure_monad(Z)
     with pytest.raises(BoundaryMismatch):
         kleisli(Z, t, eta, eta)
+
+
+def _nonassociative_monad():
+    # on the monoid {1, a, 0} with a.a = 0 and 0 absorbing: t sends every
+    # element to 1, mu is a and eta is 0, so mu . t(mu) = a but
+    # mu . mu_t = 0
+    Z = one_object_cat(["1", "a", "0"], "1", {
+        ("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("a", "a"): "0",
+        ("0", "1"): "0", ("0", "a"): "0", ("0", "0"): "0", ("1", "0"): "0", ("a", "0"): "0",
+    })
+    t = constant_fun(Z, Z, "*")
+    mu = fincat.make_nat(fincat.compose_fun(t, t), t, {"*": "a"})
+    eta = fincat.make_nat(fincat.identity_fun(Z), t, {"*": "0"})
+    return Z, t, mu, eta
+
+
+def _right_unit_breaking_monad():
+    # u01: 0 -> 1 and the idempotent a1 on 1: t sends everything to 1 and
+    # u01 to a1, mu is the identity and eta_0 = u01, so the left unit law
+    # holds at 0 and mu . t(eta_0) = a1 is no identity
+    Z = layered_cat(2, [(0, 1)], ["1", "idem"])
+    t = fincat.make_fun(Z, Z, {"0": "1", "1": "1"}, {"e0": "e1", "e1": "e1", "a1": "a1", "u01": "a1"})
+    mu = fincat.make_nat(fincat.compose_fun(t, t), t, {"0": "e1", "1": "e1"})
+    eta = fincat.make_nat(fincat.identity_fun(Z), t, {"0": "u01", "1": "e1"})
+    return Z, t, mu, eta
+
+
+def _closure_kleisli(**changes):
+    """kleisli on the closure monad of chain3, with the parts named in
+    changes (t, mu or eta) replaced by the given values."""
+    Z = chain3()
+    monad = dict(zip(("t", "mu", "eta"), closure_monad(Z)), **changes)
+    return kleisli(Z, monad["t"], monad["mu"], monad["eta"])
+
+
+_REFUSALS = {
+    "t": (
+        lambda: _closure_kleisli(t=constant_fun(chain3(), walking_arrow(), "0")),
+        BoundaryMismatch,
+        "t must be an endofunctor of Z",
+    ),
+    "t no functor": (
+        lambda: kleisli(chain3(), None, None, None),
+        BoundaryMismatch,
+        "t must be an endofunctor of Z",
+    ),
+    "mu": (
+        lambda: _closure_kleisli(mu=closure_monad(chain3())[2]),
+        BoundaryMismatch,
+        "mu must run t.t => t",
+    ),
+    "mu no cell": (
+        lambda: _closure_kleisli(mu=None),
+        BoundaryMismatch,
+        "mu must run t.t => t",
+    ),
+    "eta": (
+        lambda: _closure_kleisli(eta=closure_monad(chain3())[1]),
+        BoundaryMismatch,
+        "eta must run id => t",
+    ),
+    "eta no cell": (
+        lambda: _closure_kleisli(eta="x"),
+        BoundaryMismatch,
+        "eta must run id => t",
+    ),
+    "associativity": (
+        lambda: kleisli(*_nonassociative_monad()),
+        MonadLawViolation,
+        "associativity fails at '*'",
+    ),
+    "right unit": (
+        lambda: kleisli(*_right_unit_breaking_monad()),
+        MonadLawViolation,
+        "right unit fails at '0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_kleisli_refusals_are_pinned(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message
 
 
 def _fixture_algebras():

@@ -282,3 +282,18 @@ def test_a_field_that_is_no_functor_or_transformation_is_refused():
         with pytest.raises(BoundaryMismatch) as err:
             make_dot_extension(base=d, D0=C, Dd=Dd, Dtheta=Dtheta)
         assert str(err.value) == message
+
+
+def test_a_field_of_the_wrong_kind_is_refused_over_views():
+    # build_Tzy's upper levels are PowerViews, never read whole: a face
+    # into or out of them that is no functor is refused by the same
+    # comparison, with the message a wrong boundary gets
+    z = load(os.path.join(FIXTURES, "z2_action.json")).algebras["skew"]
+    D = build_Tzy(z.universe, z, z)
+    fields = {f: getattr(D, f) for f in DeltaDiagram.FIELDS}
+    cell = fincat.identity_nat(fincat.identity_fun(z.Z))
+    for name in ("Dd0", "Ds0", "Dp0"):
+        for value in (None, "x", cell):
+            with pytest.raises(BoundaryMismatch) as err:
+                make_delta_diagram(**dict(fields, **{name: value}))
+            assert str(err.value) == "%s must be a functor between the stated levels" % name

@@ -1735,7 +1735,7 @@ def test_universe_members_and_T_are_lawful(fixture):
                 for f in map(D1.functor_of, D1.objects):
                     U.T_fun(U.T_fun(f))
     for U in ws.universes.values():
-        Ts = [pair[1] for key, pair in U._memo.items() if key[0] == "T"]
+        Ts = [entry[0] for key, entry in U._memo.items() if key[0] == "T"]
         assert len(Ts) > 10
         assert_lawful(*U.members, funs=Ts)
 
@@ -1791,3 +1791,101 @@ def test_codescent_probe_faces_are_lawful(monkeypatch):
     for D, _, _ in built:
         assert D.D3.source.factors[1] is D.D2.source
         assert_diagram_lawful(D)
+
+
+# ---------------------------------------------------------------------------
+# refusals at the trust boundary, each with its exception and message
+
+
+def _arrow_tables(**changes):
+    """walking_arrow's tables as make_fincat takes them, with changes."""
+    C = walking_arrow()
+    tables = dict(
+        objects=list(C.objects),
+        morphisms=list(C.morphisms),
+        dom=dict(C.dom),
+        cod=dict(C.cod),
+        identity=dict(C.identity),
+        compose=dict(C.compose_table),
+    )
+    return dict(tables, **changes)
+
+
+def _identity_maps(**changes):
+    C = walking_arrow()
+    maps = dict(on_obj={x: x for x in C.objects}, on_mor={m: m for m in C.morphisms})
+    return fincat.make_fun(C, C, **dict(maps, **changes))
+
+
+def _horizontal_paste_across_two_categories():
+    A, Z = walking_arrow(), z2_cat()
+    return fincat.paste(
+        "horizontal",
+        fincat.identity_nat(identity_fun_on(Z)),
+        fincat.identity_nat(identity_fun_on(A)),
+    )
+
+
+_REFUSALS = {
+    "make_fincat duplicate objects": (
+        lambda: fincat.make_fincat(**_arrow_tables(objects=["0", "1", "0"])),
+        AxiomViolation,
+        "duplicate object identifiers",
+    ),
+    "make_fincat dom/cod coverage": (
+        lambda: fincat.make_fincat(**_arrow_tables(cod={"id0": "0", "id1": "1"})),
+        AxiomViolation,
+        "dom/cod must be defined on exactly the morphisms",
+    ),
+    "make_fincat boundary outside objects": (
+        lambda: fincat.make_fincat(**_arrow_tables(cod={"id0": "0", "id1": "1", "u": "2"})),
+        AxiomViolation,
+        "morphism 'u' has boundary outside objects",
+    ),
+    "make_fincat identity not an endomorphism": (
+        lambda: fincat.make_fincat(**_arrow_tables(identity={"0": "u", "1": "id1"})),
+        AxiomViolation,
+        "identity of '0' is not an endomorphism: 'u'",
+    ),
+    "make_fun morphism coverage": (
+        lambda: _identity_maps(on_mor={"id0": "id0", "id1": "id1"}),
+        FunctorialityViolation,
+        "morphism map must cover exactly the source morphisms",
+    ),
+    "make_fun object image": (
+        lambda: _identity_maps(on_obj={"0": "0", "1": "2"}),
+        FunctorialityViolation,
+        "image of object '1' not in target",
+    ),
+    "make_fun morphism image": (
+        lambda: _identity_maps(on_mor={"id0": "id0", "id1": "id1", "u": "v"}),
+        FunctorialityViolation,
+        "image of morphism 'u' not in target",
+    ),
+    "compose_fun": (
+        lambda: fincat.compose_fun(identity_fun_on(z2_cat()), identity_fun_on(walking_arrow())),
+        BoundaryMismatch,
+        "functors not composable",
+    ),
+    "paste horizontal": (
+        _horizontal_paste_across_two_categories,
+        BoundaryMismatch,
+        "horizontal paste: middle categories differ",
+    ),
+    "make_nat parallel": (
+        lambda: fincat.make_nat(
+            identity_fun_on(walking_arrow()), constant_fun(walking_arrow(), z2_cat(), "*"), {"0": "id0", "1": "id1"}
+        ),
+        BoundaryMismatch,
+        "F and G are not parallel functors",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_fincat_refusals_are_pinned(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message

@@ -581,3 +581,69 @@ def test_rewrites_match_the_path_oracle(which):
     for start, edges in paths:
         got = list(freegen._rewrites(shapes, c.base.tgt, start, edges))
         assert got == list(path_rewrites(c, start, edges)), (start, edges)
+
+
+# ---------------------------------------------------------------------------
+# refusals at the trust boundary, each with its exception and message
+
+
+def _other_graph():
+    return make_graph(nodes=["m"], edges=["z"], src={"z": "m"}, tgt={"z": "m"})
+
+
+def _computad_on_loops(cells, src, tgt):
+    return freegen.Computad(loops_computad().base, cells, src, tgt)
+
+
+def _loop(*edges):
+    return make_path(loops_computad().base, "n", list(edges))
+
+
+_REFUSALS = {
+    "make_graph src/tgt": (
+        lambda: make_graph(["n"], ["x"], {"x": "n"}, {}),
+        MalformedWord,
+        "src/tgt must be defined on exactly the edges",
+    ),
+    "validate_computad duplicate cells": (
+        lambda: validate_computad(_computad_on_loops(["g", "g"], {"g": _loop("x")}, {"g": _loop("y")})),
+        ParallelismViolation,
+        "duplicate cell names",
+    ),
+    "validate_computad coverage": (
+        lambda: validate_computad(_computad_on_loops(["g"], {"g": _loop("x")}, {})),
+        ParallelismViolation,
+        "cell boundaries must cover exactly the cells",
+    ),
+    "validate_computad foreign path": (
+        lambda: validate_computad(
+            _computad_on_loops(["g"], {"g": make_path(_other_graph(), "m", ["z"])}, {"g": _loop("y")})
+        ),
+        ParallelismViolation,
+        "cell 'g' boundary is not a base path",
+    ),
+    "make_word graph": (
+        lambda: make_word(loops_computad(), make_path(_other_graph(), "m", ["z"]), []),
+        MalformedWord,
+        "source path lives on a different graph",
+    ),
+    "make_word generator": (
+        lambda: make_word(loops_computad(), _loop("x"), [(0, "g9")]),
+        MalformedWord,
+        "unknown 2-cell generator 'g9'",
+    ),
+    "preorder_leq graph": (
+        lambda: preorder_leq(loops_computad(), make_path(_other_graph(), "m", ["z"]), _loop("x")),
+        BoundaryMismatch,
+        "paths live on a different graph",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_freegen_refusals_are_pinned(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message

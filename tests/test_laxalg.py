@@ -906,6 +906,46 @@ def test_verify_prop_descent_reports_a_differing_composite(monkeypatch):
     assert report["counterexample"] == "lax: composition not preserved on (%r, %r)" % (x, x)
 
 
+def _renamed(C, old, new):
+    """C with the object or morphism old renamed new in every table."""
+
+    def r(n):
+        return new if n == old else n
+
+    return fincat.make_fincat(
+        list(map(r, C.objects)),
+        list(map(r, C.morphisms)),
+        {r(m): r(x) for m, x in C.dom.items()},
+        {r(m): r(x) for m, x in C.cod.items()},
+        {r(x): r(m) for x, m in C.identity.items()},
+        {(r(g), r(f)): r(h) for (g, f), h in C.compose_table.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "old, new, counterexample",
+    [
+        ("(F1,n13)", "(F1,n14)", "lax: object mismatch: '(F1,n13)'"),
+        (
+            "[n3:(F1,n13)->(F1,n13)]",
+            "[n4:(F1,n13)->(F1,n13)]",
+            "lax: morphism mismatch: '[n3:(F1,n13)->(F1,n13)]'",
+        ),
+    ],
+)
+def test_verify_prop_descent_reports_a_differing_name(monkeypatch, old, new, counterexample):
+    # skew -> skew: a direct enumeration that names one object or one
+    # morphism differently from the descent category is reported as a
+    # mismatch naming the first name the two do not share
+    z = load(Z2_FX).algebras["skew"]
+    real = laxalg.enumerate_hom_category
+    monkeypatch.setattr(laxalg, "enumerate_hom_category", lambda *a, **kw: _renamed(real(*a, **kw), old, new))
+    report = verify_prop_descent(z.universe, z, z)
+    assert report["status"] == "fail"
+    assert report["lax"]["match"] is False
+    assert report["counterexample"] == counterexample
+
+
 # ---------------------------------------------------------------------------
 # the universe's memo and identity index
 
@@ -1251,3 +1291,185 @@ def test_universe_is_freed_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _broken_z2():
+    # Z/2 with e.e = a, which breaks both unit laws
+    return Monoid(
+        ["e", "a"], "e", {("e", "e"): "a", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}, check=False
+    )
+
+
+def test_a_refused_cell_is_refused_once(monkeypatch):
+    # counts, not timings: check_pseudomonad over the terminal category at
+    # depth 4 finds 11 failures; the memo keeps each refused cell, so each
+    # of its functor pairs is composed once and make_nat refuses 8 times
+    # (a memo that kept no refusal made 14 compositions on 10 pairs and
+    # 11 refusals); the failures are those of the universe without a memo
+    composed, proved = [], []
+    compose_fun, make_nat = laxalg.compose_fun, fincat.make_nat
+
+    def counted_compose(G, F):
+        composed.append((id(G), id(F)))
+        return compose_fun(G, F)
+
+    def counted_nat(*args):
+        proved.append(args)
+        return make_nat(*args)
+
+    monkeypatch.setattr(laxalg, "compose_fun", counted_compose)
+    monkeypatch.setattr(fincat, "make_nat", counted_nat)
+    seeds = [("1", terminal_cat())]
+    U = monoid_two_monad(_broken_z2(), seeds, 4)
+    verdict = check_pseudomonad(U)
+    assert len(verdict.failures) == 11
+    assert (len(composed), len(set(composed)), len(proved)) == (10, 10, 8)
+    assert verdict.failures == check_pseudomonad(UncachedUniverse(_broken_z2(), seeds, 4)).failures
+    # a later read raises the kept refusal again, building nothing
+    del composed[:], proved[:]
+    for cell in (U.iota, U.tau, U.mu):
+        with pytest.raises(BoundaryMismatch) as again:
+            cell(U.members[0])
+        assert str(again.value).startswith("component at ")
+    assert composed == proved == []
+
+
+def test_a_universe_with_a_refused_cell_is_freed_without_the_cycle_collector():
+    # the memo keeps a refusal's class and message, not the exception,
+    # whose traceback would reach the universe through its frames
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        U = monoid_two_monad(_broken_z2(), [("1", terminal_cat())], 3)
+        assert not check_pseudomonad(U)
+        with pytest.raises(BoundaryMismatch):
+            U.mu(U.members[0])
+        universe = weakref.ref(U)
+        del U
+        assert universe() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# refusals at the trust boundary, each with its exception and message
+
+
+def _arrow_setup():
+    """The walking arrow A over the trivial monoid: its universe, A, its
+    identity algebra y and the constant-at-1 monad algebra z."""
+    C = walking_arrow()
+    U = triv_universe(C)
+    return U, C, identity_algebra(U, C), const1_monad_algebra(U, C)
+
+
+def _mistyped_algebra(a, zbar, zbar0):
+    U, C, _, _ = _arrow_setup()
+    return laxalg.LaxAlgebra(U, C, U.T(C).proj2 if a == "proj" else a, zbar, zbar0)
+
+
+def _mistyped_monad(t):
+    U, C, _, _ = _arrow_setup()
+    t = U.T(C).proj2 if t == "proj" else t
+    return laxalg.monad_algebra(U, C, t, None, None)
+
+
+def _mistyped_morphism(f, fbar):
+    U, C, y, z = _arrow_setup()
+    f = fincat.identity_fun(C) if f == "id" else f
+    fbar = fincat.identity_nat(fincat.compose_fun(y.a, U.T_fun(f))) if fbar == "wrong" else fbar
+    return check_lax_morphism(U, y, z, LaxMorphism(f, fbar))
+
+
+def _mistyped_transformation():
+    U, C, _, z = _arrow_setup()
+    i, c1 = fincat.identity_fun(C), constant_fun(C, C, "1")
+    phi, psi = (
+        LaxMorphism(f, fincat.identity_nat(fincat.compose_fun(z.a, U.T_fun(f))), src_alg=z, tgt_alg=z)
+        for f in (i, c1)
+    )
+    return check_transformation(U, phi, psi, fincat.identity_nat(i))
+
+
+def _hom_category_of_class(cls):
+    U, _, y, _ = _arrow_setup()
+    return enumerate_hom_category(U, y, y, cls)
+
+
+_REFUSALS = {
+    "action": (
+        lambda: _mistyped_algebra(fincat.identity_fun(walking_arrow()), None, None),
+        BoundaryMismatch,
+        "action must be a functor T(Z) -> Z",
+    ),
+    "action no functor": (
+        lambda: _mistyped_algebra(None, None, None),
+        BoundaryMismatch,
+        "action must be a functor T(Z) -> Z",
+    ),
+    "zbar": (
+        lambda: _mistyped_algebra("proj", fincat.identity_nat(fincat.identity_fun(walking_arrow())), None),
+        BoundaryMismatch,
+        "zbar must run a.T(a) => a.m",
+    ),
+    "zbar no cell": (
+        lambda: _mistyped_algebra("proj", "x", None),
+        BoundaryMismatch,
+        "zbar must run a.T(a) => a.m",
+    ),
+    "zbar0": (
+        lambda: _mistyped_algebra("proj", None, fincat.identity_nat(constant_fun(walking_arrow(), walking_arrow(), "1"))),
+        BoundaryMismatch,
+        "zbar0 must run id => a.eta",
+    ),
+    "monad_algebra t": (
+        lambda: _mistyped_monad("proj"),
+        BoundaryMismatch,
+        "t must be an endofunctor of Z",
+    ),
+    "monad_algebra t no functor": (
+        lambda: _mistyped_monad(None),
+        BoundaryMismatch,
+        "t must be an endofunctor of Z",
+    ),
+    "underlying functor": (
+        lambda: _mistyped_morphism(constant_fun(walking_arrow(), terminal_cat(), "*"), None),
+        BoundaryMismatch,
+        "underlying functor must run Y -> Z",
+    ),
+    "underlying functor no functor": (
+        lambda: _mistyped_morphism(None, None),
+        BoundaryMismatch,
+        "underlying functor must run Y -> Z",
+    ),
+    "fbar": (
+        lambda: _mistyped_morphism("id", "wrong"),
+        BoundaryMismatch,
+        "fbar must run a_z.T(f) => f.a_y",
+    ),
+    "transformation cell": (
+        _mistyped_transformation,
+        BoundaryMismatch,
+        "cell must run between the underlying functors",
+    ),
+    "depth": (
+        lambda: monoid_two_monad(trivial_monoid(), [("A", walking_arrow())], 0),
+        AxiomViolation,
+        "depth must be at least 1",
+    ),
+    "hom class": (
+        lambda: _hom_category_of_class("strict"),
+        ValueError,
+        "class must be 'lax' or 'pseudo', got 'strict'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_laxalg_refusals_are_pinned(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message

@@ -18,8 +18,11 @@ import weakref
 from contextlib import redirect_stdout
 from unittest import mock
 
+import pytest
+
 import fin2cat.cli  # noqa: F401  (loads every module)
-from fin2cat import cli, codescent, deltadiag, fincat, freegen, laxalg
+from fin2cat import cli, codescent, deltadiag, errors, fincat, freegen, laxalg
+from fin2cat.deltadiag import DeltaDiagram, make_delta_diagram
 from fin2cat.codescent import FINITE, PresentedCategory
 from fin2cat.descent import lax_descent
 from helpers import (
@@ -403,6 +406,60 @@ def test_the_searches_share_one_engine(monkeypatch):
     searches = {"_enumerate_functors", "_enumerate_nats", "iso_categories"}
     assert all(len(names & searches) == 1 for names in calls), calls
     assert set().union(*calls) >= searches
+
+
+# each boundary check, by the function that makes it and its message
+_GUARDED = {
+    ("make_nat", "F and G are not parallel functors"),
+    ("_cell_on", "zbar must run a.T(a) => a.m"),
+    ("LaxAlgebra.__init__", "action must be a functor T(Z) -> Z"),
+    ("monad_algebra", "t must be an endofunctor of Z"),
+    ("_typed", "fbar must run a_z.T(f) => f.a_y"),
+    ("check_lax_morphism", "underlying functor must run Y -> Z"),
+    ("check_transformation", "cell must run between the underlying functors"),
+    ("kleisli", "t must be an endofunctor of Z"),
+    ("kleisli", "mu must run t.t => t"),
+    ("kleisli", "eta must run id => t"),
+    ("check_shape", "Dd0 must be a functor between the stated levels"),
+    ("check_shape", "Dsig00 has the wrong boundary"),
+}
+
+
+def _mistyped_diagram(name, value):
+    d = monoid_diagram(z2_cat(), "e", "e", "e", "e", "e")
+    return make_delta_diagram(**dict({f: getattr(d, f) for f in DeltaDiagram.FIELDS}, **{name: value}))
+
+
+def test_every_boundary_check_is_one_require(monkeypatch):
+    # a recording errors.require, patched in each module that imports
+    # it, sees the refusal of each of the twelve boundary checks, and of
+    # no other, when the refusal tables of the test modules and two
+    # mistyped diagram fields are run
+    from test_codescent import _REFUSALS as codescent_refusals
+    from test_fincat import _REFUSALS as fincat_refusals
+    from test_laxalg import _REFUSALS as laxalg_refusals
+
+    refused, real = [], errors.require
+
+    def counted(x, src, tgt, message):
+        try:
+            return real(x, src, tgt, message)
+        except errors.BoundaryMismatch:
+            refused.append((sys._getframe(1).f_code.co_qualname, message))
+            raise
+
+    importers = [m for m in _fin2cat_modules() if m is not errors and vars(m).get("require") is real]
+    assert {m.__name__ for m in importers} == {
+        "fin2cat.fincat", "fin2cat.laxalg", "fin2cat.codescent", "fin2cat.deltadiag"
+    }
+    for m in importers:
+        monkeypatch.setattr(m, "require", counted)
+    calls = [call for table in (fincat_refusals, laxalg_refusals, codescent_refusals) for call, _, _ in table.values()]
+    calls += [lambda: _mistyped_diagram("Dd0", None), lambda: _mistyped_diagram("Dsig00", "x")]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert set(refused) == _GUARDED | {("_cell_on", "zbar0 must run id => a.eta")}
 
 
 def test_pair_commands_build_no_member_they_do_not_read(monkeypatch):
